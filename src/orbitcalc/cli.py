@@ -222,7 +222,7 @@ def _load_orbit_form(ctx: Context, path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return orbit_form_from_json(data, ctx.space)
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad orbit form in {path}: {exc}") from exc
 
 

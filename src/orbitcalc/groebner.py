@@ -13,6 +13,7 @@ S-pair lifting on the final basis.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 from .algebra import (
     GREVLEX,
     BlockOrder,
+    Exponents,
     MonomialOrder,
     PolyRing,
     Polynomial,
@@ -48,52 +50,80 @@ def _poll(cancel: CancelCheck | None):
 # division
 # ---------------------------------------------------------------------------
 
+class _Descending:
+    """Work-monomial heap entry; the inverted comparison makes ``heapq`` pop
+    the largest monomial under the order first."""
+
+    __slots__ = ("key", "exps")
+
+    def __init__(self, key, exps: Exponents):
+        self.key = key
+        self.exps = exps
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+
 def divide(
     p: Polynomial,
     divisors: Sequence[Polynomial],
     order: MonomialOrder,
     divisor_order: Sequence[int] | None = None,
+    *,
+    _leads: Sequence[tuple[Exponents, Fraction]] | None = None,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Full multivariate division: ``p = sum(q_i * divisors_i) + remainder``.
 
     No remainder term is divisible by any divisor's leading monomial.  The
     divisor preference defaults to list order; ``divisor_order`` permutes it
     (used by the confluence property test — the remainder must not depend on
-    the strategy once the divisors form a Groebner basis).
+    the strategy once the divisors form a Groebner basis).  ``_leads`` is
+    internal: the divisors' leading terms, when the caller already has them.
     """
     ring = p.ring
-    preference = list(divisor_order) if divisor_order is not None else list(range(len(divisors)))
-    leads = []
+    preference = divisor_order if divisor_order is not None else range(len(divisors))
+    heads = []
     for i in preference:
         d = divisors[i]
         if d.is_zero():
             continue
-        lm, lc = d.leading(order)
-        leads.append((i, d, lm, lc))
-    quotients = [ring.zero() for _ in divisors]
+        lm, lc = d.leading(order) if _leads is None else _leads[i]
+        heads.append((i, d.terms, lm, lc))
+    quotients: list[dict] = [{} for _ in divisors]
     remainder_terms: dict = {}
     work = dict(p.terms)
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for i, d, lm, lc in leads:
+    # Every monomial of ``work`` is on the heap; entries whose monomial has
+    # cancelled since are skipped.  A reduction step only adds monomials
+    # below the one it reduces, so a popped monomial never comes back.
+    heap = [_Descending(order.key(e), e) for e in work]
+    heapq.heapify(heap)
+    queued = set(work)
+    while heap:
+        exps = heapq.heappop(heap).exps
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for i, terms, lm, lc in heads:
             if mono_divides(lm, exps):
                 factor_exps = mono_div(exps, lm)
                 factor_coeff = coeff / lc
-                quotients[i] = quotients[i] + ring.monomial(factor_exps, factor_coeff)
-                shifted = d.mul_monomial(factor_exps, factor_coeff)
-                for e, c in shifted.terms.items():
-                    if e == exps:
+                quotients[i][factor_exps] = factor_coeff
+                for e, c in terms.items():
+                    if e == lm:
                         continue
-                    new = work.get(e, Fraction(0)) - c
+                    e = mono_mul(e, factor_exps)
+                    new = work.get(e, Fraction(0)) - factor_coeff * c
                     if new:
                         work[e] = new
+                        if e not in queued:
+                            queued.add(e)
+                            heapq.heappush(heap, _Descending(order.key(e), e))
                     else:
                         work.pop(e, None)
                 break
         else:
             remainder_terms[exps] = coeff
-    return Polynomial(ring, remainder_terms), quotients
+    return Polynomial(ring, remainder_terms), [Polynomial(ring, q) for q in quotients]
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +136,12 @@ class _Tracked:
     poly: Polynomial
     rep: list[Polynomial]  # poly == sum(rep[j] * original[j])
     sugar: int
+    lead: tuple[Exponents, Fraction]  # poly.leading(order), computed once
 
 
 def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
-    return _Tracked(t.poly.scale(c), [r.scale(c) for r in t.rep], t.sugar)
+    lm, lc = t.lead
+    return _Tracked(t.poly.scale(c), [r.scale(c) for r in t.rep], t.sugar, (lm, lc * c))
 
 
 def _buchberger_tracked(
@@ -122,39 +154,40 @@ def _buchberger_tracked(
     Output elements are monic, pairwise interreduced, and sorted by leading
     monomial (descending) so results are byte-reproducible.
     """
-    ring = gens[0].ring if gens else None
     basis: list[_Tracked] = []
+    # Pending S-pairs, smallest (sugar, lcm, i, j) first.  The basis only
+    # grows, so a pair's key never changes once pushed, and (i, j) makes it
+    # unique.  ``pending`` holds the same pairs for the chain criterion.
+    queue: list[tuple] = []
+    pending: set[tuple[int, int]] = set()
+
+    def append(t: _Tracked):
+        j = len(basis)
+        lj = t.lead[0]
+        for i, u in enumerate(basis):
+            li = u.lead[0]
+            lcm = mono_lcm(li, lj)
+            sugar = max(
+                u.sugar + mono_degree(mono_div(lcm, li)),
+                t.sugar + mono_degree(mono_div(lcm, lj)),
+            )
+            heapq.heappush(queue, (sugar, order.key(lcm), i, j))
+            pending.add((i, j))
+        basis.append(t)
+
     for j, g in enumerate(gens):
         if g.is_zero():
             continue  # zero generators are dropped silently
         rep = [g.ring.zero() for _ in gens]
         rep[j] = g.ring.one()
-        basis.append(_Tracked(g, rep, g.degree()))
-    if not basis:
-        return []
-    ring = basis[0].poly.ring
+        append(_Tracked(g, rep, g.degree(), g.leading(order)))
 
-    def lead(i: int):
-        return basis[i].poly.leading(order)[0]
-
-    pairs: set[tuple[int, int]] = {
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-    }
-
-    def pair_sort_key(pair: tuple[int, int]):
-        i, j = pair
-        lcm = mono_lcm(lead(i), lead(j))
-        sugar = max(
-            basis[i].sugar + mono_degree(mono_div(lcm, lead(i))),
-            basis[j].sugar + mono_degree(mono_div(lcm, lead(j))),
-        )
-        return (sugar, order.key(lcm), i, j)
-
-    while pairs:
+    while queue:
         _poll(cancel)
-        i, j = min(pairs, key=pair_sort_key)
-        pairs.discard((i, j))
-        li, lj = lead(i), lead(j)
+        _, _, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        fi, fj = basis[i], basis[j]
+        (li, ci), (lj, cj) = fi.lead, fj.lead
         lcm = mono_lcm(li, lj)
         # product criterion: coprime leading monomials reduce to zero
         if lcm == mono_mul(li, lj):
@@ -164,23 +197,22 @@ def _buchberger_tracked(
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if mono_divides(lead(k), lcm):
+            if mono_divides(basis[k].lead[0], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
+                if pik not in pending and pjk not in pending:
                     skip = True
                     break
         if skip:
             continue
-        fi, fj = basis[i], basis[j]
-        ci = fi.poly.leading(order)[1]
-        cj = fj.poly.leading(order)[1]
         ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
         s_poly = fi.poly.mul_monomial(ui, Fraction(1) / ci) - fj.poly.mul_monomial(
             uj, Fraction(1) / cj
         )
         s_sugar = max(fi.sugar + mono_degree(ui), fj.sugar + mono_degree(uj))
-        remainder, quotients = divide(s_poly, [t.poly for t in basis], order)
+        remainder, quotients = divide(
+            s_poly, [t.poly for t in basis], order, _leads=[t.lead for t in basis]
+        )
         if remainder.is_zero():
             continue
         rep = [
@@ -192,50 +224,44 @@ def _buchberger_tracked(
             if q.is_zero():
                 continue
             rep = [r - q * basis[k].rep[m] for m, r in enumerate(rep)]
-        new_index = len(basis)
-        basis.append(_Tracked(remainder, rep, max(s_sugar, remainder.degree())))
-        pairs.update((k, new_index) for k in range(new_index))
+        sugar = max(s_sugar, remainder.degree())
+        append(_Tracked(remainder, rep, sugar, remainder.leading(order)))
 
-    return _reduce_tracked(basis, order, len(gens))
+    return _reduce_tracked(basis, order)
 
 
-def _reduce_tracked(
-    basis: list[_Tracked], order: MonomialOrder, ngens: int
-) -> list[_Tracked]:
+def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracked]:
     # minimal: drop elements whose leading monomial another's divides
     kept: list[_Tracked] = []
-    leads = [t.poly.leading(order)[0] for t in basis]
     for idx, t in enumerate(basis):
-        lm = leads[idx]
+        lm = t.lead[0]
         redundant = False
         for jdx, other in enumerate(basis):
             if jdx == idx:
                 continue
-            lo = leads[jdx]
+            lo = other.lead[0]
             if mono_divides(lo, lm) and (lo != lm or jdx < idx):
                 redundant = True
                 break
         if not redundant:
             kept.append(t)
-    # interreduce tails and normalize monic
+    # interreduce tails and normalize monic; no other kept leading monomial
+    # divides t's, so t's leading term is also the remainder's
     reduced: list[_Tracked] = []
     for idx, t in enumerate(kept):
-        others = [u.poly for k, u in enumerate(kept) if k != idx]
-        remainder, quotients = divide(t.poly, others, order)
+        others = [u for k, u in enumerate(kept) if k != idx]
+        remainder, quotients = divide(
+            t.poly, [u.poly for u in others], order, _leads=[u.lead for u in others]
+        )
         rep = list(t.rep)
-        qi = 0
-        for k, u in enumerate(kept):
-            if k == idx:
-                continue
-            q = quotients[qi]
-            qi += 1
+        for q, u in zip(quotients, others):
             if not q.is_zero():
                 rep = [r - q * u.rep[m] for m, r in enumerate(rep)]
-        lc = remainder.leading(order)[1]
+        lc = t.lead[1]
         reduced.append(
-            _scale_tracked(_Tracked(remainder, rep, t.sugar), Fraction(1) / lc)
+            _scale_tracked(_Tracked(remainder, rep, t.sugar, t.lead), Fraction(1) / lc)
         )
-    reduced.sort(key=lambda t: order.key(t.poly.leading(order)[0]), reverse=True)
+    reduced.sort(key=lambda t: order.key(t.lead[0]), reverse=True)
     return reduced
 
 
@@ -431,7 +457,10 @@ def module_solve(
     gens = columns + pads + tags
     tracked = _buchberger_tracked(gens, codec.order, cancel)
     remainder, quotients = divide(
-        codec.encode(target), [t.poly for t in tracked], codec.order
+        codec.encode(target),
+        [t.poly for t in tracked],
+        codec.order,
+        _leads=[t.lead for t in tracked],
     )
     if not remainder.is_zero():
         return ModuleMembership(member=False, certificate=codec.decode(remainder))
@@ -480,6 +509,7 @@ def syzygies(
     gens = encoded + codec.padding(ideal) + codec.tag_products()
     tracked = _buchberger_tracked(gens, codec.order, cancel)
     basis = [t.poly for t in tracked]
+    leads = [t.lead for t in tracked]
     order = codec.order
     n_cols = len(columns)
 
@@ -500,12 +530,11 @@ def syzygies(
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             _poll(cancel)
-            la = basis[a].leading(order)[0]
-            lb = basis[b].leading(order)[0]
+            la, lb = leads[a][0], leads[b][0]
             lcm = mono_lcm(la, lb)
             ua, ub = mono_div(lcm, la), mono_div(lcm, lb)
             s_poly = basis[a].mul_monomial(ua) - basis[b].mul_monomial(ub)
-            remainder, quotients = divide(s_poly, basis, order)
+            remainder, quotients = divide(s_poly, basis, order, _leads=leads)
             if not remainder.is_zero():
                 raise AssertionError("internal error: basis is not a Groebner basis")
             combo = [q.scale(-1) for q in quotients]
@@ -518,7 +547,7 @@ def syzygies(
     # column coefficients)
     for j, g in enumerate(gens):
         _poll(cancel)
-        remainder, quotients = divide(g, basis, order)
+        remainder, quotients = divide(g, basis, order, _leads=leads)
         if not remainder.is_zero():
             raise AssertionError("internal error: generator escaped its own ideal")
         out = [codec.ring.zero() for _ in range(n_cols)]

@@ -30,7 +30,10 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.replace("−", "-").strip())
+        try:
+            return Fraction(text.replace("−", "-").strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise TypeError(f"cannot read a rational from {text!r}")
 
 

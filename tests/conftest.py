@@ -54,6 +54,21 @@ def random_poly(rng, ring, max_degree=3, max_terms=3, nonzero=False):
     return p
 
 
+def random_ideal(rng, ring, count=3, max_degree=3, max_terms=4):
+    """Generators without constant terms, so the ideal is never the unit
+    ideal; each has 2..max_terms terms of degree 1..max_degree."""
+    gens = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(2, max_terms)):
+            exps = [0] * ring.nvars
+            for _ in range(rng.randint(1, max_degree)):
+                exps[rng.randrange(ring.nvars)] += 1
+            terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
 def random_vf(rng, ring, max_degree=3, max_terms=2):
     return PolyVectorField(
         ring,

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import venv
 from pathlib import Path
 
@@ -303,6 +304,52 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "lift-vf", "1,0,0", "-i", Z2)
     assert code == 2
     assert "cannot read orbit field" in err
+
+
+def run_process(cwd, *argv):
+    """The CLI in a fresh interpreter: an uncaught exception shows up as a
+    traceback on stderr, and the exit code is the one a shell sees."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "orbitcalc.cli", *argv],
+        cwd=cwd,
+        env={**_without_pythonpath(), "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def assert_input_error(result, fragment):
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert fragment in lines[0]
+
+
+def test_zero_denominator_in_group_matrix(tmp_path):
+    data = json.loads(Path(Z2).read_text(encoding="utf-8"))
+    data["group_generators"] = [[["1/0", "0"], ["0", "-1"]]]
+    problem = tmp_path / "zero_denominator.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    result = run_process(tmp_path, "invariants", "-i", str(problem))
+    assert_input_error(result, "zero denominator in '1/0'")
+
+
+def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
+    data = json.loads(Path(THETA1).read_text(encoding="utf-8"))
+    no_degree = tmp_path / "no_degree.json"
+    no_degree.write_text(
+        json.dumps({k: v for k, v in data.items() if k != "degree"}), encoding="utf-8"
+    )
+    result = run_process(tmp_path, "orbit-d", str(no_degree), "-i", Z2)
+    assert_input_error(result, "bad orbit form")
+
+    scalar_values = tmp_path / "scalar_values.json"
+    scalar_values.write_text(json.dumps({**data, "values": 5}), encoding="utf-8")
+    result = run_process(tmp_path, "orbit-d", str(scalar_values), "-i", Z2)
+    assert_input_error(result, "bad orbit form")
 
 
 # ---------------------------------------------------------------------------

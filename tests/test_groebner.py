@@ -4,17 +4,23 @@ import random
 
 import pytest
 
-from conftest import coefficient_vector, monomials_up_to, random_poly
+from conftest import coefficient_vector, monomials_up_to, random_ideal, random_poly
 from orbitcalc import linalg
 from orbitcalc.algebra import (
     GREVLEX,
+    LEX,
+    BlockOrder,
     PolyRing,
     embed,
+    mono_div,
+    mono_divides,
+    mono_lcm,
     parse_polynomial,
 )
 from orbitcalc.groebner import (
     ComputationCancelled,
     SubmoduleProblem,
+    _buchberger_tracked,
     buchberger,
     divide,
     eliminate,
@@ -174,6 +180,41 @@ def test_divide_contract():
             for g in gens:
                 lead, _c = g.leading(GREVLEX)
                 assert any(t < l for t, l in zip(term, lead))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
+def test_tracked_basis_properties(order):
+    """Every element is exactly its tracked combination of the inputs, and
+    the output is a monic, interreduced, sorted Groebner basis."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(41)
+    for _ in range(10):
+        gens = random_ideal(rng, ring)
+        tracked = _buchberger_tracked(gens, order)
+        basis = [t.poly for t in tracked]
+        leads = [p.leading(order)[0] for p in basis]
+        for t in tracked:
+            combination = ring.zero()
+            for r, g in zip(t.rep, gens):
+                combination = combination + r * g
+            assert combination == t.poly
+            assert t.lead == t.poly.leading(order)
+            assert t.lead[1] == 1
+        keys = [order.key(lm) for lm in leads]
+        assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+        for k, p in enumerate(basis):
+            for exps, _ in p:
+                assert not any(
+                    mono_divides(lm, exps) for m, lm in enumerate(leads) if m != k
+                )
+        for a in range(len(basis)):
+            for b in range(a + 1, len(basis)):
+                lcm = mono_lcm(leads[a], leads[b])
+                ua, ub = mono_div(lcm, leads[a]), mono_div(lcm, leads[b])
+                s_poly = basis[a].mul_monomial(ua) - basis[b].mul_monomial(ub)
+                assert divide(s_poly, basis, order)[0].is_zero()
+        for g in gens:
+            assert divide(g, basis, order)[0].is_zero()
 
 
 def test_eliminate_recovers_relation():

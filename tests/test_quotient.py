@@ -10,8 +10,9 @@ from orbitcalc.group_action import (
     PolyDiffForm,
     PolyVectorField,
     closure,
+    is_invariant,
 )
-from orbitcalc.invariants import EquivariantModule, HilbertMap
+from orbitcalc.invariants import EquivariantModule, HilbertMap, invariant_generators
 from orbitcalc.quotient import (
     OrbitForm,
     OrbitSpace,
@@ -315,3 +316,38 @@ def test_orbit_json_round_trips(golden_space, golden_forms):
     data["generators"] = 3
     with pytest.raises(ValueError, match="generator count differs"):
         orbit_form_from_json(data, golden_space)
+
+
+def test_minus_identity_on_r3_full_space():
+    """<-Id> on R^3, built automatically: the quadrics, the 2x2 minors of the
+    symmetric matrix they fill, and the syzygies among the 9 pushed fields."""
+    group = closure([[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]])
+    space = OrbitSpace(invariant_generators(group))
+    hilbert = space.hilbert
+    assert [str(s) for s in hilbert.sigma] == [
+        "x1^2", "x1*x2", "x2^2", "x1*x3", "x2*x3", "x3^2",
+    ]
+    relations = space.ideal.basis.generators
+    assert [str(g) for g in relations] == [
+        "y2^2 - y1*y3",
+        "y2*y4 - y1*y5",
+        "y3*y4 - y2*y5",
+        "y4^2 - y1*y6",
+        "y4*y5 - y2*y6",
+        "y5^2 - y3*y6",
+    ]
+    for g in relations:
+        assert hilbert.substitute_into(g).is_zero()
+    assert len(space.module.generators) == 9
+    for X in space.module.generators:
+        assert is_invariant(X, group)
+    fields = space.pushed_generators
+    rows = space.generator_syzygies
+    assert len(rows) == 33
+    for row in rows:
+        assert any(not c.is_zero() for c in row)
+        for j in range(space.orbit_ring.nvars):
+            total = space.orbit_ring.zero()
+            for c, Y in zip(row, fields):
+                total = total + c * Y.components[j].rep
+            assert space.ideal.is_member(total)
