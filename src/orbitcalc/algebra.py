@@ -9,6 +9,7 @@ variable most significant is the default used for canonical printing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,16 +431,7 @@ class Polynomial:
     def primitive(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         """Rescale to integer coefficients with content 1 and positive leading
         coefficient."""
-        if not self.terms:
-            return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        num = gcd(*(abs(c.numerator) for c in self.terms.values()))
-        scaled = self.scale(Fraction(den, num))
-        if scaled.leading(order)[1] < 0:
-            scaled = -scaled
-        return scaled
+        return make_primitive([self], order)[0]
 
     # -- printing ------------------------------------------------------------
 
@@ -471,6 +463,25 @@ class Polynomial:
         return " ".join(pieces)
 
 
+def make_primitive(
+    polys: Sequence[Polynomial], order: MonomialOrder = GREVLEX
+) -> list[Polynomial]:
+    """Rescale a sequence of polynomials by one common factor to integer
+    coefficients with content 1, making the leading coefficient of the first
+    nonzero polynomial positive.  An all-zero sequence is returned as is."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if not coeffs:
+        return list(polys)
+    scale = Fraction(
+        math.lcm(*(c.denominator for c in coeffs)),
+        math.gcd(*(c.numerator for c in coeffs)),
+    )
+    first = next(p for p in polys if p.terms)
+    if first.leading(order)[1] < 0:
+        scale = -scale
+    return [p.scale(scale) for p in polys]
+
+
 # ---------------------------------------------------------------------------
 # text grammar:  terms joined by + / -, each an optional rational coefficient
 # and *-separated powers, e.g.  2*x1^2*x2 - 1/3*x2^3
@@ -485,6 +496,8 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 
     Raises ValueError with a descriptive message on any malformed input.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial text must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty polynomial text")

@@ -78,23 +78,25 @@ class ProblemFile:
             n = int(data["n"])
             gens = [matrix_from_rows(m) for m in data["group_generators"]]
             lie = [matrix_from_rows(m) for m in data.get("lie_algebra", [])]
+            bounds = {str(k): int(v) for k, v in _json_object(data, "degree_bounds").items()}
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad problem file: {exc}") from exc
         for m in gens + lie:
             if len(m) != n:
                 raise InputError("matrix size differs from the declared dimension")
-        bounds = {str(k): int(v) for k, v in data.get("degree_bounds", {}).items()}
         ring = PolyRing.ambient(n)
         named = {}
-        for name, obj in data.get("named_objects", {}).items():
+        for name, obj in _json_object(data, "named_objects").items():
             try:
+                if not isinstance(obj, dict):
+                    raise ValueError("not an object")
                 if "components" in obj:
                     named[name] = vf_from_json(obj, ring)
                 elif "degree" in obj:
                     named[name] = form_from_json(obj, ring)
                 else:
                     raise ValueError("neither a vector field nor a form")
-            except ValueError as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"bad named object {name!r}: {exc}") from exc
         return ProblemFile(n, gens, lie, bounds, named)
 
@@ -112,6 +114,14 @@ class ProblemFile:
             "degree_bounds": dict(self.degree_bounds),
             "named_objects": named,
         }
+
+
+def _json_object(data: dict, key: str) -> dict:
+    """The optional object stored under ``key`` (empty when absent)."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"bad problem file: {key!r} must be an object")
+    return value
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -203,7 +213,7 @@ def _parse_orbit_vf(ctx: Context, spec: str):
         try:
             with open(spec, encoding="utf-8") as handle:
                 return orbit_vf_from_json(json.load(handle), space)
-        except (ValueError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InputError(f"cannot read orbit field from {spec}: {exc}") from exc
     try:
         comps = [parse_polynomial(s, space.orbit_ring) for s in spec.split(",")]

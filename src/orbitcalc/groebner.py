@@ -3,12 +3,14 @@
 Scalar layer: reduced Groebner bases (sugar selection strategy, product and
 chain criteria), normal forms, and elimination ideals.
 
-Module layer: rank-r vectors are encoded with r position-tag variables in a
-block order that dominates the scalar order (position over term), and the tag
-products e_i*e_j are adjoined so the scalar engine runs unchanged.  Submodule
-membership returns explicit witnesses (representations are tracked through
-the whole computation) and syzygy generating sets come from the classical
-S-pair lifting on the final basis.
+Module layer: a rank-r vector is encoded as the tag-linear polynomial
+sum(e_i * v_i) in r position-tag variables, under a block order that
+dominates the scalar order (position over term).  The same Buchberger loop
+runs on these encodings, but only pairs whose leading terms share a position
+are formed, so every basis element, quotient and representation stays
+tag-linear or tag-free.  Submodule membership returns explicit witnesses
+(representations are tracked through the whole computation) and syzygy
+generating sets come from Schreyer's S-pair lifting on the final basis.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .algebra import (
     PolyRing,
     Polynomial,
     embed,
+    make_primitive,
     mono_degree,
     mono_div,
     mono_divides,
@@ -148,11 +151,15 @@ def _buchberger_tracked(
     gens: Sequence[Polynomial],
     order: MonomialOrder,
     cancel: CancelCheck | None = None,
+    rank: int = 0,
 ) -> list[_Tracked]:
     """Reduced Groebner basis with representations over ``gens``.
 
     Output elements are monic, pairwise interreduced, and sorted by leading
-    monomial (descending) so results are byte-reproducible.
+    monomial (descending) so results are byte-reproducible.  With ``rank`` > 0
+    the first ``rank`` variables are module positions: no pair is formed
+    between elements whose leading monomials differ there, which makes the
+    result a position-over-term module basis of tag-linear inputs.
     """
     basis: list[_Tracked] = []
     # Pending S-pairs, smallest (sugar, lcm, i, j) first.  The basis only
@@ -166,6 +173,8 @@ def _buchberger_tracked(
         lj = t.lead[0]
         for i, u in enumerate(basis):
             li = u.lead[0]
+            if li[:rank] != lj[:rank]:
+                continue
             lcm = mono_lcm(li, lj)
             sugar = max(
                 u.sugar + mono_degree(mono_div(lcm, li)),
@@ -352,7 +361,7 @@ class SubmoduleProblem:
     """Membership problem: is a vector in the span of ``columns`` over the
     scalar ring, modulo componentwise multiples of ``ideal``?
 
-    Tag columns ``e_i * g`` for every ideal generator are adjoined
+    Columns ``e_i * g`` for every ideal generator ``g`` are adjoined
     automatically, so membership is tested modulo the ideal.
     """
 
@@ -376,7 +385,7 @@ class ModuleMembership:
 
 
 class _ModuleCodec:
-    """Vectors of length r over the scalar ring <-> tag-variable polynomials."""
+    """Vectors of length r over the scalar ring <-> tag-linear polynomials."""
 
     def __init__(self, rank: int, scalar_ring: PolyRing):
         self.rank = rank
@@ -404,22 +413,6 @@ class _ModuleCodec:
             components[i][exps[self.rank :]] = coeff
         return tuple(Polynomial(self.scalar_ring, c) for c in components)
 
-    def scalar_part(self, p: Polynomial) -> Polynomial:
-        """The tag-free component, restricted to the scalar ring."""
-        terms = {
-            exps[self.rank :]: coeff
-            for exps, coeff in p.terms.items()
-            if not any(exps[: self.rank])
-        }
-        return Polynomial(self.scalar_ring, terms)
-
-    def tag_products(self) -> list[Polynomial]:
-        out = []
-        for i in range(self.rank):
-            for j in range(i, self.rank):
-                out.append(self.ring.variable(i) * self.ring.variable(j))
-        return out
-
     def padding(self, ideal: GroebnerBasis) -> list[Polynomial]:
         pads = []
         for g in ideal.generators:
@@ -429,12 +422,41 @@ class _ModuleCodec:
         return pads
 
 
-def _scalar_ring_of(problem: SubmoduleProblem) -> PolyRing:
-    if problem.columns:
-        return problem.columns[0][0].ring
-    if problem.ideal.generators:
-        return problem.ideal.generators[0].ring
-    raise ValueError("cannot infer scalar ring from an empty problem")
+def _module_basis(
+    columns: Sequence[Sequence[Polynomial]],
+    ideal: GroebnerBasis,
+    rank: int,
+    cancel: CancelCheck | None,
+) -> tuple[_ModuleCodec, list[Polynomial], list[_Tracked]]:
+    """The codec, the generators (encoded columns, then the ideal padding)
+    and their tracked position-over-term basis."""
+    if columns:
+        scalar_ring = columns[0][0].ring
+    elif ideal.generators:
+        scalar_ring = ideal.generators[0].ring
+    else:
+        raise ValueError("cannot infer scalar ring from an empty problem")
+    codec = _ModuleCodec(rank, scalar_ring)
+    gens = [codec.encode(col) for col in columns] + codec.padding(ideal)
+    return codec, gens, _buchberger_tracked(gens, codec.order, cancel, rank)
+
+
+def _over_columns(
+    combo: Sequence[Polynomial],
+    tracked: Sequence[_Tracked],
+    codec: _ModuleCodec,
+    n_cols: int,
+) -> list[Polynomial]:
+    """Translate a combination over the basis into the scalar coefficients
+    it puts on the first ``n_cols`` generators (the columns)."""
+    out = [codec.ring.zero() for _ in range(n_cols)]
+    for z, t in zip(combo, tracked):
+        if z.is_zero():
+            continue
+        for j in range(n_cols):
+            if not t.rep[j].is_zero():
+                out[j] = out[j] + z * t.rep[j]
+    return [restrict(p, codec.scalar_ring, codec.rank) for p in out]
 
 
 def module_solve(
@@ -450,12 +472,9 @@ def module_solve(
     """
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
-    codec = _ModuleCodec(problem.ambient_rank, _scalar_ring_of(problem))
-    columns = [codec.encode(col) for col in problem.columns]
-    pads = codec.padding(problem.ideal)
-    tags = codec.tag_products()
-    gens = columns + pads + tags
-    tracked = _buchberger_tracked(gens, codec.order, cancel)
+    codec, _, tracked = _module_basis(
+        problem.columns, problem.ideal, problem.ambient_rank, cancel
+    )
     remainder, quotients = divide(
         codec.encode(target),
         [t.poly for t in tracked],
@@ -464,13 +483,7 @@ def module_solve(
     )
     if not remainder.is_zero():
         return ModuleMembership(member=False, certificate=codec.decode(remainder))
-    witness = []
-    for j in range(len(problem.columns)):
-        coeff = codec.ring.zero()
-        for q, t in zip(quotients, tracked):
-            if not q.is_zero() and not t.rep[j].is_zero():
-                coeff = coeff + q * t.rep[j]
-        witness.append(codec.scalar_part(coeff))
+    witness = _over_columns(quotients, tracked, codec, len(problem.columns))
     _verify_witness(target, problem, witness)
     return ModuleMembership(member=True, witness=tuple(witness))
 
@@ -503,11 +516,7 @@ def syzygies(
     if not columns:
         return []
     rank = len(columns[0])
-    scalar_ring = columns[0][0].ring
-    codec = _ModuleCodec(rank, scalar_ring)
-    encoded = [codec.encode(col) for col in columns]
-    gens = encoded + codec.padding(ideal) + codec.tag_products()
-    tracked = _buchberger_tracked(gens, codec.order, cancel)
+    codec, gens, tracked = _module_basis(columns, ideal, rank, cancel)
     basis = [t.poly for t in tracked]
     leads = [t.lead for t in tracked]
     order = codec.order
@@ -515,22 +524,14 @@ def syzygies(
 
     rows: list[list[Polynomial]] = []
 
-    def row_from_basis_combo(combo: list[Polynomial]):
-        """Translate a relation over the basis into one over the columns."""
-        out = [codec.ring.zero() for _ in range(n_cols)]
-        for z, t in zip(combo, tracked):
-            if z.is_zero():
-                continue
-            for j in range(n_cols):
-                if not t.rep[j].is_zero():
-                    out[j] = out[j] + z * t.rep[j]
-        rows.append(out)
-
-    # S-pair (Schreyer) relations on the final basis — every pair, no criteria
+    # Schreyer relations on the final basis: the S-pair of every two
+    # elements whose leading terms share a position, no criteria
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            _poll(cancel)
             la, lb = leads[a][0], leads[b][0]
+            if la[:rank] != lb[:rank]:
+                continue
+            _poll(cancel)
             lcm = mono_lcm(la, lb)
             ua, ub = mono_div(lcm, la), mono_div(lcm, lb)
             s_poly = basis[a].mul_monomial(ua) - basis[b].mul_monomial(ub)
@@ -540,64 +541,38 @@ def syzygies(
             combo = [q.scale(-1) for q in quotients]
             combo[a] = combo[a] + codec.ring.monomial(ua)
             combo[b] = combo[b] - codec.ring.monomial(ub)
-            row_from_basis_combo(combo)
+            rows.append(_over_columns(combo, tracked, codec, n_cols))
 
     # completion rows: each generator minus its own expression through the
-    # basis (all generators — the padding and tag rows also project onto
-    # column coefficients)
+    # basis (all generators — the padding rows also project onto column
+    # coefficients)
     for j, g in enumerate(gens):
         _poll(cancel)
         remainder, quotients = divide(g, basis, order, _leads=leads)
         if not remainder.is_zero():
             raise AssertionError("internal error: generator escaped its own ideal")
-        out = [codec.ring.zero() for _ in range(n_cols)]
+        row = _over_columns([q.scale(-1) for q in quotients], tracked, codec, n_cols)
         if j < n_cols:
-            out[j] = codec.ring.one()
-        for q, t in zip(quotients, tracked):
-            if q.is_zero():
-                continue
-            for m in range(n_cols):
-                if not t.rep[m].is_zero():
-                    out[m] = out[m] - q * t.rep[m]
-        rows.append(out)
+            row[j] = row[j] + codec.scalar_ring.one()
+        rows.append(row)
 
-    # project to the scalar ring, normalize, dedupe, verify
+    # normalize, dedupe, verify
     seen: set[tuple] = set()
     results: list[tuple[Polynomial, ...]] = []
     for row in rows:
-        projected = [codec.scalar_part(c) for c in row]
-        if all(p.is_zero() for p in projected):
+        if all(p.is_zero() for p in row):
             continue
-        projected = _primitive_row(projected)
-        key = tuple(frozenset(p.terms.items()) for p in projected)
+        row = make_primitive(row)
+        key = tuple(frozenset(p.terms.items()) for p in row)
         if key in seen:
             continue
         seen.add(key)
         for r in range(rank):
-            acc = scalar_ring.zero()
-            for c, col in zip(projected, columns):
+            acc = codec.scalar_ring.zero()
+            for c, col in zip(row, columns):
                 acc = acc + c * col[r]
             if not normal_form(acc, ideal).is_zero():
                 raise AssertionError("internal error: syzygy failed verification")
-        results.append(tuple(projected))
+        results.append(tuple(row))
     results.sort(key=lambda row: tuple(str(p) for p in row))
     return results
-
-
-def _primitive_row(row: list[Polynomial]) -> list[Polynomial]:
-    from math import gcd, lcm
-
-    coeffs = [c for p in row for c in p.terms.values()]
-    if not coeffs:
-        return row
-    den = lcm(*(c.denominator for c in coeffs))
-    num = gcd(*(abs(c.numerator) for c in coeffs))
-    scale = Fraction(den, num)
-    row = [p.scale(scale) for p in row]
-    for p in row:
-        if p.terms:
-            lead_coeff = p.leading(GREVLEX)[1]
-            if lead_coeff < 0:
-                row = [q.scale(-1) for q in row]
-            break
-    return row

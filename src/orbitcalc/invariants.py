@@ -21,6 +21,7 @@ from .algebra import (
     PolyRing,
     Polynomial,
     embed,
+    make_primitive,
     restrict,
 )
 from .groebner import GroebnerBasis, buchberger, eliminate, normal_form
@@ -31,11 +32,6 @@ from .group_action import (
     reynolds,
 )
 from . import linalg
-
-
-def ambient_ring(n: int) -> PolyRing:
-    """The standard source ring in x1..xn."""
-    return PolyRing.ambient(n)
 
 
 def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -49,10 +45,6 @@ def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
         seen.append(tuple(exps))
     seen.sort(key=GREVLEX.key, reverse=True)
     return [ring.monomial(e) for e in seen]
-
-
-def _primitive_poly(p: Polynomial) -> Polynomial:
-    return p.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,7 @@ def invariant_generators(
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be positive")
-    ring = ambient_ring(group.n)
+    ring = PolyRing.ambient(group.n)
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None
     for degree in range(1, bound + 1):
@@ -179,7 +171,7 @@ def invariant_generators(
                 continue
             if hmap is not None and _subalgebra_rewrite(candidate, hmap) is not None:
                 continue
-            sigma.append(_primitive_poly(candidate))
+            sigma.append(candidate.primitive())
             hmap = _assemble(group, tuple(sigma), ring)
     if hmap is None:
         raise ValueError("no invariants found up to the degree bound")
@@ -294,20 +286,18 @@ def invariant_combination(
     target: PolyVectorField,
     fields,
     group: FiniteMatrixGroup,
-    degree_bound: int | None = None,
 ) -> list[Polynomial] | None:
     """Express ``target`` as sum h_j * fields_j with each h_j invariant, or
-    return None.  Coefficient degrees are searched up to deg(target) (or the
-    explicit bound): relations among homogeneous fields are homogeneous, and
-    the callers pass homogeneous data."""
+    return None.  Coefficient degrees are searched up to deg(target):
+    relations among homogeneous fields are homogeneous, and the callers pass
+    homogeneous data."""
     ring = target.ring
     target_degree = max((c.degree() for c in target.components), default=-1)
     if target_degree < 0:
         return [ring.zero() for _ in fields]
-    bound = target_degree if degree_bound is None else degree_bound
     columns: list[tuple[int, Polynomial]] = []  # (field index, invariant h)
     for j, X in enumerate(fields):
-        for m in range(0, bound + 1):
+        for m in range(0, target_degree + 1):
             for h in invariant_basis(group, ring, m):
                 columns.append((j, h))
     if not columns:
@@ -342,23 +332,6 @@ def invariant_combination(
     return out
 
 
-def _primitive_field(X: PolyVectorField) -> PolyVectorField:
-    from math import gcd, lcm
-
-    coeffs = [c for comp in X.components for c in comp.terms.values()]
-    if not coeffs:
-        return X
-    den = lcm(*(c.denominator for c in coeffs))
-    num = gcd(*(abs(c.numerator) for c in coeffs))
-    scaled = X * Fraction(den, num)
-    for comp in scaled.components:
-        if not comp.is_zero():
-            if comp.leading(GREVLEX)[1] < 0:
-                scaled = scaled * Fraction(-1)
-            break
-    return scaled
-
-
 def equivariant_generators(
     group: FiniteMatrixGroup, degree_bound: int | None = None
 ) -> EquivariantModule:
@@ -370,7 +343,7 @@ def equivariant_generators(
     the bound is exercised by a one-degree-beyond check in the test suite.
     """
     bound = group.order if degree_bound is None else degree_bound
-    ring = ambient_ring(group.n)
+    ring = PolyRing.ambient(group.n)
     kept: list[PolyVectorField] = []
     for degree in range(0, bound + 1):
         monos = _monomials_of_degree(ring, degree)
@@ -383,7 +356,7 @@ def equivariant_generators(
                     continue
                 if kept and invariant_combination(candidate, tuple(kept), group) is not None:
                     continue
-                kept.append(_primitive_field(candidate))
+                kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
     return EquivariantModule.from_fields(group, tuple(kept), check=True)

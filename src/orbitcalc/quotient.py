@@ -428,15 +428,11 @@ def push_vf(X: PolyVectorField, space: OrbitSpace) -> OrbitVectorField:
     return OrbitVectorField(space, components, check=True)
 
 
-def lift_vf(
-    Y: OrbitVectorField, space: OrbitSpace, degree_bound: int | None = None
-) -> PolyVectorField:
+def lift_vf(Y: OrbitVectorField, space: OrbitSpace) -> PolyVectorField:
     """An invariant ambient field pushing to ``Y``: write ``Y`` through the
-    pushed generators (exact submodule membership, no degree search — the
-    ``degree_bound`` argument is accepted for interface symmetry and unused)
-    and assemble the same combination upstairs.
+    pushed generators (exact submodule membership, no degree search) and
+    assemble the same combination upstairs.
     """
-    del degree_bound
     columns = [
         tuple(c.rep for c in gen.components) for gen in space.pushed_generators
     ]

@@ -13,6 +13,7 @@ from orbitcalc.algebra import (
     PolyRing,
     embed,
     format_polynomial,
+    make_primitive,
     parse_polynomial,
     restrict,
 )
@@ -133,7 +134,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("x3", "2**x1", "x1 +", "1/0", "y1"):
+    for bad in ("x3", "2**x1", "x1 +", "1/0", "y1", 5, None):
         with pytest.raises(ValueError):
             x(bad)
 
@@ -189,6 +190,13 @@ def test_leading_monic_primitive():
     assert p.monic() == x("x1^2*x2 - 2*x2")
     assert x("2/3*x1 - 4/3").primitive() == x("x1 - 2")
     assert x("-x1").primitive() == x("x1")
+
+
+def test_make_primitive_rescales_a_sequence_jointly():
+    zero = AMBIENT.zero()
+    row = [zero, x("-1/2*x2"), x("3/4*x1^2")]
+    assert make_primitive(row) == [zero, x("2*x2"), x("-3*x1^2")]
+    assert make_primitive([zero, zero]) == [zero, zero]
 
 
 def test_degree_convention():

@@ -352,6 +352,37 @@ def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
     assert_input_error(result, "bad orbit form")
 
 
+@pytest.mark.parametrize(
+    "change, fragment",
+    [
+        ({"degree_bounds": 5}, "'degree_bounds' must be an object"),
+        ({"degree_bounds": {"invariants": None}}, "bad problem file"),
+        ({"named_objects": 5}, "'named_objects' must be an object"),
+        ({"named_objects": {"bad": 5}}, "bad named object 'bad'"),
+        ({"named_objects": {"bad": {"components": ["x1", 5]}}}, "must be a string"),
+        ({"named_objects": {"bad": {"degree": 1}}}, "bad named object 'bad'"),
+    ],
+)
+def test_problem_file_mistyped_fields(tmp_path, change, fragment):
+    data = json.loads(Path(Z2).read_text(encoding="utf-8"))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({**data, **change}), encoding="utf-8")
+    result = run_process(tmp_path, "invariants", "-i", str(problem))
+    assert_input_error(result, fragment)
+
+
+@pytest.mark.parametrize(
+    "components, fragment",
+    [(5, "not iterable"), (["y1", 5, "0"], "must be a string")],
+)
+def test_orbit_field_file_mistyped_components(tmp_path, components, fragment):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"components": components}), encoding="utf-8")
+    result = run_process(tmp_path, "lift-vf", str(field), "-i", Z2)
+    assert_input_error(result, "cannot read orbit field")
+    assert fragment in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # problem file round trip and installed script
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from orbitcalc.algebra import (
     mono_divides,
     mono_lcm,
     parse_polynomial,
+    restrict,
 )
 from orbitcalc.groebner import (
     ComputationCancelled,
     SubmoduleProblem,
     _buchberger_tracked,
+    _module_basis,
     buchberger,
     divide,
     eliminate,
@@ -333,6 +335,93 @@ def test_syzygies_golden_columns_annihilate():
             for c, col in zip(row, columns):
                 acc = acc + c * col[j]
             assert normal_form(acc, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# an independent module membership oracle: for homogeneous columns and a
+# homogeneous ideal, the degree-d members are spanned by monomial multiples
+# of the columns and of e_i * g for every ideal generator g
+# ---------------------------------------------------------------------------
+
+def homogeneous_vector(rng, ring, rank, degree):
+    monos = [m for m in monomials_up_to(ring, degree) if sum(m) == degree]
+    return tuple(
+        ring.from_terms({rng.choice(monos): rng.randint(-3, 3) for _ in range(2)})
+        for _ in range(rank)
+    )
+
+
+def module_membership_oracle(target, columns, ideal_gens, degree):
+    ring = target[0].ring
+    rank = len(target)
+    monos = monomials_up_to(ring, degree)
+
+    def flat(vector):
+        return [c for comp in vector for c in coefficient_vector(comp, monos)]
+
+    generators = [tuple(col) for col in columns]
+    for g in ideal_gens:
+        for i in range(rank):
+            generators.append(tuple(g if k == i else ring.zero() for k in range(rank)))
+    rows = []
+    for vector in generators:
+        vector_degree = max(c.degree() for c in vector)
+        if vector_degree < 0 or vector_degree > degree:
+            continue
+        for m in monomials_up_to(ring, degree - vector_degree):
+            rows.append(flat([c.mul_monomial(m) for c in vector]))
+    width = rank * len(monos)
+    return linalg.rank(rows + [flat(target)], width) == linalg.rank(rows, width)
+
+
+@pytest.mark.parametrize("ideal_gens", [[], [RELATION]], ids=["free", "relation"])
+def test_module_solve_matches_linear_algebra_oracle(ideal_gens):
+    rng = random.Random(24 + len(ideal_gens))
+    ideal = buchberger(ideal_gens)
+    outcomes = set()
+    for _ in range(4):
+        rank = rng.randint(1, 3)
+        degrees = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        columns = tuple(homogeneous_vector(rng, ORBIT, rank, d) for d in degrees)
+        problem = SubmoduleProblem(rank, columns, ideal)
+        for _ in range(5):
+            degree = rng.randint(2, 3)
+            if rng.random() < 0.5:
+                target = homogeneous_vector(rng, ORBIT, rank, degree)
+            else:
+                # a member by construction, plus an ideal multiple in one slot
+                target = [ORBIT.zero()] * rank
+                for col, d in zip(columns, degrees):
+                    h = homogeneous_vector(rng, ORBIT, 1, degree - d)[0]
+                    target = [t + h * c for t, c in zip(target, col)]
+                if ideal_gens:
+                    h = homogeneous_vector(rng, ORBIT, 1, degree - 2)[0]
+                    target[0] = target[0] + h * RELATION
+            result = module_solve(target, problem)
+            assert result.member == module_membership_oracle(
+                target, columns, ideal_gens, degree
+            )
+            outcomes.add(result.member)
+    assert outcomes == {True, False}
+
+
+def test_module_basis_is_tag_linear():
+    """Every basis element encodes a vector, every representation is free of
+    position tags, and each element is the combination its representation
+    says; only columns and ideal padding enter the computation."""
+    gb = relation_basis()
+    columns = golden_columns()
+    codec, gens, tracked = _module_basis(columns, gb, 3, None)
+    assert len(gens) == len(columns) + 3 * len(gb.generators)
+    assert len(tracked) > len(columns)
+    for t in tracked:
+        assert len(codec.decode(t.poly)) == 3
+        for r in t.rep:
+            restrict(r, codec.scalar_ring, codec.rank)
+        total = codec.ring.zero()
+        for r, g in zip(t.rep, gens):
+            total = total + r * g
+        assert total == t.poly
 
 
 def test_cancellation_token():

@@ -244,6 +244,11 @@ def test_extend_check_negative_certificate(golden_space, golden_forms):
     assert verdict.certificate == frozen
 
 
+def test_golden_generator_syzygies_text(golden_space):
+    rows = [", ".join(str(c) for c in row) for row in golden_space.generator_syzygies]
+    assert rows == ["0, 0, y2, -y3", "0, 0, y3, -y1", "y2, -y3, 0, 0", "y3, -y1, 0, 0"]
+
+
 def test_extend_check_edge_cases(golden_space, golden_forms):
     zero = OrbitForm(golden_space, 1, {})
     verdict = extend_check(zero)
@@ -344,6 +349,41 @@ def test_minus_identity_on_r3_full_space():
     fields = space.pushed_generators
     rows = space.generator_syzygies
     assert len(rows) == 33
+    assert [", ".join(str(c) for c in row) for row in rows] == [
+        "0, 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6",
+        "0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0",
+        "0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0",
+        "0, 0, 0, 0, 0, y4, 0, 0, -y2",
+        "0, 0, 0, 0, 0, y5, 0, 0, -y3",
+        "0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0",
+        "0, 0, 0, 0, 0, y6, 0, 0, -y5",
+        "0, 0, 0, 0, y4, 0, 0, -y2, 0",
+        "0, 0, 0, 0, y5, 0, 0, -y3, 0",
+        "0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0",
+        "0, 0, 0, 0, y6, 0, 0, -y5, 0",
+        "0, 0, 0, y4, y5, y6, -y2, -y3, -y5",
+        "0, 0, 0, y5, 0, 0, -y3, 0, 0",
+        "0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0",
+        "0, 0, 0, y6, 0, 0, -y5, 0, 0",
+        "0, 0, y2, 0, 0, -y1, 0, 0, 0",
+        "0, 0, y3, 0, 0, -y2, 0, 0, 0",
+        "0, 0, y4, 0, 0, 0, 0, 0, -y1",
+        "0, 0, y5, 0, 0, -y4, 0, 0, 0",
+        "0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0",
+        "0, 0, y6, 0, 0, 0, 0, 0, -y4",
+        "0, y2, 0, 0, -y1, 0, 0, 0, 0",
+        "0, y3, 0, 0, -y2, 0, 0, 0, 0",
+        "0, y4, 0, 0, 0, 0, 0, -y1, 0",
+        "0, y5, 0, 0, -y4, 0, 0, 0, 0",
+        "0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0, 0",
+        "0, y6, 0, 0, 0, 0, 0, -y4, 0",
+        "y2, y3, y5, -y1, -y2, 0, 0, 0, -y2",
+        "y3, 0, 0, -y2, 0, y5, 0, 0, -y3",
+        "y4, y5, y6, 0, -y4, 0, -y1, 0, -y4",
+        "y5, 0, 0, -y4, -y5, 0, 0, y3, 0",
+        "y5^2 - y3*y6, 0, 0, 0, -y5^2 + y3*y6, 0, 0, 0, -y5^2 + y3*y6",
+        "y6, 0, 0, 0, -y6, 0, -y4, y5, 0",
+    ]
     for row in rows:
         assert any(not c.is_zero() for c in row)
         for j in range(space.orbit_ring.nvars):
