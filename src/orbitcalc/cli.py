@@ -217,7 +217,7 @@ def _parse_orbit_vf(ctx: Context, spec: str):
             raise InputError(f"cannot read orbit field from {spec}: {exc}") from exc
     try:
         comps = [parse_polynomial(s, space.orbit_ring) for s in spec.split(",")]
-        return space.field(comps, check=True)
+        return space.field(comps)
     except ValueError as exc:
         raise InputError(f"cannot read orbit field {spec!r}: {exc}") from exc
 

@@ -370,6 +370,8 @@ class SubmoduleProblem:
     ideal: GroebnerBasis
 
     def __post_init__(self):
+        if self.ambient_rank < 1:
+            raise ValueError("module rank must be positive")
         for col in self.columns:
             if len(col) != self.ambient_rank:
                 raise ValueError("column length differs from ambient rank")
@@ -516,6 +518,8 @@ def syzygies(
     if not columns:
         return []
     rank = len(columns[0])
+    if rank == 0:
+        raise ValueError("module rank must be positive")
     codec, gens, tracked = _module_basis(columns, ideal, rank, cancel)
     basis = [t.poly for t in tracked]
     leads = [t.lead for t in tracked]

@@ -70,34 +70,25 @@ class HilbertMap:
         self.tag_basis = tag_basis
 
     @staticmethod
-    def from_polynomials(
-        group: FiniteMatrixGroup,
-        polys,
-        check: bool = True,
-    ) -> "HilbertMap":
+    def from_polynomials(group: FiniteMatrixGroup, polys) -> "HilbertMap":
         """Assemble a Hilbert map from explicitly chosen generators, kept in
-        the given order.  Invariance and minimality are verified unless
-        ``check`` is disabled (internal callers only)."""
+        the given order.  Invariance and minimality are verified."""
         sigma = tuple(polys)
         if not sigma:
             raise ValueError("a Hilbert map needs at least one generator")
         ring = sigma[0].ring
         if ring.nvars != group.n:
             raise ValueError("generator ring dimension differs from the group")
-        if check:
-            for p in sigma:
-                if not is_invariant(p, group):
-                    raise ValueError(f"not invariant: {p}")
+        for p in sigma:
+            if not is_invariant(p, group):
+                raise ValueError(f"not invariant: {p}")
         hmap = _assemble(group, sigma, ring)
-        if check:
-            for j in range(len(sigma)):
-                rest = sigma[:j] + sigma[j + 1 :]
-                if rest and _subalgebra_rewrite(sigma[j], _assemble(group, rest, ring)) is not None:
-                    raise ValueError(
-                        f"generator {sigma[j]} is a polynomial in the others"
-                    )
-                if not rest and sigma[j].degree() < 1:
-                    raise ValueError("constant generator")
+        for j in range(len(sigma)):
+            rest = sigma[:j] + sigma[j + 1 :]
+            if rest and _subalgebra_rewrite(sigma[j], _assemble(group, rest, ring)) is not None:
+                raise ValueError(f"generator {sigma[j]} is a polynomial in the others")
+            if not rest and sigma[j].degree() < 1:
+                raise ValueError("constant generator")
         return hmap
 
     def substitute_into(self, q: Polynomial) -> Polynomial:
@@ -141,7 +132,7 @@ def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
     """
     if p.ring != hmap.ring:
         raise ValueError("polynomial lives in the wrong ring")
-    if reynolds(p, hmap.group) != p:
+    if not is_invariant(p, hmap.group):
         raise ValueError("not invariant")
     q = _subalgebra_rewrite(p, hmap)
     if q is None:
@@ -175,16 +166,9 @@ def invariant_generators(
             hmap = _assemble(group, tuple(sigma), ring)
     if hmap is None:
         raise ValueError("no invariants found up to the degree bound")
-    sigma.sort(key=lambda p: (p.degree(), GREVLEX.key(p.leading(GREVLEX)[0])))
-    ordered = []
-    by_degree: dict[int, list[Polynomial]] = {}
-    for p in sigma:
-        by_degree.setdefault(p.degree(), []).append(p)
-    for degree in sorted(by_degree):
-        block = by_degree[degree]
-        block.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
-        ordered.extend(block)
-    return HilbertMap.from_polynomials(group, ordered)
+    sigma.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
+    sigma.sort(key=Polynomial.degree)
+    return HilbertMap.from_polynomials(group, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +224,17 @@ class EquivariantModule:
         return self.generators[0].ring
 
     @staticmethod
-    def from_fields(group: FiniteMatrixGroup, fields, check: bool = True) -> "EquivariantModule":
+    def from_fields(group: FiniteMatrixGroup, fields) -> "EquivariantModule":
         fields = tuple(fields)
         if not fields:
             raise ValueError("empty generating set")
-        if check:
-            for X in fields:
-                if not is_invariant(X, group):
-                    raise ValueError(f"not invariant: {X}")
-            for j, X in enumerate(fields):
-                rest = fields[:j] + fields[j + 1 :]
-                if rest and invariant_combination(X, rest, group) is not None:
-                    raise ValueError(f"generator {X} is a combination of the others")
+        for X in fields:
+            if not is_invariant(X, group):
+                raise ValueError(f"not invariant: {X}")
+        for j, X in enumerate(fields):
+            rest = fields[:j] + fields[j + 1 :]
+            if rest and invariant_combination(X, rest, group) is not None:
+                raise ValueError(f"generator {X} is a combination of the others")
         return EquivariantModule(fields)
 
 
@@ -359,4 +342,4 @@ def equivariant_generators(
                 kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
-    return EquivariantModule.from_fields(group, tuple(kept), check=True)
+    return EquivariantModule.from_fields(group, tuple(kept))

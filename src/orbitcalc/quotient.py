@@ -12,7 +12,9 @@ that extend to no ambient polynomial form.
 
 Everything is exact: pushforwards subduct Lie derivatives, lifts and
 extension checks are submodule membership with verified witnesses, and the
-orbit exterior derivative is pull-differentiate-push.
+exterior derivative and wedge product act on value tables directly: d by
+Koszul's formula over the function ring, with the bracket structure
+functions of the pushed generators, and the wedge by the shuffle sum.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ from .group_action import (
     PolyVectorField,
     _sort_sign,
     act_form,
+    infinitesimal_fields,
     is_invariant,
 )
-from .exterior import d as exterior_d
-from .exterior import evaluate, interior, semibasic_check, wedge
+from .exterior import evaluate, interior, semibasic_check
 from .invariants import (
     EquivariantModule,
     HilbertMap,
     RelationIdeal,
+    _monomials_of_degree,
     equivariant_generators,
     relations,
     subduct,
@@ -69,6 +72,7 @@ class OrbitSpace:
         )
         self._pushed: list[OrbitVectorField] | None = None
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
+        self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
 
     # -- basic constructors -------------------------------------------------
 
@@ -77,17 +81,13 @@ class OrbitSpace:
         return self.hilbert.orbit_ring
 
     def function(self, rep: Polynomial) -> "OrbitFunction":
-        return OrbitFunction(self, self.ideal.normal(rep))
+        return OrbitFunction(self, rep)
 
     def parse_function(self, text: str) -> "OrbitFunction":
         return self.function(parse_polynomial(text, self.orbit_ring))
 
-    def field(self, components, check: bool = True) -> "OrbitVectorField":
-        comps = [
-            c if isinstance(c, OrbitFunction) else self.function(c)
-            for c in components
-        ]
-        return OrbitVectorField(self, comps, check=check)
+    def field(self, components) -> "OrbitVectorField":
+        return OrbitVectorField(self, components)
 
     # -- caches ---------------------------------------------------------------
 
@@ -107,6 +107,20 @@ class OrbitSpace:
             ]
             self._syzygies = syzygies(columns, self.ideal.basis)
         return self._syzygies
+
+    @property
+    def bracket_coefficients(self) -> dict[tuple[int, int], tuple[Polynomial, ...]]:
+        """Coefficients c_ij with [Y_i, Y_j] = sum_m c_ij[m] Y_m for i < j.
+
+        They are unique only up to a generator syzygy, which no orbit form
+        sees, so any verified witness serves (computed once)."""
+        if self._brackets is None:
+            pushed = self.pushed_generators
+            self._brackets = {
+                (i, j): _generator_coordinates(orbit_bracket(pushed[i], pushed[j]), self)
+                for i, j in combinations(range(len(pushed)), 2)
+            }
+        return self._brackets
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +206,8 @@ class OrbitVectorField:
             self._check_tangency()
 
     def _check_tangency(self):
-        ideal = self.space.ideal
-        for g in ideal.basis.generators:
-            total = g.ring.zero()
-            for j, c in enumerate(self.components):
-                total = total + c.rep * g.partial_derivative(j)
-            if not ideal.is_member(total):
+        for g in self.space.ideal.basis.generators:
+            if not self.apply(g).is_zero():
                 raise ValueError(
                     "orbit field does not preserve the relation ideal"
                 )
@@ -428,25 +438,30 @@ def push_vf(X: PolyVectorField, space: OrbitSpace) -> OrbitVectorField:
     return OrbitVectorField(space, components, check=True)
 
 
+def _generator_coordinates(Y: OrbitVectorField, space: OrbitSpace) -> tuple[Polynomial, ...]:
+    """Coefficients h with Y = sum h_i Y_i over the pushed generators: the
+    verified witness of exact submodule membership."""
+    columns = tuple(
+        tuple(c.rep for c in gen.components) for gen in space.pushed_generators
+    )
+    problem = SubmoduleProblem(
+        ambient_rank=space.orbit_ring.nvars,
+        columns=columns,
+        ideal=space.ideal.basis,
+    )
+    outcome = module_solve([c.rep for c in Y.components], problem)
+    if not outcome.member:
+        raise ValueError("field is outside the pushed module")
+    return outcome.witness
+
+
 def lift_vf(Y: OrbitVectorField, space: OrbitSpace) -> PolyVectorField:
     """An invariant ambient field pushing to ``Y``: write ``Y`` through the
     pushed generators (exact submodule membership, no degree search) and
     assemble the same combination upstairs.
     """
-    columns = [
-        tuple(c.rep for c in gen.components) for gen in space.pushed_generators
-    ]
-    problem = SubmoduleProblem(
-        ambient_rank=space.orbit_ring.nvars,
-        columns=tuple(columns),
-        ideal=space.ideal.basis,
-    )
-    target = [c.rep for c in Y.components]
-    outcome = module_solve(target, problem)
-    if not outcome.member:
-        raise ValueError("lift not found: field is outside the pushed module")
     lifted = PolyVectorField.zero(space.hilbert.ring)
-    for h, X in zip(outcome.witness, space.module.generators):
+    for h, X in zip(_generator_coordinates(Y, space), space.module.generators):
         if not h.is_zero():
             lifted = lifted + space.hilbert.substitute_into(h) * X
     check = push_vf(lifted, space)
@@ -477,15 +492,13 @@ def push_form(theta, space: OrbitSpace):
     """Push an invariant semi-basic ambient form down to its intrinsic value
     table: value(i1..ik) = rewrite of theta(X_{i1}, ..., X_{ik}).
 
-    Invariance is checked against every group element, semi-basicness
+    Invariance is checked against the group generators, semi-basicness
     against the supplied Lie algebra action (trivially true when empty).
     """
     if isinstance(theta, Polynomial):
         return space.function(subduct(theta, space.hilbert))
-    group = space.hilbert.group
-    for g in group.elements:
-        if act_form(g, theta) != theta:
-            raise ValueError("form is not invariant")
+    if not is_invariant(theta, space.hilbert.group):
+        raise ValueError("form is not invariant")
     sb = semibasic_check(theta, space.lie_action, space.hilbert.ring)
     if not sb:
         raise ValueError("form is not semi-basic")
@@ -496,15 +509,6 @@ def push_form(theta, space: OrbitSpace):
         contraction = evaluate(theta, [fields[i] for i in indices])
         values[indices] = space.function(subduct(contraction, space.hilbert))
     return OrbitForm(space, k, values, check=True)
-
-
-def _ambient_monomials(ring: PolyRing, max_degree: int) -> list:
-    from .invariants import _monomials_of_degree
-
-    out = []
-    for degree in range(0, max_degree + 1):
-        out.extend(_monomials_of_degree(ring, degree))
-    return out
 
 
 def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
@@ -529,10 +533,9 @@ def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
             (c.degree() for X in fields for c in X.components if not c.is_zero()),
             default=0,
         )
-        bound = max(value_degree, 0) + max(gen_degree, 0)
-        bounds = list(range(0, bound + 1)) + list(range(bound + 1, 2 * bound + 2))
+        bounds = range(0, 2 * (max(value_degree, 0) + gen_degree) + 2)
     else:
-        bounds = list(range(0, degree_bound + 1))
+        bounds = range(0, degree_bound + 1)
     for m in bounds:
         candidate = _pull_at_degree(theta, space, targets, m)
         if candidate is not None:
@@ -553,20 +556,15 @@ def _pull_at_degree(theta, space: OrbitSpace, targets, max_degree: int):
     n = ring.nvars
     if k > n:
         return None
-    monomials = _ambient_monomials(ring, max_degree)
+    monomials = [
+        m for degree in range(max_degree + 1) for m in _monomials_of_degree(ring, degree)
+    ]
     basis_tuples = list(combinations(range(n), k))
     unknowns = [(J, m) for J in basis_tuples for m in monomials]
-
-    def assemble(coeffs):
-        items = []
-        for (J, m), c in zip(unknowns, coeffs):
-            if c:
-                items.append((J, m.scale(c)))
-        return PolyDiffForm(ring, k, items)
+    unknown_forms = [PolyDiffForm(ring, k, [(J, m)]) for J, m in unknowns]
 
     rows = []
     rhs = []
-    coords: dict = {}
 
     def emit(linear_parts: list[Polynomial], target: Polynomial):
         """One polynomial equation sum(c_u * linear_parts[u]) = target,
@@ -583,21 +581,20 @@ def _pull_at_degree(theta, space: OrbitSpace, targets, max_degree: int):
             rows.append(row)
             rhs.append(target.terms.get(e, Fraction(0)))
 
-    group = space.hilbert.group
+    fields = space.module.generators
     one = ring.one()
 
     # evaluation constraints: theta(X_I) must equal the substituted values
     for indices, target in targets.items():
-        parts = []
-        for J, m in unknowns:
-            basis_form = PolyDiffForm(ring, k, [(J, one)])
-            value = evaluate(basis_form, [space.module.generators[i] for i in indices])
-            parts.append(m * value)
-        emit(parts, target)
+        chosen = [fields[i] for i in indices]
+        on_fields = {
+            J: evaluate(PolyDiffForm(ring, k, [(J, one)]), chosen) for J in basis_tuples
+        }
+        emit([m * on_fields[J] for J, m in unknowns], target)
 
     # invariance under each group generator
-    for g in group.generators:
-        moved = [act_form(g, f) for f in _unknown_forms(ring, k, unknowns)]
+    for g in space.hilbert.group.generators:
+        moved = [act_form(g, f) for f in unknown_forms]
         for J in basis_tuples:
             parts = [f.terms.get(J, ring.zero()) for f in moved]
             originals = [m if J0 == J else ring.zero() for J0, m in unknowns]
@@ -605,15 +602,10 @@ def _pull_at_degree(theta, space: OrbitSpace, targets, max_degree: int):
             emit(diff, ring.zero())
 
     # semi-basic constraints
-    from .group_action import infinitesimal_fields
-
     for field in infinitesimal_fields(space.lie_action, ring):
-        contracted = [
-            interior(field, f) for f in _unknown_forms(ring, k, unknowns)
-        ]
+        contracted = [interior(field, f) for f in unknown_forms]
         if k == 1:
-            parts = list(contracted)
-            emit(parts, ring.zero())
+            emit(contracted, ring.zero())
         else:
             all_tuples = set()
             for f in contracted:
@@ -625,37 +617,58 @@ def _pull_at_degree(theta, space: OrbitSpace, targets, max_degree: int):
     solution = linalg.solve(rows, rhs)
     if solution is None:
         return None
-    return assemble(solution)
-
-
-def _unknown_forms(ring: PolyRing, k: int, unknowns) -> list[PolyDiffForm]:
-    return [PolyDiffForm(ring, k, [(J, m)]) for J, m in unknowns]
+    return PolyDiffForm(
+        ring, k, [(J, m.scale(c)) for (J, m), c in zip(unknowns, solution) if c]
+    )
 
 
 def orbit_d(theta):
-    """Exterior derivative on the orbit space.
-
-    Degree 0 is intrinsic (value on each generator is its derivative of the
-    function); higher degrees go through pull, ambient d, push — the two
-    agree where both apply, and d of d vanishes.
+    """Exterior derivative on the orbit space by Koszul's formula on the
+    pushed generators, functions being 0-forms: for I = (i_0 < ... < i_k),
+    d theta(Y_I) = sum_p (-1)^p Y_{i_p}(theta(Y_{I - i_p}))
+    + sum_{p<q} (-1)^(p+q) theta([Y_{i_p}, Y_{i_q}], Y_{I - {i_p, i_q}}),
+    each bracket written through :attr:`OrbitSpace.bracket_coefficients`.
     """
-    if isinstance(theta, OrbitFunction):
-        space = theta.space
-        values = {}
-        for i, Y in enumerate(space.pushed_generators):
-            values[(i,)] = Y.apply(theta)
-        return OrbitForm(space, 1, values, check=True)
     space = theta.space
-    ambient = pull_form(theta, space)
-    return push_form(exterior_d(ambient), space)
+    if isinstance(theta, OrbitFunction):
+        k, value = 0, lambda indices: theta
+    else:
+        k, value = theta.degree, theta.value
+    pushed = space.pushed_generators
+    values = {}
+    for I in combinations(range(len(pushed)), k + 1):
+        total = space.orbit_ring.zero()
+        for p, i in enumerate(I):
+            term = pushed[i].apply(value(I[:p] + I[p + 1 :])).rep
+            total = total - term if p % 2 else total + term
+        for p, q in combinations(range(k + 1), 2):
+            rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
+            for m, c in enumerate(space.bracket_coefficients[(I[p], I[q])]):
+                if not c.is_zero():
+                    term = c * value((m,) + rest).rep
+                    total = total - term if (p + q) % 2 else total + term
+        values[I] = total
+    return OrbitForm(space, k + 1, values, check=True)
 
 
 def orbit_wedge(a, b):
-    """Exterior product downstairs, through pull - wedge - push."""
+    """Exterior product on the orbit space, by the shuffle sum on value
+    tables: (a ^ b)(Y_I) = sum over k-subsets S of the positions of
+    sign(S, S') a(Y_{I_S}) b(Y_{I_S'}), S' the complement of S.  With a
+    function among the operands it is the plain product."""
+    if isinstance(a, OrbitFunction) or isinstance(b, OrbitFunction):
+        return a * b
     space = a.space
-    up_a = pull_form(a, space) if not isinstance(a, OrbitFunction) else space.hilbert.substitute_into(a.rep)
-    up_b = pull_form(b, space) if not isinstance(b, OrbitFunction) else space.hilbert.substitute_into(b.rep)
-    return push_form(wedge(up_a, up_b), space)
+    k, degree = a.degree, a.degree + b.degree
+    values = {}
+    for I in combinations(range(len(space.pushed_generators)), degree):
+        total = space.orbit_ring.zero()
+        for S in combinations(range(degree), k):
+            rest = tuple(p for p in range(degree) if p not in S)
+            term = a.value([I[p] for p in S]).rep * b.value([I[p] for p in rest]).rep
+            total = total - term if _sort_sign(S + rest)[0] < 0 else total + term
+        values[I] = total
+    return OrbitForm(space, degree, values, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -740,4 +753,4 @@ def orbit_vf_to_json(Y: OrbitVectorField) -> dict:
 def orbit_vf_from_json(data: dict, space: OrbitSpace) -> OrbitVectorField:
     ring = space.orbit_ring
     comps = [parse_polynomial(s, ring) for s in data["components"]]
-    return space.field(comps, check=True)
+    return space.field(comps)

@@ -309,6 +309,13 @@ def test_module_solve_rank_mismatch():
         module_solve([y("y1")], problem)
 
 
+def test_rank_zero_problems_are_rejected():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        SubmoduleProblem(0, ((),), buchberger([]))
+    with pytest.raises(ValueError, match="rank must be positive"):
+        syzygies([[]], buchberger([]))
+
+
 def test_syzygies_duplicate_columns():
     one = PolyRing.orbit(1)
     unit = [one.one()]

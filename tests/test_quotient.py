@@ -2,15 +2,19 @@
 
 import pytest
 
-from conftest import check_lift_roundtrip
+import random
+
+from conftest import check_lift_roundtrip, make_rotation4_group, random_poly
+from orbitcalc import exterior, quotient
 from orbitcalc.algebra import PolyRing, parse_polynomial
-from orbitcalc.exterior import evaluate, wedge
+from orbitcalc.exterior import d, evaluate, wedge
 from orbitcalc.group_action import (
     LieAlgebraAction,
     PolyDiffForm,
     PolyVectorField,
     closure,
     is_invariant,
+    reynolds,
 )
 from orbitcalc.invariants import EquivariantModule, HilbertMap, invariant_generators
 from orbitcalc.quotient import (
@@ -210,6 +214,133 @@ def test_orbit_wedge_and_leibniz(golden_space, golden_forms):
     left = orbit_d(orbit_wedge(f, t4))
     right = orbit_wedge(orbit_d(f), t4) + orbit_wedge(f, orbit_d(t4))
     assert left == right
+
+
+# ---------------------------------------------------------------------------
+# Koszul d and shuffle wedge against the pull-compute-push oracle
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["z2", "z4"])
+def calculus_space(request, golden_space):
+    """The golden Z2/R^2 space and the automatic Z4/R^2 space."""
+    if request.param == "z2":
+        return golden_space
+    return OrbitSpace(invariant_generators(make_rotation4_group()))
+
+
+def pushed_one_forms(space, seed, count=3):
+    """Seeded Reynolds averages of ambient 1-forms with a random coefficient
+    on every dx_i, pushed down."""
+    rng = random.Random(seed)
+    ring, group = space.hilbert.ring, space.hilbert.group
+    forms = []
+    while len(forms) < count:
+        items = [((i,), random_poly(rng, ring, 3, 3)) for i in range(ring.nvars)]
+        theta = push_form(reynolds(PolyDiffForm(ring, 1, items), group), space)
+        if not theta.is_zero():
+            forms.append(theta)
+    return forms
+
+
+def oracle_d(theta, space):
+    return push_form(d(pull_form(theta, space)), space)
+
+
+def oracle_wedge(a, b, space):
+    return push_form(wedge(pull_form(a, space), pull_form(b, space)), space)
+
+
+def test_intrinsic_calculus_matches_pull_push_oracle(calculus_space):
+    space = calculus_space
+    a, b, c = pushed_one_forms(space, seed=11)
+    f = space.parse_function("y1^2 - 2*y2 + 1")
+    for theta in (a, b, f):
+        assert orbit_d(theta) == oracle_d(theta, space)
+    for left, right in ((a, b), (b, c), (f, a), (a, f), (f, f)):
+        assert orbit_wedge(left, right) == oracle_wedge(left, right, space)
+    two = orbit_wedge(a, b)
+    assert not two.is_zero() and not orbit_d(a).is_zero()
+    assert orbit_d(two) == oracle_d(two, space)
+    assert orbit_wedge(two, c) == oracle_wedge(two, c, space)
+
+
+def test_orbit_d_squares_to_zero(calculus_space):
+    space = calculus_space
+    a, b, _ = pushed_one_forms(space, seed=12)
+    assert orbit_d(orbit_d(space.parse_function("y2^2 - y1"))).is_zero()
+    for theta in (a, b, orbit_wedge(a, b)):
+        assert orbit_d(orbit_d(theta)).is_zero()
+
+
+def test_orbit_wedge_graded_commutativity_and_leibniz(calculus_space):
+    space = calculus_space
+    a, b, c = pushed_one_forms(space, seed=13)
+    f = space.parse_function("y2 - 3*y1")
+    two = orbit_wedge(b, c)
+    for left, k in ((f, 0), (a, 1), (two, 2)):
+        for right, other in ((f, 0), (c, 1), (two, 2)):
+            swapped = orbit_wedge(right, left)
+            expected = -swapped if (k * other) % 2 else swapped
+            assert orbit_wedge(left, right) == expected
+            leibniz = orbit_wedge(orbit_d(left), right)
+            tail = orbit_wedge(left, orbit_d(right))
+            leibniz = leibniz - tail if k % 2 else leibniz + tail
+            assert orbit_d(orbit_wedge(left, right)) == leibniz
+
+
+def test_bracket_coefficients_rebuild_the_brackets(calculus_space):
+    space = calculus_space
+    pushed = space.pushed_generators
+    n = len(pushed)
+    assert sorted(space.bracket_coefficients) == [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+    ]
+    for (i, j), coeffs in space.bracket_coefficients.items():
+        assert len(coeffs) == n
+        bracket = orbit_bracket(pushed[i], pushed[j])
+        for comp in range(space.orbit_ring.nvars):
+            total = -bracket.components[comp].rep
+            for c, Y in zip(coeffs, pushed):
+                total = total + c * Y.components[comp].rep
+            assert space.ideal.is_member(total)
+
+
+def test_orbit_wedge_beyond_the_generator_count_is_zero(calculus_space):
+    space = calculus_space
+    a, b, c = pushed_one_forms(space, seed=14)
+    pieces = [a, b, c]
+    while sum(p.degree for p in pieces) <= len(space.pushed_generators):
+        pieces.append(pieces[len(pieces) % 3])
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total = orbit_wedge(total, piece)
+    assert total.degree == len(space.pushed_generators) + 1
+    assert total.is_zero()
+
+
+def test_intrinsic_calculus_avoids_ambient_round_trips(calculus_space, monkeypatch):
+    fresh = OrbitSpace(
+        calculus_space.hilbert, calculus_space.ideal, calculus_space.module
+    )
+    a, b, _ = pushed_one_forms(fresh, seed=15)
+    f = fresh.parse_function("y1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ambient round trip on the intrinsic path")
+
+    for owner, name in (
+        (quotient, "pull_form"),
+        (quotient, "push_form"),
+        (exterior, "d"),
+        (exterior, "wedge"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    two = orbit_wedge(a, b)
+    assert two.degree == 2
+    assert orbit_d(two).degree == 3
+    assert orbit_d(a).degree == 2
+    assert orbit_d(f).degree == 1
+    assert orbit_wedge(f, a) == orbit_wedge(a, f)
 
 
 # ---------------------------------------------------------------------------
