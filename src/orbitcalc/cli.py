@@ -37,7 +37,7 @@ from .exterior import (
     vf_from_json,
     vf_to_json,
 )
-from .invariants import equivariant_generators, invariant_generators
+from .invariants import HilbertMap, equivariant_generators, invariant_generators
 from .quotient import (
     OrbitSpace,
     extend_check,
@@ -46,7 +46,6 @@ from .quotient import (
     orbit_d,
     orbit_form_from_json,
     orbit_form_to_json,
-    orbit_vf_from_json,
     orbit_vf_to_json,
     pull_form,
     push_form,
@@ -151,6 +150,7 @@ class Context:
         self.bound_overrides = dict(bound_overrides or {})
         self.ring = PolyRing.ambient(problem.n)
         self._group = None
+        self._hilbert = None
         self._space = None
 
     @property
@@ -172,12 +172,17 @@ class Context:
         return self.problem.degree_bounds.get(key)
 
     @property
+    def hilbert(self) -> HilbertMap:
+        if self._hilbert is None:
+            self._hilbert = invariant_generators(self.group, self.bound("invariants"))
+        return self._hilbert
+
+    @property
     def space(self) -> OrbitSpace:
         if self._space is None:
-            hilbert = invariant_generators(self.group, self.bound("invariants"))
             module = equivariant_generators(self.group, self.bound("equivariants"))
             self._space = OrbitSpace(
-                hilbert, module=module, lie_action=self.lie_action
+                self.hilbert, module=module, lie_action=self.lie_action
             )
         return self._space
 
@@ -208,18 +213,25 @@ def _parse_ambient_vf(ctx: Context, spec: str) -> PolyVectorField:
 
 
 def _parse_orbit_vf(ctx: Context, spec: str):
-    space = ctx.space
-    if os.path.exists(spec):
-        try:
-            with open(spec, encoding="utf-8") as handle:
-                return orbit_vf_from_json(json.load(handle), space)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"cannot read orbit field from {spec}: {exc}") from exc
+    """Parse against the orbit ring first, so malformed text fails before
+    the equivariant generators are computed."""
+    ring = ctx.hilbert.orbit_ring
+    from_file = os.path.exists(spec)
+    where = f"from {spec}" if from_file else repr(spec)
     try:
-        comps = [parse_polynomial(s, space.orbit_ring) for s in spec.split(",")]
+        if from_file:
+            with open(spec, encoding="utf-8") as handle:
+                texts = json.load(handle)["components"]
+        else:
+            texts = spec.split(",")
+        comps = [parse_polynomial(s, ring) for s in texts]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot read orbit field {where}: {exc}") from exc
+    space = ctx.space
+    try:
         return space.field(comps)
     except ValueError as exc:
-        raise InputError(f"cannot read orbit field {spec!r}: {exc}") from exc
+        raise InputError(f"cannot read orbit field {where}: {exc}") from exc
 
 
 def _load_orbit_form(ctx: Context, path: str):
@@ -248,7 +260,7 @@ def _named_form(ctx: Context, name: str):
 # ---------------------------------------------------------------------------
 
 def cmd_invariants(ctx: Context, args) -> tuple[int, str, dict]:
-    sigma = ctx.space.hilbert.sigma
+    sigma = ctx.hilbert.sigma
     text = "\n".join(str(s) for s in sigma)
     return 0, text, {"invariants": [str(s) for s in sigma]}
 

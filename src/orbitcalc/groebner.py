@@ -16,7 +16,7 @@ generating sets come from Schreyer's S-pair lifting on the final basis.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -362,12 +362,15 @@ class SubmoduleProblem:
     scalar ring, modulo componentwise multiples of ``ideal``?
 
     Columns ``e_i * g`` for every ideal generator ``g`` are adjoined
-    automatically, so membership is tested modulo the ideal.
+    automatically, so membership is tested modulo the ideal.  The tracked
+    module basis is built by the first :func:`module_solve` on the problem
+    and reused by every later one.
     """
 
     ambient_rank: int
     columns: tuple[tuple[Polynomial, ...], ...]
     ideal: GroebnerBasis
+    _basis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_rank < 1:
@@ -474,9 +477,12 @@ def module_solve(
     """
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
-    codec, _, tracked = _module_basis(
-        problem.columns, problem.ideal, problem.ambient_rank, cancel
-    )
+    if problem._basis is None:
+        codec, _, tracked = _module_basis(
+            problem.columns, problem.ideal, problem.ambient_rank, cancel
+        )
+        object.__setattr__(problem, "_basis", (codec, tracked))
+    codec, tracked = problem._basis
     remainder, quotients = divide(
         codec.encode(target),
         [t.poly for t in tracked],

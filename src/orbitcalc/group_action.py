@@ -9,7 +9,7 @@ the infinitesimal fields of a linear Lie algebra action round out the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
@@ -96,10 +96,24 @@ class FiniteMatrixGroup:
     n: int
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
+    _moves_by_ring: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, list[Polynomial]]]:
+        """g -> (g^-1, the substitution x -> g^-1 x over ``ring``) for every
+        element (the generators among them), in element order; built once
+        per instance and ring."""
+        moves = self._moves_by_ring.get(ring)
+        if moves is None:
+            moves = {}
+            for g in self.elements:
+                inv = mat_inverse(g)
+                moves[g] = (inv, _linear_substitution(inv, ring))
+            self._moves_by_ring[ring] = moves
+        return moves
 
 
 def closure(generators: Sequence, cap: int = 100_000) -> FiniteMatrixGroup:
@@ -375,42 +389,25 @@ def _linear_substitution(m: Matrix, ring: PolyRing) -> list[Polynomial]:
     return images
 
 
-def act_poly(g, p: Polynomial) -> Polynomial:
-    """(g.p)(x) = p(g^-1 x); a left action on the polynomial ring."""
-    g = matrix_from_rows(g)
-    return p.substitute(_linear_substitution(mat_inverse(g), p.ring))
-
-
-def act_vf(g, X: PolyVectorField) -> PolyVectorField:
-    """Pushforward: (g.X)(x) = g . X(g^-1 x); a left action on fields."""
-    g = matrix_from_rows(g)
-    inv = mat_inverse(g)
-    moved = [c.substitute(_linear_substitution(inv, X.ring)) for c in X.components]
-    n = X.ring.nvars
-    if len(g) != n:
-        raise ValueError("dimension mismatch between matrix and field")
-    components = []
-    for i in range(n):
-        total = X.ring.zero()
-        for j in range(n):
-            if g[i][j]:
-                total = total + moved[j].scale(g[i][j])
-        components.append(total)
-    return PolyVectorField(X.ring, components)
-
-
-def act_form(g, omega: FormOrPoly) -> FormOrPoly:
-    """Pullback along g^-1, making a left action that matches act_poly in
-    degree 0 and pairs with act_vf: (g.omega)(g.X) = g.(omega(X))."""
-    if isinstance(omega, Polynomial):
-        return act_poly(g, omega)
-    g = matrix_from_rows(g)
-    inv = mat_inverse(g)
-    ring = omega.ring
-    substitution = _linear_substitution(inv, ring)
-    k = omega.degree
+def _act(g: Matrix, inv: Matrix, substitution: list[Polynomial], obj):
+    """g . obj for a polynomial, field or form, given g^-1 and the
+    substitution x -> g^-1 x over the object's ring."""
+    if isinstance(obj, Polynomial):
+        return obj.substitute(substitution)
+    ring = obj.ring
+    if isinstance(obj, PolyVectorField):
+        moved = [c.substitute(substitution) for c in obj.components]
+        components = []
+        for i in range(ring.nvars):
+            total = ring.zero()
+            for j in range(ring.nvars):
+                if g[i][j]:
+                    total = total + moved[j].scale(g[i][j])
+            components.append(total)
+        return PolyVectorField(ring, components)
+    k = obj.degree
     out: dict[tuple[int, ...], Polynomial] = {}
-    for indices, coeff in omega.terms.items():
+    for indices, coeff in obj.terms.items():
         moved = coeff.substitute(substitution)
         # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index tuple
         # expands through minors of inv
@@ -425,6 +422,28 @@ def act_form(g, omega: FormOrPoly) -> FormOrPoly:
                 else:
                     out[target] = add
     return PolyDiffForm(ring, k, out)
+
+
+def _act_by(g, obj):
+    g = matrix_from_rows(g)
+    inv = mat_inverse(g)
+    return _act(g, inv, _linear_substitution(inv, obj.ring), obj)
+
+
+def act_poly(g, p: Polynomial) -> Polynomial:
+    """(g.p)(x) = p(g^-1 x); a left action on the polynomial ring."""
+    return _act_by(g, p)
+
+
+def act_vf(g, X: PolyVectorField) -> PolyVectorField:
+    """Pushforward: (g.X)(x) = g . X(g^-1 x); a left action on fields."""
+    return _act_by(g, X)
+
+
+def act_form(g, omega: FormOrPoly) -> FormOrPoly:
+    """Pullback along g^-1, making a left action that matches act_poly in
+    degree 0 and pairs with act_vf: (g.omega)(g.X) = g.(omega(X))."""
+    return _act_by(g, omega)
 
 
 def _minor_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -451,19 +470,10 @@ def _minor_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 def is_invariant(obj, group: FiniteMatrixGroup) -> bool:
     """True iff the object is fixed by every generator (hence the group)."""
-    for g in group.generators:
-        if isinstance(obj, Polynomial):
-            if act_poly(g, obj) != obj:
-                return False
-        elif isinstance(obj, PolyVectorField):
-            if act_vf(g, obj) != obj:
-                return False
-        elif isinstance(obj, PolyDiffForm):
-            if act_form(g, obj) != obj:
-                return False
-        else:
-            raise TypeError(f"cannot test invariance of {type(obj).__name__}")
-    return True
+    if not isinstance(obj, (Polynomial, PolyVectorField, PolyDiffForm)):
+        raise TypeError(f"cannot test invariance of {type(obj).__name__}")
+    moves = group._moves(obj.ring)
+    return all(_act(g, *moves[g], obj) == obj for g in group.generators)
 
 
 def reynolds(obj, group: FiniteMatrixGroup):
@@ -471,23 +481,17 @@ def reynolds(obj, group: FiniteMatrixGroup):
 
     Summation runs in the deterministic element order of the group.
     """
-    weight = Fraction(1, group.order)
     if isinstance(obj, Polynomial):
         total = obj.ring.zero()
-        for g in group.elements:
-            total = total + act_poly(g, obj)
-        return total.scale(weight)
-    if isinstance(obj, PolyVectorField):
+    elif isinstance(obj, PolyVectorField):
         total = PolyVectorField.zero(obj.ring)
-        for g in group.elements:
-            total = total + act_vf(g, obj)
-        return total * weight
-    if isinstance(obj, PolyDiffForm):
+    elif isinstance(obj, PolyDiffForm):
         total = PolyDiffForm.zero(obj.ring, obj.degree)
-        for g in group.elements:
-            total = total + act_form(g, obj)
-        return total * weight
-    raise TypeError(f"cannot average {type(obj).__name__}")
+    else:
+        raise TypeError(f"cannot average {type(obj).__name__}")
+    for g, (inv, substitution) in group._moves(obj.ring).items():
+        total = total + _act(g, inv, substitution, obj)
+    return total * Fraction(1, group.order)
 
 
 def infinitesimal_fields(action: LieAlgebraAction, ring: PolyRing) -> list[PolyVectorField]:

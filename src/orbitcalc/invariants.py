@@ -7,6 +7,12 @@ The subduction backbone is the tagged ideal < y_j - sigma_j(x) > in a block
 elimination order with the x block first: the normal form of an invariant
 polynomial against it contains no x variable, and reading off the y part
 rewrites the invariant through the generators.
+
+Membership of an invariant field in the span of others is decided one level
+down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
+is injective on invariant fields of a finite group, so X = sum h_i(sigma) X_i
+exactly when push X = sum h_i push X_i modulo the relation ideal, a
+submodule membership problem over the orbit ring.
 """
 
 from __future__ import annotations
@@ -24,7 +30,14 @@ from .algebra import (
     make_primitive,
     restrict,
 )
-from .groebner import GroebnerBasis, buchberger, eliminate, normal_form
+from .groebner import (
+    GroebnerBasis,
+    SubmoduleProblem,
+    buchberger,
+    eliminate,
+    module_solve,
+    normal_form,
+)
 from .group_action import (
     FiniteMatrixGroup,
     PolyVectorField,
@@ -140,6 +153,20 @@ def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
     return q
 
 
+def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
+    """The pushforward of an invariant field in the orbit alphabet:
+    component j rewrites X(sigma_j) through the generators.  Components are
+    not reduced modulo the relations.  X(sigma_j) is invariant whenever X
+    is, so its invariance is not tested again."""
+    components = []
+    for s in hmap.sigma:
+        q = _subalgebra_rewrite(X.apply(s), hmap)
+        if q is None:
+            raise ValueError("not in subalgebra generated by the Hilbert map")
+        components.append(q)
+    return tuple(components)
+
+
 def invariant_generators(
     group: FiniteMatrixGroup, degree_bound: int | None = None
 ) -> HilbertMap:
@@ -225,17 +252,26 @@ class EquivariantModule:
 
     @staticmethod
     def from_fields(group: FiniteMatrixGroup, fields) -> "EquivariantModule":
-        fields = tuple(fields)
-        if not fields:
-            raise ValueError("empty generating set")
-        for X in fields:
-            if not is_invariant(X, group):
-                raise ValueError(f"not invariant: {X}")
-        for j, X in enumerate(fields):
-            rest = fields[:j] + fields[j + 1 :]
-            if rest and invariant_combination(X, rest, group) is not None:
-                raise ValueError(f"generator {X} is a combination of the others")
-        return EquivariantModule(fields)
+        """Validate invariance and minimality: no field is a combination of
+        the others with invariant coefficients."""
+        hmap = invariant_generators(group)
+        return _minimal_module(group, fields, hmap, relations(hmap))
+
+
+def _minimal_module(group, fields, hmap: HilbertMap, ideal: RelationIdeal) -> EquivariantModule:
+    fields = tuple(fields)
+    if not fields:
+        raise ValueError("empty generating set")
+    for X in fields:
+        if not is_invariant(X, group):
+            raise ValueError(f"not invariant: {X}")
+    pushed = [_push_field(X, hmap) for X in fields]
+    for j, X in enumerate(fields):
+        rest = tuple(pushed[:j] + pushed[j + 1 :])
+        span = SubmoduleProblem(len(hmap.sigma), rest, ideal.basis)
+        if rest and module_solve(pushed[j], span).member:
+            raise ValueError(f"generator {X} is a combination of the others")
+    return EquivariantModule(fields)
 
 
 def invariant_basis(group: FiniteMatrixGroup, ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -271,75 +307,65 @@ def invariant_combination(
     group: FiniteMatrixGroup,
 ) -> list[Polynomial] | None:
     """Express ``target`` as sum h_j * fields_j with each h_j invariant, or
-    return None.  Coefficient degrees are searched up to deg(target):
-    relations among homogeneous fields are homogeneous, and the callers pass
-    homogeneous data."""
-    ring = target.ring
-    target_degree = max((c.degree() for c in target.components), default=-1)
-    if target_degree < 0:
-        return [ring.zero() for _ in fields]
-    columns: list[tuple[int, Polynomial]] = []  # (field index, invariant h)
-    for j, X in enumerate(fields):
-        for m in range(0, target_degree + 1):
-            for h in invariant_basis(group, ring, m):
-                columns.append((j, h))
-    if not columns:
+    return None.  The fields must be invariant.
+
+    Exact submodule membership of the pushforwards modulo the relation
+    ideal, against the default-bound Hilbert map; the h_j are the witness
+    substituted into the generators, checked by rebuilding the target."""
+    fields = tuple(fields)
+    if not is_invariant(target, group):
         return None
-    coords: set = set()
-    candidates = []
-    for j, h in columns:
-        moved = [h * c for c in fields[j].components]
-        candidates.append(moved)
-        for comp_index, comp in enumerate(moved):
-            coords.update((comp_index, e) for e in comp.terms)
-    for comp_index, comp in enumerate(target.components):
-        coords.update((comp_index, e) for e in comp.terms)
-    coord_list = sorted(coords)
-    pos = {c: i for i, c in enumerate(coord_list)}
-    matrix = [[Fraction(0)] * len(columns) for _ in coord_list]
-    for col, moved in enumerate(candidates):
-        for comp_index, comp in enumerate(moved):
-            for e, c in comp.terms.items():
-                matrix[pos[(comp_index, e)]][col] = c
-    rhs = [Fraction(0)] * len(coord_list)
-    for comp_index, comp in enumerate(target.components):
-        for e, c in comp.terms.items():
-            rhs[pos[(comp_index, e)]] = c
-    solution = linalg.solve(matrix, rhs)
-    if solution is None:
+    if not fields:
+        return [] if target.is_zero() else None
+    hmap = invariant_generators(group)
+    columns = tuple(_push_field(X, hmap) for X in fields)
+    span = SubmoduleProblem(len(hmap.sigma), columns, relations(hmap).basis)
+    outcome = module_solve(_push_field(target, hmap), span)
+    if not outcome.member:
         return None
-    out = [ring.zero() for _ in fields]
-    for (j, h), z in zip(columns, solution):
-        if z:
-            out[j] = out[j] + h.scale(z)
-    return out
+    combination = [hmap.substitute_into(h) for h in outcome.witness]
+    rebuilt = PolyVectorField.zero(target.ring)
+    for h, X in zip(combination, fields):
+        rebuilt = rebuilt + h * X
+    if rebuilt != target:
+        raise AssertionError("internal error: combination does not rebuild the target")
+    return combination
 
 
 def equivariant_generators(
     group: FiniteMatrixGroup, degree_bound: int | None = None
 ) -> EquivariantModule:
     """Generators of the invariant vector fields by degreewise averaging of
-    monomial fields, with redundant candidates dropped by the invariant
-    coefficient ansatz.
+    monomial fields.  A candidate is dropped when its pushforward lies in
+    the span of the kept fields' pushforwards modulo the relation ideal
+    (exact submodule membership, see the module docstring); the Hilbert map
+    of the default bound and its relations serve both the search and the
+    final minimality check.
 
     The default bound |G| matches the invariant-ring bound; completeness at
     the bound is exercised by a one-degree-beyond check in the test suite.
     """
     bound = group.order if degree_bound is None else degree_bound
-    ring = PolyRing.ambient(group.n)
+    hmap = invariant_generators(group)
+    ideal = relations(hmap)
+    ring = hmap.ring
     kept: list[PolyVectorField] = []
+    pushed: list[tuple[Polynomial, ...]] = []
+    span: SubmoduleProblem | None = None
     for degree in range(0, bound + 1):
-        monos = _monomials_of_degree(ring, degree)
-        for mono in monos:
+        for mono in _monomials_of_degree(ring, degree):
             for i in range(ring.nvars):
                 components = [ring.zero()] * ring.nvars
                 components[i] = mono
                 candidate = reynolds(PolyVectorField(ring, components), group)
                 if candidate.is_zero():
                     continue
-                if kept and invariant_combination(candidate, tuple(kept), group) is not None:
+                column = _push_field(candidate, hmap)
+                if span is not None and module_solve(column, span).member:
                     continue
                 kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
+                pushed.append(column)
+                span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), ideal.basis)
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
-    return EquivariantModule.from_fields(group, tuple(kept))
+    return _minimal_module(group, kept, hmap, ideal)

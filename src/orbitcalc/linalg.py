@@ -1,7 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
-Small systems only (ansatz solves, minimality checks); everything is plain
-Gaussian elimination on ``fractions.Fraction`` entries.
+Plain Gaussian elimination on ``fractions.Fraction`` entries.  In the
+package only :func:`orbitcalc.invariants.invariant_basis` uses it; every
+membership question (equivariant generators, minimality, pulls of forms)
+goes through the Groebner module layer instead.  The tests keep these
+routines as an independent dense oracle for that layer.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ makes a value table a well-defined functional, and is exactly what admits
 forms (such as the canonical volume-like 1-form of the reflection example)
 that extend to no ambient polynomial form.
 
-Everything is exact: pushforwards subduct Lie derivatives, lifts and
-extension checks are submodule membership with verified witnesses, and the
+Everything is exact: pushforwards subduct Lie derivatives; lifts of fields
+and forms and extension checks are submodule membership with verified
+witnesses (a form pull over Q[x] against the minors of the generator
+fields, the others over the orbit ring modulo the relations); and the
 exterior derivative and wedge product act on value tables directly: d by
 Koszul's formula over the function ring, with the bracket structure
 functions of the pushed generators, and the wedge by the shuffle sum.
+No operation here solves a dense linear system.
 """
 
 from __future__ import annotations
@@ -23,28 +26,25 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import PolyRing, Polynomial, parse_polynomial
-from .groebner import SubmoduleProblem, module_solve, syzygies
+from .algebra import GREVLEX, PolyRing, Polynomial, parse_polynomial
+from .groebner import GroebnerBasis, SubmoduleProblem, module_solve, syzygies
 from .group_action import (
     LieAlgebraAction,
     PolyDiffForm,
     PolyVectorField,
     _sort_sign,
-    act_form,
-    infinitesimal_fields,
     is_invariant,
 )
-from .exterior import evaluate, interior, semibasic_check
+from .exterior import evaluate, semibasic_check
 from .invariants import (
     EquivariantModule,
     HilbertMap,
     RelationIdeal,
-    _monomials_of_degree,
+    _push_field,
     equivariant_generators,
     relations,
     subduct,
 )
-from . import linalg
 
 
 class OrbitSpace:
@@ -71,6 +71,7 @@ class OrbitSpace:
             else LieAlgebraAction(hilbert.group.n, ())
         )
         self._pushed: list[OrbitVectorField] | None = None
+        self._span: SubmoduleProblem | None = None
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
         self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
 
@@ -99,13 +100,24 @@ class OrbitSpace:
         return self._pushed
 
     @property
+    def _generator_span(self) -> SubmoduleProblem:
+        """The pushed generators as one membership problem modulo the
+        relations; its module basis is built once and shared by every
+        lift and bracket expansion."""
+        if self._span is None:
+            columns = tuple(
+                tuple(c.rep for c in Y.components) for Y in self.pushed_generators
+            )
+            self._span = SubmoduleProblem(
+                self.orbit_ring.nvars, columns, self.ideal.basis
+            )
+        return self._span
+
+    @property
     def generator_syzygies(self) -> list[tuple[Polynomial, ...]]:
         """Relations among the pushed generators modulo the relation ideal."""
         if self._syzygies is None:
-            columns = [
-                tuple(c.rep for c in Y.components) for Y in self.pushed_generators
-            ]
-            self._syzygies = syzygies(columns, self.ideal.basis)
+            self._syzygies = syzygies(self._generator_span.columns, self.ideal.basis)
         return self._syzygies
 
     @property
@@ -214,11 +226,15 @@ class OrbitVectorField:
 
     def apply(self, f) -> OrbitFunction:
         """Directional derivative of an orbit function."""
-        rep = _rep(f, self.space)
+        return self.space.function(self._derivative(_rep(f, self.space)))
+
+    def _derivative(self, rep: Polynomial) -> Polynomial:
+        """The derivative of a representative, not yet reduced modulo the
+        relations."""
         total = rep.ring.zero()
         for j, c in enumerate(self.components):
             total = total + c.rep * rep.partial_derivative(j)
-        return self.space.function(total)
+        return total
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -432,24 +448,13 @@ def push_vf(X: PolyVectorField, space: OrbitSpace) -> OrbitVectorField:
     """
     if not is_invariant(X, space.hilbert.group):
         raise ValueError("field is not invariant")
-    components = []
-    for s in space.hilbert.sigma:
-        components.append(space.function(subduct(X.apply(s), space.hilbert)))
-    return OrbitVectorField(space, components, check=True)
+    return OrbitVectorField(space, _push_field(X, space.hilbert), check=True)
 
 
 def _generator_coordinates(Y: OrbitVectorField, space: OrbitSpace) -> tuple[Polynomial, ...]:
     """Coefficients h with Y = sum h_i Y_i over the pushed generators: the
     verified witness of exact submodule membership."""
-    columns = tuple(
-        tuple(c.rep for c in gen.components) for gen in space.pushed_generators
-    )
-    problem = SubmoduleProblem(
-        ambient_rank=space.orbit_ring.nvars,
-        columns=columns,
-        ideal=space.ideal.basis,
-    )
-    outcome = module_solve([c.rep for c in Y.components], problem)
+    outcome = module_solve([c.rep for c in Y.components], space._generator_span)
     if not outcome.member:
         raise ValueError("field is outside the pushed module")
     return outcome.witness
@@ -471,7 +476,8 @@ def lift_vf(Y: OrbitVectorField, space: OrbitSpace) -> PolyVectorField:
 
 
 def orbit_bracket(Y: OrbitVectorField, Z: OrbitVectorField) -> OrbitVectorField:
-    """Commutator of derivations: component j is Y(Z_j) - Z(Y_j).
+    """Commutator of derivations: component j is Y(Z_j) - Z(Y_j), formed on
+    representatives and reduced modulo the relations once.
 
     Agrees with lift-bracket-push on the golden suite (the bracket of
     invariant fields pushes to the bracket of the pushforwards).
@@ -479,7 +485,8 @@ def orbit_bracket(Y: OrbitVectorField, Z: OrbitVectorField) -> OrbitVectorField:
     if Y.space is not Z.space:
         raise ValueError("fields live on different orbit spaces")
     components = [
-        Y.apply(zc) - Z.apply(yc) for yc, zc in zip(Y.components, Z.components)
+        Y._derivative(zc.rep) - Z._derivative(yc.rep)
+        for yc, zc in zip(Y.components, Z.components)
     ]
     return OrbitVectorField(Y.space, components, check=True)
 
@@ -512,114 +519,53 @@ def push_form(theta, space: OrbitSpace):
 
 
 def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
-    """An invariant semi-basic ambient form pushing to ``theta``.
+    """The invariant semi-basic ambient form pushing to ``theta``.
 
-    Linear ansatz on the coefficients, swept degree by degree so the answer
-    has least coefficient degree; ties are broken by the fixed unknown order
-    with free variables pinned to zero.  The default bound (degree of the
-    substituted values plus the generator coefficient degree) is raised
-    automatically once before giving up.
+    A k-form sum_J a_J dx_J is fixed by its values on the generator fields,
+    omega(X_I) = sum_J a_J dx_J(X_I), whose right sides are k-minors of the
+    generator matrix.  So the pull is one module membership problem over
+    Q[x] with the zero ideal: one column per J with entries dx_J(X_I), one
+    row per I, and the target theta(Y_I) composed with sigma.  The generator
+    fields of a finite group span Q(x)^n, so the columns are independent
+    and the answer is unique, hence invariant; the push-back check rejects
+    a table that is not a push (for example one that is not semi-basic).
+    ``degree_bound`` caps the coefficient degree of the answer.
     """
     if isinstance(theta, OrbitFunction):
         return space.hilbert.substitute_into(theta.rep)
-    k = theta.degree
-    fields = space.module.generators
-    targets = {}
-    for indices in combinations(range(len(fields)), k):
-        targets[indices] = space.hilbert.substitute_into(theta.value(indices).rep)
-    if degree_bound is None:
-        value_degree = max((t.degree() for t in targets.values()), default=0)
-        gen_degree = max(
-            (c.degree() for X in fields for c in X.components if not c.is_zero()),
-            default=0,
-        )
-        bounds = range(0, 2 * (max(value_degree, 0) + gen_degree) + 2)
-    else:
-        bounds = range(0, degree_bound + 1)
-    for m in bounds:
-        candidate = _pull_at_degree(theta, space, targets, m)
-        if candidate is not None:
-            verification = push_form(candidate, space)
-            if verification != theta:
-                raise AssertionError(
-                    "internal error: pulled form does not push back to the input"
-                )
-            return candidate
-    raise ValueError(f"pull not found at bound {bounds[-1]}")
-
-
-def _pull_at_degree(theta, space: OrbitSpace, targets, max_degree: int):
-    """Solve the linear system for an ambient form of coefficient degree at
-    most ``max_degree``; None when infeasible."""
     ring = space.hilbert.ring
     k = theta.degree
-    n = ring.nvars
-    if k > n:
-        return None
-    monomials = [
-        m for degree in range(max_degree + 1) for m in _monomials_of_degree(ring, degree)
-    ]
-    basis_tuples = list(combinations(range(n), k))
-    unknowns = [(J, m) for J in basis_tuples for m in monomials]
-    unknown_forms = [PolyDiffForm(ring, k, [(J, m)]) for J, m in unknowns]
-
-    rows = []
-    rhs = []
-
-    def emit(linear_parts: list[Polynomial], target: Polynomial):
-        """One polynomial equation sum(c_u * linear_parts[u]) = target,
-        expanded into monomial coordinates."""
-        local: dict[tuple, list] = {}
-        for u, part in enumerate(linear_parts):
-            for e, c in part.terms.items():
-                local.setdefault(e, []).append((u, c))
-        exps = set(local) | set(target.terms)
-        for e in exps:
-            row = [Fraction(0)] * len(unknowns)
-            for u, c in local.get(e, ()):
-                row[u] += c
-            rows.append(row)
-            rhs.append(target.terms.get(e, Fraction(0)))
-
     fields = space.module.generators
+    rows = list(combinations(range(len(fields)), k))
+    basis_tuples = list(combinations(range(ring.nvars), k))
+    target = [space.hilbert.substitute_into(theta.value(I).rep) for I in rows]
     one = ring.one()
-
-    # evaluation constraints: theta(X_I) must equal the substituted values
-    for indices, target in targets.items():
-        chosen = [fields[i] for i in indices]
-        on_fields = {
-            J: evaluate(PolyDiffForm(ring, k, [(J, one)]), chosen) for J in basis_tuples
-        }
-        emit([m * on_fields[J] for J, m in unknowns], target)
-
-    # invariance under each group generator
-    for g in space.hilbert.group.generators:
-        moved = [act_form(g, f) for f in unknown_forms]
-        for J in basis_tuples:
-            parts = [f.terms.get(J, ring.zero()) for f in moved]
-            originals = [m if J0 == J else ring.zero() for J0, m in unknowns]
-            diff = [a - b for a, b in zip(parts, originals)]
-            emit(diff, ring.zero())
-
-    # semi-basic constraints
-    for field in infinitesimal_fields(space.lie_action, ring):
-        contracted = [interior(field, f) for f in unknown_forms]
-        if k == 1:
-            emit(contracted, ring.zero())
-        else:
-            all_tuples = set()
-            for f in contracted:
-                all_tuples.update(f.terms)
-            for J in sorted(all_tuples):
-                parts = [f.terms.get(J, ring.zero()) for f in contracted]
-                emit(parts, ring.zero())
-
-    solution = linalg.solve(rows, rhs)
-    if solution is None:
-        return None
-    return PolyDiffForm(
-        ring, k, [(J, m.scale(c)) for (J, m), c in zip(unknowns, solution) if c]
+    columns = tuple(
+        tuple(
+            evaluate(PolyDiffForm(ring, k, [(J, one)]), [fields[i] for i in I])
+            for I in rows
+        )
+        for J in basis_tuples
     )
+    if columns:
+        problem = SubmoduleProblem(len(rows), columns, GroebnerBasis((), GREVLEX))
+        outcome = module_solve(target, problem)
+        coefficients = outcome.witness if outcome.member else None
+    else:  # k > n: only the zero form exists
+        coefficients = () if all(t.is_zero() for t in target) else None
+    if coefficients is None:
+        raise ValueError("pull not found: no ambient form has these values")
+    candidate = PolyDiffForm(ring, k, list(zip(basis_tuples, coefficients)))
+    degree = max((c.degree() for c in coefficients), default=0)
+    if degree_bound is not None and degree > degree_bound:
+        raise ValueError(f"pull not found at bound {degree_bound}")
+    try:
+        verification = push_form(candidate, space)
+    except ValueError as exc:
+        raise ValueError(f"pull not found: {exc}") from exc
+    if verification != theta:
+        raise AssertionError("internal error: pulled form does not push back to the input")
+    return candidate
 
 
 def orbit_d(theta):

@@ -306,6 +306,20 @@ def test_usage_errors(capsys):
     assert "cannot read orbit field" in err
 
 
+def test_orbit_field_parsed_before_the_space_is_built(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("equivariant generators computed before the parse")
+
+    monkeypatch.setattr(cli, "equivariant_generators", refuse)
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"components": ["y1", "q9", "0"]}), encoding="utf-8")
+    for spec in ("q9", str(field)):
+        code, out, err = run(capsys, "lift-vf", spec, "-i", Z2)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read orbit field")
+
+
 def run_process(cwd, *argv):
     """The CLI in a fresh interpreter: an uncaught exception shows up as a
     traceback on stderr, and the exit code is the one a shell sees."""

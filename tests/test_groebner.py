@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import coefficient_vector, monomials_up_to, random_ideal, random_poly
-from orbitcalc import linalg
+from orbitcalc import groebner, linalg
 from orbitcalc.algebra import (
     GREVLEX,
     LEX,
@@ -286,6 +286,24 @@ def test_module_solve_golden_columns():
             for w, col in zip(result.witness, columns):
                 acc = acc + w * col[j]
             assert normal_form(acc - column[j], gb).is_zero()
+
+
+def test_module_basis_is_built_once_per_problem(monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return _module_basis(*args)
+
+    monkeypatch.setattr(groebner, "_module_basis", counting)
+    columns = golden_columns()
+    problem = SubmoduleProblem(3, columns, relation_basis())
+    with pytest.raises(ComputationCancelled):
+        module_solve(columns[0], problem, cancel=lambda: True)
+    for column in columns:
+        assert module_solve(column, problem).member
+    assert not module_solve([y("1"), y("0"), y("0")], problem).member
+    assert len(builds) == 2  # the cancelled build, then one for every solve
 
 
 def test_module_solve_not_member():

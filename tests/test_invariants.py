@@ -332,3 +332,82 @@ def test_equivariants_raising_bound_adds_nothing():
     assert [str(X) for X in beyond.generators] == [
         str(X) for X in at_noether.generators
     ]
+
+
+# Generator texts as the dense invariant-coefficient ansatz printed them; the
+# search by pushed-module membership must reproduce them in the same order.
+PINNED_EQUIVARIANTS = {
+    "z4_r2": (
+        [[["0", "-1"], ["1", "0"]]],
+        [
+            "(x1)*d/dx1 + (x2)*d/dx2",
+            "(x2)*d/dx1 + (-x1)*d/dx2",
+            "(x1^3)*d/dx1 + (x2^3)*d/dx2",
+            "(x2^3)*d/dx1 + (-x1^3)*d/dx2",
+        ],
+    ),
+    "b2_r2": (
+        [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+        ["(x1)*d/dx1 + (x2)*d/dx2", "(x1^3)*d/dx1 + (x2^3)*d/dx2"],
+    ),
+    "d3_r2": (
+        [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+        [
+            "(x1)*d/dx1 + (x2)*d/dx2",
+            "(x1^2 - 2*x1*x2)*d/dx1 + (-2*x1*x2 + x2^2)*d/dx2",
+        ],
+    ),
+    "z2z2_r3": (
+        [
+            [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+            [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+        ],
+        [
+            "(x1)*d/dx1",
+            "(x2)*d/dx2",
+            "(x3)*d/dx3",
+            "(x1*x2)*d/dx3",
+            "(x1*x3)*d/dx2",
+            "(x2*x3)*d/dx1",
+        ],
+    ),
+    "z6_r2": (
+        [[["1", "-1"], ["1", "0"]]],
+        [
+            "(x1 + x2)*d/dx1 + (-x1 + 2*x2)*d/dx2",
+            "(x1 - 2*x2)*d/dx1 + (2*x1 - x2)*d/dx2",
+            "(x1^5 + x2^5)*d/dx1 + (-x1^5 + 5*x1^4*x2 - 10*x1^3*x2^2"
+            " + 10*x1^2*x2^3 - 5*x1*x2^4 + 2*x2^5)*d/dx2",
+            "(x1^5 - 5*x1^4*x2 + 10*x1^3*x2^2 - 10*x1^2*x2^3 + 5*x1*x2^4"
+            " - 2*x2^5)*d/dx1 + (2*x1^5 - 5*x1^4*x2 + 10*x1^3*x2^2"
+            " - 10*x1^2*x2^3 + 5*x1*x2^4 - x2^5)*d/dx2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(PINNED_EQUIVARIANTS))
+def test_equivariant_generator_text_is_pinned(rung):
+    generators, expected = PINNED_EQUIVARIANTS[rung]
+    module = equivariant_generators(closure(generators))
+    assert [str(X) for X in module.generators] == expected
+
+
+def test_membership_path_needs_no_dense_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the membership path")
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    group = make_swap_group()
+    module = equivariant_generators(group)
+    assert [str(X) for X in module.generators] == [
+        "(1)*d/dx1 + (1)*d/dx2",
+        "(x1)*d/dx1 + (x2)*d/dx2",
+    ]
+    assert EquivariantModule.from_fields(group, module.generators) == module
+    redundant = module.generators + (x("x1 + x2") * module.generators[0],)
+    with pytest.raises(ValueError, match="combination of the others"):
+        EquivariantModule.from_fields(group, redundant)
+    target = x("x1*x2") * module.generators[0]
+    assert invariant_combination(target, module.generators, group) is not None

@@ -5,7 +5,7 @@ import pytest
 import random
 
 from conftest import check_lift_roundtrip, make_rotation4_group, random_poly
-from orbitcalc import exterior, quotient
+from orbitcalc import exterior, groebner, linalg, quotient
 from orbitcalc.algebra import PolyRing, parse_polynomial
 from orbitcalc.exterior import d, evaluate, wedge
 from orbitcalc.group_action import (
@@ -33,7 +33,7 @@ from orbitcalc.quotient import (
     push_form,
     push_vf,
 )
-from orbitcalc.verify import reflection_context
+from orbitcalc.verify import reflection_context, run_golden_checks
 
 AMBIENT = PolyRing.ambient(2)
 X1, X2 = AMBIENT.variables()
@@ -86,6 +86,22 @@ def test_lift_outside_the_pushed_module(golden_space):
     tangent = orbit_field(narrow, "2*y3", "0", "y2")
     with pytest.raises(ValueError, match="outside the pushed module"):
         lift_vf(tangent, narrow)
+
+
+def test_one_module_basis_serves_lifts_and_brackets(monkeypatch):
+    space = reflection_context()
+    builds = []
+    original = groebner._module_basis
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_module_basis", counting)
+    assert len(space.bracket_coefficients) == 6
+    for Y in space.pushed_generators:
+        check_lift_roundtrip(space, Y)
+    assert len(builds) == 1
 
 
 def test_orbit_bracket_golden(golden_space):
@@ -177,6 +193,29 @@ def test_pull_form_zero_and_bound_exhaustion(golden_space, golden_forms):
     theta4 = push_form(golden_forms[3], golden_space)
     with pytest.raises(ValueError, match="pull not found at bound 0"):
         pull_form(theta4, golden_space, degree_bound=0)
+
+
+def test_pull_form_beyond_the_ambient_dimension(golden_space):
+    pulled = pull_form(OrbitForm(golden_space, 3, {}), golden_space)
+    assert pulled.degree == 3 and pulled.is_zero()
+    one = golden_space.orbit_ring.one()
+    table = OrbitForm(golden_space, 3, [((0, 1, 2), one)], check=False)
+    with pytest.raises(ValueError, match="pull not found"):
+        pull_form(table, golden_space)
+
+
+def test_pull_and_golden_checks_need_no_dense_linear_algebra(
+    golden_space, golden_forms, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the membership path")
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    two = PolyDiffForm(AMBIENT, 2, [((0, 1), X1 * X1 + X2 * X2)])
+    for omega in (golden_forms[3], two):
+        assert pull_form(push_form(omega, golden_space), golden_space) == omega
+    assert all(result.passed for result in run_golden_checks())
 
 
 # ---------------------------------------------------------------------------
