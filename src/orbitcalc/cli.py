@@ -180,10 +180,11 @@ class Context:
     @property
     def space(self) -> OrbitSpace:
         if self._space is None:
+            # the Hilbert map first: held here, the equivariant search
+            # reuses it when the problem keeps the default invariant bound
+            hilbert = self.hilbert
             module = equivariant_generators(self.group, self.bound("equivariants"))
-            self._space = OrbitSpace(
-                self.hilbert, module=module, lie_action=self.lie_action
-            )
+            self._space = OrbitSpace(hilbert, module=module, lie_action=self.lie_action)
         return self._space
 
     def named(self, name: str):

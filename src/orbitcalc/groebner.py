@@ -363,8 +363,8 @@ class SubmoduleProblem:
 
     Columns ``e_i * g`` for every ideal generator ``g`` are adjoined
     automatically, so membership is tested modulo the ideal.  The tracked
-    module basis is built by the first :func:`module_solve` on the problem
-    and reused by every later one.
+    module basis is built by the first :func:`module_solve` or syzygy
+    computation on the problem and reused by every later one.
     """
 
     ambient_rank: int
@@ -446,6 +446,16 @@ def _module_basis(
     return codec, gens, _buchberger_tracked(gens, codec.order, cancel, rank)
 
 
+def _problem_basis(
+    problem: SubmoduleProblem, cancel: CancelCheck | None
+) -> tuple[_ModuleCodec, list[Polynomial], list[_Tracked]]:
+    """:func:`_module_basis` of the problem, built on first use and kept."""
+    if problem._basis is None:
+        basis = _module_basis(problem.columns, problem.ideal, problem.ambient_rank, cancel)
+        object.__setattr__(problem, "_basis", basis)
+    return problem._basis
+
+
 def _over_columns(
     combo: Sequence[Polynomial],
     tracked: Sequence[_Tracked],
@@ -477,12 +487,7 @@ def module_solve(
     """
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
-    if problem._basis is None:
-        codec, _, tracked = _module_basis(
-            problem.columns, problem.ideal, problem.ambient_rank, cancel
-        )
-        object.__setattr__(problem, "_basis", (codec, tracked))
-    codec, tracked = problem._basis
+    codec, _, tracked = _problem_basis(problem, cancel)
     remainder, quotients = divide(
         codec.encode(target),
         [t.poly for t in tracked],
@@ -523,10 +528,17 @@ def syzygies(
     """
     if not columns:
         return []
-    rank = len(columns[0])
-    if rank == 0:
-        raise ValueError("module rank must be positive")
-    codec, gens, tracked = _module_basis(columns, ideal, rank, cancel)
+    columns = tuple(tuple(col) for col in columns)
+    return _span_syzygies(SubmoduleProblem(len(columns[0]), columns, ideal), cancel)
+
+
+def _span_syzygies(
+    problem: SubmoduleProblem, cancel: CancelCheck | None = None
+) -> list[tuple[Polynomial, ...]]:
+    """:func:`syzygies` of the problem's columns modulo its ideal, on the
+    problem's module basis (built here only if no solve has built it)."""
+    codec, gens, tracked = _problem_basis(problem, cancel)
+    columns, ideal, rank = problem.columns, problem.ideal, problem.ambient_rank
     basis = [t.poly for t in tracked]
     leads = [t.lead for t in tracked]
     order = codec.order

@@ -9,14 +9,16 @@ the infinitesimal fields of a linear Lie algebra action round out the module.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .algebra import PolyRing, Polynomial
+from .algebra import Exponents, PolyRing, Polynomial
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Terms = tuple[tuple[Exponents, Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +99,28 @@ class FiniteMatrixGroup:
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
     _moves_by_ring: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Hilbert maps built for this group, by degree bound.  Weak values: a
+    # map refers to its group, so a strong reference here would make a
+    # cycle that outlives every caller until the cyclic collector runs.
+    _hilbert_maps: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, init=False, repr=False, compare=False
+    )
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, list[Polynomial]]]:
-        """g -> (g^-1, the substitution x -> g^-1 x over ``ring``) for every
-        element (the generators among them), in element order; built once
-        per instance and ring."""
+    def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, "_MonomialImages"]]:
+        """g -> (g^-1, the monomial images under x -> g^-1 x over ``ring``)
+        for every element (the generators among them), in element order;
+        built once per instance and ring, the images filled as they are
+        met."""
         moves = self._moves_by_ring.get(ring)
         if moves is None:
             moves = {}
             for g in self.elements:
                 inv = mat_inverse(g)
-                moves[g] = (inv, _linear_substitution(inv, ring))
+                moves[g] = (inv, _MonomialImages(inv, ring))
             self._moves_by_ring[ring] = moves
         return moves
 
@@ -389,45 +398,96 @@ def _linear_substitution(m: Matrix, ring: PolyRing) -> list[Polynomial]:
     return images
 
 
-def _act(g: Matrix, inv: Matrix, substitution: list[Polynomial], obj):
-    """g . obj for a polynomial, field or form, given g^-1 and the
-    substitution x -> g^-1 x over the object's ring."""
-    if isinstance(obj, Polynomial):
-        return obj.substitute(substitution)
-    ring = obj.ring
-    if isinstance(obj, PolyVectorField):
-        moved = [c.substitute(substitution) for c in obj.components]
-        components = []
-        for i in range(ring.nvars):
-            total = ring.zero()
-            for j in range(ring.nvars):
-                if g[i][j]:
-                    total = total + moved[j].scale(g[i][j])
-            components.append(total)
-        return PolyVectorField(ring, components)
-    k = obj.degree
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for indices, coeff in obj.terms.items():
-        moved = coeff.substitute(substitution)
-        # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index tuple
-        # expands through minors of inv
-        for target in combinations(range(ring.nvars), k):
-            det = _minor_det(inv, indices, target)
-            if det:
-                add = moved.scale(det)
-                prior = out.get(target)
-                add = add if prior is None else prior + add
-                if add.is_zero():
-                    out.pop(target, None)
+class _MonomialImages:
+    """The linear substitution x -> m.x over a ring as a table from an
+    exponent tuple e to the terms of (m.x)^e.  An entry is built from the
+    entry for e - e_i times the i-th linear form, once, when first met, and
+    kept as a tuple of (exponents, coefficient) pairs: smaller than a dict,
+    and the table lives as long as its group."""
+
+    __slots__ = ("ring", "linear", "images")
+
+    def __init__(self, m: Matrix, ring: PolyRing):
+        self.ring = ring
+        # the i-th linear form as (j, m[i][j]) over its nonzero terms
+        self.linear = [
+            [(e.index(1), c) for e, c in p.terms.items()] for p in _linear_substitution(m, ring)
+        ]
+        one = (0,) * ring.nvars
+        self.images: dict[Exponents, Terms] = {one: ((one, Fraction(1)),)}
+
+    def image(self, exps: Exponents) -> Terms:
+        images = self.images
+        found = images.get(exps)
+        missing = []
+        while found is None:
+            i = max(j for j, k in enumerate(exps) if k)
+            missing.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            found = images.get(exps)
+        for exps, i in reversed(missing):
+            product: dict[Exponents, Fraction] = {}
+            for f, v in found:
+                for j, c in self.linear[i]:
+                    e = f[:j] + (f[j] + 1,) + f[j + 1 :]
+                    new = product.get(e, 0) + v * c
+                    if new:
+                        product[e] = new
+                    else:
+                        del product[e]
+            images[exps] = found = tuple(product.items())
+        return found
+
+    def accumulate(self, out: dict, p: Polynomial, factor: Fraction):
+        """Add factor * p(m.x) into the term dict ``out``; p(m.x) is the
+        polynomial ``p.substitute`` gives for the linear forms of m."""
+        for exps, coeff in p.terms.items():
+            c = coeff * factor
+            for e, v in self.image(exps):
+                new = out.get(e, 0) + c * v
+                if new:
+                    out[e] = new
                 else:
-                    out[target] = add
-    return PolyDiffForm(ring, k, out)
+                    del out[e]
+
+
+def _act_sum(moves, obj):
+    """The sum of g . obj over the (g, (g^-1, monomial images under
+    x -> g^-1 x)) pairs in ``moves``, for a polynomial, field or form over
+    the images' ring, accumulated term by term."""
+    ring = obj.ring
+    if isinstance(obj, Polynomial):
+        out: dict = {}
+        for _, (_, images) in moves:
+            images.accumulate(out, obj, Fraction(1))
+        return Polynomial(ring, out)
+    n = ring.nvars
+    if isinstance(obj, PolyVectorField):
+        # (g.X)_i = sum_j g[i][j] X_j(g^-1 x)
+        outs = [{} for _ in range(n)]
+        for g, (_, images) in moves:
+            for j, c in enumerate(obj.components):
+                for i in range(n):
+                    if g[i][j]:
+                        images.accumulate(outs[i], c, g[i][j])
+        return PolyVectorField(ring, [Polynomial(ring, t) for t in outs])
+    k = obj.degree
+    forms: dict[tuple[int, ...], dict] = {}
+    for _, (inv, images) in moves:
+        for indices, coeff in obj.terms.items():
+            # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index
+            # tuple expands through minors of inv
+            for target in combinations(range(n), k):
+                det = _minor_det(inv, indices, target)
+                if det:
+                    images.accumulate(forms.setdefault(target, {}), coeff, det)
+    return PolyDiffForm(ring, k, {t: Polynomial(ring, terms) for t, terms in forms.items()})
 
 
 def _act_by(g, obj):
     g = matrix_from_rows(g)
     inv = mat_inverse(g)
-    return _act(g, inv, _linear_substitution(inv, obj.ring), obj)
+    return _act_sum([(g, (inv, _MonomialImages(inv, obj.ring)))], obj)
 
 
 def act_poly(g, p: Polynomial) -> Polynomial:
@@ -473,7 +533,7 @@ def is_invariant(obj, group: FiniteMatrixGroup) -> bool:
     if not isinstance(obj, (Polynomial, PolyVectorField, PolyDiffForm)):
         raise TypeError(f"cannot test invariance of {type(obj).__name__}")
     moves = group._moves(obj.ring)
-    return all(_act(g, *moves[g], obj) == obj for g in group.generators)
+    return all(_act_sum([(g, moves[g])], obj) == obj for g in group.generators)
 
 
 def reynolds(obj, group: FiniteMatrixGroup):
@@ -481,17 +541,9 @@ def reynolds(obj, group: FiniteMatrixGroup):
 
     Summation runs in the deterministic element order of the group.
     """
-    if isinstance(obj, Polynomial):
-        total = obj.ring.zero()
-    elif isinstance(obj, PolyVectorField):
-        total = PolyVectorField.zero(obj.ring)
-    elif isinstance(obj, PolyDiffForm):
-        total = PolyDiffForm.zero(obj.ring, obj.degree)
-    else:
+    if not isinstance(obj, (Polynomial, PolyVectorField, PolyDiffForm)):
         raise TypeError(f"cannot average {type(obj).__name__}")
-    for g, (inv, substitution) in group._moves(obj.ring).items():
-        total = total + _act(g, inv, substitution, obj)
-    return total * Fraction(1, group.order)
+    return _act_sum(group._moves(obj.ring).items(), obj) * Fraction(1, group.order)
 
 
 def infinitesimal_fields(action: LieAlgebraAction, ring: PolyRing) -> list[PolyVectorField]:

@@ -72,7 +72,8 @@ class HilbertMap:
     of x -> (sigma_1(x), ..., sigma_l(x)) carries the quotient structure.
     """
 
-    __slots__ = ("group", "sigma", "ring", "orbit_ring", "combined_ring", "tag_basis")
+    __slots__ = ("group", "sigma", "ring", "orbit_ring", "combined_ring", "tag_basis",
+                 "_monomial_forms", "_relations", "__weakref__")
 
     def __init__(self, group, sigma, ring, orbit_ring, combined_ring, tag_basis):
         self.group = group
@@ -81,6 +82,11 @@ class HilbertMap:
         self.orbit_ring = orbit_ring
         self.combined_ring = combined_ring
         self.tag_basis = tag_basis
+        # normal forms of ambient monomials against the tagged basis as
+        # (exponents, coefficient) pairs, by exponent tuple, filled as
+        # subduction meets them
+        self._monomial_forms: dict = {}
+        self._relations: RelationIdeal | None = None
 
     @staticmethod
     def from_polynomials(group: FiniteMatrixGroup, polys) -> "HilbertMap":
@@ -129,12 +135,27 @@ def _assemble(group, sigma, ring) -> HilbertMap:
 
 def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
     """The y-polynomial rewriting p through the generators, or None if p is
-    not in the subalgebra they generate."""
+    not in the subalgebra they generate.
+
+    The normal form is linear, so it is summed over p's monomials from the
+    normal forms of the monomials, each computed once per map."""
     n = hmap.ring.nvars
-    nf = normal_form(embed(p, hmap.combined_ring, 0), hmap.tag_basis)
-    if any(any(e[:n]) for e in nf.terms):
+    forms = hmap._monomial_forms
+    total: dict = {}
+    for exps, coeff in p.terms.items():
+        form = forms.get(exps)
+        if form is None:
+            monomial = embed(p.ring.monomial(exps), hmap.combined_ring, 0)
+            form = forms[exps] = tuple(normal_form(monomial, hmap.tag_basis).terms.items())
+        for e, v in form:
+            new = total.get(e, 0) + coeff * v
+            if new:
+                total[e] = new
+            else:
+                del total[e]
+    if any(any(e[:n]) for e in total):
         return None
-    return restrict(nf, hmap.orbit_ring, n)
+    return restrict(Polynomial(hmap.combined_ring, total), hmap.orbit_ring, n)
 
 
 def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
@@ -174,11 +195,20 @@ def invariant_generators(
 
     The default bound |G| is complete in characteristic zero (Noether).
     Output order is canonical: ascending degree, then descending grevlex
-    leading monomial within a degree.
+    leading monomial within a degree.  The map is built once per group
+    instance and bound: while a caller holds it, a later call returns the
+    same map.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be positive")
+    hmap = group._hilbert_maps.get(bound)
+    if hmap is None:
+        hmap = group._hilbert_maps[bound] = _search_generators(group, bound)
+    return hmap
+
+
+def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None
@@ -222,14 +252,16 @@ class RelationIdeal:
 
 def relations(hmap: HilbertMap) -> RelationIdeal:
     """Eliminate the x block from the tagged ideal; every output vanishes
-    identically under substitution of the generators."""
-    n = hmap.ring.nvars
-    gens = list(hmap.tag_basis.generators)
-    basis = eliminate(gens, n)
-    for g in basis.generators:
-        if not hmap.substitute_into(g).is_zero():
-            raise AssertionError("internal error: relation fails under substitution")
-    return RelationIdeal(basis)
+    identically under substitution of the generators.  Computed once per
+    map."""
+    if hmap._relations is None:
+        n = hmap.ring.nvars
+        basis = eliminate(list(hmap.tag_basis.generators), n)
+        for g in basis.generators:
+            if not hmap.substitute_into(g).is_zero():
+                raise AssertionError("internal error: relation fails under substitution")
+        hmap._relations = RelationIdeal(basis)
+    return hmap._relations
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import combinations
 from fractions import Fraction
 
 from .algebra import GREVLEX, PolyRing, Polynomial, parse_polynomial
-from .groebner import GroebnerBasis, SubmoduleProblem, module_solve, syzygies
+from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, module_solve
 from .group_action import (
     LieAlgebraAction,
     PolyDiffForm,
@@ -103,7 +103,7 @@ class OrbitSpace:
     def _generator_span(self) -> SubmoduleProblem:
         """The pushed generators as one membership problem modulo the
         relations; its module basis is built once and shared by every
-        lift and bracket expansion."""
+        lift, bracket expansion and the generator syzygies."""
         if self._span is None:
             columns = tuple(
                 tuple(c.rep for c in Y.components) for Y in self.pushed_generators
@@ -117,7 +117,7 @@ class OrbitSpace:
     def generator_syzygies(self) -> list[tuple[Polynomial, ...]]:
         """Relations among the pushed generators modulo the relation ideal."""
         if self._syzygies is None:
-            self._syzygies = syzygies(self._generator_span.columns, self.ideal.basis)
+            self._syzygies = _span_syzygies(self._generator_span)
         return self._syzygies
 
     @property

@@ -14,8 +14,8 @@ from conftest import (
     random_vf,
     suite_action_laws,
 )
-from orbitcalc.algebra import PolyRing, parse_polynomial
-from orbitcalc.exterior import d
+from orbitcalc.algebra import PolyRing, Polynomial, parse_polynomial
+from orbitcalc.exterior import d, wedge
 from orbitcalc.group_action import (
     LieAlgebraAction,
     PolyDiffForm,
@@ -204,3 +204,96 @@ def test_dimension_mismatch_errors():
         act_poly(NEG_IDENTITY, p3)
     with pytest.raises(ValueError):
         act_vf(NEG_IDENTITY, random_vf(random.Random(0), three))
+
+
+# ---------------------------------------------------------------------------
+# the tabled action against direct substitution
+# ---------------------------------------------------------------------------
+
+# D3 on R^2 with its non-monomial rotation, and Z2 x Z2 on R^3.
+TABLED_GROUPS = {
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z2z2_r3": [
+        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    ],
+}
+
+
+def direct_act(g, obj):
+    """g . obj through Polynomial.substitute and, for a form, the wedge of
+    the differentials d(g^-1 x)_i: no monomial image table."""
+    inv = mat_inverse(g)
+    ring = obj.ring
+    n = ring.nvars
+    subs = [
+        sum((ring.variable(j).scale(inv[i][j]) for j in range(n)), ring.zero())
+        for i in range(n)
+    ]
+    if isinstance(obj, Polynomial):
+        return obj.substitute(subs)
+    if isinstance(obj, PolyVectorField):
+        moved = [c.substitute(subs) for c in obj.components]
+        return PolyVectorField(
+            ring,
+            [sum((moved[j].scale(g[i][j]) for j in range(n)), ring.zero()) for i in range(n)],
+        )
+    total = PolyDiffForm.zero(ring, obj.degree)
+    for indices, coeff in obj.terms.items():
+        piece = coeff.substitute(subs)
+        for i in indices:
+            piece = wedge(piece, d(subs[i]))
+        total = total + piece
+    return total
+
+
+def public_act(g, obj):
+    if isinstance(obj, Polynomial):
+        return act_poly(g, obj)
+    if isinstance(obj, PolyVectorField):
+        return act_vf(g, obj)
+    return act_form(g, obj)
+
+
+def seeded_objects(rng, ring):
+    """Polynomials, fields and 1- and 2-forms with up to quartic terms."""
+    objects = [random_poly(rng, ring, 4, 5) for _ in range(4)]
+    objects += [random_vf(rng, ring, 3, 3) for _ in range(3)]
+    objects += [random_form(rng, ring, k, 3, 3) for k in (1, 1, 2, 2)]
+    return objects
+
+
+@pytest.mark.parametrize("name", sorted(TABLED_GROUPS))
+def test_tabled_action_matches_direct_substitution(name):
+    group = closure(TABLED_GROUPS[name])
+    ring = PolyRing.ambient(group.n)
+    rng = random.Random(f"tabled-{name}")
+    for obj in seeded_objects(rng, ring):
+        moved = [direct_act(g, obj) for g in group.elements]
+        assert [public_act(g, obj) for g in group.elements] == moved
+        total = moved[0]
+        for image in moved[1:]:
+            total = total + image
+        average = total * Fraction(1, group.order)
+        assert reynolds(obj, group) == average
+        expected = all(direct_act(g, obj) == obj for g in group.generators)
+        assert is_invariant(obj, group) == expected
+        assert is_invariant(average, group)
+        assert all(direct_act(g, average) == average for g in group.elements)
+        # a second pass reads the filled tables and gives the same answers
+        assert reynolds(obj, group) == average
+        assert is_invariant(obj, group) == expected
+
+
+def test_monomial_tables_belong_to_their_group():
+    first = closure(TABLED_GROUPS["d3_r2"])
+    second = closure(TABLED_GROUPS["d3_r2"])
+    assert first == second
+    reynolds(x("x1^3*x2 - 2*x2^2"), first)
+    assert not second._moves_by_ring
+    filled = {g: dict(images.images) for g, (_, images) in first._moves(RING).items()}
+    reynolds(x("x1^5 + x1*x2^4"), second)
+    reynolds(field("x1^2*x2", "x2^3"), second)
+    assert {g: dict(images.images) for g, (_, images) in first._moves(RING).items()} == filled
+    tables = {id(images) for _, images in first._moves(RING).values()}
+    assert tables.isdisjoint(id(images) for _, images in second._moves(RING).values())

@@ -1,22 +1,27 @@
 """Invariant ring generation, relations, subduction, equivariant module."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import (
     coefficient_vector,
     make_reflection_group,
+    make_rotation4_group,
     make_swap_group,
     monomials_up_to,
     random_poly,
 )
-from orbitcalc import linalg
-from orbitcalc.algebra import PolyRing, parse_polynomial
+from orbitcalc import invariants, linalg
+from orbitcalc.algebra import PolyRing, embed, parse_polynomial, restrict
+from orbitcalc.groebner import normal_form
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
 from orbitcalc.invariants import (
     EquivariantModule,
     HilbertMap,
+    _subalgebra_rewrite,
     equivariant_generators,
     invariant_basis,
     invariant_combination,
@@ -240,6 +245,97 @@ def test_subduct_reports_truncated_subalgebra():
     partial = HilbertMap.from_polynomials(make_trivial_group(), [x("x1")])
     with pytest.raises(ValueError, match="not in subalgebra"):
         subduct(x("x2"), partial)
+
+
+def make_d3_group():
+    return closure([[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]])
+
+
+def direct_rewrite(p, hmap):
+    """The rewrite by one normal form of the whole polynomial against the
+    tagged basis, with no per-monomial memo."""
+    n = hmap.ring.nvars
+    nf = normal_form(embed(p, hmap.combined_ring, 0), hmap.tag_basis)
+    if any(any(e[:n]) for e in nf.terms):
+        return None
+    return restrict(nf, hmap.orbit_ring, n)
+
+
+SUBDUCTION_GROUPS = [make_reflection_group, make_swap_group, make_rotation4_group, make_d3_group]
+
+
+@pytest.mark.parametrize("make_group", SUBDUCTION_GROUPS)
+def test_tabled_rewrite_matches_one_normal_form(make_group):
+    group = make_group()
+    hmap = invariant_generators(group)
+    rng = random.Random(f"rewrite-{make_group.__name__}")
+    for _ in range(25):
+        p = reynolds(random_poly(rng, RING, 7, 4), group)
+        expected = direct_rewrite(p, hmap)
+        assert expected is not None
+        assert _subalgebra_rewrite(p, hmap) == expected
+        assert str(subduct(p, hmap)) == str(expected)
+
+
+@pytest.mark.parametrize("make_group", SUBDUCTION_GROUPS)
+def test_tabled_rewrite_rejects_the_same_non_members(make_group):
+    group = make_group()
+    truncated = invariant_generators(group, 2)
+    rng = random.Random(f"non-members-{make_group.__name__}")
+    outside = {"raw": 0, "averaged": 0}
+    for _ in range(25):
+        for kind, p in (
+            ("raw", random_poly(rng, RING, 6, 4)),
+            ("averaged", reynolds(random_poly(rng, RING, 6, 4), group)),
+        ):
+            expected = direct_rewrite(p, truncated)
+            assert _subalgebra_rewrite(p, truncated) == expected
+            outside[kind] += expected is None
+    assert outside["raw"] > 0
+    # where the bound cuts generators off, some invariants fall outside too
+    if len(invariant_generators(group).sigma) > len(truncated.sigma):
+        assert outside["averaged"] > 0
+
+
+# ---------------------------------------------------------------------------
+# one Hilbert map per group
+# ---------------------------------------------------------------------------
+
+def test_hilbert_map_and_relations_are_built_once(monkeypatch):
+    group = make_rotation4_group()
+    hmap = invariant_generators(group)
+    assert invariant_generators(group) is hmap
+    assert invariant_generators(group, group.order) is hmap
+    assert invariant_generators(group, 2) is not hmap
+    assert invariant_generators(make_rotation4_group()) is not hmap
+    ideal = relations(hmap)
+    assert relations(hmap) is ideal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hilbert map or its relations were built again")
+
+    monkeypatch.setattr(invariants, "_search_generators", refuse)
+    monkeypatch.setattr(invariants, "eliminate", refuse)
+    module = equivariant_generators(group)
+    assert EquivariantModule.from_fields(group, module.generators) == module
+    assert invariant_combination(module.generators[0], module.generators, group) is not None
+
+
+def test_hilbert_map_is_freed_with_its_last_reference():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = make_swap_group()
+        hmap = invariant_generators(group)
+        relations(hmap)
+        subduct(x("x1^2 + x2^2"), hmap)
+        ref = weakref.ref(hmap)
+        del hmap
+        assert ref() is None
+        assert not group._hilbert_maps
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,11 @@ def test_one_module_basis_serves_lifts_and_brackets(monkeypatch):
     assert len(space.bracket_coefficients) == 6
     for Y in space.pushed_generators:
         check_lift_roundtrip(space, Y)
+    syzygies = space.generator_syzygies
     assert len(builds) == 1
+    # the public entry point, on its own basis, gives the same rows
+    assert groebner.syzygies(space._generator_span.columns, space.ideal.basis) == syzygies
+    assert len(builds) == 2
 
 
 def test_orbit_bracket_golden(golden_space):
