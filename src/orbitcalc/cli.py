@@ -37,7 +37,7 @@ from .exterior import (
     vf_from_json,
     vf_to_json,
 )
-from .invariants import HilbertMap, equivariant_generators, invariant_generators
+from .invariants import HilbertMap, equivariant_generators, invariant_generators, relations
 from .quotient import (
     OrbitSpace,
     extend_check,
@@ -266,7 +266,7 @@ def cmd_invariants(ctx: Context, args) -> tuple[int, str, dict]:
     return 0, text, {"invariants": [str(s) for s in sigma]}
 
 def cmd_relations(ctx: Context, args) -> tuple[int, str, dict]:
-    basis = ctx.space.ideal.basis.generators
+    basis = relations(ctx.hilbert).basis.generators
     text = "\n".join(str(g) for g in basis) if basis else "(zero ideal)"
     return 0, text, {"relations": [str(g) for g in basis]}
 

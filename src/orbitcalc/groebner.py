@@ -1,7 +1,8 @@
 """Buchberger-based ideal and module computations.
 
 Scalar layer: reduced Groebner bases (sugar selection strategy, product and
-chain criteria), normal forms, and elimination ideals.
+chain criteria), normal forms, and elimination ideals.  Scalar bases build
+no representations; only the module layer reads them.
 
 Module layer: a rank-r vector is encoded as the tag-linear polynomial
 sum(e_i * v_i) in r position-tag variables, under a block order that
@@ -137,14 +138,24 @@ def divide(
 @dataclass
 class _Tracked:
     poly: Polynomial
-    rep: list[Polynomial]  # poly == sum(rep[j] * original[j])
+    rep: list[Polynomial] | None  # poly == sum(rep[j] * original[j]); None untracked
     sugar: int
     lead: tuple[Exponents, Fraction]  # poly.leading(order), computed once
 
 
 def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
     lm, lc = t.lead
-    return _Tracked(t.poly.scale(c), [r.scale(c) for r in t.rep], t.sugar, (lm, lc * c))
+    rep = None if t.rep is None else [r.scale(c) for r in t.rep]
+    return _Tracked(t.poly.scale(c), rep, t.sugar, (lm, lc * c))
+
+
+def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
+    """``rep - sum(q_k * basis_k.rep)``: the representation of a remainder
+    after dividing by ``basis`` with the given quotients."""
+    for q, u in zip(quotients, basis):
+        if not q.is_zero():
+            rep = [r - q * ur for r, ur in zip(rep, u.rep)]
+    return rep
 
 
 def _buchberger_tracked(
@@ -152,6 +163,7 @@ def _buchberger_tracked(
     order: MonomialOrder,
     cancel: CancelCheck | None = None,
     rank: int = 0,
+    track: bool = True,
 ) -> list[_Tracked]:
     """Reduced Groebner basis with representations over ``gens``.
 
@@ -159,7 +171,9 @@ def _buchberger_tracked(
     monomial (descending) so results are byte-reproducible.  With ``rank`` > 0
     the first ``rank`` variables are module positions: no pair is formed
     between elements whose leading monomials differ there, which makes the
-    result a position-over-term module basis of tag-linear inputs.
+    result a position-over-term module basis of tag-linear inputs.  With
+    ``track`` false no representation is built and every ``rep`` is None;
+    the basis is the same.
     """
     basis: list[_Tracked] = []
     # Pending S-pairs, smallest (sugar, lcm, i, j) first.  The basis only
@@ -187,8 +201,10 @@ def _buchberger_tracked(
     for j, g in enumerate(gens):
         if g.is_zero():
             continue  # zero generators are dropped silently
-        rep = [g.ring.zero() for _ in gens]
-        rep[j] = g.ring.one()
+        rep = None
+        if track:
+            rep = [g.ring.zero() for _ in gens]
+            rep[j] = g.ring.one()
         append(_Tracked(g, rep, g.degree(), g.leading(order)))
 
     while queue:
@@ -224,15 +240,13 @@ def _buchberger_tracked(
         )
         if remainder.is_zero():
             continue
-        rep = [
-            fi.rep[m].mul_monomial(ui, Fraction(1) / ci)
-            - fj.rep[m].mul_monomial(uj, Fraction(1) / cj)
-            for m in range(len(gens))
-        ]
-        for k, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            rep = [r - q * basis[k].rep[m] for m, r in enumerate(rep)]
+        rep = None
+        if track:
+            rep = [
+                ri.mul_monomial(ui, Fraction(1) / ci) - rj.mul_monomial(uj, Fraction(1) / cj)
+                for ri, rj in zip(fi.rep, fj.rep)
+            ]
+            rep = _subtract_reps(rep, quotients, basis)
         sugar = max(s_sugar, remainder.degree())
         append(_Tracked(remainder, rep, sugar, remainder.leading(order)))
 
@@ -262,10 +276,7 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
         remainder, quotients = divide(
             t.poly, [u.poly for u in others], order, _leads=[u.lead for u in others]
         )
-        rep = list(t.rep)
-        for q, u in zip(quotients, others):
-            if not q.is_zero():
-                rep = [r - q * u.rep[m] for m, r in enumerate(rep)]
+        rep = None if t.rep is None else _subtract_reps(t.rep, quotients, others)
         lc = t.lead[1]
         reduced.append(
             _scale_tracked(_Tracked(remainder, rep, t.sugar, t.lead), Fraction(1) / lc)
@@ -307,7 +318,7 @@ def buchberger(
     rings = {g.ring for g in gens}
     if len(rings) > 1:
         raise ValueError("incompatible rings among generators")
-    tracked = _buchberger_tracked(gens, order, cancel)
+    tracked = _buchberger_tracked(gens, order, cancel, track=False)
     return GroebnerBasis(tuple(t.poly for t in tracked), order, True)
 
 
@@ -332,24 +343,33 @@ def eliminate(
     cancel: CancelCheck | None = None,
 ) -> GroebnerBasis:
     """Intersect the ideal with the subring omitting the first ``drop``
-    variables (block-elimination order, dropped block first).
+    variables: one reduced basis under the block-elimination order (dropped
+    block first), read off by :func:`_elimination_part`.
 
     Input polynomials live in the combined alphabet; the output basis lives
-    in the ring of the kept trailing variables.
+    in the ring of the kept trailing variables, in grevlex order.
     """
-    if not gens:
+    return _elimination_part(buchberger(gens, BlockOrder(drop), cancel), drop)
+
+
+def _elimination_part(block_gb: GroebnerBasis, drop: int) -> GroebnerBasis:
+    """The elements of a reduced ``BlockOrder(drop)`` basis that are free of
+    the first ``drop`` variables, restricted to the ring of the others.
+
+    By the elimination theorem they are a Groebner basis of the elimination
+    ideal for the order the block order induces on the kept variables, which
+    is grevlex.  Monic and interreduced already, they are its reduced grevlex
+    basis, in the descending order :func:`buchberger` gives.
+    """
+    if not block_gb.generators:
         return GroebnerBasis((), GREVLEX, True)
-    combined = gens[0].ring
-    keep_ring = PolyRing(combined.names[drop:])
-    block_gb = buchberger(gens, BlockOrder(drop), cancel)
-    kept = []
-    for g in block_gb.generators:
-        if all(not any(e[:drop]) for e in g.terms):
-            kept.append(restrict(g, keep_ring, drop))
-    # the kept elements form a Groebner basis for the induced order; rerun to
-    # present the unique reduced basis in the plain grevlex order of the
-    # smaller ring
-    return buchberger(kept, GREVLEX, cancel)
+    keep_ring = PolyRing(block_gb.generators[0].ring.names[drop:])
+    kept = tuple(
+        restrict(g, keep_ring, drop)
+        for g in block_gb.generators
+        if not any(any(e[:drop]) for e in g.terms)
+    )
+    return GroebnerBasis(kept, GREVLEX, True)
 
 
 # ---------------------------------------------------------------------------

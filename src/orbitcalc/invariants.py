@@ -6,7 +6,14 @@ invariant vector fields.
 The subduction backbone is the tagged ideal < y_j - sigma_j(x) > in a block
 elimination order with the x block first: the normal form of an invariant
 polynomial against it contains no x variable, and reading off the y part
-rewrites the invariant through the generators.
+rewrites the invariant through the generators.  The x-free elements of
+that basis are the reduced basis of the relation ideal (elimination
+theorem), so the relations need no Groebner basis of their own.
+
+The generators are found degree by degree.  The invariant ring is graded, so
+whether a Reynolds average of degree d is new is linear algebra over the
+normal forms against the map of the lower-degree generators: one tagged
+basis per degree that gains generators, none per candidate.
 
 Membership of an invariant field in the span of others is decided one level
 down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
@@ -33,8 +40,8 @@ from .algebra import (
 from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
+    _elimination_part,
     buchberger,
-    eliminate,
     module_solve,
     normal_form,
 )
@@ -133,13 +140,12 @@ def _assemble(group, sigma, ring) -> HilbertMap:
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 
-def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
-    """The y-polynomial rewriting p through the generators, or None if p is
-    not in the subalgebra they generate.
+def _normal_form_terms(p: Polynomial, hmap: HilbertMap) -> dict:
+    """The terms of p's normal form against the tagged basis, by exponents
+    in the combined alphabet.
 
     The normal form is linear, so it is summed over p's monomials from the
     normal forms of the monomials, each computed once per map."""
-    n = hmap.ring.nvars
     forms = hmap._monomial_forms
     total: dict = {}
     for exps, coeff in p.terms.items():
@@ -153,6 +159,14 @@ def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
                 total[e] = new
             else:
                 del total[e]
+    return total
+
+
+def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
+    """The y-polynomial rewriting p through the generators, or None if p is
+    not in the subalgebra they generate."""
+    n = hmap.ring.nvars
+    total = _normal_form_terms(p, hmap)
     if any(any(e[:n]) for e in total):
         return None
     return restrict(Polynomial(hmap.combined_ring, total), hmap.orbit_ring, n)
@@ -191,7 +205,18 @@ def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
 def invariant_generators(
     group: FiniteMatrixGroup, degree_bound: int | None = None
 ) -> HilbertMap:
-    """Generators of the invariant ring by degreewise Reynolds averaging.
+    """Generators of the invariant ring by a graded search over Reynolds
+    averages of monomials.
+
+    The invariant ring is graded, so a degree-d average lies in the
+    subalgebra of the generators found so far exactly when its normal form
+    against the map of the lower-degree generators, less a combination of
+    the degree-d generators' normal forms, is free of x; an exact echelon
+    of those x parts decides each candidate.  One tagged basis is built per
+    degree that gains generators.  Every generator is checked invariant,
+    and each degree's generators must stay independent modulo the lower
+    map, which for homogeneous generators is the leave-one-out minimality
+    test of :meth:`HilbertMap.from_polynomials`.
 
     The default bound |G| is complete in characteristic zero (Noether).
     Output order is canonical: ascending degree, then descending grevlex
@@ -211,21 +236,60 @@ def invariant_generators(
 def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
     sigma: list[Polynomial] = []
-    hmap: HilbertMap | None = None
+    hmap: HilbertMap | None = None  # the map of all generators found so far
     for degree in range(1, bound + 1):
+        rows: dict = {}
+        found = []
         for mono in _monomials_of_degree(ring, degree):
             candidate = reynolds(mono, group)
-            if candidate.is_zero():
-                continue
-            if hmap is not None and _subalgebra_rewrite(candidate, hmap) is not None:
-                continue
-            sigma.append(candidate.primitive())
-            hmap = _assemble(group, tuple(sigma), ring)
+            if not candidate.is_zero() and _echelon_insert(_x_part(candidate, hmap), rows):
+                found.append(candidate.primitive())
+        if not found:
+            continue
+        found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
+        # the checks of from_polynomials: invariance, and minimality as
+        # independence of the sorted generators modulo the lower map
+        rows = {}
+        for p in found:
+            if not is_invariant(p, group):
+                raise AssertionError(f"internal error: not invariant: {p}")
+            if not _echelon_insert(_x_part(p, hmap), rows):
+                raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
+        sigma.extend(found)
+        hmap = _assemble(group, tuple(sigma), ring)
     if hmap is None:
         raise ValueError("no invariants found up to the degree bound")
-    sigma.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
-    sigma.sort(key=Polynomial.degree)
-    return HilbertMap.from_polynomials(group, sigma)
+    return hmap
+
+
+def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
+    """The terms of p's normal form against the map that involve x (all of
+    p without a map): zero exactly when p is in the map's subalgebra."""
+    if hmap is None:
+        return dict(p.terms)
+    n = hmap.ring.nvars
+    return {e: c for e, c in _normal_form_terms(p, hmap).items() if any(e[:n])}
+
+
+def _echelon_insert(vector: dict, rows: dict) -> bool:
+    """Reduce a sparse vector, in place, by echelon rows (keyed by their
+    largest coordinate, which has coefficient 1); if something is left, add
+    it as a row and return True, else return False."""
+    while vector:
+        pivot = max(vector)
+        row = rows.get(pivot)
+        if row is None:
+            scale = vector[pivot]
+            rows[pivot] = {e: c / scale for e, c in vector.items()}
+            return True
+        factor = vector[pivot]
+        for e, c in row.items():
+            new = vector.get(e, 0) - factor * c
+            if new:
+                vector[e] = new
+            else:
+                del vector[e]
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +315,12 @@ class RelationIdeal:
 
 
 def relations(hmap: HilbertMap) -> RelationIdeal:
-    """Eliminate the x block from the tagged ideal; every output vanishes
-    identically under substitution of the generators.  Computed once per
-    map."""
+    """The x-free elements of the tagged basis: by the elimination theorem
+    the reduced basis of the relations, with no Groebner basis built here.
+    Every output vanishes identically under substitution of the generators.
+    Computed once per map."""
     if hmap._relations is None:
-        n = hmap.ring.nvars
-        basis = eliminate(list(hmap.tag_basis.generators), n)
+        basis = _elimination_part(hmap.tag_basis, hmap.ring.nvars)
         for g in basis.generators:
             if not hmap.substitute_into(g).is_zero():
                 raise AssertionError("internal error: relation fails under substitution")

@@ -65,6 +65,15 @@ def test_relations_listing(capsys):
     assert payload == {"relations": ["y2^2 - y1*y3"]}
 
 
+def test_relations_listing_needs_no_equivariant_search(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("relations searched the equivariant generators")
+
+    monkeypatch.setattr(cli, "equivariant_generators", refuse)
+    code, out, err = run(capsys, "relations", "-i", Z2)
+    assert (code, out.strip(), err) == (0, "y2^2 - y1*y3", "")
+
+
 def test_equivariants_listing(capsys):
     code, out, _ = run(capsys, "equivariants", "-i", Z2)
     assert code == 0

@@ -219,6 +219,32 @@ def test_tracked_basis_properties(order):
             assert divide(g, basis, order)[0].is_zero()
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
+def test_untracked_basis_equals_tracked_basis(order):
+    """``buchberger`` builds no representations but the same basis."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(43)
+    for _ in range(10):
+        gens = random_ideal(rng, ring)
+        tracked = _buchberger_tracked(gens, order)
+        assert buchberger(gens, order).generators == tuple(t.poly for t in tracked)
+        assert all(t.rep is None for t in _buchberger_tracked(gens, order, track=False))
+
+
+@pytest.mark.parametrize("drop", [1, 2])
+def test_eliminate_reads_off_the_reduced_grevlex_basis(drop):
+    """The x-free part of the block basis needs no second Buchberger run."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(47)
+    nonzero = 0
+    for _ in range(10):
+        gb = eliminate(random_ideal(rng, ring), drop)
+        assert gb.order is GREVLEX
+        assert buchberger(list(gb.generators), GREVLEX).generators == gb.generators
+        nonzero += bool(gb.generators)
+    assert nonzero > 0
+
+
 def test_eliminate_recovers_relation():
     combined = PolyRing.ambient(2).joined(ORBIT)
     tags = []

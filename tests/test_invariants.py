@@ -15,8 +15,8 @@ from conftest import (
     random_poly,
 )
 from orbitcalc import invariants, linalg
-from orbitcalc.algebra import PolyRing, embed, parse_polynomial, restrict
-from orbitcalc.groebner import normal_form
+from orbitcalc.algebra import GREVLEX, PolyRing, Polynomial, embed, parse_polynomial, restrict
+from orbitcalc.groebner import buchberger, eliminate, normal_form
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
 from orbitcalc.invariants import (
     EquivariantModule,
@@ -298,6 +298,88 @@ def test_tabled_rewrite_rejects_the_same_non_members(make_group):
 
 
 # ---------------------------------------------------------------------------
+# graded generator search and relations read off the tagged basis
+# ---------------------------------------------------------------------------
+
+# The benchmark's presentation and elimination ladders (unconjugated), the
+# swap group and one more; the rotation and D3 groups are the z4_r2 and d3_r2
+# rungs.
+SEARCH_GROUPS = {
+    "z2_r2": [[["-1", "0"], ["0", "-1"]]],
+    "z4_r2": [[["0", "-1"], ["1", "0"]]],
+    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z2z2_r3": [
+        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    ],
+    "z2_r3": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]],
+    "z3_r3": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]],
+    "z6_r2": [[["1", "-1"], ["1", "0"]]],
+    "swap_r2": [[["0", "1"], ["1", "0"]]],
+    # Z3 in a basis where a later degree-3 average has the larger leading
+    # monomial, so the canonical sort reorders the generators found
+    "z3_r2": [[["-1", "-1"], ["1", "0"]]],
+}
+
+
+def sequential_generators(group):
+    """The generator search one candidate at a time: a Reynolds average is
+    kept when the map of every generator kept so far cannot rewrite it, and
+    the map is assembled again after each kept candidate.  The result is
+    sorted by degree, then by descending grevlex leading monomial."""
+    ring = PolyRing.ambient(group.n)
+    sigma = []
+    hmap = None
+    for degree in range(1, group.order + 1):
+        for mono in invariants._monomials_of_degree(ring, degree):
+            candidate = reynolds(mono, group)
+            if candidate.is_zero():
+                continue
+            if hmap is not None and direct_rewrite(candidate, hmap) is not None:
+                continue
+            sigma.append(candidate.primitive())
+            hmap = invariants._assemble(group, tuple(sigma), ring)
+    sigma.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
+    sigma.sort(key=Polynomial.degree)
+    return sigma
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_GROUPS))
+def test_graded_search_matches_sequential_search(rung, monkeypatch):
+    group = closure(SEARCH_GROUPS[rung])
+    expected = sequential_generators(group)
+    assembled = []
+
+    def counting(group, sigma, ring):
+        assembled.append(len(sigma))
+        return assemble(group, sigma, ring)
+
+    assemble = invariants._assemble
+    monkeypatch.setattr(invariants, "_assemble", counting)
+    hmap = invariant_generators(group)
+    monkeypatch.undo()
+    assert [str(s) for s in hmap.sigma] == [str(s) for s in expected]
+    # one tagged basis per degree that gains generators, the last one kept
+    assert len(assembled) == len({s.degree() for s in hmap.sigma})
+    assert assembled[-1] == len(hmap.sigma)
+    # the leave-one-out check of explicitly chosen generators accepts it
+    checked = HilbertMap.from_polynomials(group, hmap.sigma)
+    assert checked.tag_basis.generators == hmap.tag_basis.generators
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_GROUPS))
+def test_relations_read_off_equal_elimination(rung):
+    hmap = invariant_generators(closure(SEARCH_GROUPS[rung]))
+    basis = relations(hmap).basis
+    n = hmap.ring.nvars
+    assert basis.generators == eliminate(list(hmap.tag_basis.generators), n).generators
+    # the read-off is already the reduced grevlex basis of the relations
+    assert buchberger(list(basis.generators), GREVLEX).generators == basis.generators
+    assert all(g.ring == hmap.orbit_ring for g in basis.generators)
+
+
+# ---------------------------------------------------------------------------
 # one Hilbert map per group
 # ---------------------------------------------------------------------------
 
@@ -315,7 +397,8 @@ def test_hilbert_map_and_relations_are_built_once(monkeypatch):
         raise AssertionError("the Hilbert map or its relations were built again")
 
     monkeypatch.setattr(invariants, "_search_generators", refuse)
-    monkeypatch.setattr(invariants, "eliminate", refuse)
+    monkeypatch.setattr(invariants, "_assemble", refuse)
+    monkeypatch.setattr(invariants, "_elimination_part", refuse)
     module = equivariant_generators(group)
     assert EquivariantModule.from_fields(group, module.generators) == module
     assert invariant_combination(module.generators[0], module.generators, group) is not None
