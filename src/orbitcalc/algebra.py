@@ -1,7 +1,10 @@
 """Exact multivariate polynomial arithmetic over arbitrary-precision rationals.
 
 Polynomials are sparse maps from exponent tuples to ``fractions.Fraction``
-coefficients, attached to an immutable ring that fixes the variable alphabet.
+coefficients in lowest terms, attached to an immutable ring that fixes the
+variable alphabet.  A product is formed over integer numerators: each factor
+is scaled by the lcm of its denominators, the term products are summed as
+Python ints, and one normalised ``Fraction`` is made per output term.
 Three monomial orders are provided (graded reverse lexicographic,
 lexicographic, and a two-block elimination order); grevlex with the first
 variable most significant is the default used for canonical printing.
@@ -13,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -32,7 +36,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
@@ -200,6 +204,18 @@ class PolyRing:
         return Polynomial(self, out)
 
 
+def _integer_numerators(
+    terms: dict[Exponents, Fraction],
+) -> tuple[list[tuple[Exponents, int]], int]:
+    """The terms scaled to integers by the lcm of their denominators, and
+    that lcm."""
+    d = 1
+    for c in terms.values():
+        if d % c.denominator:
+            d = math.lcm(d, c.denominator)
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
 class Polynomial:
     """Sparse exact-rational polynomial; immutable once constructed."""
 
@@ -281,11 +297,12 @@ class Polynomial:
         self._check_ring(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, Fraction(0)) + coeff
+            old = out.get(exps)
+            new = coeff if old is None else old + coeff
             if new:
                 out[exps] = new
             else:
-                out.pop(exps, None)
+                del out[exps]
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -310,16 +327,20 @@ class Polynomial:
         if other is None:
             return NotImplemented
         self._check_ring(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = mono_mul(e1, e2)
-                new = out.get(exps, Fraction(0)) + c1 * c2
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
-        return Polynomial(self.ring, out)
+        if not self.terms or not other.terms:
+            return Polynomial(self.ring, {})
+        left, d1 = _integer_numerators(self.terms)
+        right, d2 = _integer_numerators(other.terms)
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        for e1, a in left:
+            for e2, b in right:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + a * b
+        d = d1 * d2
+        if d == 1:
+            return Polynomial(self.ring, {e: Fraction(v) for e, v in acc.items() if v})
+        return Polynomial(self.ring, {e: Fraction(v, d) for e, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -367,12 +388,8 @@ class Polynomial:
             e = exps[index]
             if e == 0:
                 continue
-            lowered = tuple(v - 1 if j == index else v for j, v in enumerate(exps))
-            new = out.get(lowered, Fraction(0)) + coeff * e
-            if new:
-                out[lowered] = new
-            else:
-                out.pop(lowered, None)
+            lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
+            out[lowered] = coeff * e  # lowering is injective: no two terms meet
         return Polynomial(self.ring, out)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":

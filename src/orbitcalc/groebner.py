@@ -112,18 +112,23 @@ def divide(
                 factor_exps = mono_div(exps, lm)
                 factor_coeff = coeff / lc
                 quotients[i][factor_exps] = factor_coeff
+                minus = -factor_coeff
                 for e, c in terms.items():
                     if e == lm:
                         continue
                     e = mono_mul(e, factor_exps)
-                    new = work.get(e, Fraction(0)) - factor_coeff * c
-                    if new:
-                        work[e] = new
+                    old = work.get(e)
+                    if old is None:
+                        work[e] = minus * c
                         if e not in queued:
                             queued.add(e)
                             heapq.heappush(heap, _Descending(order.key(e), e))
+                        continue
+                    new = old + minus * c
+                    if new:
+                        work[e] = new
                     else:
-                        work.pop(e, None)
+                        del work[e]
                 break
         else:
             remainder_terms[exps] = coeff

@@ -24,7 +24,8 @@ submodule membership problem over the orbit ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -33,6 +34,7 @@ from .algebra import (
     BlockOrder,
     PolyRing,
     Polynomial,
+    _integer_numerators,
     embed,
     make_primitive,
     restrict,
@@ -90,8 +92,8 @@ class HilbertMap:
         self.combined_ring = combined_ring
         self.tag_basis = tag_basis
         # normal forms of ambient monomials against the tagged basis as
-        # (exponents, coefficient) pairs, by exponent tuple, filled as
-        # subduction meets them
+        # integer numerators over one denominator, by exponent tuple,
+        # filled as subduction meets them
         self._monomial_forms: dict = {}
         self._relations: RelationIdeal | None = None
 
@@ -140,26 +142,41 @@ def _assemble(group, sigma, ring) -> HilbertMap:
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 
-def _normal_form_terms(p: Polynomial, hmap: HilbertMap) -> dict:
-    """The terms of p's normal form against the tagged basis, by exponents
-    in the combined alphabet.
-
-    The normal form is linear, so it is summed over p's monomials from the
-    normal forms of the monomials, each computed once per map."""
-    forms = hmap._monomial_forms
-    total: dict = {}
+def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form) -> dict:
+    """The terms of a normal form of p, summed over p's monomials (the
+    normal form is linear).  ``forms`` tables each monomial's normal form
+    by exponents, as integer numerators over one denominator;
+    ``monomial_form`` computes a missing one.  The sum is taken over
+    integers and the output coefficients are normalised Fractions."""
+    rows = []
+    den = 1
     for exps, coeff in p.terms.items():
         form = forms.get(exps)
         if form is None:
-            monomial = embed(p.ring.monomial(exps), hmap.combined_ring, 0)
-            form = forms[exps] = tuple(normal_form(monomial, hmap.tag_basis).terms.items())
-        for e, v in form:
-            new = total.get(e, 0) + coeff * v
-            if new:
-                total[e] = new
-            else:
-                del total[e]
-    return total
+            form = forms[exps] = _integer_numerators(monomial_form(exps).terms)
+        scale = coeff.denominator * form[1]
+        if den % scale:
+            den = math.lcm(den, scale)
+        rows.append((coeff.numerator, scale, form[0]))
+    acc: dict = {}
+    get = acc.get
+    for a, scale, numerators in rows:
+        a *= den // scale
+        for e, n in numerators:
+            acc[e] = get(e, 0) + a * n
+    return {e: Fraction(v, den) for e, v in acc.items() if v}
+
+
+def _normal_form_terms(p: Polynomial, hmap: HilbertMap) -> dict:
+    """The terms of p's normal form against the tagged basis, by exponents
+    in the combined alphabet, each monomial's form computed once per map."""
+    return _tabled_normal_form(
+        p,
+        hmap._monomial_forms,
+        lambda exps: normal_form(
+            embed(p.ring.monomial(exps), hmap.combined_ring, 0), hmap.tag_basis
+        ),
+    )
 
 
 def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
@@ -300,12 +317,26 @@ def _echelon_insert(vector: dict, rows: dict) -> bool:
 class RelationIdeal:
     """All polynomial relations among the Hilbert map generators; the orbit
     space model is its zero set.  ``basis`` is the reduced Groebner basis
-    over the orbit ring, so ``normal`` canonically represents classes."""
+    over the orbit ring, so ``normal`` canonically represents classes.
+
+    The normal form is linear, so ``normal`` sums c * NF(y^e) over the
+    terms from a table of monomial normal forms kept per ideal.  A product
+    of reduced representatives y^a * y^b = y^(a+b) is looked up there too.
+    The table takes no part in equality or hashing."""
 
     basis: GroebnerBasis
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def normal(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.basis)
+        if not self.basis.generators:
+            return p
+        ring = self.basis.generators[0].ring
+        if p.ring != ring:
+            raise ValueError("incompatible rings")
+        terms = _tabled_normal_form(
+            p, self._forms, lambda exps: normal_form(ring.monomial(exps), self.basis)
+        )
+        return Polynomial(ring, terms)
 
     def is_member(self, p: Polynomial) -> bool:
         return self.normal(p).is_zero()

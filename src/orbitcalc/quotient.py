@@ -18,6 +18,12 @@ exterior derivative and wedge product act on value tables directly: d by
 Koszul's formula over the function ring, with the bracket structure
 functions of the pushed generators, and the wedge by the shuffle sum.
 No operation here solves a dense linear system.
+
+The membership problems depend only on the space, so each is built once
+per :class:`OrbitSpace` and its module basis serves every later call: the
+pushed generators (lifts, brackets, syzygies), the columns of
+:func:`extend_check`, and the k-minors of :func:`pull_form`, one problem
+per form degree.  Every witness is still verified.
 """
 
 from __future__ import annotations
@@ -72,6 +78,8 @@ class OrbitSpace:
         )
         self._pushed: list[OrbitVectorField] | None = None
         self._span: SubmoduleProblem | None = None
+        self._extension: SubmoduleProblem | None = None
+        self._pulls: dict[int, tuple] = {}
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
         self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
 
@@ -112,6 +120,46 @@ class OrbitSpace:
                 self.orbit_ring.nvars, columns, self.ideal.basis
             )
         return self._span
+
+    @property
+    def _extension_problem(self) -> SubmoduleProblem:
+        """The columns (Y_i(y_j))_i, one per orbit coordinate, as one
+        membership problem modulo the relations, shared by every
+        :func:`extend_check` on this space."""
+        if self._extension is None:
+            pushed = self.pushed_generators
+            columns = tuple(
+                tuple(Y.components[j].rep for Y in pushed)
+                for j in range(self.orbit_ring.nvars)
+            )
+            self._extension = SubmoduleProblem(len(pushed), columns, self.ideal.basis)
+        return self._extension
+
+    def _pull_problem(self, k: int) -> tuple:
+        """The generator index tuples I, the coordinate tuples J, and the
+        membership problem over Q[x] whose columns are the k-minors
+        (dx_J(X_I))_I of the generator fields (None when k > n), shared by
+        every :func:`pull_form` of degree k on this space."""
+        if k not in self._pulls:
+            ring = self.hilbert.ring
+            fields = self.module.generators
+            rows = list(combinations(range(len(fields)), k))
+            basis_tuples = list(combinations(range(ring.nvars), k))
+            one = ring.one()
+            columns = tuple(
+                tuple(
+                    evaluate(PolyDiffForm(ring, k, [(J, one)]), [fields[i] for i in I])
+                    for I in rows
+                )
+                for J in basis_tuples
+            )
+            problem = (
+                SubmoduleProblem(len(rows), columns, GroebnerBasis((), GREVLEX))
+                if columns
+                else None
+            )
+            self._pulls[k] = (rows, basis_tuples, problem)
+        return self._pulls[k]
 
     @property
     def generator_syzygies(self) -> list[tuple[Polynomial, ...]]:
@@ -529,26 +577,17 @@ def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
     fields of a finite group span Q(x)^n, so the columns are independent
     and the answer is unique, hence invariant; the push-back check rejects
     a table that is not a push (for example one that is not semi-basic).
-    ``degree_bound`` caps the coefficient degree of the answer.
+    The problem depends only on the space and k, so it and its module basis
+    are built once per space and form degree.  ``degree_bound`` caps the
+    coefficient degree of the answer.
     """
     if isinstance(theta, OrbitFunction):
         return space.hilbert.substitute_into(theta.rep)
     ring = space.hilbert.ring
     k = theta.degree
-    fields = space.module.generators
-    rows = list(combinations(range(len(fields)), k))
-    basis_tuples = list(combinations(range(ring.nvars), k))
+    rows, basis_tuples, problem = space._pull_problem(k)
     target = [space.hilbert.substitute_into(theta.value(I).rep) for I in rows]
-    one = ring.one()
-    columns = tuple(
-        tuple(
-            evaluate(PolyDiffForm(ring, k, [(J, one)]), [fields[i] for i in I])
-            for I in rows
-        )
-        for J in basis_tuples
-    )
-    if columns:
-        problem = SubmoduleProblem(len(rows), columns, GroebnerBasis((), GREVLEX))
+    if problem is not None:
         outcome = module_solve(target, problem)
         coefficients = outcome.witness if outcome.member else None
     else:  # k > n: only the zero form exists
@@ -626,21 +665,20 @@ def extend_check(theta: OrbitForm, space: OrbitSpace | None = None) -> ExtendRes
     exact submodule membership against the columns (Y_i(y_j))_i.
 
     Extendable case returns the A_j (a verified witness); the negative case
-    returns the nonzero module normal form as certificate.
+    returns the nonzero module normal form as certificate.  The columns
+    depend only on the space, whose one problem (and module basis) serves
+    every call.  A ``space`` other than the form's is rejected.
     """
-    space = theta.space if space is None else space
     if isinstance(theta, OrbitFunction) or theta.degree != 1:
         raise ValueError("extension decision applies to orbit 1-forms")
+    if space is None:
+        space = theta.space
+    elif space is not theta.space:
+        raise ValueError("form lives on a different orbit space")
     pushed = space.pushed_generators
     n_gens = len(pushed)
-    columns = []
-    for j in range(space.orbit_ring.nvars):
-        columns.append(tuple(Y.components[j].rep for Y in pushed))
     target = [theta.value((i,)).rep for i in range(n_gens)]
-    problem = SubmoduleProblem(
-        ambient_rank=n_gens, columns=tuple(columns), ideal=space.ideal.basis
-    )
-    outcome = module_solve(target, problem)
+    outcome = module_solve(target, space._extension_problem)
     if outcome.member:
         witness = tuple(space.ideal.normal(w) for w in outcome.witness)
         for i in range(n_gens):

@@ -1,5 +1,6 @@
 """Polynomial layer: exact arithmetic, monomial orders, parsing, calculus."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from orbitcalc.algebra import (
     LEX,
     BlockOrder,
     PolyRing,
+    Polynomial,
     embed,
     format_polynomial,
     make_primitive,
@@ -94,6 +96,60 @@ def test_coefficients_stay_reduced_and_exact():
     assert (c.numerator, c.denominator) == (1, 3)
     big = x("x1") + AMBIENT.constant(Fraction(10**40, 3))
     assert big.coefficient((0, 0)) == Fraction(10**40, 3)
+
+
+def fraction_product(p, q):
+    """Oracle: the term-by-term product over Fraction coefficients that the
+    integer-numerator kernel of ``Polynomial.__mul__`` replaced."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            new = out.get(exps, Fraction(0)) + c1 * c2
+            if new:
+                out[exps] = new
+            else:
+                out.pop(exps, None)
+    return Polynomial(p.ring, out)
+
+
+def assert_canonical_product(product, oracle):
+    assert product.terms == oracle.terms
+    assert str(product) == str(oracle)
+    assert hash(product) == hash(oracle)
+    for c in product.terms.values():
+        assert isinstance(c, Fraction) and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def mixed_denominator_poly(rng, ring):
+    """Up to five terms whose denominators mix small, coprime and large
+    factors, so the lcm scaling of both factors differs term by term."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+        den = rng.choice((1, 2, 3, 4, 6, 9, 35, 10**12 + 39))
+        terms[exps] = Fraction(rng.randint(-30, 30), den)
+    return ring.from_terms(terms)
+
+
+def test_integer_kernel_matches_fraction_products():
+    rng = random.Random(23)
+    zero = R3.zero()
+    for _ in range(250):
+        p = mixed_denominator_poly(rng, R3)
+        q = mixed_denominator_poly(rng, R3)
+        assert_canonical_product(p * q, fraction_product(p, q))
+        # (a + b)(a - b): the cross terms cancel exactly
+        a, b = p, mixed_denominator_poly(rng, R3)
+        assert_canonical_product((a + b) * (a - b), fraction_product(a + b, a - b))
+        assert ((a + b) * (a - b)) == a * a - b * b
+        for scalar in (0, 1, -7, Fraction(-2, 3), Fraction(5, 10**12 + 39)):
+            oracle = fraction_product(p, R3.constant(scalar))
+            assert_canonical_product(p * scalar, oracle)
+            assert_canonical_product(scalar * p, oracle)
+        assert_canonical_product(p * zero, zero)
+        assert_canonical_product(zero * p, zero)
 
 
 def test_substitute_is_multiplicative():

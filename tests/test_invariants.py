@@ -379,6 +379,52 @@ def test_relations_read_off_equal_elimination(rung):
     assert all(g.ring == hmap.orbit_ring for g in basis.generators)
 
 
+# relation count of each ideal: golden Z2/R^2, Z4/R^2, Z2/R^3, trivial group
+TABLED_IDEALS = {"z2_r2": 1, "z4_r2": 1, "z2_r3": 6, "trivial": 0}
+
+
+def tabled_ideal(rung):
+    gens = {"trivial": [[["1", "0"], ["0", "1"]]]}.get(rung) or SEARCH_GROUPS[rung]
+    hmap = invariant_generators(closure(gens))
+    return hmap.orbit_ring, relations(hmap)
+
+
+@pytest.mark.parametrize("rung", sorted(TABLED_IDEALS))
+def test_relation_normal_form_table_matches_one_normal_form(rung):
+    orbit, ideal = tabled_ideal(rung)
+    assert len(ideal.basis.generators) == TABLED_IDEALS[rung]
+    rng = random.Random(f"relation-normal-{rung}")
+    for _ in range(30):
+        p = random_poly(rng, orbit, 4, 5)
+        q = random_poly(rng, orbit, 4, 5)
+        # products of reduced representatives meet the table again
+        for f in (p, q, p * q, ideal.normal(p) * ideal.normal(q)):
+            assert ideal.normal(f) == normal_form(f, ideal.basis)
+            assert ideal.is_member(f) == normal_form(f, ideal.basis).is_zero()
+        assert ideal.is_member(ideal.normal(p) - p)
+    if ideal.is_zero_ideal():
+        assert ideal.normal(p) is p
+        assert ideal._forms == {}
+    else:
+        assert ideal._forms
+        with pytest.raises(ValueError, match="incompatible rings"):
+            ideal.normal(x("x1"))
+
+
+def test_relation_ideals_with_equal_bases_keep_their_own_tables():
+    orbit, built = tabled_ideal("z2_r3")
+    fresh = invariants.RelationIdeal(built.basis)
+    built.normal(orbit.variable(0) ** 3)
+    snapshot = dict(built._forms)
+    assert fresh == built and hash(fresh) == hash(built)
+    assert fresh._forms == {} and fresh._forms is not built._forms
+    p = parse_polynomial("y1*y2*y3 - 2*y4^2 + y5*y6", orbit)
+    assert fresh.normal(p) == built.normal(p) == normal_form(p, built.basis)
+    assert set(fresh._forms) == set(p.terms)
+    assert dict(built._forms) == {**snapshot, **fresh._forms}
+    assert fresh == built and hash(fresh) == hash(built)
+
+
 # ---------------------------------------------------------------------------
 # one Hilbert map per group
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Orbit-space calculus: pushforward/lift, intrinsic d, wedge, extension test."""
 
-import pytest
-
+import itertools
 import random
+
+import pytest
 
 from conftest import check_lift_roundtrip, make_rotation4_group, random_poly
 from orbitcalc import exterior, groebner, linalg, quotient
-from orbitcalc.algebra import PolyRing, parse_polynomial
+from orbitcalc.algebra import GREVLEX, PolyRing, parse_polynomial
 from orbitcalc.exterior import d, evaluate, wedge
 from orbitcalc.group_action import (
     LieAlgebraAction,
@@ -430,6 +431,67 @@ def test_extend_check_edge_cases(golden_space, golden_forms):
     theta4 = push_form(golden_forms[3], golden_space)
     with pytest.raises(ValueError, match="orbit 1-forms"):
         extend_check(orbit_d(theta4))
+
+
+def test_extend_check_rejects_a_form_of_another_space(golden_space, golden_forms):
+    theta = push_form(golden_forms[0], golden_space)
+    with pytest.raises(ValueError, match="different orbit space"):
+        extend_check(theta, reflection_context())
+    assert extend_check(theta, golden_space) == extend_check(theta)
+
+
+def test_one_module_basis_per_extension_and_pull_degree(golden_forms, monkeypatch):
+    space = reflection_context()
+    two = PolyDiffForm(AMBIENT, 2, [((0, 1), X1 * X1 + X2 * X2)])
+    ones = [push_form(omega, space) for omega in golden_forms]
+    twos = [push_form(two, space), push_form(two * X1 * X2, space)]
+    builds = []
+    original = groebner._module_basis
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_module_basis", counting)
+    verdicts = [extend_check(theta) for theta in ones + ones]
+    assert len(builds) == 1
+    pulls = [pull_form(theta, space) for theta in ones + ones]
+    assert len(builds) == 2
+    pulls += [pull_form(theta, space) for theta in twos + twos]
+    assert len(builds) == 3
+    assert verdicts[:4] == verdicts[4:] and pulls[:4] == pulls[4:8]
+
+    # the same answers from problems built afresh, column by column
+    pushed, ring = space.pushed_generators, space.orbit_ring
+    columns = tuple(
+        tuple(Y.components[j].rep for Y in pushed) for j in range(ring.nvars)
+    )
+    for theta, verdict in zip(ones, verdicts):
+        fresh = groebner.SubmoduleProblem(len(pushed), columns, space.ideal.basis)
+        target = [theta.value((i,)).rep for i in range(len(pushed))]
+        outcome = groebner.module_solve(target, fresh)
+        assert verdict.extendable == outcome.member
+        if outcome.member:
+            assert verdict.witness == tuple(space.ideal.normal(w) for w in outcome.witness)
+        else:
+            assert verdict.certificate == outcome.certificate
+    fields = space.module.generators
+    for theta, pulled in zip(ones + twos, pulls[:4] + pulls[8:10]):
+        k = theta.degree
+        rows = list(itertools.combinations(range(len(fields)), k))
+        basis_tuples = list(itertools.combinations(range(2), k))
+        minors = tuple(
+            tuple(
+                evaluate(PolyDiffForm(AMBIENT, k, [(J, AMBIENT.one())]), [fields[i] for i in I])
+                for I in rows
+            )
+            for J in basis_tuples
+        )
+        fresh = groebner.SubmoduleProblem(len(rows), minors, groebner.GroebnerBasis((), GREVLEX))
+        target = [space.hilbert.substitute_into(theta.value(I).rep) for I in rows]
+        outcome = groebner.module_solve(target, fresh)
+        assert pulled == PolyDiffForm(AMBIENT, k, list(zip(basis_tuples, outcome.witness)))
+    assert len(builds) == 3 + len(ones) + len(ones + twos)  # the fresh problems
 
 
 # ---------------------------------------------------------------------------
