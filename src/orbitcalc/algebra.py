@@ -508,6 +508,13 @@ _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 _POWER_RE = re.compile(r"^([A-Za-z_]\w*?)(?:\^(\d+))?$")
 
 
+def json_integer(value, name: str) -> int:
+    """An integer field of a JSON document; no float, boolean or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse the polynomial text grammar into a polynomial of ``ring``.
 

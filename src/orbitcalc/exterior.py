@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Polynomial, PolyRing, mono_degree, parse_polynomial
+from .algebra import Polynomial, PolyRing, json_integer, mono_degree, parse_polynomial
 from .group_action import (
     FormOrPoly,
     LieAlgebraAction,
@@ -288,7 +288,7 @@ def form_to_json(omega: FormOrPoly) -> dict:
 
 
 def form_from_json(data: dict, ring: PolyRing) -> FormOrPoly:
-    degree = int(data["degree"])
+    degree = json_integer(data["degree"], "degree")
     if degree == 0:
         total = ring.zero()
         for item in data["terms"]:
@@ -296,7 +296,7 @@ def form_from_json(data: dict, ring: PolyRing) -> FormOrPoly:
         return total
     items = []
     for item in data["terms"]:
-        indices = tuple(int(i) - 1 for i in item["indices"])
+        indices = tuple(json_integer(i, "indices") - 1 for i in item["indices"])
         items.append((indices, parse_polynomial(item["coeff"], ring)))
     return PolyDiffForm(ring, degree, items)
 

@@ -1,8 +1,8 @@
 """Buchberger-based ideal and module computations.
 
 Scalar layer: reduced Groebner bases (sugar selection strategy, product and
-chain criteria), normal forms, and elimination ideals.  Scalar bases build
-no representations; only the module layer reads them.
+chain criteria), normal forms, and elimination ideals.  Scalar bases track
+representations over no input; only the module layer reads them.
 
 Module layer: a rank-r vector is encoded as the tag-linear polynomial
 sum(e_i * v_i) in r position-tag variables, under a block order that
@@ -10,8 +10,9 @@ dominates the scalar order (position over term).  The same Buchberger loop
 runs on these encodings, but only pairs whose leading terms share a position
 are formed, so every basis element, quotient and representation stays
 tag-linear or tag-free.  Submodule membership returns explicit witnesses
-(representations are tracked through the whole computation) and syzygy
-generating sets come from Schreyer's S-pair lifting on the final basis.
+and syzygy generating sets come from Schreyer's S-pair lifting on the final
+basis; both read only coefficients on the columns, so representations are
+tracked over the columns alone, never over the ideal padding.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .algebra import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    embed,
     make_primitive,
     mono_degree,
     mono_div,
@@ -136,22 +136,21 @@ def divide(
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with sugar strategy, product + chain criteria, and optional
-# representation tracking (every basis element as a combination of the inputs)
+# Buchberger with sugar strategy, product + chain criteria, and
+# representation tracking over the leading inputs (the module columns)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Tracked:
     poly: Polynomial
-    rep: list[Polynomial] | None  # poly == sum(rep[j] * original[j]); None untracked
+    rep: list[Polynomial]  # poly - sum(rep[j] * gens[j]) is in the ideal of gens[len(rep):]
     sugar: int
     lead: tuple[Exponents, Fraction]  # poly.leading(order), computed once
 
 
 def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
     lm, lc = t.lead
-    rep = None if t.rep is None else [r.scale(c) for r in t.rep]
-    return _Tracked(t.poly.scale(c), rep, t.sugar, (lm, lc * c))
+    return _Tracked(t.poly.scale(c), [r.scale(c) for r in t.rep], t.sugar, (lm, lc * c))
 
 
 def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
@@ -166,19 +165,19 @@ def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
 def _buchberger_tracked(
     gens: Sequence[Polynomial],
     order: MonomialOrder,
+    columns: int,
     cancel: CancelCheck | None = None,
     rank: int = 0,
-    track: bool = True,
 ) -> list[_Tracked]:
-    """Reduced Groebner basis with representations over ``gens``.
+    """Reduced Groebner basis with representations over the first
+    ``columns`` inputs (0 for :func:`buchberger`; the module columns, not the
+    ideal padding, for the module layer).
 
     Output elements are monic, pairwise interreduced, and sorted by leading
     monomial (descending) so results are byte-reproducible.  With ``rank`` > 0
     the first ``rank`` variables are module positions: no pair is formed
     between elements whose leading monomials differ there, which makes the
-    result a position-over-term module basis of tag-linear inputs.  With
-    ``track`` false no representation is built and every ``rep`` is None;
-    the basis is the same.
+    result a position-over-term module basis of tag-linear inputs.
     """
     basis: list[_Tracked] = []
     # Pending S-pairs, smallest (sugar, lcm, i, j) first.  The basis only
@@ -206,9 +205,8 @@ def _buchberger_tracked(
     for j, g in enumerate(gens):
         if g.is_zero():
             continue  # zero generators are dropped silently
-        rep = None
-        if track:
-            rep = [g.ring.zero() for _ in gens]
+        rep = [g.ring.zero() for _ in range(columns)]
+        if j < columns:
             rep[j] = g.ring.one()
         append(_Tracked(g, rep, g.degree(), g.leading(order)))
 
@@ -236,22 +234,18 @@ def _buchberger_tracked(
         if skip:
             continue
         ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
-        s_poly = fi.poly.mul_monomial(ui, Fraction(1) / ci) - fj.poly.mul_monomial(
-            uj, Fraction(1) / cj
-        )
+        si, sj = Fraction(1) / ci, Fraction(1) / cj
+        s_poly = fi.poly.mul_monomial(ui, si) - fj.poly.mul_monomial(uj, sj)
         s_sugar = max(fi.sugar + mono_degree(ui), fj.sugar + mono_degree(uj))
         remainder, quotients = divide(
             s_poly, [t.poly for t in basis], order, _leads=[t.lead for t in basis]
         )
         if remainder.is_zero():
             continue
-        rep = None
-        if track:
-            rep = [
-                ri.mul_monomial(ui, Fraction(1) / ci) - rj.mul_monomial(uj, Fraction(1) / cj)
-                for ri, rj in zip(fi.rep, fj.rep)
-            ]
-            rep = _subtract_reps(rep, quotients, basis)
+        rep = [
+            ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
+        ]
+        rep = _subtract_reps(rep, quotients, basis)
         sugar = max(s_sugar, remainder.degree())
         append(_Tracked(remainder, rep, sugar, remainder.leading(order)))
 
@@ -281,7 +275,7 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
         remainder, quotients = divide(
             t.poly, [u.poly for u in others], order, _leads=[u.lead for u in others]
         )
-        rep = None if t.rep is None else _subtract_reps(t.rep, quotients, others)
+        rep = _subtract_reps(t.rep, quotients, others)
         lc = t.lead[1]
         reduced.append(
             _scale_tracked(_Tracked(remainder, rep, t.sugar, t.lead), Fraction(1) / lc)
@@ -323,7 +317,7 @@ def buchberger(
     rings = {g.ring for g in gens}
     if len(rings) > 1:
         raise ValueError("incompatible rings among generators")
-    tracked = _buchberger_tracked(gens, order, cancel, track=False)
+    tracked = _buchberger_tracked(gens, order, 0, cancel)
     return GroebnerBasis(tuple(t.poly for t in tracked), order, True)
 
 
@@ -415,7 +409,8 @@ class ModuleMembership:
 
 
 class _ModuleCodec:
-    """Vectors of length r over the scalar ring <-> tag-linear polynomials."""
+    """Vectors of length r over the scalar ring <-> tag-linear polynomials:
+    component i sits behind the one-hot exponent prefix of the tag e_i."""
 
     def __init__(self, rank: int, scalar_ring: PolyRing):
         self.rank = rank
@@ -423,15 +418,22 @@ class _ModuleCodec:
         tags = tuple(f"_e{i + 1}" for i in range(rank))
         self.ring = PolyRing(tags + scalar_ring.names)
         self.order = BlockOrder(rank)
+        self._prefixes = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+
+    def _tagged(self, i: int, component: Polynomial) -> dict:
+        """The terms of ``e_i * component``."""
+        if component.ring != self.scalar_ring:
+            raise ValueError("vector component lives outside the scalar ring")
+        prefix = self._prefixes[i]
+        return {prefix + e: c for e, c in component.terms.items()}
 
     def encode(self, vector: Sequence[Polynomial]) -> Polynomial:
         if len(vector) != self.rank:
             raise ValueError("vector length differs from ambient rank")
-        total = self.ring.zero()
+        terms: dict = {}
         for i, component in enumerate(vector):
-            tag = self.ring.variable(i)
-            total = total + tag * embed(component, self.ring, self.rank)
-        return total
+            terms.update(self._tagged(i, component))
+        return Polynomial(self.ring, terms)
 
     def decode(self, p: Polynomial) -> tuple[Polynomial, ...]:
         components = [dict() for _ in range(self.rank)]
@@ -444,58 +446,46 @@ class _ModuleCodec:
         return tuple(Polynomial(self.scalar_ring, c) for c in components)
 
     def padding(self, ideal: GroebnerBasis) -> list[Polynomial]:
-        pads = []
-        for g in ideal.generators:
-            lifted = embed(g, self.ring, self.rank)
-            for i in range(self.rank):
-                pads.append(self.ring.variable(i) * lifted)
-        return pads
+        """``e_i * g`` for every ideal generator g and position i."""
+        return [
+            Polynomial(self.ring, self._tagged(i, g))
+            for g in ideal.generators
+            for i in range(self.rank)
+        ]
 
 
 def _module_basis(
-    columns: Sequence[Sequence[Polynomial]],
-    ideal: GroebnerBasis,
-    rank: int,
-    cancel: CancelCheck | None,
-) -> tuple[_ModuleCodec, list[Polynomial], list[_Tracked]]:
-    """The codec, the generators (encoded columns, then the ideal padding)
-    and their tracked position-over-term basis."""
-    if columns:
-        scalar_ring = columns[0][0].ring
-    elif ideal.generators:
-        scalar_ring = ideal.generators[0].ring
-    else:
-        raise ValueError("cannot infer scalar ring from an empty problem")
-    codec = _ModuleCodec(rank, scalar_ring)
-    gens = [codec.encode(col) for col in columns] + codec.padding(ideal)
-    return codec, gens, _buchberger_tracked(gens, codec.order, cancel, rank)
-
-
-def _problem_basis(
     problem: SubmoduleProblem, cancel: CancelCheck | None
 ) -> tuple[_ModuleCodec, list[Polynomial], list[_Tracked]]:
-    """:func:`_module_basis` of the problem, built on first use and kept."""
+    """The problem's codec, its generators (encoded columns, then the ideal
+    padding) and their position-over-term basis with representations over
+    the columns; built on first use and kept on the problem."""
     if problem._basis is None:
-        basis = _module_basis(problem.columns, problem.ideal, problem.ambient_rank, cancel)
-        object.__setattr__(problem, "_basis", basis)
+        columns, ideal = problem.columns, problem.ideal
+        if columns:
+            scalar_ring = columns[0][0].ring
+        elif ideal.generators:
+            scalar_ring = ideal.generators[0].ring
+        else:
+            raise ValueError("cannot infer scalar ring from an empty problem")
+        codec = _ModuleCodec(problem.ambient_rank, scalar_ring)
+        gens = [codec.encode(col) for col in columns] + codec.padding(ideal)
+        tracked = _buchberger_tracked(gens, codec.order, len(columns), cancel, codec.rank)
+        object.__setattr__(problem, "_basis", (codec, gens, tracked))
     return problem._basis
 
 
-def _over_columns(
-    combo: Sequence[Polynomial],
-    tracked: Sequence[_Tracked],
-    codec: _ModuleCodec,
-    n_cols: int,
-) -> list[Polynomial]:
-    """Translate a combination over the basis into the scalar coefficients
-    it puts on the first ``n_cols`` generators (the columns)."""
-    out = [codec.ring.zero() for _ in range(n_cols)]
+def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> list[Polynomial]:
+    """Translate a combination over the problem's module basis into the
+    scalar coefficients it puts on the columns."""
+    codec, _, tracked = problem._basis
+    out = [codec.ring.zero() for _ in problem.columns]
     for z, t in zip(combo, tracked):
         if z.is_zero():
             continue
-        for j in range(n_cols):
-            if not t.rep[j].is_zero():
-                out[j] = out[j] + z * t.rep[j]
+        for j, r in enumerate(t.rep):
+            if not r.is_zero():
+                out[j] = out[j] + z * r
     return [restrict(p, codec.scalar_ring, codec.rank) for p in out]
 
 
@@ -512,7 +502,7 @@ def module_solve(
     """
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
-    codec, _, tracked = _problem_basis(problem, cancel)
+    codec, _, tracked = _module_basis(problem, cancel)
     remainder, quotients = divide(
         codec.encode(target),
         [t.poly for t in tracked],
@@ -521,24 +511,19 @@ def module_solve(
     )
     if not remainder.is_zero():
         return ModuleMembership(member=False, certificate=codec.decode(remainder))
-    witness = _over_columns(quotients, tracked, codec, len(problem.columns))
-    _verify_witness(target, problem, witness)
+    witness = _over_columns(quotients, problem)
+    _verify_combination(problem, witness, target, "module witness")
     return ModuleMembership(member=True, witness=tuple(witness))
 
 
-def _verify_witness(
-    target: Sequence[Polynomial],
-    problem: SubmoduleProblem,
-    witness: Sequence[Polynomial],
-):
-    for row in range(problem.ambient_rank):
-        acc = target[row].ring.zero()
-        for w, col in zip(witness, problem.columns):
-            acc = acc + w * col[row]
-        if not normal_form(acc - target[row], problem.ideal).is_zero():
-            raise AssertionError(
-                "internal error: module witness failed verification"
-            )
+def _verify_combination(problem: SubmoduleProblem, coefficients, target, what: str):
+    """Check ``sum(c_i * columns_i) == target`` row by row modulo the ideal."""
+    for row, want in enumerate(target):
+        acc = want.ring.zero()
+        for c, col in zip(coefficients, problem.columns):
+            acc = acc + c * col[row]
+        if not normal_form(acc - want, problem.ideal).is_zero():
+            raise AssertionError(f"internal error: {what} failed verification")
 
 
 def syzygies(
@@ -562,12 +547,11 @@ def _span_syzygies(
 ) -> list[tuple[Polynomial, ...]]:
     """:func:`syzygies` of the problem's columns modulo its ideal, on the
     problem's module basis (built here only if no solve has built it)."""
-    codec, gens, tracked = _problem_basis(problem, cancel)
-    columns, ideal, rank = problem.columns, problem.ideal, problem.ambient_rank
+    codec, gens, tracked = _module_basis(problem, cancel)
+    rank = problem.ambient_rank
     basis = [t.poly for t in tracked]
     leads = [t.lead for t in tracked]
     order = codec.order
-    n_cols = len(columns)
 
     rows: list[list[Polynomial]] = []
 
@@ -588,7 +572,7 @@ def _span_syzygies(
             combo = [q.scale(-1) for q in quotients]
             combo[a] = combo[a] + codec.ring.monomial(ua)
             combo[b] = combo[b] - codec.ring.monomial(ub)
-            rows.append(_over_columns(combo, tracked, codec, n_cols))
+            rows.append(_over_columns(combo, problem))
 
     # completion rows: each generator minus its own expression through the
     # basis (all generators — the padding rows also project onto column
@@ -598,14 +582,15 @@ def _span_syzygies(
         remainder, quotients = divide(g, basis, order, _leads=leads)
         if not remainder.is_zero():
             raise AssertionError("internal error: generator escaped its own ideal")
-        row = _over_columns([q.scale(-1) for q in quotients], tracked, codec, n_cols)
-        if j < n_cols:
+        row = _over_columns([q.scale(-1) for q in quotients], problem)
+        if j < len(problem.columns):
             row[j] = row[j] + codec.scalar_ring.one()
         rows.append(row)
 
     # normalize, dedupe, verify
     seen: set[tuple] = set()
     results: list[tuple[Polynomial, ...]] = []
+    zeros = [codec.scalar_ring.zero()] * rank
     for row in rows:
         if all(p.is_zero() for p in row):
             continue
@@ -614,12 +599,7 @@ def _span_syzygies(
         if key in seen:
             continue
         seen.add(key)
-        for r in range(rank):
-            acc = codec.scalar_ring.zero()
-            for c, col in zip(row, columns):
-                acc = acc + c * col[r]
-            if not normal_form(acc, ideal).is_zero():
-                raise AssertionError("internal error: syzygy failed verification")
+        _verify_combination(problem, row, zeros, "syzygy")
         results.append(tuple(row))
     results.sort(key=lambda row: tuple(str(p) for p in row))
     return results

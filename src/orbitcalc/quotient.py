@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import GREVLEX, PolyRing, Polynomial, parse_polynomial
+from .algebra import GREVLEX, PolyRing, Polynomial, json_integer, parse_polynomial
 from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, module_solve
 from .group_action import (
     LieAlgebraAction,
@@ -511,8 +511,11 @@ def _generator_coordinates(Y: OrbitVectorField, space: OrbitSpace) -> tuple[Poly
 def lift_vf(Y: OrbitVectorField, space: OrbitSpace) -> PolyVectorField:
     """An invariant ambient field pushing to ``Y``: write ``Y`` through the
     pushed generators (exact submodule membership, no degree search) and
-    assemble the same combination upstairs.
+    assemble the same combination upstairs.  A ``space`` other than the
+    field's is rejected.
     """
+    if Y.space is not space:
+        raise ValueError("field lives on a different orbit space")
     lifted = PolyVectorField.zero(space.hilbert.ring)
     for h, X in zip(_generator_coordinates(Y, space), space.module.generators):
         if not h.is_zero():
@@ -579,8 +582,11 @@ def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
     a table that is not a push (for example one that is not semi-basic).
     The problem depends only on the space and k, so it and its module basis
     are built once per space and form degree.  ``degree_bound`` caps the
-    coefficient degree of the answer.
+    coefficient degree of the answer.  A ``space`` other than the form's is
+    rejected.
     """
+    if theta.space is not space:
+        raise ValueError("form lives on a different orbit space")
     if isinstance(theta, OrbitFunction):
         return space.hilbert.substitute_into(theta.rep)
     ring = space.hilbert.ring
@@ -713,10 +719,12 @@ def orbit_form_to_json(theta) -> dict:
 
 
 def orbit_form_from_json(data: dict, space: OrbitSpace):
+    if not isinstance(data, dict):
+        raise ValueError("an orbit form must be a JSON object")
     n_gens = len(space.pushed_generators)
-    if int(data.get("generators", n_gens)) != n_gens:
+    if json_integer(data.get("generators", n_gens), "generators") != n_gens:
         raise ValueError("generator count differs from the orbit space")
-    degree = int(data["degree"])
+    degree = json_integer(data["degree"], "degree")
     ring = space.orbit_ring
     if degree == 0:
         total = ring.zero()
@@ -725,7 +733,7 @@ def orbit_form_from_json(data: dict, space: OrbitSpace):
         return space.function(total)
     values = []
     for item in data["values"]:
-        ix = tuple(int(i) - 1 for i in item["tuple"])
+        ix = tuple(json_integer(i, "tuple") - 1 for i in item["tuple"])
         values.append((ix, parse_polynomial(item["class"], ring)))
     return OrbitForm(space, degree, values, check=True)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcalc import groebner
 from orbitcalc.algebra import PolyRing, Polynomial
 from orbitcalc.exterior import d, homotopy, wedge
 from orbitcalc.group_action import (
@@ -136,6 +137,26 @@ def golden_space() -> OrbitSpace:
 @pytest.fixture(scope="session")
 def golden_forms(golden_space):
     return canonical_one_forms(golden_space.hilbert.ring)
+
+
+@pytest.fixture
+def count_module_basis_builds(monkeypatch):
+    """Start counting module basis builds; returns a list that grows by one
+    per build from then on.  A codec is made exactly once per build, so the
+    codecs made are counted."""
+
+    def start():
+        builds = []
+
+        class CountingCodec(groebner._ModuleCodec):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(groebner, "_ModuleCodec", CountingCodec)
+        return builds
+
+    return start
 
 
 @pytest.fixture(scope="session")

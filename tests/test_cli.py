@@ -374,6 +374,19 @@ def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
     result = run_process(tmp_path, "orbit-d", str(scalar_values), "-i", Z2)
     assert_input_error(result, "bad orbit form")
 
+    not_an_object = tmp_path / "not_an_object.json"
+    not_an_object.write_text(json.dumps([1, 2]), encoding="utf-8")
+    for command in ("orbit-d", "extend-check", "pull-form"):
+        result = run_process(tmp_path, command, str(not_an_object), "-i", Z2)
+        assert_input_error(result, "bad orbit form")
+
+    bad_tuples = [{"values": [{"tuple": [i], "class": "2*y1"}]} for i in (1.9, True)]
+    for change in ({"degree": 1.5}, {"degree": True}, {"generators": 4.0}, *bad_tuples):
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(json.dumps({**data, **change}), encoding="utf-8")
+        result = run_process(tmp_path, "orbit-d", str(mistyped), "-i", Z2)
+        assert_input_error(result, "must be an integer")
+
 
 @pytest.mark.parametrize(
     "change, fragment",
@@ -384,6 +397,16 @@ def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
         ({"named_objects": {"bad": 5}}, "bad named object 'bad'"),
         ({"named_objects": {"bad": {"components": ["x1", 5]}}}, "must be a string"),
         ({"named_objects": {"bad": {"degree": 1}}}, "bad named object 'bad'"),
+        ({"named_objects": {"w1": {"degree": 1.9, "terms": []}}}, "degree must be an integer"),
+        ({"named_objects": {"w1": {"degree": True, "terms": []}}}, "degree must be an integer"),
+        (
+            {"named_objects": {"w1": {"degree": 1, "terms": [{"indices": [1.9], "coeff": "x1"}]}}},
+            "indices must be an integer",
+        ),
+        (
+            {"named_objects": {"w1": {"degree": 1, "terms": [{"indices": [True], "coeff": "x1"}]}}},
+            "indices must be an integer",
+        ),
     ],
 )
 def test_problem_file_mistyped_fields(tmp_path, change, fragment):

@@ -129,12 +129,12 @@ def test_problem_file_fuzz(work_dir, base, changes, command, name):
 
 @FUZZ
 @given(
-    base=st.sampled_from(THETAS),
-    changes=edits,
+    data=st.builds(mutate, st.sampled_from(THETAS), edits) | json_values,
     command=st.sampled_from(["orbit-d", "extend-check", "pull-form"]),
 )
-def test_orbit_form_file_fuzz(work_dir, base, changes, command):
-    path = write(work_dir, "theta.json", mutate(base, changes))
+def test_orbit_form_file_fuzz(work_dir, data, command):
+    """Edited copies of the shipped forms, or a whole file of any JSON."""
+    path = write(work_dir, "theta.json", data)
     run_main(command, path, "-i", Z2)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import coefficient_vector, monomials_up_to, random_ideal, random_poly
-from orbitcalc import groebner, linalg
+from orbitcalc import linalg
 from orbitcalc.algebra import (
     GREVLEX,
     LEX,
@@ -192,7 +192,7 @@ def test_tracked_basis_properties(order):
     rng = random.Random(41)
     for _ in range(10):
         gens = random_ideal(rng, ring)
-        tracked = _buchberger_tracked(gens, order)
+        tracked = _buchberger_tracked(gens, order, len(gens))
         basis = [t.poly for t in tracked]
         leads = [p.leading(order)[0] for p in basis]
         for t in tracked:
@@ -221,14 +221,15 @@ def test_tracked_basis_properties(order):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
 def test_untracked_basis_equals_tracked_basis(order):
-    """``buchberger`` builds no representations but the same basis."""
+    """``buchberger`` tracks no columns, so its representations are empty,
+    but builds the same basis."""
     ring = PolyRing.ambient(3)
     rng = random.Random(43)
     for _ in range(10):
         gens = random_ideal(rng, ring)
-        tracked = _buchberger_tracked(gens, order)
+        tracked = _buchberger_tracked(gens, order, len(gens))
         assert buchberger(gens, order).generators == tuple(t.poly for t in tracked)
-        assert all(t.rep is None for t in _buchberger_tracked(gens, order, track=False))
+        assert all(t.rep == [] for t in _buchberger_tracked(gens, order, 0))
 
 
 @pytest.mark.parametrize("drop", [1, 2])
@@ -314,14 +315,8 @@ def test_module_solve_golden_columns():
             assert normal_form(acc - column[j], gb).is_zero()
 
 
-def test_module_basis_is_built_once_per_problem(monkeypatch):
-    builds = []
-
-    def counting(*args):
-        builds.append(args)
-        return _module_basis(*args)
-
-    monkeypatch.setattr(groebner, "_module_basis", counting)
+def test_module_basis_is_built_once_per_problem(count_module_basis_builds):
+    builds = count_module_basis_builds()
     columns = golden_columns()
     problem = SubmoduleProblem(3, columns, relation_basis())
     with pytest.raises(ComputationCancelled):
@@ -459,20 +454,151 @@ def test_module_solve_matches_linear_algebra_oracle(ideal_gens):
 def test_module_basis_is_tag_linear():
     """Every basis element encodes a vector, every representation is free of
     position tags, and each element is the combination its representation
-    says; only columns and ideal padding enter the computation."""
+    says of the columns, modulo the ideal padding; only columns and ideal
+    padding enter the computation."""
     gb = relation_basis()
     columns = golden_columns()
-    codec, gens, tracked = _module_basis(columns, gb, 3, None)
+    codec, gens, tracked = _module_basis(SubmoduleProblem(3, columns, gb), None)
     assert len(gens) == len(columns) + 3 * len(gb.generators)
     assert len(tracked) > len(columns)
     for t in tracked:
         assert len(codec.decode(t.poly)) == 3
+        assert len(t.rep) == len(columns)
         for r in t.rep:
             restrict(r, codec.scalar_ring, codec.rank)
         total = codec.ring.zero()
         for r, g in zip(t.rep, gens):
             total = total + r * g
-        assert total == t.poly
+        for component in codec.decode(t.poly - total):
+            assert normal_form(component, gb).is_zero()
+
+
+# Module layer outputs, pinned: the witness or certificate of each target,
+# then the syzygy rows.  Representations over the columns alone must give
+# the same answers as representations over every input did.
+SPAN_RING = PolyRing.orbit(6)
+SPAN_COLUMNS = [
+    ["2*y1", "y2", "0", "y4", "0", "0"],
+    ["0", "y1", "2*y2", "0", "y4", "0"],
+    ["0", "0", "0", "y1", "y2", "2*y4"],
+    ["2*y2", "y3", "0", "y5", "0", "0"],
+    ["0", "y2", "2*y3", "0", "y5", "0"],
+    ["0", "0", "0", "y2", "y3", "2*y5"],
+    ["2*y4", "y5", "0", "y6", "0", "0"],
+    ["0", "y4", "2*y5", "0", "y6", "0"],
+    ["0", "0", "0", "y4", "y5", "2*y6"],
+]
+SPAN_RELATIONS = [
+    "y2^2 - y1*y3", "y2*y4 - y1*y5", "y3*y4 - y2*y5",
+    "y4^2 - y1*y6", "y4*y5 - y2*y6", "y5^2 - y3*y6",
+]
+PINNED_MODULE_OUTPUTS = {
+    "golden": (
+        ORBIT,
+        [["2*y1", "0", "y3"], ["2*y3", "0", "y2"], ["0", "2*y3", "y1"], ["0", "2*y2", "y3"]],
+        ["y3^2 - y1*y2"],
+        [
+            ["2*y1", "0", "y3"], ["0", "2*y2", "y3"],
+            ["2*y1*y2 + y3^2 - y1*y2", "0", "y2*y3"],
+            ["1", "0", "0"], ["y1", "y2", "y3"], ["2*y3^2", "2*y1*y2", "2*y1*y3"],
+        ],
+        [
+        'witness: 1, 0, 0, 0',
+        'witness: 0, 0, 0, 1',
+        'witness: 1/2*y2, 1/2*y3, 0, 0',
+        'certificate: 1, 0, 0',
+        'witness: 1/2, 0, 0, 1/2',
+        'certificate: 0, 0, y1*y3 - y2*y3',
+        'syzygy: 0, 0, y2, -y3',
+        'syzygy: 0, 0, y3, -y1',
+        'syzygy: y2, -y3, 0, 0',
+        'syzygy: y3, -y1, 0, 0',
+        ],
+    ),
+    "z2_r3_span": (
+        SPAN_RING,
+        SPAN_COLUMNS,
+        SPAN_RELATIONS,
+        [
+            SPAN_COLUMNS[4], SPAN_COLUMNS[8],
+            ["2*y1*y2 + y2^2 - y1*y3", "y2^2 + y1*y3", "2*y2*y3", "y2*y4", "y3*y4", "0"],
+            ["1", "0", "0", "0", "0", "0"], ["y1", "y2", "y3", "y4", "y5", "y6"],
+            ["0", "y1", "0", "0", "0", "y3"],
+        ],
+        [
+        'witness: 0, 0, 0, 0, 1, 0, 0, 0, 0',
+        'witness: 0, 0, 0, 0, 0, 0, 0, 0, 1',
+        'witness: y2 - 1/2*y3, y3, 0, 1/2*y2, 0, y4 - 1/2*y5, 0, 0, -y2 + 1/2*y3',
+        'certificate: 1, 0, 0, 0, 0, 0',
+        'witness: 1/2, 0, 0, 0, 1/2, 0, 0, 0, 1/2',
+        'certificate: 0, 0, -2*y2, 0, -y4, y3',
+        'syzygy: 0, 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6',
+        'syzygy: 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0',
+        'syzygy: 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0',
+        'syzygy: 0, 0, 0, 0, 0, y4, 0, 0, -y2',
+        'syzygy: 0, 0, 0, 0, 0, y5, 0, 0, -y3',
+        'syzygy: 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0',
+        'syzygy: 0, 0, 0, 0, 0, y6, 0, 0, -y5',
+        'syzygy: 0, 0, 0, 0, y4, 0, 0, -y2, 0',
+        'syzygy: 0, 0, 0, 0, y5, 0, 0, -y3, 0',
+        'syzygy: 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0',
+        'syzygy: 0, 0, 0, 0, y6, 0, 0, -y5, 0',
+        'syzygy: 0, 0, 0, y4, y5, y6, -y2, -y3, -y5',
+        'syzygy: 0, 0, 0, y5, 0, 0, -y3, 0, 0',
+        'syzygy: 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0',
+        'syzygy: 0, 0, 0, y6, 0, 0, -y5, 0, 0',
+        'syzygy: 0, 0, y2, 0, 0, -y1, 0, 0, 0',
+        'syzygy: 0, 0, y3, 0, 0, -y2, 0, 0, 0',
+        'syzygy: 0, 0, y4, 0, 0, 0, 0, 0, -y1',
+        'syzygy: 0, 0, y5, 0, 0, -y4, 0, 0, 0',
+        'syzygy: 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0',
+        'syzygy: 0, 0, y6, 0, 0, 0, 0, 0, -y4',
+        'syzygy: 0, y2, 0, 0, -y1, 0, 0, 0, 0',
+        'syzygy: 0, y3, 0, 0, -y2, 0, 0, 0, 0',
+        'syzygy: 0, y4, 0, 0, 0, 0, 0, -y1, 0',
+        'syzygy: 0, y5, 0, 0, -y4, 0, 0, 0, 0',
+        'syzygy: 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0, 0',
+        'syzygy: 0, y6, 0, 0, 0, 0, 0, -y4, 0',
+        'syzygy: y2, y3, y5, -y1, -y2, 0, 0, 0, -y2',
+        'syzygy: y3, 0, 0, -y2, 0, y5, 0, 0, -y3',
+        'syzygy: y4, y5, y6, 0, -y4, 0, -y1, 0, -y4',
+        'syzygy: y5, 0, 0, -y4, -y5, 0, 0, y3, 0',
+        'syzygy: y5^2 - y3*y6, 0, 0, 0, -y5^2 + y3*y6, 0, 0, 0, -y5^2 + y3*y6',
+        'syzygy: y6, 0, 0, 0, -y6, 0, -y4, y5, 0',
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODULE_OUTPUTS))
+def test_module_layer_outputs_are_pinned(name):
+    """Golden rank-3 columns with one relation (3 padding generators) and
+    the Z2/R^3 generator span (9 columns, 36 padding generators)."""
+    ring, columns, relations, targets, expected = PINNED_MODULE_OUTPUTS[name]
+    columns = tuple(tuple(parse_polynomial(t, ring) for t in col) for col in columns)
+    gb = buchberger([parse_polynomial(t, ring) for t in relations])
+    problem = SubmoduleProblem(len(columns[0]), columns, gb)
+    lines = []
+    for target in targets:
+        outcome = module_solve([parse_polynomial(t, ring) for t in target], problem)
+        vector = outcome.witness if outcome.member else outcome.certificate
+        kind = "witness" if outcome.member else "certificate"
+        lines.append(f"{kind}: " + ", ".join(str(p) for p in vector))
+    for row in syzygies(columns, gb):
+        lines.append("syzygy: " + ", ".join(str(p) for p in row))
+    assert lines == expected
+    codec, gens, tracked = problem._basis
+    assert len(gens) == len(columns) + len(columns[0]) * len(relations)
+    assert all(len(t.rep) == len(columns) for t in tracked)
+
+
+def test_module_codec_rejects_a_component_from_another_ring():
+    problem = SubmoduleProblem(3, golden_columns(), relation_basis())
+    with pytest.raises(ValueError, match="outside the scalar ring"):
+        module_solve([x("x1"), x("0"), x("0")], problem)
+    other = SubmoduleProblem(1, [[x("x1")]], relation_basis())
+    with pytest.raises(ValueError, match="outside the scalar ring"):
+        module_solve([x("x1")], other)
 
 
 def test_cancellation_token():

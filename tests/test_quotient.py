@@ -89,16 +89,9 @@ def test_lift_outside_the_pushed_module(golden_space):
         lift_vf(tangent, narrow)
 
 
-def test_one_module_basis_serves_lifts_and_brackets(monkeypatch):
+def test_one_module_basis_serves_lifts_and_brackets(count_module_basis_builds):
     space = reflection_context()
-    builds = []
-    original = groebner._module_basis
-
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(groebner, "_module_basis", counting)
+    builds = count_module_basis_builds()
     assert len(space.bracket_coefficients) == 6
     for Y in space.pushed_generators:
         check_lift_roundtrip(space, Y)
@@ -207,6 +200,24 @@ def test_pull_form_beyond_the_ambient_dimension(golden_space):
     table = OrbitForm(golden_space, 3, [((0, 1, 2), one)], check=False)
     with pytest.raises(ValueError, match="pull not found"):
         pull_form(table, golden_space)
+
+
+def test_pull_and_lift_reject_another_space(golden_space, golden_forms):
+    """The automatic space of the same group orders its generators
+    differently, so the golden space's objects mean other things there."""
+    other = OrbitSpace(invariant_generators(golden_space.hilbert.group))
+    function = golden_space.parse_function("y2")
+    one_form = push_form(golden_forms[0], golden_space)
+    field = golden_space.pushed_generators[0]
+    with pytest.raises(ValueError, match="different orbit space"):
+        pull_form(function, other)
+    with pytest.raises(ValueError, match="different orbit space"):
+        pull_form(one_form, other)
+    with pytest.raises(ValueError, match="different orbit space"):
+        lift_vf(field, other)
+    assert pull_form(function, golden_space) == X2 * X2
+    assert pull_form(one_form, golden_space) == golden_forms[0]
+    assert push_vf(lift_vf(field, golden_space), golden_space) == field
 
 
 def test_pull_and_golden_checks_need_no_dense_linear_algebra(
@@ -440,19 +451,12 @@ def test_extend_check_rejects_a_form_of_another_space(golden_space, golden_forms
     assert extend_check(theta, golden_space) == extend_check(theta)
 
 
-def test_one_module_basis_per_extension_and_pull_degree(golden_forms, monkeypatch):
+def test_one_module_basis_per_extension_and_pull_degree(golden_forms, count_module_basis_builds):
     space = reflection_context()
     two = PolyDiffForm(AMBIENT, 2, [((0, 1), X1 * X1 + X2 * X2)])
     ones = [push_form(omega, space) for omega in golden_forms]
     twos = [push_form(two, space), push_form(two * X1 * X2, space)]
-    builds = []
-    original = groebner._module_basis
-
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(groebner, "_module_basis", counting)
+    builds = count_module_basis_builds()
     verdicts = [extend_check(theta) for theta in ones + ones]
     assert len(builds) == 1
     pulls = [pull_form(theta, space) for theta in ones + ones]
