@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .algebra import Polynomial, PolyRing, parse_polynomial
+from .algebra import Polynomial, PolyRing, json_integer, parse_polynomial
 from .group_action import (
     FiniteMatrixGroup,
     LieAlgebraAction,
@@ -74,10 +74,13 @@ class ProblemFile:
     @staticmethod
     def from_json(data: dict) -> "ProblemFile":
         try:
-            n = int(data["n"])
+            n = json_integer(data["n"], "n")
             gens = [matrix_from_rows(m) for m in data["group_generators"]]
             lie = [matrix_from_rows(m) for m in data.get("lie_algebra", [])]
-            bounds = {str(k): int(v) for k, v in _json_object(data, "degree_bounds").items()}
+            bounds = {
+                str(k): json_integer(v, f"degree bound {k!r}")
+                for k, v in _json_object(data, "degree_bounds").items()
+            }
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad problem file: {exc}") from exc
         for m in gens + lie:
@@ -424,6 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Invariants and orbit spaces are computed for the finite group only; a
+# declared Lie algebra feeds only the semi-basic test.
+FINITE_PART_NOTE = (
+    "note: the problem declares a Lie algebra, but this answer is for the"
+    " finite part of the group only"
+)
+
 _BOUND_SCOPE = {
     "invariants": "invariants",
     "relations": "invariants",
@@ -450,6 +460,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if ctx is not None and ctx._hilbert is not None and ctx.problem.lie_algebra:
+        print(FINITE_PART_NOTE, file=sys.stderr)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

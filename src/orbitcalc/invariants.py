@@ -10,10 +10,10 @@ rewrites the invariant through the generators.  The x-free elements of
 that basis are the reduced basis of the relation ideal (elimination
 theorem), so the relations need no Groebner basis of their own.
 
-The generators are found degree by degree.  The invariant ring is graded, so
-whether a Reynolds average of degree d is new is linear algebra over the
-normal forms against the map of the lower-degree generators: one tagged
-basis per degree that gains generators, none per candidate.
+Both generating sets are found degree by degree.  The invariant ring and the
+module of invariant fields are graded, so an average of degree d is new when
+its normal form modulo what lower degrees generate is independent of those
+of the degree-d generators: one basis per degree that gains generators.
 
 Membership of an invariant field in the span of others is decided one level
 down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
@@ -208,8 +208,8 @@ def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
 def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
     """The pushforward of an invariant field in the orbit alphabet:
     component j rewrites X(sigma_j) through the generators.  Components are
-    not reduced modulo the relations.  X(sigma_j) is invariant whenever X
-    is, so its invariance is not tested again."""
+    reduced modulo the relations, whose basis the tagged basis holds.
+    X(sigma_j) is invariant whenever X is, so that is not tested again."""
     components = []
     for s in hmap.sigma:
         q = _subalgebra_rewrite(X.apply(s), hmap)
@@ -381,24 +381,20 @@ class EquivariantModule:
     def from_fields(group: FiniteMatrixGroup, fields) -> "EquivariantModule":
         """Validate invariance and minimality: no field is a combination of
         the others with invariant coefficients."""
+        fields = tuple(fields)
+        if not fields:
+            raise ValueError("empty generating set")
+        for X in fields:
+            if not is_invariant(X, group):
+                raise ValueError(f"not invariant: {X}")
         hmap = invariant_generators(group)
-        return _minimal_module(group, fields, hmap, relations(hmap))
-
-
-def _minimal_module(group, fields, hmap: HilbertMap, ideal: RelationIdeal) -> EquivariantModule:
-    fields = tuple(fields)
-    if not fields:
-        raise ValueError("empty generating set")
-    for X in fields:
-        if not is_invariant(X, group):
-            raise ValueError(f"not invariant: {X}")
-    pushed = [_push_field(X, hmap) for X in fields]
-    for j, X in enumerate(fields):
-        rest = tuple(pushed[:j] + pushed[j + 1 :])
-        span = SubmoduleProblem(len(hmap.sigma), rest, ideal.basis)
-        if rest and module_solve(pushed[j], span).member:
-            raise ValueError(f"generator {X} is a combination of the others")
-    return EquivariantModule(fields)
+        pushed = [_push_field(X, hmap) for X in fields]
+        for j, X in enumerate(fields):
+            rest = tuple(pushed[:j] + pushed[j + 1 :])
+            span = SubmoduleProblem(len(hmap.sigma), rest, relations(hmap).basis)
+            if rest and module_solve(pushed[j], span).member:
+                raise ValueError(f"generator {X} is a combination of the others")
+        return EquivariantModule(fields)
 
 
 def invariant_basis(group: FiniteMatrixGroup, ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -462,24 +458,25 @@ def invariant_combination(
 def equivariant_generators(
     group: FiniteMatrixGroup, degree_bound: int | None = None
 ) -> EquivariantModule:
-    """Generators of the invariant vector fields by degreewise averaging of
-    monomial fields.  A candidate is dropped when its pushforward lies in
-    the span of the kept fields' pushforwards modulo the relation ideal
-    (exact submodule membership, see the module docstring); the Hilbert map
-    of the default bound and its relations serve both the search and the
-    final minimality check.
+    """Generators of the invariant vector fields by a graded search over
+    averaged monomial fields (see the module docstring), against the
+    default-bound Hilbert map.  A candidate is kept when its pushforward's
+    normal form is independent of those kept in its degree; for homogeneous
+    fields that is the leave-one-out test of :meth:`EquivariantModule.from_fields`.
 
     The default bound |G| matches the invariant-ring bound; completeness at
     the bound is exercised by a one-degree-beyond check in the test suite.
     """
     bound = group.order if degree_bound is None else degree_bound
+    if bound < 0:
+        raise ValueError("degree bound must be non-negative")
     hmap = invariant_generators(group)
-    ideal = relations(hmap)
     ring = hmap.ring
     kept: list[PolyVectorField] = []
     pushed: list[tuple[Polynomial, ...]] = []
-    span: SubmoduleProblem | None = None
+    span: SubmoduleProblem | None = None  # the fields of lower degrees, once there are any
     for degree in range(0, bound + 1):
+        rows: dict = {}
         for mono in _monomials_of_degree(ring, degree):
             for i in range(ring.nvars):
                 components = [ring.zero()] * ring.nvars
@@ -488,11 +485,14 @@ def equivariant_generators(
                 if candidate.is_zero():
                     continue
                 column = _push_field(candidate, hmap)
-                if span is not None and module_solve(column, span).member:
-                    continue
-                kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
-                pushed.append(column)
-                span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), ideal.basis)
+                # with no lower-degree fields a pushforward is its own normal form
+                normal = column if span is None else module_solve(column, span).certificate
+                vector = {(j, e): c for j, q in enumerate(normal or ()) for e, c in q.terms.items()}
+                if _echelon_insert(vector, rows):
+                    kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
+                    pushed.append(column)
+        if rows:
+            span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
-    return _minimal_module(group, kept, hmap, ideal)
+    return EquivariantModule(tuple(kept))

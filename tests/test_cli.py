@@ -202,6 +202,30 @@ def test_semibasic(capsys):
     assert payload["contraction"]["terms"][0]["coeff"] == "x1^4 + 2*x1^2*x2^2 + x2^4"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants"],
+        ["relations"],
+        ["equivariants"],
+        ["equivariants", "--format", "json"],
+        ["push-form", "radial"],
+    ],
+)
+def test_lie_algebra_answers_say_they_cover_the_finite_part(capsys, tmp_path, argv):
+    """Invariants and orbit spaces come from the finite part of the group
+    alone: with a Lie algebra declared, stdout and the exit code are those
+    of the same problem without it, and one note on stderr says so.  The
+    semi-basic test uses the Lie algebra and prints no note (test_semibasic
+    reads its JSON answer with an empty stderr)."""
+    data = json.loads(Path(SO2).read_text(encoding="utf-8"))
+    finite_only = tmp_path / "finite_only.json"
+    finite_only.write_text(json.dumps({**data, "lie_algebra": []}), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "-i", SO2)
+    assert run(capsys, *argv, "-i", str(finite_only)) == (code, out, "")
+    assert err.startswith("note:") and err.splitlines() == [cli.FINITE_PART_NOTE]
+
+
 def test_invariant_check(capsys):
     code, out, _ = run(capsys, "invariant-check", "w1", "-i", Z2)
     assert (code, out.strip()) == (0, "INVARIANT")
@@ -407,6 +431,11 @@ def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
             {"named_objects": {"w1": {"degree": 1, "terms": [{"indices": [True], "coeff": "x1"}]}}},
             "indices must be an integer",
         ),
+        ({"degree_bounds": {"invariants": 4.5}}, "bad problem file: degree bound 'invariants'"),
+        ({"degree_bounds": {"equivariants": "3"}}, "bad problem file: degree bound 'equivariants'"),
+        ({"n": 2.7}, "bad problem file: n must be an integer"),
+        ({"n": "2"}, "bad problem file: n must be an integer"),
+        ({"n": True}, "bad problem file: n must be an integer"),
     ],
 )
 def test_problem_file_mistyped_fields(tmp_path, change, fragment):
@@ -415,6 +444,13 @@ def test_problem_file_mistyped_fields(tmp_path, change, fragment):
     problem.write_text(json.dumps({**data, **change}), encoding="utf-8")
     result = run_process(tmp_path, "invariants", "-i", str(problem))
     assert_input_error(result, fragment)
+
+
+def test_negative_equivariant_degree_bound_is_an_input_error(capsys):
+    code, out, err = run(capsys, "equivariants", "-i", Z2, "--degree-bound", "-1")
+    assert (code, out, err) == (2, "", "error: degree bound must be non-negative\n")
+    code, out, _ = run(capsys, "equivariants", "-i", TRIVIAL, "--degree-bound", "0")
+    assert (code, out.splitlines()) == (0, ["(1)*d/dx1", "(1)*d/dx2"])
 
 
 @pytest.mark.parametrize(

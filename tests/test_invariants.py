@@ -14,8 +14,16 @@ from conftest import (
     monomials_up_to,
     random_poly,
 )
-from orbitcalc import invariants, linalg
-from orbitcalc.algebra import GREVLEX, PolyRing, Polynomial, embed, parse_polynomial, restrict
+from orbitcalc import groebner, invariants, linalg
+from orbitcalc.algebra import (
+    GREVLEX,
+    PolyRing,
+    Polynomial,
+    embed,
+    make_primitive,
+    parse_polynomial,
+    restrict,
+)
 from orbitcalc.groebner import buchberger, eliminate, normal_form
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
 from orbitcalc.invariants import (
@@ -636,3 +644,107 @@ def test_membership_path_needs_no_dense_linear_algebra(monkeypatch):
         EquivariantModule.from_fields(group, redundant)
     target = x("x1*x2") * module.generators[0]
     assert invariant_combination(target, module.generators, group) is not None
+
+
+# ---------------------------------------------------------------------------
+# the graded equivariant search against the sequential search it replaced
+# ---------------------------------------------------------------------------
+
+# The benchmark's presentation and elimination ladders, S3 permuting the
+# coordinates of R^3, and the golden reflection group.
+SEARCH_RUNGS = {
+    "z2_r2": [[["-1", "0"], ["0", "-1"]]],
+    "z4_r2": [[["0", "-1"], ["1", "0"]]],
+    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z2z2_r3": [
+        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    ],
+    "z2_r3": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]],
+    "z3_r3": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]],
+    "z6_r2": [[["1", "-1"], ["1", "0"]]],
+    "s3_r3": [
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+    ],
+    "reflection": [[["-1", "0"], ["0", "1"]]],
+}
+
+
+def sequential_equivariant_generators(group):
+    """The search as it was before the graded one: a candidate is kept when
+    its pushforward is not a member of the span of every field kept so far,
+    and the membership problem is rebuilt after each kept field."""
+    hmap = invariant_generators(group)
+    ideal = relations(hmap)
+    ring = hmap.ring
+    kept, pushed, span = [], [], None
+    for degree in range(0, group.order + 1):
+        for mono in invariants._monomials_of_degree(ring, degree):
+            for i in range(ring.nvars):
+                components = [ring.zero()] * ring.nvars
+                components[i] = mono
+                candidate = reynolds(PolyVectorField(ring, components), group)
+                if candidate.is_zero():
+                    continue
+                column = invariants._push_field(candidate, hmap)
+                if span is not None and groebner.module_solve(column, span).member:
+                    continue
+                kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
+                pushed.append(column)
+                span = groebner.SubmoduleProblem(len(hmap.sigma), tuple(pushed), ideal.basis)
+    return kept
+
+
+def field_degree(X):
+    return max(c.degree() for c in X.components if not c.is_zero())
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_RUNGS))
+def test_graded_equivariant_search_matches_the_sequential_one(rung):
+    group = closure(SEARCH_RUNGS[rung])
+    hmap = invariant_generators(group)  # held, so all three searches share it
+    module = equivariant_generators(group)
+    texts = [str(X) for X in module.generators]
+    assert texts == [str(X) for X in sequential_equivariant_generators(group)]
+    # the leave-one-out oracle: no generator is a combination of the others
+    assert EquivariantModule.from_fields(group, module.generators) == module
+    assert invariant_generators(group) is hmap
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_RUNGS))
+def test_one_module_basis_at_most_per_degree_that_gains_fields(rung, count_module_basis_builds):
+    group = closure(SEARCH_RUNGS[rung])
+    hmap = invariant_generators(group)
+    relations(hmap)
+    builds = count_module_basis_builds()
+    module = equivariant_generators(group)
+    assert len(builds) <= len({field_degree(X) for X in module.generators})
+    if rung == "z2_r3":
+        # all nine generators are linear, and every other degree averages to zero
+        assert len(module) == 9 and not builds
+
+
+def test_equivariant_search_needs_no_leave_one_out_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search re-checked its own minimality")
+
+    monkeypatch.setattr(EquivariantModule, "from_fields", staticmethod(refuse))
+    assert not hasattr(invariants, "_minimal_module")
+    module = equivariant_generators(closure(SEARCH_RUNGS["z3_r3"]))
+    assert [str(X) for X in module.generators] == [
+        "(1)*d/dx1 + (1)*d/dx2 + (1)*d/dx3",
+        "(x1)*d/dx1 + (x2)*d/dx2 + (x3)*d/dx3",
+        "(x3)*d/dx1 + (x1)*d/dx2 + (x2)*d/dx3",
+        "(x1^2)*d/dx1 + (x2^2)*d/dx2 + (x3^2)*d/dx3",
+        "(x3^2)*d/dx1 + (x1^2)*d/dx2 + (x2^2)*d/dx3",
+    ]
+
+
+def test_equivariant_degree_bound_must_be_non_negative():
+    group = make_trivial_group()
+    with pytest.raises(ValueError, match="degree bound must be non-negative"):
+        equivariant_generators(group, -1)
+    module = equivariant_generators(group, 0)
+    assert [str(X) for X in module.generators] == ["(1)*d/dx1", "(1)*d/dx2"]
