@@ -184,7 +184,7 @@ class Context:
     def space(self) -> OrbitSpace:
         if self._space is None:
             # the Hilbert map first: held here, the equivariant search
-            # reuses it when the problem keeps the default invariant bound
+            # reuses it whenever it is certified
             hilbert = self.hilbert
             module = equivariant_generators(self.group, self.bound("equivariants"))
             self._space = OrbitSpace(hilbert, module=module, lie_action=self.lie_action)
@@ -434,6 +434,20 @@ FINITE_PART_NOTE = (
     " finite part of the group only"
 )
 
+# A degree bound below the certificate degree leaves a generating set that
+# no Hilbert series comparison certified complete.
+CUT_SEARCH_NOTE = (
+    "note: the degree bound stopped the {} generator search before the"
+    " Molien series certified it complete"
+)
+
+
+def _cut_searches(ctx: Context) -> list[str]:
+    """The searches this command ran that their bound cut short."""
+    built = (("invariant", ctx._hilbert), ("equivariant", ctx._space and ctx._space.module))
+    return [name for name, result in built if result is not None and result.certificate is None]
+
+
 _BOUND_SCOPE = {
     "invariants": "invariants",
     "relations": "invariants",
@@ -462,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     if ctx is not None and ctx._hilbert is not None and ctx.problem.lie_algebra:
         print(FINITE_PART_NOTE, file=sys.stderr)
+    cut = _cut_searches(ctx) if ctx is not None else []
+    if cut:
+        print(CUT_SEARCH_NOTE.format(" and ".join(cut)), file=sys.stderr)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

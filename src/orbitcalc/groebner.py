@@ -475,6 +475,17 @@ def _module_basis(
     return problem._basis
 
 
+def _position_leads(problem: SubmoduleProblem) -> list[list[Exponents]]:
+    """The leading monomials of the problem's module basis, one list per
+    position: the monomial ideals whose sum is the initial submodule."""
+    codec, _, tracked = _module_basis(problem, None)
+    leads: list[list[Exponents]] = [[] for _ in range(codec.rank)]
+    for t in tracked:
+        lm = t.lead[0]
+        leads[lm[: codec.rank].index(1)].append(lm[codec.rank :])
+    return leads
+
+
 def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> list[Polynomial]:
     """Translate a combination over the problem's module basis into the
     scalar coefficients it puts on the columns."""

@@ -15,6 +15,13 @@ module of invariant fields are graded, so an average of degree d is new when
 its normal form modulo what lower degrees generate is independent of those
 of the degree-d generators: one basis per degree that gains generators.
 
+Both searches stop at the end of the first degree where what they have
+found is certified complete: the Hilbert series of what the generators
+span, read off the leading monomials of a basis the search holds anyway,
+equals the exact Molien series of the group (:mod:`.series`).  A degree
+bound only caps a runaway search; when it cuts a search before the series
+agree, the result records no certificate.
+
 Membership of an invariant field in the span of others is decided one level
 down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
 is injective on invariant fields of a finite group, so X = sum h_i(sigma) X_i
@@ -43,6 +50,7 @@ from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
     _elimination_part,
+    _position_leads,
     buchberger,
     module_solve,
     normal_form,
@@ -54,6 +62,7 @@ from .group_action import (
     reynolds,
 )
 from . import linalg
+from .series import field_series, module_series, molien_series, quotient_series, same_series
 
 
 def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -79,10 +88,13 @@ class HilbertMap:
 
     The y alphabet doubles as coordinates of the orbit space model: the image
     of x -> (sigma_1(x), ..., sigma_l(x)) carries the quotient structure.
+    ``certificate`` is the degree at which :func:`invariant_generators`
+    certified the generators complete, or None (a search cut by its bound,
+    or generators chosen by hand).
     """
 
     __slots__ = ("group", "sigma", "ring", "orbit_ring", "combined_ring", "tag_basis",
-                 "_monomial_forms", "_relations", "__weakref__")
+                 "certificate", "_monomial_forms", "_relations", "__weakref__")
 
     def __init__(self, group, sigma, ring, orbit_ring, combined_ring, tag_basis):
         self.group = group
@@ -91,6 +103,7 @@ class HilbertMap:
         self.orbit_ring = orbit_ring
         self.combined_ring = combined_ring
         self.tag_basis = tag_basis
+        self.certificate: int | None = None
         # normal forms of ambient monomials against the tagged basis as
         # integer numerators over one denominator, by exponent tuple,
         # filled as subduction meets them
@@ -235,18 +248,31 @@ def invariant_generators(
     map, which for homogeneous generators is the leave-one-out minimality
     test of :meth:`HilbertMap.from_polynomials`.
 
-    The default bound |G| is complete in characteristic zero (Noether).
+    The search stops at the end of the first degree d whose generators are
+    certified complete, and records d as the map's ``certificate``: the
+    Hilbert series of Q[y]/in(I), with y_j weighted by deg sigma_j and in(I)
+    the leading monomials of the relations in the tagged basis, equals the
+    Molien series.  A degree d >= |G| needs no test: Noether's bound
+    certifies it.  ``degree_bound`` (default |G|) only caps the search; a
+    map it cuts before the series agree has no certificate.
+
     Output order is canonical: ascending degree, then descending grevlex
     leading monomial within a degree.  The map is built once per group
-    instance and bound: while a caller holds it, a later call returns the
-    same map.
+    instance: while a caller holds a certified map, every call with a bound
+    at or above its certificate returns it, and a map cut by a lower bound
+    is kept for that bound.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be positive")
-    hmap = group._hilbert_maps.get(bound)
+    maps = group._hilbert_maps
+    # the certified map is kept under None: it serves every bound it reaches
+    hmap = maps.get(None)
+    if hmap is None or hmap.certificate > bound:
+        hmap = maps.get(bound)
     if hmap is None:
-        hmap = group._hilbert_maps[bound] = _search_generators(group, bound)
+        hmap = _search_generators(group, bound)
+        maps[bound if hmap.certificate is None else None] = hmap
     return hmap
 
 
@@ -254,6 +280,7 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None  # the map of all generators found so far
+    molien = None
     for degree in range(1, bound + 1):
         rows: dict = {}
         found = []
@@ -261,22 +288,40 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
             candidate = reynolds(mono, group)
             if not candidate.is_zero() and _echelon_insert(_x_part(candidate, hmap), rows):
                 found.append(candidate.primitive())
-        if not found:
+        if found:
+            found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
+            # the checks of from_polynomials: invariance, and minimality as
+            # independence of the sorted generators modulo the lower map
+            rows = {}
+            for p in found:
+                if not is_invariant(p, group):
+                    raise AssertionError(f"internal error: not invariant: {p}")
+                if not _echelon_insert(_x_part(p, hmap), rows):
+                    raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
+            sigma.extend(found)
+            hmap = _assemble(group, tuple(sigma), ring)
+        if hmap is None or (not found and degree < group.order):
             continue
-        found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
-        # the checks of from_polynomials: invariance, and minimality as
-        # independence of the sorted generators modulo the lower map
-        rows = {}
-        for p in found:
-            if not is_invariant(p, group):
-                raise AssertionError(f"internal error: not invariant: {p}")
-            if not _echelon_insert(_x_part(p, hmap), rows):
-                raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
-        sigma.extend(found)
-        hmap = _assemble(group, tuple(sigma), ring)
+        if degree < group.order:  # from |G| on, Noether's bound certifies
+            if molien is None:
+                molien = molien_series(group)
+            if not _ring_certified(hmap, molien):
+                continue
+        hmap.certificate = degree
+        break
     if hmap is None:
         raise ValueError("no invariants found up to the degree bound")
     return hmap
+
+
+def _ring_certified(hmap: HilbertMap, molien) -> bool:
+    """Whether the map's generators span the whole invariant ring: the
+    weighted Hilbert series of Q[y]/in(I) equals the Molien series."""
+    leads = [
+        g.leading(GREVLEX)[0]
+        for g in _elimination_part(hmap.tag_basis, hmap.ring.nvars).generators
+    ]
+    return same_series(quotient_series(leads, [s.degree() for s in hmap.sigma]), molien)
 
 
 def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
@@ -366,9 +411,12 @@ def relations(hmap: HilbertMap) -> RelationIdeal:
 @dataclass(frozen=True)
 class EquivariantModule:
     """A minimal generating set for the module of invariant polynomial
-    vector fields over the invariant ring."""
+    vector fields over the invariant ring.  ``certificate`` is the degree
+    at which :func:`equivariant_generators` certified it complete, or None;
+    it takes no part in equality or hashing."""
 
     generators: tuple[PolyVectorField, ...]
+    certificate: int | None = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.generators)
@@ -460,12 +508,20 @@ def equivariant_generators(
 ) -> EquivariantModule:
     """Generators of the invariant vector fields by a graded search over
     averaged monomial fields (see the module docstring), against the
-    default-bound Hilbert map.  A candidate is kept when its pushforward's
-    normal form is independent of those kept in its degree; for homogeneous
-    fields that is the leave-one-out test of :meth:`EquivariantModule.from_fields`.
+    group's certified Hilbert map (the caller's, while one is held).  A
+    candidate is kept when its pushforward's normal form is independent of
+    those kept in its degree; for homogeneous fields that is the
+    leave-one-out test of :meth:`EquivariantModule.from_fields`.
 
-    The default bound |G| matches the invariant-ring bound; completeness at
-    the bound is exercised by a one-degree-beyond check in the test suite.
+    The search stops at the end of the first degree d whose fields are
+    certified complete, and records d as the module's ``certificate``: with
+    J_j the leading monomials at position j of the pushed span's module
+    basis, the series sum_j t^(1 - deg sigma_j) (K_in(I) - K_J_j) /
+    prod(1 - t^(deg sigma)) equals the field series of the group.  A degree
+    d >= |G| - 1 needs no test: the fields are the invariants on V + V*
+    linear in V*, so Noether's bound |G| there puts every field generator
+    in degree |G| - 1 or below.  ``degree_bound`` (default |G|) only caps
+    the search; a module it cuts before the series agree has no certificate.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 0:
@@ -475,6 +531,8 @@ def equivariant_generators(
     kept: list[PolyVectorField] = []
     pushed: list[tuple[Polynomial, ...]] = []
     span: SubmoduleProblem | None = None  # the fields of lower degrees, once there are any
+    series = None
+    certificate = None
     for degree in range(0, bound + 1):
         rows: dict = {}
         for mono in _monomials_of_degree(ring, degree):
@@ -493,6 +551,25 @@ def equivariant_generators(
                     pushed.append(column)
         if rows:
             span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
+        if span is None or (not rows and degree < group.order - 1):
+            continue
+        if degree < group.order - 1:  # from |G| - 1 on, Noether's bound certifies
+            if series is None:
+                series = field_series(group)
+            if not _fields_certified(span, hmap, series):
+                continue
+        certificate = degree
+        break
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
-    return EquivariantModule(tuple(kept))
+    return EquivariantModule(tuple(kept), certificate)
+
+
+def _fields_certified(span: SubmoduleProblem, hmap: HilbertMap, series) -> bool:
+    """Whether the pushed fields of ``span`` generate every invariant field:
+    the Hilbert series of their span modulo the relations, shifted back to
+    field degrees, equals the field series.  The module basis read here is
+    the one the next degree's membership tests use."""
+    ideal_leads = [g.leading(GREVLEX)[0] for g in relations(hmap).basis.generators]
+    weights = [s.degree() for s in hmap.sigma]
+    return same_series(module_series(ideal_leads, _position_leads(span), weights), series)

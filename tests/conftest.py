@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcalc import groebner
+from orbitcalc import groebner, invariants
 from orbitcalc.algebra import PolyRing, Polynomial
 from orbitcalc.exterior import d, homotopy, wedge
 from orbitcalc.group_action import (
@@ -75,6 +75,11 @@ def random_vf(rng, ring, max_degree=3, max_terms=2):
         ring,
         [random_poly(rng, ring, max_degree, max_terms) for _ in range(ring.nvars)],
     )
+
+
+def field_degree(X):
+    """The largest coefficient degree of a nonzero polynomial vector field."""
+    return max(c.degree() for c in X.components if not c.is_zero())
 
 
 def random_form(rng, ring, degree, max_degree=3, max_terms=2):
@@ -157,6 +162,21 @@ def count_module_basis_builds(monkeypatch):
         return builds
 
     return start
+
+
+@pytest.fixture
+def invariant_searches(monkeypatch):
+    """The degree bounds of the invariant generator searches run during the
+    test, in order."""
+    searches = []
+    search = invariants._search_generators
+
+    def counting(group, bound):
+        searches.append(bound)
+        return search(group, bound)
+
+    monkeypatch.setattr(invariants, "_search_generators", counting)
+    return searches
 
 
 @pytest.fixture(scope="session")

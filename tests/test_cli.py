@@ -22,6 +22,7 @@ TRIVIAL = str(FIXTURES / "trivial.json")
 SO2 = str(FIXTURES / "so2_semibasic.json")
 THETA1 = str(FIXTURES / "theta1.json")
 THETA4 = str(FIXTURES / "theta4.json")
+S4 = str(FIXTURES / "s4.json")
 
 
 def run(capsys, *argv):
@@ -87,6 +88,43 @@ def test_equivariants_listing(capsys):
     assert payload == {
         "equivariants": [{"components": ["1", "0"]}, {"components": ["0", "1"]}]
     }
+
+
+def bounded_problem(tmp_path, **bounds):
+    data = json.loads(Path(S4).read_text(encoding="utf-8"))
+    path = tmp_path / "s4_bounded.json"
+    path.write_text(json.dumps({**data, "degree_bounds": bounds}), encoding="utf-8")
+    return str(path)
+
+
+def test_bounded_s4_equivariants_search_the_invariants_once(capsys, tmp_path, invariant_searches):
+    path = bounded_problem(tmp_path, invariants=4, equivariants=3)
+    code, out, err = run(capsys, "equivariants", "-i", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "(1)*d/dx1 + (1)*d/dx2 + (1)*d/dx3 + (1)*d/dx4",
+        "(x1)*d/dx1 + (x2)*d/dx2 + (x3)*d/dx3 + (x4)*d/dx4",
+        "(x1^2)*d/dx1 + (x2^2)*d/dx2 + (x3^2)*d/dx3 + (x4^2)*d/dx4",
+        "(x1^3)*d/dx1 + (x2^3)*d/dx2 + (x3^3)*d/dx3 + (x4^3)*d/dx4",
+    ]
+    assert invariant_searches == [4]
+
+
+@pytest.mark.parametrize(
+    "argv, bounds, cut",
+    [
+        (["invariants", "--degree-bound", "3"], {}, "invariant"),
+        (["equivariants", "--degree-bound", "2"], {}, "equivariant"),
+        (["equivariants"], {"invariants": 3, "equivariants": 2}, "invariant and equivariant"),
+        (["invariants", "--degree-bound", "4", "--format", "json"], {}, None),
+    ],
+)
+def test_a_cut_search_is_noted_on_stderr(capsys, tmp_path, argv, bounds, cut):
+    """A command answers as usual; one note on stderr says which searches
+    the bound cut before their certificate (the certified run is above)."""
+    code, out, err = run(capsys, *argv, "-i", bounded_problem(tmp_path, **bounds))
+    assert code == 0 and out
+    assert err.splitlines() == ([] if cut is None else [cli.CUT_SEARCH_NOTE.format(cut)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,151 @@
+"""Exact Hilbert series against brute-force oracles, and the completeness
+certificates of both generator searches built on them."""
+
+import json
+import random
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+from conftest import field_degree
+
+from orbitcalc import invariants, linalg
+from orbitcalc.algebra import PolyRing
+from orbitcalc.groebner import SubmoduleProblem
+from orbitcalc.group_action import PolyVectorField, closure, reynolds
+from orbitcalc.invariants import (
+    equivariant_generators,
+    invariant_basis,
+    invariant_generators,
+    relations,
+)
+from orbitcalc.series import field_series, ideal_numerator, molien_series, one_minus_powers
+
+FIXTURES = Path(invariants.__file__).parent / "fixtures"
+
+# The benchmark's presentation and elimination ladders (unconjugated).
+LADDER = {
+    "z2_r2": [[["-1", "0"], ["0", "-1"]]],
+    "z4_r2": [[["0", "-1"], ["1", "0"]]],
+    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z2z2_r3": [
+        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    ],
+    "z2_r3": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]],
+    "z3_r3": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]],
+    "z6_r2": [[["1", "-1"], ["1", "0"]]],
+}
+
+
+def fixture_generators(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["group_generators"]
+
+
+RUNGS = {**LADDER, "b3_r3": fixture_generators("b3"), "s4_r4": fixture_generators("s4")}
+
+
+def coefficients(series, count):
+    """The first ``count`` power series coefficients of numerator/denominator."""
+    numerator, denominator = series
+    out = []
+    for d in range(count):
+        c = numerator[d] if d < len(numerator) else 0
+        c -= sum(denominator[k] * out[d - k] for k in range(1, min(d, len(denominator) - 1) + 1))
+        out.append(Fraction(c, denominator[0]))
+    return out
+
+
+def monomial_fields(ring, degree):
+    for mono in invariants._monomials_of_degree(ring, degree):
+        for i in range(ring.nvars):
+            components = [ring.zero()] * ring.nvars
+            components[i] = mono
+            yield PolyVectorField(ring, components)
+
+
+@pytest.mark.parametrize("rung", sorted(LADDER))
+def test_molien_coefficients_count_the_invariants(rung):
+    group = closure(LADDER[rung])
+    ring = PolyRing.ambient(group.n)
+    counts = coefficients(molien_series(group), group.order + 2)
+    assert counts == [len(invariant_basis(group, ring, d)) for d in range(group.order + 2)]
+
+
+@pytest.mark.parametrize("rung", sorted(LADDER))
+def test_field_series_counts_the_averaged_fields(rung):
+    group = closure(LADDER[rung])
+    ring = PolyRing.ambient(group.n)
+    counts = coefficients(field_series(group), group.order + 1)
+    for degree, expected in enumerate(counts):
+        averaged = [reynolds(X, group) for X in monomial_fields(ring, degree)]
+        coords = sorted({(i, e) for X in averaged for i, c in enumerate(X.components) for e in c.terms})
+        rows = [
+            [X.components[i].terms.get(e, 0) for i, e in coords]
+            for X in averaged
+            if not X.is_zero()
+        ]
+        rank = len(linalg.echelon(rows)[1]) if rows else 0
+        assert rank == expected, f"degree {degree}"
+
+
+def test_ideal_numerator_counts_standard_monomials():
+    rng = random.Random("monomial-ideals")
+    top = 9
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 4))
+        ]
+        series = (ideal_numerator(gens, weights), one_minus_powers(weights))
+        counts = [0] * top
+        for exps in product(range(top), repeat=nvars):
+            degree = sum(e * w for e, w in zip(exps, weights))
+            standard = not any(all(g <= e for g, e in zip(m, exps)) for m in gens)
+            if degree < top and standard:
+                counts[degree] += 1
+        assert coefficients(series, top) == counts, (gens, weights)
+
+
+# rung -> the last degrees that gain invariants and fields, as a search run
+# to the bound |G| finds them; pinned, so that a certificate that holds too
+# early cannot move them with it
+LAST_DEGREES = {
+    "z2_r2": (2, 1),
+    "z4_r2": (4, 3),
+    "b2_r2": (4, 3),
+    "d3_r2": (3, 2),
+    "z2z2_r3": (3, 2),
+    "z2_r3": (2, 1),
+    "z3_r3": (3, 2),
+    "z6_r2": (6, 5),
+    "b3_r3": (6, 5),
+    "s4_r4": (4, 3),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(RUNGS))
+def test_certificates_agree_first_at_the_last_generator_degree(rung):
+    """Each certificate test fails on the generators of every degree below
+    the last one that gains generators and holds there."""
+    last_invariant, last_field = LAST_DEGREES[rung]
+    group = closure(RUNGS[rung])
+    hmap = invariant_generators(group)
+    molien = molien_series(group)
+    for bound in range(hmap.sigma[0].degree(), last_invariant + 1):
+        cut = invariant_generators(group, bound)
+        assert invariants._ring_certified(cut, molien) == (bound == last_invariant), bound
+    assert hmap.certificate == hmap.sigma[-1].degree() == last_invariant
+
+    series = field_series(group)
+    ideal = relations(hmap).basis
+    first = field_degree(equivariant_generators(group).generators[0])
+    for bound in range(first, last_field + 1):
+        module = equivariant_generators(group, bound)
+        columns = tuple(invariants._push_field(X, hmap) for X in module.generators)
+        span = SubmoduleProblem(len(hmap.sigma), columns, ideal)
+        assert invariants._fields_certified(span, hmap, series) == (bound == last_field), bound
+    assert module.certificate == field_degree(module.generators[-1]) == last_field
