@@ -37,7 +37,13 @@ from .exterior import (
     vf_from_json,
     vf_to_json,
 )
-from .invariants import HilbertMap, equivariant_generators, invariant_generators, relations
+from .invariants import (
+    HilbertMap,
+    NotInSubalgebraError,
+    equivariant_generators,
+    invariant_generators,
+    relations,
+)
 from .quotient import (
     OrbitSpace,
     extend_check,
@@ -448,6 +454,19 @@ def _cut_searches(ctx: Context) -> list[str]:
     return [name for name, result in built if result is not None and result.certificate is None]
 
 
+def _explained(exc: ValueError, ctx: Context | None) -> str:
+    """The error message, naming the invariants degree bound when it cut
+    the invariant search short of an invariant the command needed."""
+    hilbert = ctx._hilbert if ctx is not None else None
+    cut = hilbert is not None and hilbert.certificate is None
+    if isinstance(exc, NotInSubalgebraError) and cut:
+        return (
+            f"{exc}: the invariants degree bound {ctx.bound('invariants')} stopped the"
+            " invariant generator search before it found every generator"
+        )
+    return str(exc)
+
+
 _BOUND_SCOPE = {
     "invariants": "invariants",
     "relations": "invariants",
@@ -457,10 +476,9 @@ _BOUND_SCOPE = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    ctx = None
     try:
-        if args.command == "verify-golden":
-            ctx = None
-        else:
+        if args.command != "verify-golden":
             problem = load_problem(args.input)
             overrides = {}
             scope = _BOUND_SCOPE.get(args.command)
@@ -472,7 +490,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_explained(exc, ctx)}", file=sys.stderr)
         return 2
     if ctx is not None and ctx._hilbert is not None and ctx.problem.lie_algebra:
         print(FINITE_PART_NOTE, file=sys.stderr)

@@ -1,18 +1,18 @@
 """Buchberger-based ideal and module computations.
 
-Scalar layer: reduced Groebner bases (sugar selection strategy, product and
-chain criteria), normal forms, and elimination ideals.  Scalar bases track
-representations over no input; only the module layer reads them.
-
-Module layer: a rank-r vector is encoded as the tag-linear polynomial
-sum(e_i * v_i) in r position-tag variables, under a block order that
-dominates the scalar order (position over term).  The same Buchberger loop
-runs on these encodings, but only pairs whose leading terms share a position
-are formed, so every basis element, quotient and representation stays
-tag-linear or tag-free.  Submodule membership returns explicit witnesses
-and syzygy generating sets come from Schreyer's S-pair lifting on the final
-basis; both read only coefficients on the columns, so representations are
-tracked over the columns alone, never over the ideal padding.
+One Buchberger loop works on vectors, tuples of scalar polynomials, under
+the position-over-term order (position 0 first, then the scalar order),
+modulo an ideal whose generators act at every position.  Scalar layer: the
+loop on rank-1 vectors with no ideal gives reduced Groebner bases (sugar
+strategy, product and chain criteria), normal forms, and elimination
+ideals.  Module layer: submodules of (R/I)^r (Greuel & Pfister, *A Singular
+Introduction to Commutative Algebra*, 2.3).  Pairs are formed between
+elements leading at the same position, and between an element and an ideal
+generator whose leading monomials share a variable.  Submodule membership
+returns explicit witnesses, and syzygy generating sets come from Schreyer's
+lifting of the same pairs on the final basis (2.5); both read only
+coefficients on the columns, so representations are tracked over the
+columns alone.
 """
 
 from __future__ import annotations
@@ -136,21 +136,56 @@ def divide(
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with sugar strategy, product + chain criteria, and
-# representation tracking over the leading inputs (the module columns)
+# Buchberger on vectors modulo an ideal, with sugar strategy, product + chain
+# criteria, and representations over the leading inputs (the module columns)
 # ---------------------------------------------------------------------------
+
+Vector = tuple[Polynomial, ...]
+
 
 @dataclass
 class _Tracked:
-    poly: Polynomial
-    rep: list[Polynomial]  # poly - sum(rep[j] * gens[j]) is in the ideal of gens[len(rep):]
+    # An ideal generator g is stored once, as vec (g,) at position -1: it
+    # acts at every position.  Either way vec[pos] is the leading component.
+    vec: Vector
+    rep: list[Polynomial]  # vec - sum(rep[j] * gens[j]) has every component in the ideal
     sugar: int
-    lead: tuple[Exponents, Fraction]  # poly.leading(order), computed once
+    pos: int
+    lead: tuple[Exponents, Fraction]  # vec[pos].leading(order), computed once
 
 
 def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
     lm, lc = t.lead
-    return _Tracked(t.poly.scale(c), [r.scale(c) for r in t.rep], t.sugar, (lm, lc * c))
+    vec = tuple(p.scale(c) for p in t.vec)
+    return _Tracked(vec, [r.scale(c) for r in t.rep], t.sugar, t.pos, (lm, lc * c))
+
+
+def _is_zero_vector(vec: Vector) -> bool:
+    return not any(c.terms for c in vec)
+
+
+def _forms_pair(t: _Tracked, u: _Tracked) -> bool:
+    """Whether the element ``t`` and ``u`` have an S-pair: ``u`` leads at
+    the same position, or is an ideal generator whose leading monomial
+    shares a variable with t's (a coprime one reduces to zero)."""
+    if u.pos < 0:
+        return any(x and y for x, y in zip(t.lead[0], u.lead[0]))
+    return u.pos == t.pos
+
+
+def _s_vector(f: _Tracked, g: _Tracked) -> tuple[Exponents, Exponents, Vector]:
+    """The monomials u_f, u_g that take both leading monomials to their lcm,
+    and the S-vector u_f * f / lc(f) - u_g * g / lc(g) of an element f and
+    an element or ideal generator g leading at f's position."""
+    lcm = mono_lcm(f.lead[0], g.lead[0])
+    uf, ug = mono_div(lcm, f.lead[0]), mono_div(lcm, g.lead[0])
+    sf, sg = Fraction(1) / f.lead[1], Fraction(1) / g.lead[1]
+    s_vec = [a.mul_monomial(uf, sf) for a in f.vec]
+    if g.pos < 0:
+        s_vec[f.pos] = s_vec[f.pos] - g.vec[0].mul_monomial(ug, sg)
+    else:
+        s_vec = [a - b.mul_monomial(ug, sg) for a, b in zip(s_vec, g.vec)]
+    return uf, ug, tuple(s_vec)
 
 
 def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
@@ -162,68 +197,105 @@ def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
     return rep
 
 
+def _divide_vector(
+    vec: Vector, basis: Sequence[_Tracked], order: MonomialOrder
+) -> tuple[Vector, list[Polynomial]]:
+    """Position-over-term division: at each position i in turn, component i
+    is divided by the elements of ``basis`` leading at i and by its ideal
+    generators, and each quotient on an element is carried into the later
+    components.  Returns the remainder and one quotient per element of
+    ``basis`` (zero on the ideal generators); ``vec - remainder - sum(q_k *
+    basis_k)`` has every component in the ideal."""
+    rest = list(vec)
+    quotients = [vec[0].ring.zero()] * len(basis)
+    for i in range(len(rest)):
+        if rest[i].is_zero():
+            continue
+        at = [k for k, t in enumerate(basis) if t.pos == i]
+        divisors = [basis[k] for k in at] + [t for t in basis if t.pos < 0]
+        rest[i], qs = divide(
+            rest[i], [t.vec[t.pos] for t in divisors], order, _leads=[t.lead for t in divisors]
+        )
+        for k, q in zip(at, qs):  # the ideal's quotients, last, are dropped
+            quotients[k] = q
+            for j in range(i + 1, len(rest)):
+                if q.terms and basis[k].vec[j].terms:
+                    rest[j] = rest[j] - q * basis[k].vec[j]
+    return tuple(rest), quotients
+
+
 def _buchberger_tracked(
-    gens: Sequence[Polynomial],
+    gens: Sequence[Vector],
     order: MonomialOrder,
     columns: int,
+    ideal: GroebnerBasis | None = None,
     cancel: CancelCheck | None = None,
-    rank: int = 0,
 ) -> list[_Tracked]:
-    """Reduced Groebner basis with representations over the first
-    ``columns`` inputs (0 for :func:`buchberger`; the module columns, not the
-    ideal padding, for the module layer).
+    """Reduced Groebner basis of the module spanned by the vectors ``gens``
+    modulo ``ideal`` (a Groebner basis for ``order``) at every position,
+    with representations over the first ``columns`` inputs, followed by the
+    ideal's generators.  :func:`buchberger` passes its scalars as rank-1
+    vectors with no ideal and no columns.
 
-    Output elements are monic, pairwise interreduced, and sorted by leading
-    monomial (descending) so results are byte-reproducible.  With ``rank`` > 0
-    the first ``rank`` variables are module positions: no pair is formed
-    between elements whose leading monomials differ there, which makes the
-    result a position-over-term module basis of tag-linear inputs.
+    The order is position over term: the lower position wins, then
+    ``order``.  Output elements are monic, interreduced modulo each other
+    and the ideal, and sorted by leading term (descending) so results are
+    byte-reproducible.
     """
-    basis: list[_Tracked] = []
-    # Pending S-pairs, smallest (sugar, lcm, i, j) first.  The basis only
-    # grows, so a pair's key never changes once pushed, and (i, j) makes it
-    # unique.  ``pending`` holds the same pairs for the chain criterion.
+    basis = [
+        _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, g.leading(order))
+        for g in (ideal.generators if ideal is not None else ())
+    ]
+    # Pending S-pairs, smallest (sugar, position, lcm, i, j) first.  The
+    # basis only grows, so a pair's key never changes once pushed, and
+    # (i, j) makes it unique.  ``pending`` holds the same pairs for the
+    # chain criterion.
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
-    def append(t: _Tracked):
+    def append(vec: Vector, rep: list[Polynomial], sugar: int):
+        pos = next(i for i, c in enumerate(vec) if c.terms)
+        t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
         j = len(basis)
         lj = t.lead[0]
         for i, u in enumerate(basis):
-            li = u.lead[0]
-            if li[:rank] != lj[:rank]:
+            if not _forms_pair(t, u):
                 continue
+            li = u.lead[0]
             lcm = mono_lcm(li, lj)
-            sugar = max(
+            pair_sugar = max(
                 u.sugar + mono_degree(mono_div(lcm, li)),
                 t.sugar + mono_degree(mono_div(lcm, lj)),
             )
-            heapq.heappush(queue, (sugar, order.key(lcm), i, j))
+            heapq.heappush(queue, (pair_sugar, -t.pos, order.key(lcm), i, j))
             pending.add((i, j))
         basis.append(t)
 
     for j, g in enumerate(gens):
-        if g.is_zero():
+        if _is_zero_vector(g):
             continue  # zero generators are dropped silently
-        rep = [g.ring.zero() for _ in range(columns)]
+        ring = g[0].ring
+        rep = [ring.zero() for _ in range(columns)]
         if j < columns:
-            rep[j] = g.ring.one()
-        append(_Tracked(g, rep, g.degree(), g.leading(order)))
+            rep[j] = ring.one()
+        append(tuple(g), rep, max(c.degree() for c in g))
 
     while queue:
         _poll(cancel)
-        _, _, i, j = heapq.heappop(queue)
+        _, _, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        fi, fj = basis[i], basis[j]
+        fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
         (li, ci), (lj, cj) = fi.lead, fj.lead
         lcm = mono_lcm(li, lj)
-        # product criterion: coprime leading monomials reduce to zero
-        if lcm == mono_mul(li, lj):
+        # product criterion: coprime leading monomials of two scalars
+        # reduce to zero
+        if len(fi.vec) == 1 and lcm == mono_mul(li, lj):
             continue
-        # chain criterion: some k divides the lcm and both mixed pairs are done
+        # chain criterion: some k acting at the position divides the lcm
+        # and both mixed pairs are done
         skip = False
         for k in range(len(basis)):
-            if k in (i, j):
+            if k in (i, j) or basis[k].pos not in (fi.pos, -1):
                 continue
             if mono_divides(basis[k].lead[0], lcm):
                 pik = (min(i, k), max(i, k))
@@ -233,33 +305,32 @@ def _buchberger_tracked(
                     break
         if skip:
             continue
-        ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
-        si, sj = Fraction(1) / ci, Fraction(1) / cj
-        s_poly = fi.poly.mul_monomial(ui, si) - fj.poly.mul_monomial(uj, sj)
+        ui, uj, s_vec = _s_vector(fi, fj)
         s_sugar = max(fi.sugar + mono_degree(ui), fj.sugar + mono_degree(uj))
-        remainder, quotients = divide(
-            s_poly, [t.poly for t in basis], order, _leads=[t.lead for t in basis]
-        )
-        if remainder.is_zero():
+        remainder, quotients = _divide_vector(s_vec, basis, order)
+        if _is_zero_vector(remainder):
             continue
+        si, sj = Fraction(1) / ci, Fraction(1) / cj
         rep = [
             ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
         ]
         rep = _subtract_reps(rep, quotients, basis)
-        sugar = max(s_sugar, remainder.degree())
-        append(_Tracked(remainder, rep, sugar, remainder.leading(order)))
+        sugar = max(s_sugar, max(c.degree() for c in remainder))
+        append(remainder, rep, sugar)
 
     return _reduce_tracked(basis, order)
 
 
 def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracked]:
-    # minimal: drop elements whose leading monomial another's divides
+    # minimal: drop elements whose leading monomial another's acting at the
+    # same position divides (ideal generators come first and stay)
+    ideal = [t for t in basis if t.pos < 0]
     kept: list[_Tracked] = []
-    for idx, t in enumerate(basis):
+    for idx, t in enumerate(basis[len(ideal) :], len(ideal)):
         lm = t.lead[0]
         redundant = False
         for jdx, other in enumerate(basis):
-            if jdx == idx:
+            if jdx == idx or other.pos not in (t.pos, -1):
                 continue
             lo = other.lead[0]
             if mono_divides(lo, lm) and (lo != lm or jdx < idx):
@@ -267,21 +338,19 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
                 break
         if not redundant:
             kept.append(t)
-    # interreduce tails and normalize monic; no other kept leading monomial
-    # divides t's, so t's leading term is also the remainder's
+    # interreduce tails and normalize monic; no other kept leading term and
+    # no ideal lead divides t's, so t's leading term is also the remainder's
     reduced: list[_Tracked] = []
     for idx, t in enumerate(kept):
-        others = [u for k, u in enumerate(kept) if k != idx]
-        remainder, quotients = divide(
-            t.poly, [u.poly for u in others], order, _leads=[u.lead for u in others]
-        )
+        others = kept[:idx] + kept[idx + 1 :] + ideal
+        remainder, quotients = _divide_vector(t.vec, others, order)
         rep = _subtract_reps(t.rep, quotients, others)
         lc = t.lead[1]
         reduced.append(
-            _scale_tracked(_Tracked(remainder, rep, t.sugar, t.lead), Fraction(1) / lc)
+            _scale_tracked(_Tracked(remainder, rep, t.sugar, t.pos, t.lead), Fraction(1) / lc)
         )
-    reduced.sort(key=lambda t: order.key(t.lead[0]), reverse=True)
-    return reduced
+    reduced.sort(key=lambda t: (-t.pos, order.key(t.lead[0])), reverse=True)
+    return reduced + ideal
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +386,8 @@ def buchberger(
     rings = {g.ring for g in gens}
     if len(rings) > 1:
         raise ValueError("incompatible rings among generators")
-    tracked = _buchberger_tracked(gens, order, 0, cancel)
-    return GroebnerBasis(tuple(t.poly for t in tracked), order, True)
+    tracked = _buchberger_tracked([(g,) for g in gens], order, 0, cancel=cancel)
+    return GroebnerBasis(tuple(t.vec[0] for t in tracked), order, True)
 
 
 def normal_form(
@@ -380,10 +449,11 @@ class SubmoduleProblem:
     """Membership problem: is a vector in the span of ``columns`` over the
     scalar ring, modulo componentwise multiples of ``ideal``?
 
-    Columns ``e_i * g`` for every ideal generator ``g`` are adjoined
-    automatically, so membership is tested modulo the ideal.  The tracked
-    module basis is built by the first :func:`module_solve` or syzygy
-    computation on the problem and reused by every later one.
+    A vector is a tuple of scalar polynomials, one per position, and each
+    position is reduced by the ideal's own basis, so membership is tested
+    modulo the ideal.  The tracked module basis is built by the first
+    :func:`module_solve` or syzygy computation on the problem and reused by
+    every later one.
     """
 
     ambient_rank: int
@@ -408,96 +478,71 @@ class ModuleMembership:
     certificate: tuple[Polynomial, ...] | None = None
 
 
-class _ModuleCodec:
-    """Vectors of length r over the scalar ring <-> tag-linear polynomials:
-    component i sits behind the one-hot exponent prefix of the tag e_i."""
-
-    def __init__(self, rank: int, scalar_ring: PolyRing):
-        self.rank = rank
-        self.scalar_ring = scalar_ring
-        tags = tuple(f"_e{i + 1}" for i in range(rank))
-        self.ring = PolyRing(tags + scalar_ring.names)
-        self.order = BlockOrder(rank)
-        self._prefixes = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-
-    def _tagged(self, i: int, component: Polynomial) -> dict:
-        """The terms of ``e_i * component``."""
-        if component.ring != self.scalar_ring:
-            raise ValueError("vector component lives outside the scalar ring")
-        prefix = self._prefixes[i]
-        return {prefix + e: c for e, c in component.terms.items()}
-
-    def encode(self, vector: Sequence[Polynomial]) -> Polynomial:
-        if len(vector) != self.rank:
-            raise ValueError("vector length differs from ambient rank")
-        terms: dict = {}
-        for i, component in enumerate(vector):
-            terms.update(self._tagged(i, component))
-        return Polynomial(self.ring, terms)
-
-    def decode(self, p: Polynomial) -> tuple[Polynomial, ...]:
-        components = [dict() for _ in range(self.rank)]
-        for exps, coeff in p.terms.items():
-            head = exps[: self.rank]
-            if sum(head) != 1:
-                raise ValueError("polynomial is not a tag-linear vector encoding")
-            i = head.index(1)
-            components[i][exps[self.rank :]] = coeff
-        return tuple(Polynomial(self.scalar_ring, c) for c in components)
-
-    def padding(self, ideal: GroebnerBasis) -> list[Polynomial]:
-        """``e_i * g`` for every ideal generator g and position i."""
-        return [
-            Polynomial(self.ring, self._tagged(i, g))
-            for g in ideal.generators
-            for i in range(self.rank)
-        ]
+def _check_ring(ring: PolyRing, components):
+    if any(c.ring != ring for c in components):
+        raise ValueError("vector component lives outside the scalar ring")
 
 
 def _module_basis(
     problem: SubmoduleProblem, cancel: CancelCheck | None
-) -> tuple[_ModuleCodec, list[Polynomial], list[_Tracked]]:
-    """The problem's codec, its generators (encoded columns, then the ideal
-    padding) and their position-over-term basis with representations over
-    the columns; built on first use and kept on the problem."""
+) -> tuple[PolyRing, list[_Tracked]]:
+    """The problem's scalar ring, and the position-over-term basis of its
+    columns modulo the ideal, with representations over the columns and
+    followed by the ideal's generators; built on first use and kept on the
+    problem."""
     if problem._basis is None:
         columns, ideal = problem.columns, problem.ideal
         if columns:
-            scalar_ring = columns[0][0].ring
+            ring = columns[0][0].ring
         elif ideal.generators:
-            scalar_ring = ideal.generators[0].ring
+            ring = ideal.generators[0].ring
         else:
             raise ValueError("cannot infer scalar ring from an empty problem")
-        codec = _ModuleCodec(problem.ambient_rank, scalar_ring)
-        gens = [codec.encode(col) for col in columns] + codec.padding(ideal)
-        tracked = _buchberger_tracked(gens, codec.order, len(columns), cancel, codec.rank)
-        object.__setattr__(problem, "_basis", (codec, gens, tracked))
+        _check_ring(ring, [c for col in columns for c in col] + list(ideal.generators))
+        tracked = _buchberger_tracked(columns, ideal.order, len(columns), ideal, cancel)
+        object.__setattr__(problem, "_basis", (ring, tracked))
     return problem._basis
 
 
 def _position_leads(problem: SubmoduleProblem) -> list[list[Exponents]]:
-    """The leading monomials of the problem's module basis, one list per
-    position: the monomial ideals whose sum is the initial submodule."""
-    codec, _, tracked = _module_basis(problem, None)
-    leads: list[list[Exponents]] = [[] for _ in range(codec.rank)]
+    """The leading monomials of the problem's module basis and of the ideal
+    at each position: the monomial ideals whose sum is the initial
+    submodule."""
+    _, tracked = _module_basis(problem, None)
+    leads: list[list[Exponents]] = [[] for _ in range(problem.ambient_rank)]
     for t in tracked:
-        lm = t.lead[0]
-        leads[lm[: codec.rank].index(1)].append(lm[codec.rank :])
+        for pos in range(problem.ambient_rank) if t.pos < 0 else [t.pos]:
+            leads[pos].append(t.lead[0])
     return leads
 
 
 def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> list[Polynomial]:
     """Translate a combination over the problem's module basis into the
     scalar coefficients it puts on the columns."""
-    codec, _, tracked = problem._basis
-    out = [codec.ring.zero() for _ in problem.columns]
+    ring, tracked = problem._basis
+    out = [ring.zero() for _ in problem.columns]
     for z, t in zip(combo, tracked):
         if z.is_zero():
             continue
         for j, r in enumerate(t.rep):
             if not r.is_zero():
                 out[j] = out[j] + z * r
-    return [restrict(p, codec.scalar_ring, codec.rank) for p in out]
+    return out
+
+
+def _module_remainder(
+    target: Sequence[Polynomial],
+    problem: SubmoduleProblem,
+    cancel: CancelCheck | None = None,
+) -> tuple[Vector, list[Polynomial]]:
+    """Division of ``target`` by the problem's module basis and ideal: the
+    module normal form, zero exactly for members, and the quotients on the
+    basis elements."""
+    if len(target) != problem.ambient_rank:
+        raise ValueError("target length differs from ambient rank")
+    ring, tracked = _module_basis(problem, cancel)
+    _check_ring(ring, target)
+    return _divide_vector(tuple(target), tracked, problem.ideal.order)
 
 
 def module_solve(
@@ -511,17 +556,9 @@ def module_solve(
     verified by substitution before being returned; on failure the nonzero
     module normal form is the certificate.
     """
-    if len(target) != problem.ambient_rank:
-        raise ValueError("target length differs from ambient rank")
-    codec, _, tracked = _module_basis(problem, cancel)
-    remainder, quotients = divide(
-        codec.encode(target),
-        [t.poly for t in tracked],
-        codec.order,
-        _leads=[t.lead for t in tracked],
-    )
-    if not remainder.is_zero():
-        return ModuleMembership(member=False, certificate=codec.decode(remainder))
+    remainder, quotients = _module_remainder(target, problem, cancel)
+    if not _is_zero_vector(remainder):
+        return ModuleMembership(member=False, certificate=remainder)
     witness = _over_columns(quotients, problem)
     _verify_combination(problem, witness, target, "module witness")
     return ModuleMembership(member=True, witness=tuple(witness))
@@ -542,7 +579,9 @@ def syzygies(
     ideal: GroebnerBasis,
     cancel: CancelCheck | None = None,
 ) -> list[tuple[Polynomial, ...]]:
-    """Generating set of the relations ``sum(c_i * columns_i) = 0 mod ideal``.
+    """Relations ``sum(c_i * columns_i) = 0 mod ideal``: a generating set of
+    them modulo ideal^s, s the number of columns, with every entry reduced
+    modulo the ideal and no row zero modulo it.
 
     Output rows are primitive-integer rescaled, deduplicated, sorted, and each
     verified exactly by componentwise normal form against the ideal.
@@ -558,51 +597,42 @@ def _span_syzygies(
 ) -> list[tuple[Polynomial, ...]]:
     """:func:`syzygies` of the problem's columns modulo its ideal, on the
     problem's module basis (built here only if no solve has built it)."""
-    codec, gens, tracked = _module_basis(problem, cancel)
-    rank = problem.ambient_rank
-    basis = [t.poly for t in tracked]
-    leads = [t.lead for t in tracked]
-    order = codec.order
-
+    ring, tracked = _module_basis(problem, cancel)
     rows: list[list[Polynomial]] = []
 
-    # Schreyer relations on the final basis: the S-pair of every two
-    # elements whose leading terms share a position, no criteria
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            la, lb = leads[a][0], leads[b][0]
-            if la[:rank] != lb[:rank]:
-                continue
-            _poll(cancel)
-            lcm = mono_lcm(la, lb)
-            ua, ub = mono_div(lcm, la), mono_div(lcm, lb)
-            s_poly = basis[a].mul_monomial(ua) - basis[b].mul_monomial(ub)
-            remainder, quotients = divide(s_poly, basis, order, _leads=leads)
-            if not remainder.is_zero():
-                raise AssertionError("internal error: basis is not a Groebner basis")
-            combo = [q.scale(-1) for q in quotients]
-            combo[a] = combo[a] + codec.ring.monomial(ua)
-            combo[b] = combo[b] - codec.ring.monomial(ub)
-            rows.append(_over_columns(combo, problem))
-
-    # completion rows: each generator minus its own expression through the
-    # basis (all generators — the padding rows also project onto column
-    # coefficients)
-    for j, g in enumerate(gens):
+    def lift(vec: Vector, own: Sequence[tuple[int, Polynomial]]) -> list[Polynomial]:
+        """The column row of the combination ``own`` over the basis, whose
+        value is ``vec``, minus the division of ``vec`` by the basis."""
         _poll(cancel)
-        remainder, quotients = divide(g, basis, order, _leads=leads)
-        if not remainder.is_zero():
-            raise AssertionError("internal error: generator escaped its own ideal")
-        row = _over_columns([q.scale(-1) for q in quotients], problem)
-        if j < len(problem.columns):
-            row[j] = row[j] + codec.scalar_ring.one()
+        remainder, quotients = _divide_vector(vec, tracked, problem.ideal.order)
+        if not _is_zero_vector(remainder):
+            raise AssertionError("internal error: basis is not a Groebner basis")
+        combo = [-q for q in quotients]
+        for k, m in own:
+            combo[k] = combo[k] + m
+        return _over_columns(combo, problem)
+
+    # Schreyer relations on the final (monic) basis, no criteria: the S-pair
+    # of every element and each later element or ideal generator it forms
+    # a pair with (a coprime ideal pair lifts to a row inside the ideal)
+    for a, fa in enumerate(tracked):
+        for b, fb in enumerate(tracked[a + 1 :], a + 1):
+            if fa.pos >= 0 and _forms_pair(fa, fb):
+                ua, ub, s_vec = _s_vector(fa, fb)
+                rows.append(lift(s_vec, [(a, ring.monomial(ua)), (b, ring.monomial(ub, -1))]))
+
+    # completion rows: each column minus its own expression through the basis
+    for j, col in enumerate(problem.columns):
+        row = lift(col, [])
+        row[j] = row[j] + ring.one()
         rows.append(row)
 
-    # normalize, dedupe, verify
+    # reduce modulo the ideal, normalize, dedupe, verify
     seen: set[tuple] = set()
     results: list[tuple[Polynomial, ...]] = []
-    zeros = [codec.scalar_ring.zero()] * rank
+    zeros = [ring.zero()] * problem.ambient_rank
     for row in rows:
+        row = [normal_form(c, problem.ideal) for c in row]
         if all(p.is_zero() for p in row):
             continue
         row = make_primitive(row)

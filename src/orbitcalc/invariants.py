@@ -50,6 +50,7 @@ from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
     _elimination_part,
+    _module_remainder,
     _position_leads,
     buchberger,
     module_solve,
@@ -81,6 +82,11 @@ def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 # Hilbert map
 # ---------------------------------------------------------------------------
+
+class NotInSubalgebraError(ValueError):
+    """An invariant that is no polynomial in the Hilbert map's generators:
+    the generators miss part of the invariant ring."""
+
 
 class HilbertMap:
     """A generating set sigma_1..sigma_l of the invariant ring, with the
@@ -214,7 +220,7 @@ def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
         raise ValueError("not invariant")
     q = _subalgebra_rewrite(p, hmap)
     if q is None:
-        raise ValueError("not in subalgebra generated by the Hilbert map")
+        raise NotInSubalgebraError("not in subalgebra generated by the Hilbert map")
     return q
 
 
@@ -227,7 +233,7 @@ def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
     for s in hmap.sigma:
         q = _subalgebra_rewrite(X.apply(s), hmap)
         if q is None:
-            raise ValueError("not in subalgebra generated by the Hilbert map")
+            raise NotInSubalgebraError("not in subalgebra generated by the Hilbert map")
         components.append(q)
     return tuple(components)
 
@@ -515,13 +521,14 @@ def equivariant_generators(
 
     The search stops at the end of the first degree d whose fields are
     certified complete, and records d as the module's ``certificate``: with
-    J_j the leading monomials at position j of the pushed span's module
-    basis, the series sum_j t^(1 - deg sigma_j) (K_in(I) - K_J_j) /
-    prod(1 - t^(deg sigma)) equals the field series of the group.  A degree
-    d >= |G| - 1 needs no test: the fields are the invariants on V + V*
-    linear in V*, so Noether's bound |G| there puts every field generator
-    in degree |G| - 1 or below.  ``degree_bound`` (default |G|) only caps
-    the search; a module it cuts before the series agree has no certificate.
+    J_j the leading monomials at position j of the relations and of the
+    pushed span's module basis, the series sum_j t^(1 - deg sigma_j)
+    (K_in(I) - K_J_j) / prod(1 - t^(deg sigma)) equals the field series of
+    the group.  A degree d >= |G| - 1 needs no test: the fields are the
+    invariants on V + V* linear in V*, so Noether's bound |G| there puts
+    every field generator in degree |G| - 1 or below.  ``degree_bound``
+    (default |G|) only caps the search; a module it cuts before the series
+    agree has no certificate.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 0:
@@ -544,8 +551,8 @@ def equivariant_generators(
                     continue
                 column = _push_field(candidate, hmap)
                 # with no lower-degree fields a pushforward is its own normal form
-                normal = column if span is None else module_solve(column, span).certificate
-                vector = {(j, e): c for j, q in enumerate(normal or ()) for e, c in q.terms.items()}
+                normal = column if span is None else _module_remainder(column, span)[0]
+                vector = {(j, e): c for j, q in enumerate(normal) for e, c in q.terms.items()}
                 if _echelon_insert(vector, rows):
                     kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
                     pushed.append(column)

@@ -6,6 +6,7 @@ suites live here as plain functions; the acceptance gate runs them at full
 trial counts and the module tests reuse the builders.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -147,18 +148,20 @@ def golden_forms(golden_space):
 @pytest.fixture
 def count_module_basis_builds(monkeypatch):
     """Start counting module basis builds; returns a list that grows by one
-    per build from then on.  A codec is made exactly once per build, so the
-    codecs made are counted."""
+    per build from then on.  Every build is one Buchberger run modulo an
+    ideal, and scalar bases pass none, so those runs are counted."""
 
     def start():
         builds = []
+        run = groebner._buchberger_tracked
+        signature = inspect.signature(run)
 
-        class CountingCodec(groebner._ModuleCodec):
-            def __init__(self, *args):
+        def counting(*args, **kwargs):
+            if signature.bind(*args, **kwargs).arguments.get("ideal") is not None:
                 builds.append(args)
-                super().__init__(*args)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(groebner, "_ModuleCodec", CountingCodec)
+        monkeypatch.setattr(groebner, "_buchberger_tracked", counting)
         return builds
 
     return start

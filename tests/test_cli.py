@@ -127,6 +127,22 @@ def test_a_cut_search_is_noted_on_stderr(capsys, tmp_path, argv, bounds, cut):
     assert err.splitlines() == ([] if cut is None else [cli.CUT_SEARCH_NOTE.format(cut)])
 
 
+def test_a_cut_invariant_search_is_named_when_a_field_cannot_be_pushed(capsys, tmp_path):
+    """With the degree-4 invariant cut, the generator fields (found against
+    the certified map) have no pushforward: the error names the bound.  The
+    Euler field still pushes through the cut map."""
+    path = bounded_problem(tmp_path, invariants=3)
+    code, out, err = run(capsys, "lift-vf", "y1,2*y2,3*y3", "-i", path)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: not in subalgebra generated by the Hilbert map: the invariants degree"
+        " bound 3 stopped the invariant generator search before it found every generator"
+    ]
+    code, out, err = run(capsys, "push-vf", "euler", "-i", path)
+    assert (code, out.strip()) == (0, "(y1)*d/dy1 + (2*y2)*d/dy2 + (3*y3)*d/dy3")
+    assert err.splitlines() == [cli.CUT_SEARCH_NOTE.format("invariant")]
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from orbitcalc.algebra import (
     mono_divides,
     mono_lcm,
     parse_polynomial,
-    restrict,
 )
 from orbitcalc.groebner import (
     ComputationCancelled,
@@ -192,15 +191,15 @@ def test_tracked_basis_properties(order):
     rng = random.Random(41)
     for _ in range(10):
         gens = random_ideal(rng, ring)
-        tracked = _buchberger_tracked(gens, order, len(gens))
-        basis = [t.poly for t in tracked]
+        tracked = _buchberger_tracked([(g,) for g in gens], order, len(gens))
+        basis = [t.vec[0] for t in tracked]
         leads = [p.leading(order)[0] for p in basis]
         for t in tracked:
             combination = ring.zero()
             for r, g in zip(t.rep, gens):
                 combination = combination + r * g
-            assert combination == t.poly
-            assert t.lead == t.poly.leading(order)
+            assert (combination,) == t.vec
+            assert (t.pos, t.lead) == (0, t.vec[0].leading(order))
             assert t.lead[1] == 1
         keys = [order.key(lm) for lm in leads]
         assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
@@ -221,15 +220,16 @@ def test_tracked_basis_properties(order):
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
 def test_untracked_basis_equals_tracked_basis(order):
-    """``buchberger`` tracks no columns, so its representations are empty,
-    but builds the same basis."""
+    """``buchberger`` runs the same loop on rank-1 vectors and tracks no
+    columns, so its representations are empty, but builds the same basis."""
     ring = PolyRing.ambient(3)
     rng = random.Random(43)
     for _ in range(10):
-        gens = random_ideal(rng, ring)
-        tracked = _buchberger_tracked(gens, order, len(gens))
-        assert buchberger(gens, order).generators == tuple(t.poly for t in tracked)
-        assert all(t.rep == [] for t in _buchberger_tracked(gens, order, 0))
+        vectors = [(g,) for g in random_ideal(rng, ring)]
+        tracked = _buchberger_tracked(vectors, order, len(vectors))
+        gens = [v[0] for v in vectors]
+        assert buchberger(gens, order).generators == tuple(t.vec[0] for t in tracked)
+        assert all(t.rep == [] for t in _buchberger_tracked(vectors, order, 0))
 
 
 @pytest.mark.parametrize("drop", [1, 2])
@@ -420,7 +420,14 @@ def module_membership_oracle(target, columns, ideal_gens, degree):
     return linalg.rank(rows + [flat(target)], width) == linalg.rank(rows, width)
 
 
-@pytest.mark.parametrize("ideal_gens", [[], [RELATION]], ids=["free", "relation"])
+# two relations whose leading monomials y1*y2 and y2^2 share a variable, so
+# the module bases form ideal pairs
+TWO_RELATIONS = [y("y3^2 - y1*y2"), y("y2^2 - y1*y3")]
+
+
+@pytest.mark.parametrize(
+    "ideal_gens", [[], [RELATION], TWO_RELATIONS], ids=["free", "relation", "two_relations"]
+)
 def test_module_solve_matches_linear_algebra_oracle(ideal_gens):
     rng = random.Random(24 + len(ideal_gens))
     ideal = buchberger(ideal_gens)
@@ -440,9 +447,9 @@ def test_module_solve_matches_linear_algebra_oracle(ideal_gens):
                 for col, d in zip(columns, degrees):
                     h = homogeneous_vector(rng, ORBIT, 1, degree - d)[0]
                     target = [t + h * c for t, c in zip(target, col)]
-                if ideal_gens:
-                    h = homogeneous_vector(rng, ORBIT, 1, degree - 2)[0]
-                    target[0] = target[0] + h * RELATION
+                for g in ideal_gens:
+                    h = homogeneous_vector(rng, ORBIT, 1, degree - g.degree())[0]
+                    target[0] = target[0] + h * g
             result = module_solve(target, problem)
             assert result.member == module_membership_oracle(
                 target, columns, ideal_gens, degree
@@ -451,26 +458,27 @@ def test_module_solve_matches_linear_algebra_oracle(ideal_gens):
     assert outcomes == {True, False}
 
 
-def test_module_basis_is_tag_linear():
-    """Every basis element encodes a vector, every representation is free of
-    position tags, and each element is the combination its representation
-    says of the columns, modulo the ideal padding; only columns and ideal
-    padding enter the computation."""
+def test_module_basis_elements_are_their_column_combinations():
+    """Only the columns enter the basis: each element is the combination its
+    representation says of them, modulo the ideal at every position, and is
+    reduced modulo the ideal with its leading term at its first nonzero
+    position."""
     gb = relation_basis()
     columns = golden_columns()
-    codec, gens, tracked = _module_basis(SubmoduleProblem(3, columns, gb), None)
-    assert len(gens) == len(columns) + 3 * len(gb.generators)
-    assert len(tracked) > len(columns)
-    for t in tracked:
-        assert len(codec.decode(t.poly)) == 3
-        assert len(t.rep) == len(columns)
-        for r in t.rep:
-            restrict(r, codec.scalar_ring, codec.rank)
-        total = codec.ring.zero()
-        for r, g in zip(t.rep, gens):
-            total = total + r * g
-        for component in codec.decode(t.poly - total):
-            assert normal_form(component, gb).is_zero()
+    ring, tracked = _module_basis(SubmoduleProblem(3, columns, gb), None)
+    elements = [t for t in tracked if t.pos >= 0]
+    assert ring == ORBIT and elements
+    assert [t.vec for t in tracked[len(elements) :]] == [(g,) for g in gb.generators]
+    for t in elements:
+        assert len(t.vec) == 3 and len(t.rep) == len(columns)
+        assert all(c.is_zero() for c in t.vec[: t.pos])
+        assert t.lead == (t.vec[t.pos].leading(GREVLEX)[0], 1)
+        for j, component in enumerate(t.vec):
+            assert normal_form(component, gb) == component
+            total = component
+            for r, col in zip(t.rep, columns):
+                total = total - r * col[j]
+            assert normal_form(total, gb).is_zero()
 
 
 # Module layer outputs, pinned: the witness or certificate of each target,
@@ -532,38 +540,32 @@ PINNED_MODULE_OUTPUTS = {
         'certificate: 1, 0, 0, 0, 0, 0',
         'witness: 1/2, 0, 0, 0, 1/2, 0, 0, 0, 1/2',
         'certificate: 0, 0, -2*y2, 0, -y4, y3',
-        'syzygy: 0, 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6',
-        'syzygy: 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0',
-        'syzygy: 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0',
         'syzygy: 0, 0, 0, 0, 0, y4, 0, 0, -y2',
         'syzygy: 0, 0, 0, 0, 0, y5, 0, 0, -y3',
-        'syzygy: 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0',
         'syzygy: 0, 0, 0, 0, 0, y6, 0, 0, -y5',
         'syzygy: 0, 0, 0, 0, y4, 0, 0, -y2, 0',
         'syzygy: 0, 0, 0, 0, y5, 0, 0, -y3, 0',
-        'syzygy: 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0',
         'syzygy: 0, 0, 0, 0, y6, 0, 0, -y5, 0',
         'syzygy: 0, 0, 0, y4, y5, y6, -y2, -y3, -y5',
         'syzygy: 0, 0, 0, y5, 0, 0, -y3, 0, 0',
-        'syzygy: 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0',
         'syzygy: 0, 0, 0, y6, 0, 0, -y5, 0, 0',
         'syzygy: 0, 0, y2, 0, 0, -y1, 0, 0, 0',
         'syzygy: 0, 0, y3, 0, 0, -y2, 0, 0, 0',
         'syzygy: 0, 0, y4, 0, 0, 0, 0, 0, -y1',
         'syzygy: 0, 0, y5, 0, 0, -y4, 0, 0, 0',
-        'syzygy: 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0',
+        'syzygy: 0, 0, y5, 0, 0, 0, 0, 0, -y2',
         'syzygy: 0, 0, y6, 0, 0, 0, 0, 0, -y4',
         'syzygy: 0, y2, 0, 0, -y1, 0, 0, 0, 0',
         'syzygy: 0, y3, 0, 0, -y2, 0, 0, 0, 0',
         'syzygy: 0, y4, 0, 0, 0, 0, 0, -y1, 0',
         'syzygy: 0, y5, 0, 0, -y4, 0, 0, 0, 0',
-        'syzygy: 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0, 0',
+        'syzygy: 0, y5, 0, 0, 0, 0, 0, -y2, 0',
         'syzygy: 0, y6, 0, 0, 0, 0, 0, -y4, 0',
         'syzygy: y2, y3, y5, -y1, -y2, 0, 0, 0, -y2',
         'syzygy: y3, 0, 0, -y2, 0, y5, 0, 0, -y3',
         'syzygy: y4, y5, y6, 0, -y4, 0, -y1, 0, -y4',
         'syzygy: y5, 0, 0, -y4, -y5, 0, 0, y3, 0',
-        'syzygy: y5^2 - y3*y6, 0, 0, 0, -y5^2 + y3*y6, 0, 0, 0, -y5^2 + y3*y6',
+        'syzygy: y5, 0, 0, 0, 0, y6, -y2, 0, -y5',
         'syzygy: y6, 0, 0, 0, -y6, 0, -y4, y5, 0',
         ],
     ),
@@ -572,8 +574,9 @@ PINNED_MODULE_OUTPUTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_MODULE_OUTPUTS))
 def test_module_layer_outputs_are_pinned(name):
-    """Golden rank-3 columns with one relation (3 padding generators) and
-    the Z2/R^3 generator span (9 columns, 36 padding generators)."""
+    """Golden rank-3 columns with one relation, and the Z2/R^3 generator
+    span (9 columns, 6 relations).  Neither module basis holds an ideal
+    multiple: the Z2/R^3 one has 9 elements."""
     ring, columns, relations, targets, expected = PINNED_MODULE_OUTPUTS[name]
     columns = tuple(tuple(parse_polynomial(t, ring) for t in col) for col in columns)
     gb = buchberger([parse_polynomial(t, ring) for t in relations])
@@ -587,12 +590,87 @@ def test_module_layer_outputs_are_pinned(name):
     for row in syzygies(columns, gb):
         lines.append("syzygy: " + ", ".join(str(p) for p in row))
     assert lines == expected
-    codec, gens, tracked = problem._basis
-    assert len(gens) == len(columns) + len(columns[0]) * len(relations)
+    _, tracked = problem._basis
+    assert sum(t.pos >= 0 for t in tracked) == {"golden": 4, "z2_r3_span": 9}[name]
     assert all(len(t.rep) == len(columns) for t in tracked)
 
 
-def test_module_codec_rejects_a_component_from_another_ring():
+def homogeneous_syzygies(columns, ideal_gens, degree):
+    """A basis of the syzygies of homogeneous ``columns`` modulo the ideal
+    in row degree ``degree`` (entry j of degree ``degree - deg column_j``),
+    from the dense nullspace of (c, h) -> sum(c_j * column_j) - sum(h_ik * e_i * g_k)."""
+    ring = columns[0][0].ring
+    rank = len(columns[0])
+    monos = monomials_up_to(ring, degree)
+    top = [m for m in monos if sum(m) == degree]
+    unknowns = []  # (column j, None, monomial) or (None, position i, ideal multiple)
+    for j, col in enumerate(columns):
+        d = max(c.degree() for c in col)
+        unknowns += [(j, None, m) for m in monos if sum(m) == degree - d]
+    for i in range(rank):
+        for g in ideal_gens:
+            multiples = [m for m in monos if sum(m) == degree - g.degree()]
+            unknowns += [(None, i, g.mul_monomial(m)) for m in multiples]
+    images = []
+    for j, i, m in unknowns:
+        if j is None:
+            vector = [m if k == i else ring.zero() for k in range(rank)]
+        else:
+            vector = [c.mul_monomial(m) for c in columns[j]]
+        images.append([c for comp in vector for c in coefficient_vector(comp, top)])
+    matrix = [[image[e] for image in images] for e in range(rank * len(top))]
+    rows = []
+    for kernel in linalg.nullspace(matrix, len(unknowns)):
+        row = [ring.zero()] * len(columns)
+        for coeff, (j, _, m) in zip(kernel, unknowns):
+            if j is not None and coeff:
+                row[j] = row[j] + ring.monomial(m, coeff)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "columns, ideal_gens, degree",
+    [
+        (golden_columns(), [RELATION], 4),
+        ([[y("y1"), y("y2")], [y("y2"), y("y3")], [y("y1*y3"), y("y2^2")]], TWO_RELATIONS, 4),
+        (
+            [[parse_polynomial(t, SPAN_RING) for t in col] for col in SPAN_COLUMNS],
+            [parse_polynomial(t, SPAN_RING) for t in SPAN_RELATIONS],
+            2,
+        ),
+    ],
+    ids=["golden", "two_relations", "z2_r3_span"],
+)
+def test_syzygies_are_complete_against_a_dense_oracle(columns, ideal_gens, degree):
+    """Every syzygy of homogeneous columns up to ``degree`` lies in the span
+    of the returned rows, their monomial multiples, and the ideal."""
+    ring = columns[0][0].ring
+    returned = syzygies(columns, buchberger(ideal_gens))
+    widths = [max(c.degree() for c in col) for col in columns]
+    for d in range(degree + 1):
+        monos = monomials_up_to(ring, d)
+
+        def flat(row):
+            return [c for entry in row for c in coefficient_vector(entry, monos)]
+
+        span = []
+        for row in returned:
+            shift = d - max(c.degree() + w for c, w in zip(row, widths) if not c.is_zero())
+            span += [flat([c.mul_monomial(m) for c in row]) for m in monos if sum(m) == shift]
+        for j, w in enumerate(widths):
+            for g in ideal_gens:
+                for m in monos:
+                    if sum(m) == d - w - g.degree():
+                        row = [ring.zero()] * len(columns)
+                        row[j] = g.mul_monomial(m)
+                        span.append(flat(row))
+        found = [flat(row) for row in homogeneous_syzygies(columns, ideal_gens, d)]
+        width = len(columns) * len(monos)
+        assert linalg.rank(span + found, width) == linalg.rank(span, width)
+
+
+def test_module_layer_rejects_a_component_from_another_ring():
     problem = SubmoduleProblem(3, golden_columns(), relation_basis())
     with pytest.raises(ValueError, match="outside the scalar ring"):
         module_solve([x("x1"), x("0"), x("0")], problem)

@@ -563,11 +563,16 @@ def test_orbit_json_round_trips(golden_space, golden_forms):
         orbit_form_from_json(data, golden_space)
 
 
-def test_minus_identity_on_r3_full_space():
+@pytest.fixture(scope="module")
+def minus_identity_r3():
+    group = closure([[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]])
+    return group, OrbitSpace(invariant_generators(group))
+
+
+def test_minus_identity_on_r3_full_space(minus_identity_r3):
     """<-Id> on R^3, built automatically: the quadrics, the 2x2 minors of the
     symmetric matrix they fill, and the syzygies among the 9 pushed fields."""
-    group = closure([[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]])
-    space = OrbitSpace(invariant_generators(group))
+    group, space = minus_identity_r3
     hilbert = space.hilbert
     assert [str(s) for s in hilbert.sigma] == [
         "x1^2", "x1*x2", "x2^2", "x1*x3", "x2*x3", "x3^2",
@@ -588,40 +593,34 @@ def test_minus_identity_on_r3_full_space():
         assert is_invariant(X, group)
     fields = space.pushed_generators
     rows = space.generator_syzygies
-    assert len(rows) == 33
+    assert len(rows) == 27
     assert [", ".join(str(c) for c in row) for row in rows] == [
-        "0, 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6",
-        "0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0",
-        "0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0",
         "0, 0, 0, 0, 0, y4, 0, 0, -y2",
         "0, 0, 0, 0, 0, y5, 0, 0, -y3",
-        "0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0",
         "0, 0, 0, 0, 0, y6, 0, 0, -y5",
         "0, 0, 0, 0, y4, 0, 0, -y2, 0",
         "0, 0, 0, 0, y5, 0, 0, -y3, 0",
-        "0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0",
         "0, 0, 0, 0, y6, 0, 0, -y5, 0",
         "0, 0, 0, y4, y5, y6, -y2, -y3, -y5",
         "0, 0, 0, y5, 0, 0, -y3, 0, 0",
-        "0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0",
         "0, 0, 0, y6, 0, 0, -y5, 0, 0",
         "0, 0, y2, 0, 0, -y1, 0, 0, 0",
         "0, 0, y3, 0, 0, -y2, 0, 0, 0",
         "0, 0, y4, 0, 0, 0, 0, 0, -y1",
         "0, 0, y5, 0, 0, -y4, 0, 0, 0",
-        "0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0",
+        "0, 0, y5, 0, 0, 0, 0, 0, -y2",
         "0, 0, y6, 0, 0, 0, 0, 0, -y4",
         "0, y2, 0, 0, -y1, 0, 0, 0, 0",
         "0, y3, 0, 0, -y2, 0, 0, 0, 0",
         "0, y4, 0, 0, 0, 0, 0, -y1, 0",
         "0, y5, 0, 0, -y4, 0, 0, 0, 0",
-        "0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0, 0",
+        "0, y5, 0, 0, 0, 0, 0, -y2, 0",
         "0, y6, 0, 0, 0, 0, 0, -y4, 0",
         "y2, y3, y5, -y1, -y2, 0, 0, 0, -y2",
         "y3, 0, 0, -y2, 0, y5, 0, 0, -y3",
         "y4, y5, y6, 0, -y4, 0, -y1, 0, -y4",
         "y5, 0, 0, -y4, -y5, 0, 0, y3, 0",
-        "y5^2 - y3*y6, 0, 0, 0, -y5^2 + y3*y6, 0, 0, 0, -y5^2 + y3*y6",
+        "y5, 0, 0, 0, 0, y6, -y2, 0, -y5",
         "y6, 0, 0, 0, -y6, 0, -y4, y5, 0",
     ]
     for row in rows:
@@ -631,3 +630,64 @@ def test_minus_identity_on_r3_full_space():
             for c, Y in zip(row, fields):
                 total = total + c * Y.components[j].rep
             assert space.ideal.is_member(total)
+
+
+# The 33 rows the tag-encoded module layer returned for <-Id> on R^3: 24 of
+# the 27 rows above, and nine multiples of the relation y5^2 - y3*y6.
+TAG_ENCODED_R3_SYZYGIES = [
+    "0, 0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6",
+    "0, 0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0",
+    "0, 0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0",
+    "0, 0, 0, 0, 0, y4, 0, 0, -y2",
+    "0, 0, 0, 0, 0, y5, 0, 0, -y3",
+    "0, 0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0",
+    "0, 0, 0, 0, 0, y6, 0, 0, -y5",
+    "0, 0, 0, 0, y4, 0, 0, -y2, 0",
+    "0, 0, 0, 0, y5, 0, 0, -y3, 0",
+    "0, 0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0",
+    "0, 0, 0, 0, y6, 0, 0, -y5, 0",
+    "0, 0, 0, y4, y5, y6, -y2, -y3, -y5",
+    "0, 0, 0, y5, 0, 0, -y3, 0, 0",
+    "0, 0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0",
+    "0, 0, 0, y6, 0, 0, -y5, 0, 0",
+    "0, 0, y2, 0, 0, -y1, 0, 0, 0",
+    "0, 0, y3, 0, 0, -y2, 0, 0, 0",
+    "0, 0, y4, 0, 0, 0, 0, 0, -y1",
+    "0, 0, y5, 0, 0, -y4, 0, 0, 0",
+    "0, 0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0",
+    "0, 0, y6, 0, 0, 0, 0, 0, -y4",
+    "0, y2, 0, 0, -y1, 0, 0, 0, 0",
+    "0, y3, 0, 0, -y2, 0, 0, 0, 0",
+    "0, y4, 0, 0, 0, 0, 0, -y1, 0",
+    "0, y5, 0, 0, -y4, 0, 0, 0, 0",
+    "0, y5^2 - y3*y6, 0, 0, 0, 0, 0, 0, 0",
+    "0, y6, 0, 0, 0, 0, 0, -y4, 0",
+    "y2, y3, y5, -y1, -y2, 0, 0, 0, -y2",
+    "y3, 0, 0, -y2, 0, y5, 0, 0, -y3",
+    "y4, y5, y6, 0, -y4, 0, -y1, 0, -y4",
+    "y5, 0, 0, -y4, -y5, 0, 0, y3, 0",
+    "y5^2 - y3*y6, 0, 0, 0, -y5^2 + y3*y6, 0, 0, 0, -y5^2 + y3*y6",
+    "y6, 0, 0, 0, -y6, 0, -y4, y5, 0",
+]
+
+
+def test_minus_identity_syzygies_span_the_tag_encoded_rows_modulo_the_relations(
+    minus_identity_r3,
+):
+    """The rows returned and the rows of the tag-encoded layer generate the
+    same module modulo the relations, and every row returned is reduced
+    modulo them and nonzero."""
+    _, space = minus_identity_r3
+    ideal = space.ideal.basis
+    rows = space.generator_syzygies
+    encoded = [
+        tuple(parse_polynomial(t, space.orbit_ring) for t in row.split(","))
+        for row in TAG_ENCODED_R3_SYZYGIES
+    ]
+    for row in rows:
+        assert any(not c.is_zero() for c in row)
+        assert all(groebner.normal_form(c, ideal) == c for c in row)
+    returned_span = groebner.SubmoduleProblem(9, tuple(rows), ideal)
+    encoded_span = groebner.SubmoduleProblem(9, tuple(encoded), ideal)
+    assert all(groebner.module_solve(row, returned_span).member for row in encoded)
+    assert all(groebner.module_solve(row, encoded_span).member for row in rows)
