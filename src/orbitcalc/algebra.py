@@ -2,9 +2,13 @@
 
 Polynomials are sparse maps from exponent tuples to ``fractions.Fraction``
 coefficients in lowest terms, attached to an immutable ring that fixes the
-variable alphabet.  A product is formed over integer numerators: each factor
-is scaled by the lcm of its denominators, the term products are summed as
-Python ints, and one normalised ``Fraction`` is made per output term.
+variable alphabet.  Each polynomial also has an integer form: its terms
+scaled to integer numerators by the lcm of their denominators, with that
+lcm.  It is computed on first use and cached, since polynomials are
+immutable.  A product is formed over the factors' integer forms: the term
+products are summed as Python ints, and one normalised ``Fraction`` is made
+per output term.  Division (:func:`.groebner.divide`) reads its divisors'
+integer forms in the same way.
 Three monomial orders are provided (graded reverse lexicographic,
 lexicographic, and a two-block elimination order); grevlex with the first
 variable most significant is the default used for canonical printing.
@@ -16,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -41,15 +45,15 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True if the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Exponents) -> int:
@@ -219,12 +223,13 @@ def _integer_numerators(
 class Polynomial:
     """Sparse exact-rational polynomial; immutable once constructed."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_integers")
 
     def __init__(self, ring: PolyRing, terms: dict[Exponents, Fraction]):
         self.ring = ring
         self.terms = terms
         self._hash: int | None = None
+        self._integers: tuple[list[tuple[Exponents, int]], int] | None = None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -276,6 +281,14 @@ class Polynomial:
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.terms.items())
+
+    def integer_form(self) -> tuple[list[tuple[Exponents, int]], int]:
+        """The terms as integer numerators over the lcm d of their
+        denominators, and d: ``self == sum(n * x^e for e, n) / d``.
+        Computed once per polynomial and cached."""
+        if self._integers is None:
+            self._integers = _integer_numerators(self.terms)
+        return self._integers
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -329,8 +342,8 @@ class Polynomial:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return Polynomial(self.ring, {})
-        left, d1 = _integer_numerators(self.terms)
-        right, d2 = _integer_numerators(other.terms)
+        left, d1 = self.integer_form()
+        right, d2 = other.integer_form()
         acc: dict[Exponents, int] = {}
         get = acc.get
         for e1, a in left:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -83,6 +84,15 @@ def divide(
     (used by the confluence property test — the remainder must not depend on
     the strategy once the divisors form a Groebner basis).  ``_leads`` is
     internal: the divisors' leading terms, when the caller already has them.
+
+    The arithmetic is on integers.  Each divisor D is read through its
+    cached integer form, numerators over one denominator, with leading
+    numerator L.  The work polynomial is held as integer numerators c over
+    one running scale s.  A step on the work term c * x^v subtracts
+    (c // g) * x^u * D, where g = gcd(c, L) and x^u * lm(D) = x^v; when
+    m = L // g is not 1, every work numerator and s are first multiplied
+    by m.  Each quotient term and each remainder term is one ``Fraction``,
+    made when the term is settled.
     """
     ring = p.ring
     preference = divisor_order if divisor_order is not None else range(len(divisors))
@@ -92,10 +102,12 @@ def divide(
         if d.is_zero():
             continue
         lm, lc = d.leading(order) if _leads is None else _leads[i]
-        heads.append((i, d.terms, lm, lc))
+        numerators, den = d.integer_form()
+        heads.append((i, numerators, den, lm, lc.numerator * (den // lc.denominator)))
     quotients: list[dict] = [{} for _ in divisors]
     remainder_terms: dict = {}
-    work = dict(p.terms)
+    numerators, scale = p.integer_form()
+    work = dict(numerators)
     # Every monomial of ``work`` is on the heap; entries whose monomial has
     # cancelled since are skipped.  A reduction step only adds monomials
     # below the one it reduces, so a popped monomial never comes back.
@@ -107,31 +119,36 @@ def divide(
         coeff = work.pop(exps, None)
         if coeff is None:
             continue
-        for i, terms, lm, lc in heads:
+        for i, numerators, den, lm, lead in heads:
             if mono_divides(lm, exps):
                 factor_exps = mono_div(exps, lm)
-                factor_coeff = coeff / lc
-                quotients[i][factor_exps] = factor_coeff
-                minus = -factor_coeff
-                for e, c in terms.items():
+                quotients[i][factor_exps] = Fraction(coeff * den, scale * lead)
+                g = gcd(coeff, lead)
+                m = lead // g
+                if m != 1:
+                    scale *= m
+                    for e in work:
+                        work[e] *= m
+                minus = -(coeff // g)
+                for e, n in numerators:
                     if e == lm:
                         continue
                     e = mono_mul(e, factor_exps)
                     old = work.get(e)
                     if old is None:
-                        work[e] = minus * c
+                        work[e] = minus * n
                         if e not in queued:
                             queued.add(e)
                             heapq.heappush(heap, _Descending(order.key(e), e))
                         continue
-                    new = old + minus * c
+                    new = old + minus * n
                     if new:
                         work[e] = new
                     else:
                         del work[e]
                 break
         else:
-            remainder_terms[exps] = coeff
+            remainder_terms[exps] = Fraction(coeff, scale)
     return Polynomial(ring, remainder_terms), [Polynomial(ring, q) for q in quotients]
 
 
@@ -173,19 +190,19 @@ def _forms_pair(t: _Tracked, u: _Tracked) -> bool:
     return u.pos == t.pos
 
 
-def _s_vector(f: _Tracked, g: _Tracked) -> tuple[Exponents, Exponents, Vector]:
-    """The monomials u_f, u_g that take both leading monomials to their lcm,
-    and the S-vector u_f * f / lc(f) - u_g * g / lc(g) of an element f and
-    an element or ideal generator g leading at f's position."""
-    lcm = mono_lcm(f.lead[0], g.lead[0])
-    uf, ug = mono_div(lcm, f.lead[0]), mono_div(lcm, g.lead[0])
-    sf, sg = Fraction(1) / f.lead[1], Fraction(1) / g.lead[1]
+def _s_vector(
+    f: _Tracked, g: _Tracked, uf: Exponents, ug: Exponents, sf: Fraction, sg: Fraction
+) -> Vector:
+    """The S-vector u_f * f * s_f - u_g * g * s_g of an element f and an
+    element or ideal generator g leading at f's position, where u_f, u_g
+    take both leading monomials to their lcm and s_f, s_g are the inverse
+    leading coefficients."""
     s_vec = [a.mul_monomial(uf, sf) for a in f.vec]
     if g.pos < 0:
         s_vec[f.pos] = s_vec[f.pos] - g.vec[0].mul_monomial(ug, sg)
     else:
         s_vec = [a - b.mul_monomial(ug, sg) for a, b in zip(s_vec, g.vec)]
-    return uf, ug, tuple(s_vec)
+    return tuple(s_vec)
 
 
 def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
@@ -197,25 +214,54 @@ def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
     return rep
 
 
+class _Divisors:
+    """The divisors at each position of a basis that only grows, kept as it
+    grows: the indices of the elements leading at the position, in basis
+    order, and the leading components and terms of those elements followed
+    by the ideal generators', which act at every position."""
+
+    __slots__ = ("ideal", "_ideal_polys", "_ideal_leads", "_at")
+
+    def __init__(self, basis: Sequence[_Tracked]):
+        self.ideal = [k for k, t in enumerate(basis) if t.pos < 0]
+        self._ideal_polys = [basis[k].vec[0] for k in self.ideal]
+        self._ideal_leads = [basis[k].lead for k in self.ideal]
+        self._at: dict[int, tuple[list[int], list[Polynomial], list]] = {}
+        for k, t in enumerate(basis):
+            if t.pos >= 0:
+                self.add(k, t)
+
+    def at(self, pos: int) -> tuple[list[int], list[Polynomial], list]:
+        lists = self._at.get(pos)
+        if lists is None:
+            lists = self._at[pos] = ([], list(self._ideal_polys), list(self._ideal_leads))
+        return lists
+
+    def add(self, k: int, t: _Tracked):
+        """Record ``t``, the basis element at index ``k``."""
+        ks, polys, leads = self.at(t.pos)
+        polys.insert(len(ks), t.vec[t.pos])
+        leads.insert(len(ks), t.lead)
+        ks.append(k)
+
+
 def _divide_vector(
-    vec: Vector, basis: Sequence[_Tracked], order: MonomialOrder
+    vec: Vector, basis: Sequence[_Tracked], divisors: _Divisors, order: MonomialOrder
 ) -> tuple[Vector, list[Polynomial]]:
     """Position-over-term division: at each position i in turn, component i
     is divided by the elements of ``basis`` leading at i and by its ideal
-    generators, and each quotient on an element is carried into the later
-    components.  Returns the remainder and one quotient per element of
-    ``basis`` (zero on the ideal generators); ``vec - remainder - sum(q_k *
-    basis_k)`` has every component in the ideal."""
+    generators (as ``divisors`` lists them), and each quotient on an
+    element is carried into the later components.  Returns the remainder
+    and one quotient per element of ``basis`` (zero on the ideal
+    generators); ``vec - remainder - sum(q_k * basis_k)`` has every
+    component in the ideal."""
     rest = list(vec)
     quotients = [vec[0].ring.zero()] * len(basis)
     for i in range(len(rest)):
         if rest[i].is_zero():
             continue
-        at = [k for k, t in enumerate(basis) if t.pos == i]
-        divisors = [basis[k] for k in at] + [t for t in basis if t.pos < 0]
-        rest[i], qs = divide(
-            rest[i], [t.vec[t.pos] for t in divisors], order, _leads=[t.lead for t in divisors]
-        )
+        at, polys, leads = divisors.at(i)
+        rest[i], qs = divide(rest[i], polys, order, _leads=leads)
         for k, q in zip(at, qs):  # the ideal's quotients, last, are dropped
             quotients[k] = q
             for j in range(i + 1, len(rest)):
@@ -252,6 +298,7 @@ def _buchberger_tracked(
     # chain criterion.
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
+    divisors = _Divisors(basis)
 
     def append(vec: Vector, rep: list[Polynomial], sugar: int):
         pos = next(i for i, c in enumerate(vec) if c.terms)
@@ -270,6 +317,7 @@ def _buchberger_tracked(
             heapq.heappush(queue, (pair_sugar, -t.pos, order.key(lcm), i, j))
             pending.add((i, j))
         basis.append(t)
+        divisors.add(j, t)
 
     for j, g in enumerate(gens):
         if _is_zero_vector(g):
@@ -294,8 +342,8 @@ def _buchberger_tracked(
         # chain criterion: some k acting at the position divides the lcm
         # and both mixed pairs are done
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or basis[k].pos not in (fi.pos, -1):
+        for k in divisors.at(fi.pos)[0] + divisors.ideal:
+            if k in (i, j):
                 continue
             if mono_divides(basis[k].lead[0], lcm):
                 pik = (min(i, k), max(i, k))
@@ -305,12 +353,13 @@ def _buchberger_tracked(
                     break
         if skip:
             continue
-        ui, uj, s_vec = _s_vector(fi, fj)
+        ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
+        si, sj = Fraction(1) / ci, Fraction(1) / cj
+        s_vec = _s_vector(fi, fj, ui, uj, si, sj)
         s_sugar = max(fi.sugar + mono_degree(ui), fj.sugar + mono_degree(uj))
-        remainder, quotients = _divide_vector(s_vec, basis, order)
+        remainder, quotients = _divide_vector(s_vec, basis, divisors, order)
         if _is_zero_vector(remainder):
             continue
-        si, sj = Fraction(1) / ci, Fraction(1) / cj
         rep = [
             ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
         ]
@@ -343,7 +392,7 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
     reduced: list[_Tracked] = []
     for idx, t in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :] + ideal
-        remainder, quotients = _divide_vector(t.vec, others, order)
+        remainder, quotients = _divide_vector(t.vec, others, _Divisors(others), order)
         rep = _subtract_reps(t.rep, quotients, others)
         lc = t.lead[1]
         reduced.append(
@@ -542,7 +591,7 @@ def _module_remainder(
         raise ValueError("target length differs from ambient rank")
     ring, tracked = _module_basis(problem, cancel)
     _check_ring(ring, target)
-    return _divide_vector(tuple(target), tracked, problem.ideal.order)
+    return _divide_vector(tuple(target), tracked, _Divisors(tracked), problem.ideal.order)
 
 
 def module_solve(
@@ -598,13 +647,14 @@ def _span_syzygies(
     """:func:`syzygies` of the problem's columns modulo its ideal, on the
     problem's module basis (built here only if no solve has built it)."""
     ring, tracked = _module_basis(problem, cancel)
+    divisors = _Divisors(tracked)
     rows: list[list[Polynomial]] = []
 
     def lift(vec: Vector, own: Sequence[tuple[int, Polynomial]]) -> list[Polynomial]:
         """The column row of the combination ``own`` over the basis, whose
         value is ``vec``, minus the division of ``vec`` by the basis."""
         _poll(cancel)
-        remainder, quotients = _divide_vector(vec, tracked, problem.ideal.order)
+        remainder, quotients = _divide_vector(vec, tracked, divisors, problem.ideal.order)
         if not _is_zero_vector(remainder):
             raise AssertionError("internal error: basis is not a Groebner basis")
         combo = [-q for q in quotients]
@@ -618,7 +668,10 @@ def _span_syzygies(
     for a, fa in enumerate(tracked):
         for b, fb in enumerate(tracked[a + 1 :], a + 1):
             if fa.pos >= 0 and _forms_pair(fa, fb):
-                ua, ub, s_vec = _s_vector(fa, fb)
+                (la, ca), (lb, cb) = fa.lead, fb.lead
+                lcm = mono_lcm(la, lb)
+                ua, ub = mono_div(lcm, la), mono_div(lcm, lb)
+                s_vec = _s_vector(fa, fb, ua, ub, 1 / ca, 1 / cb)
                 rows.append(lift(s_vec, [(a, ring.monomial(ua)), (b, ring.monomial(ub, -1))]))
 
     # completion rows: each column minus its own expression through the basis

@@ -41,7 +41,6 @@ from .algebra import (
     BlockOrder,
     PolyRing,
     Polynomial,
-    _integer_numerators,
     embed,
     make_primitive,
     restrict,
@@ -164,7 +163,7 @@ def _assemble(group, sigma, ring) -> HilbertMap:
 def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form) -> dict:
     """The terms of a normal form of p, summed over p's monomials (the
     normal form is linear).  ``forms`` tables each monomial's normal form
-    by exponents, as integer numerators over one denominator;
+    by exponents, as its integer form (:meth:`Polynomial.integer_form`);
     ``monomial_form`` computes a missing one.  The sum is taken over
     integers and the output coefficients are normalised Fractions."""
     rows = []
@@ -172,7 +171,7 @@ def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form) -> dict:
     for exps, coeff in p.terms.items():
         form = forms.get(exps)
         if form is None:
-            form = forms[exps] = _integer_numerators(monomial_form(exps).terms)
+            form = forms[exps] = monomial_form(exps).integer_form()
         scale = coeff.denominator * form[1]
         if den % scale:
             den = math.lcm(den, scale)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitcalc import groebner, invariants
+from orbitcalc import algebra, groebner, invariants
 from orbitcalc.algebra import PolyRing, Polynomial
 from orbitcalc.exterior import d, homotopy, wedge
 from orbitcalc.group_action import (
@@ -96,6 +96,44 @@ def random_form(rng, ring, degree, max_degree=3, max_terms=2):
 
 
 # ---------------------------------------------------------------------------
+# reference division over Fraction coefficients
+# ---------------------------------------------------------------------------
+
+def reference_divide(p, divisors, order, divisor_order=None):
+    """Multivariate division with ``Fraction`` arithmetic throughout, the
+    reference for ``groebner.divide``: the largest remaining monomial of the
+    work polynomial is reduced by the first divisor, in preference order,
+    whose leading monomial divides it, or else moved to the remainder."""
+    ring = p.ring
+    preference = divisor_order if divisor_order is not None else range(len(divisors))
+    heads = [(i, divisors[i], *divisors[i].leading(order)) for i in preference if divisors[i]]
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        exps = max(work, key=order.key)
+        coeff = work.pop(exps)
+        for i, d, lm, lc in heads:
+            if all(a <= b for a, b in zip(lm, exps)):
+                factor_exps = tuple(a - b for a, b in zip(exps, lm))
+                factor = coeff / lc
+                quotients[i][factor_exps] = factor
+                for e, c in d.terms.items():
+                    if e == lm:
+                        continue
+                    e = tuple(a + b for a, b in zip(e, factor_exps))
+                    new = work.get(e, 0) - factor * c
+                    if new:
+                        work[e] = new
+                    else:
+                        del work[e]
+                break
+        else:
+            remainder[exps] = coeff
+    return Polynomial(ring, remainder), [Polynomial(ring, q) for q in quotients]
+
+
+# ---------------------------------------------------------------------------
 # linear-algebra views of polynomials (independent membership oracles)
 # ---------------------------------------------------------------------------
 
@@ -165,6 +203,23 @@ def count_module_basis_builds(monkeypatch):
         return builds
 
     return start
+
+
+@pytest.fixture
+def integer_forms_computed(monkeypatch):
+    """The terms dicts whose integer form is computed during the test, in
+    order, one entry per computation.  The list keeps each dict alive, so
+    two entries are the same object exactly when they are the same
+    polynomial's terms."""
+    computed = []
+    compute = algebra._integer_numerators
+
+    def counting(terms):
+        computed.append(terms)
+        return compute(terms)
+
+    monkeypatch.setattr(algebra, "_integer_numerators", counting)
+    return computed
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import coefficient_vector, monomials_up_to, random_ideal, random_poly
+from conftest import (
+    coefficient_vector,
+    monomials_up_to,
+    random_ideal,
+    random_poly,
+    reference_divide,
+)
 from orbitcalc import linalg
 from orbitcalc.algebra import (
     GREVLEX,
@@ -181,6 +187,50 @@ def test_divide_contract():
             for g in gens:
                 lead, _c = g.leading(GREVLEX)
                 assert any(t < l for t, l in zip(term, lead))
+
+
+def random_divisor(rng, ring):
+    """A divisor that is no Groebner basis element: zero, or rational with a
+    leading coefficient that is often a negative or non-unit integer."""
+    d = random_poly(rng, ring, max_degree=3, max_terms=4)
+    if d.is_zero() or rng.random() < 0.3:
+        return d
+    _, lc = d.leading(GREVLEX)
+    return d.scale(rng.choice([-5, -3, -2, -1, 2, 3, 6]) / lc)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1)])
+def test_divide_equals_the_fraction_reference(order):
+    ring = PolyRing.ambient(3)
+    rng = random.Random(27)
+    for _ in range(150):
+        divisors = [random_divisor(rng, ring) for _ in range(rng.randint(1, 4))]
+        divisors.insert(rng.randrange(len(divisors) + 1), ring.zero())
+        p = random_poly(rng, ring, max_degree=5, max_terms=6)
+        permutation = rng.sample(range(len(divisors)), len(divisors))
+        for divisor_order in (None, permutation):
+            expected = reference_divide(p, divisors, order, divisor_order)
+            assert divide(p, divisors, order, divisor_order) == expected
+
+
+def test_divide_rescales_by_a_leading_numerator_the_work_does_not_absorb():
+    # The work numerators 1, -1 and 1 meet leading numerators 3, 3 and -2
+    # that do not divide them, so three steps multiply the running scale.
+    p = x("x1^2 + x2")
+    divisors = [x("3*x1 + x2"), x("-2*x2 + 1")]
+    remainder, quotients = divide(p, divisors, GREVLEX)
+    assert (remainder, quotients) == reference_divide(p, divisors, GREVLEX)
+    assert remainder == x("19/36")
+    assert quotients == [x("1/3*x1 - 1/9*x2"), x("-1/18*x2 - 19/36")]
+
+
+def test_integer_form_is_computed_once_per_polynomial(integer_forms_computed):
+    # Buchberger divides every S-polynomial by the growing basis, so each
+    # basis element is a divisor many times; its integer form is not.
+    gens = random_ideal(random.Random(28), PolyRing.ambient(3), count=4)
+    buchberger(gens)
+    ids = [id(terms) for terms in integer_forms_computed]
+    assert ids and len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])

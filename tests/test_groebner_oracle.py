@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import random_ideal
+from conftest import random_ideal, random_poly
 from orbitcalc.algebra import GREVLEX, LEX, PolyRing
-from orbitcalc.groebner import buchberger, eliminate
+from orbitcalc.groebner import buchberger, eliminate, normal_form
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,6 +44,21 @@ def test_reduced_basis_matches_sympy(order, name):
         exprs = [to_sympy(g, SYMBOLS) for g in gens]
         oracle = sympy.groebner(exprs, *SYMBOLS, order=name, domain="QQ")
         assert ours(buchberger(gens, order), SYMBOLS) == monic_set(oracle.exprs, SYMBOLS)
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+def test_normal_form_matches_sympy_reduce(order, name):
+    # The reduced bases have rational coefficients; a remainder modulo a
+    # Groebner basis is unique, so the two engines must agree exactly.
+    rng = random.Random(55)
+    for gens in ideals(54):
+        gb = buchberger(gens, order)
+        exprs = [to_sympy(g, SYMBOLS) for g in gens]
+        oracle = sympy.groebner(exprs, *SYMBOLS, order=name, domain="QQ")
+        for _ in range(4):
+            p = random_poly(rng, RING, max_degree=4, max_terms=5)
+            _, expected = oracle.reduce(to_sympy(p, SYMBOLS))
+            assert sympy.expand(to_sympy(normal_form(p, gb), SYMBOLS) - expected) == 0
 
 
 @pytest.mark.parametrize("drop", [1, 2])
