@@ -13,6 +13,15 @@ returns explicit witnesses, and syzygy generating sets come from Schreyer's
 lifting of the same pairs on the final basis (2.5); both read only
 coefficients on the columns, so representations are tracked over the
 columns alone.
+
+A scalar ideal that is homogeneous for some positive variable weights, and
+whose quotient has a Hilbert series known in advance, gets a
+Hilbert-driven run (Traverso, *Hilbert functions and the Buchberger
+algorithm*, 1996): pairs go by weighted degree, and once the leading
+monomials found so far leave as many standard monomials of a degree as the
+known series counts, the remaining pairs of that degree reduce to zero and
+are dropped unreduced.  The run ends by checking that the series of the
+leading monomials equals the known one, which certifies the basis.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .algebra import (
     mono_mul,
     restrict,
 )
+from .series import Series, added_numerator, coefficient, one_minus_powers, same_series
 
 CancelCheck = Callable[[], bool]
 
@@ -76,14 +86,17 @@ def divide(
     divisor_order: Sequence[int] | None = None,
     *,
     _leads: Sequence[tuple[Exponents, Fraction]] | None = None,
+    _quotients: bool = True,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Full multivariate division: ``p = sum(q_i * divisors_i) + remainder``.
 
     No remainder term is divisible by any divisor's leading monomial.  The
     divisor preference defaults to list order; ``divisor_order`` permutes it
     (used by the confluence property test — the remainder must not depend on
-    the strategy once the divisors form a Groebner basis).  ``_leads`` is
-    internal: the divisors' leading terms, when the caller already has them.
+    the strategy once the divisors form a Groebner basis).  ``_leads`` and
+    ``_quotients`` are internal: the divisors' leading terms, when the
+    caller already has them, and False when the caller discards the
+    quotients, which are then not built (an empty list comes back).
 
     The arithmetic is on integers.  Each divisor D is read through its
     cached integer form, numerators over one denominator, with leading
@@ -104,7 +117,7 @@ def divide(
         lm, lc = d.leading(order) if _leads is None else _leads[i]
         numerators, den = d.integer_form()
         heads.append((i, numerators, den, lm, lc.numerator * (den // lc.denominator)))
-    quotients: list[dict] = [{} for _ in divisors]
+    quotients: list[dict] = [{} for _ in divisors] if _quotients else []
     remainder_terms: dict = {}
     numerators, scale = p.integer_form()
     work = dict(numerators)
@@ -122,7 +135,8 @@ def divide(
         for i, numerators, den, lm, lead in heads:
             if mono_divides(lm, exps):
                 factor_exps = mono_div(exps, lm)
-                quotients[i][factor_exps] = Fraction(coeff * den, scale * lead)
+                if _quotients:
+                    quotients[i][factor_exps] = Fraction(coeff * den, scale * lead)
                 g = gcd(coeff, lead)
                 m = lead // g
                 if m != 1:
@@ -246,7 +260,11 @@ class _Divisors:
 
 
 def _divide_vector(
-    vec: Vector, basis: Sequence[_Tracked], divisors: _Divisors, order: MonomialOrder
+    vec: Vector,
+    basis: Sequence[_Tracked],
+    divisors: _Divisors,
+    order: MonomialOrder,
+    track: bool = True,
 ) -> tuple[Vector, list[Polynomial]]:
     """Position-over-term division: at each position i in turn, component i
     is divided by the elements of ``basis`` leading at i and by its ideal
@@ -254,14 +272,16 @@ def _divide_vector(
     element is carried into the later components.  Returns the remainder
     and one quotient per element of ``basis`` (zero on the ideal
     generators); ``vec - remainder - sum(q_k * basis_k)`` has every
-    component in the ideal."""
+    component in the ideal.  With ``track`` False the caller reads no
+    quotient, so a rank-1 division builds none and all come back zero."""
     rest = list(vec)
     quotients = [vec[0].ring.zero()] * len(basis)
+    keep = track or len(rest) > 1
     for i in range(len(rest)):
         if rest[i].is_zero():
             continue
         at, polys, leads = divisors.at(i)
-        rest[i], qs = divide(rest[i], polys, order, _leads=leads)
+        rest[i], qs = divide(rest[i], polys, order, _leads=leads, _quotients=keep)
         for k, q in zip(at, qs):  # the ideal's quotients, last, are dropped
             quotients[k] = q
             for j in range(i + 1, len(rest)):
@@ -270,12 +290,65 @@ def _divide_vector(
     return tuple(rest), quotients
 
 
+class _HilbertDrive:
+    """Traverso's Hilbert-driven pair selection for a scalar ideal I that is
+    homogeneous for positive variable weights, with the series of R/I known.
+
+    The numerator K of the series of R/J, J the ideal of the leading
+    monomials found so far, is updated as each one comes (Bayer-Stillman).
+    While every pair below degree d is done, J agrees with in(I) below d
+    and lies inside it at d, so HF_(R/J)(d) - HF_(R/I)(d) >= 0 counts the
+    leading monomials still missing at d.  Each new element of degree d
+    supplies one; once none is missing, the pairs of degree d left reduce
+    to zero."""
+
+    __slots__ = ("weights", "known", "leads", "numerator", "denominator", "degree", "missing")
+
+    def __init__(self, weights: Sequence[int], known: Series):
+        self.weights = weights
+        self.known = known
+        self.leads: list[Exponents] = []
+        self.numerator = [1]
+        self.denominator = one_minus_powers(weights)
+        self.degree: int | None = None
+        self.missing = 0
+
+    def weigh(self, exps: Exponents) -> int:
+        return sum(map(int.__mul__, exps, self.weights))
+
+    def add(self, lm: Exponents):
+        self.numerator = added_numerator(self.numerator, self.leads, lm, self.weights)
+        self.leads.append(lm)
+        self.missing -= 1
+
+    def complete(self, degree: int) -> bool:
+        """Whether the pairs of ``degree`` left are known to reduce to zero;
+        pairs come in ascending degree."""
+        if degree != self.degree:
+            self.degree = degree
+            self.missing = coefficient(
+                (self.numerator, self.denominator), degree
+            ) - coefficient(self.known, degree)
+            if self.missing < 0:
+                raise AssertionError(
+                    f"internal error: more leading monomials in degree {degree} "
+                    "than the known series allows"
+                )
+        return self.missing == 0
+
+    def certify(self):
+        """G lies in I, so equal series give in(G) = in(I): G is a basis."""
+        if not same_series((self.numerator, self.denominator), self.known):
+            raise AssertionError("internal error: basis series differs from the known series")
+
+
 def _buchberger_tracked(
     gens: Sequence[Vector],
     order: MonomialOrder,
     columns: int,
     ideal: GroebnerBasis | None = None,
     cancel: CancelCheck | None = None,
+    hilbert: tuple[Sequence[int], Series] | None = None,
 ) -> list[_Tracked]:
     """Reduced Groebner basis of the module spanned by the vectors ``gens``
     modulo ``ideal`` (a Groebner basis for ``order``) at every position,
@@ -287,7 +360,16 @@ def _buchberger_tracked(
     ``order``.  Output elements are monic, interreduced modulo each other
     and the ideal, and sorted by leading term (descending) so results are
     byte-reproducible.
+
+    ``hilbert`` is ``(weights, series)`` for rank-1 generators with no
+    ideal, each homogeneous for the positive variable ``weights``, whose
+    ideal I has R/I of Hilbert series ``series`` (denominator with constant
+    term 1): the run is Hilbert-driven (:class:`_HilbertDrive`), with sugar
+    the weighted degree, and raises ``AssertionError`` unless the basis it
+    ends with has that series.
     """
+    drive = _HilbertDrive(*hilbert) if hilbert is not None else None
+    weigh = drive.weigh if drive is not None else mono_degree
     basis = [
         _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, g.leading(order))
         for g in (ideal.generators if ideal is not None else ())
@@ -311,13 +393,14 @@ def _buchberger_tracked(
             li = u.lead[0]
             lcm = mono_lcm(li, lj)
             pair_sugar = max(
-                u.sugar + mono_degree(mono_div(lcm, li)),
-                t.sugar + mono_degree(mono_div(lcm, lj)),
+                u.sugar + weigh(mono_div(lcm, li)), t.sugar + weigh(mono_div(lcm, lj))
             )
             heapq.heappush(queue, (pair_sugar, -t.pos, order.key(lcm), i, j))
             pending.add((i, j))
         basis.append(t)
         divisors.add(j, t)
+        if drive is not None:
+            drive.add(lj)
 
     for j, g in enumerate(gens):
         if _is_zero_vector(g):
@@ -326,12 +409,14 @@ def _buchberger_tracked(
         rep = [ring.zero() for _ in range(columns)]
         if j < columns:
             rep[j] = ring.one()
-        append(tuple(g), rep, max(c.degree() for c in g))
+        append(tuple(g), rep, max(weigh(e) for c in g for e in c.terms))
 
     while queue:
         _poll(cancel)
-        _, _, _, i, j = heapq.heappop(queue)
+        degree, _, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
+        if drive is not None and drive.complete(degree):
+            continue
         fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
         (li, ci), (lj, cj) = fi.lead, fj.lead
         lcm = mono_lcm(li, lj)
@@ -356,17 +441,19 @@ def _buchberger_tracked(
         ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
         si, sj = Fraction(1) / ci, Fraction(1) / cj
         s_vec = _s_vector(fi, fj, ui, uj, si, sj)
-        s_sugar = max(fi.sugar + mono_degree(ui), fj.sugar + mono_degree(uj))
-        remainder, quotients = _divide_vector(s_vec, basis, divisors, order)
+        s_sugar = max(fi.sugar + weigh(ui), fj.sugar + weigh(uj))
+        remainder, quotients = _divide_vector(s_vec, basis, divisors, order, columns > 0)
         if _is_zero_vector(remainder):
             continue
         rep = [
             ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
         ]
         rep = _subtract_reps(rep, quotients, basis)
-        sugar = max(s_sugar, max(c.degree() for c in remainder))
+        sugar = max(s_sugar, max(weigh(e) for c in remainder for e in c.terms))
         append(remainder, rep, sugar)
 
+    if drive is not None:
+        drive.certify()
     return _reduce_tracked(basis, order)
 
 
@@ -392,7 +479,9 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
     reduced: list[_Tracked] = []
     for idx, t in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :] + ideal
-        remainder, quotients = _divide_vector(t.vec, others, _Divisors(others), order)
+        remainder, quotients = _divide_vector(
+            t.vec, others, _Divisors(others), order, bool(t.rep)
+        )
         rep = _subtract_reps(t.rep, quotients, others)
         lc = t.lead[1]
         reduced.append(
@@ -450,7 +539,7 @@ def normal_form(
         return p
     if p.ring != gb.generators[0].ring:
         raise ValueError("incompatible rings")
-    remainder, _ = divide(p, gb.generators, gb.order, divisor_order)
+    remainder, _ = divide(p, gb.generators, gb.order, divisor_order, _quotients=False)
     return remainder
 
 

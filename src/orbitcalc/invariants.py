@@ -48,10 +48,10 @@ from .algebra import (
 from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
+    _buchberger_tracked,
     _elimination_part,
     _module_remainder,
     _position_leads,
-    buchberger,
     module_solve,
     normal_form,
 )
@@ -62,7 +62,14 @@ from .group_action import (
     reynolds,
 )
 from . import linalg
-from .series import field_series, module_series, molien_series, quotient_series, same_series
+from .series import (
+    field_series,
+    module_series,
+    molien_series,
+    one_minus_powers,
+    quotient_series,
+    same_series,
+)
 
 
 def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -153,10 +160,16 @@ def _assemble(group, sigma, ring) -> HilbertMap:
     if set(orbit_ring.names) & set(ring.names):
         raise ValueError("ambient variable names collide with the orbit alphabet")
     combined = PolyRing(ring.names + orbit_ring.names)
-    gens = []
-    for j, s in enumerate(sigma):
-        gens.append(combined.variable(n + j) - embed(s, combined, 0))
-    tag_basis = buchberger(gens, BlockOrder(n))
+    gens = [(combined.variable(n + j) - embed(s, combined, 0),) for j, s in enumerate(sigma)]
+    # With y_j of weight deg sigma_j the tagged ideal I is homogeneous when
+    # every sigma_j is, and Q[x, y]/I = Q[x] has the series 1/(1 - t)^n.
+    hilbert = None
+    if all(s.degree() > 0 and s.is_homogeneous() for s in sigma):
+        weights = [1] * n + [s.degree() for s in sigma]
+        hilbert = (weights, ([1], one_minus_powers([1] * n)))
+    order = BlockOrder(n)
+    tracked = _buchberger_tracked(gens, order, 0, hilbert=hilbert)
+    tag_basis = GroebnerBasis(tuple(t.vec[0] for t in tracked), order)
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 

@@ -76,7 +76,10 @@ class OrbitSpace:
             if lie_action is not None
             else LieAlgebraAction(hilbert.group.n, ())
         )
-        self._pushed: list[OrbitVectorField] | None = None
+        # components of the pushed generators, never the fields themselves:
+        # a field points at its space, and a cycle would keep a finished
+        # space alive until the cyclic collector runs
+        self._pushed: list[tuple[Polynomial, ...]] | None = None
         self._span: SubmoduleProblem | None = None
         self._extension: SubmoduleProblem | None = None
         self._pulls: dict[int, tuple] = {}
@@ -102,10 +105,17 @@ class OrbitSpace:
 
     @property
     def pushed_generators(self) -> list["OrbitVectorField"]:
-        """The generator fields pushed to the orbit space (computed once)."""
+        """The generator fields pushed to the orbit space.  Their components
+        are computed and checked once; each access wraps them anew."""
         if self._pushed is None:
-            self._pushed = [push_vf(X, self) for X in self.module.generators]
-        return self._pushed
+            self._pushed = [
+                tuple(c.rep for c in push_vf(X, self).components)
+                for X in self.module.generators
+            ]
+        return [
+            OrbitVectorField(self, [OrbitFunction._normal(self, c) for c in comps], check=False)
+            for comps in self._pushed
+        ]
 
     @property
     def _generator_span(self) -> SubmoduleProblem:
@@ -198,6 +208,14 @@ class OrbitFunction:
             raise ValueError("representative must live in the orbit ring")
         self.space = space
         self.rep = space.ideal.normal(rep)
+
+    @classmethod
+    def _normal(cls, space: OrbitSpace, rep: Polynomial) -> "OrbitFunction":
+        """The class of ``rep``, already a normal form in the orbit ring."""
+        f = cls.__new__(cls)
+        f.space = space
+        f.rep = rep
+        return f
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -350,7 +368,7 @@ class OrbitForm:
     def __init__(self, space: OrbitSpace, degree: int, values, check: bool = True):
         if degree < 1:
             raise ValueError("form degree must be at least 1")
-        n_gens = len(space.pushed_generators)
+        n_gens = len(space.module)
         table: dict[tuple[int, ...], OrbitFunction] = {}
         items = values.items() if isinstance(values, dict) else values
         for indices, value in items:
@@ -381,7 +399,7 @@ class OrbitForm:
         """Sum of c_i * value(i, rest) over each syzygy c must vanish mod the
         ideal for every (k-1)-tuple: linearity over the function ring."""
         space = self.space
-        n_gens = len(space.pushed_generators)
+        n_gens = len(space.module)
         rests = list(combinations(range(n_gens), self.degree - 1))
         for syz in space.generator_syzygies:
             for rest in rests:
@@ -652,7 +670,7 @@ def orbit_wedge(a, b):
     space = a.space
     k, degree = a.degree, a.degree + b.degree
     values = {}
-    for I in combinations(range(len(space.pushed_generators)), degree):
+    for I in combinations(range(len(space.module)), degree):
         total = space.orbit_ring.zero()
         for S in combinations(range(degree), k):
             rest = tuple(p for p in range(degree) if p not in S)
@@ -705,12 +723,12 @@ def orbit_form_to_json(theta) -> dict:
     if isinstance(theta, OrbitFunction):
         return {
             "degree": 0,
-            "generators": len(theta.space.pushed_generators),
+            "generators": len(theta.space.module),
             "values": [{"tuple": [], "class": str(theta.rep)}],
         }
     return {
         "degree": theta.degree,
-        "generators": len(theta.space.pushed_generators),
+        "generators": len(theta.space.module),
         "values": [
             {"tuple": [i + 1 for i in ix], "class": str(theta.values[ix].rep)}
             for ix in sorted(theta.values)
@@ -721,7 +739,7 @@ def orbit_form_to_json(theta) -> dict:
 def orbit_form_from_json(data: dict, space: OrbitSpace):
     if not isinstance(data, dict):
         raise ValueError("an orbit form must be a JSON object")
-    n_gens = len(space.pushed_generators)
+    n_gens = len(space.module)
     if json_integer(data.get("generators", n_gens), "generators") != n_gens:
         raise ValueError("generator count differs from the orbit space")
     degree = json_integer(data["degree"], "degree")

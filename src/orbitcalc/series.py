@@ -13,7 +13,9 @@ series are compared by cross-multiplying, so no polynomial gcd is needed.
 - Monomial ideals: Q[y]/J, with y_j of weight w_j, has the series
   K_J(t) / prod_j (1 - t^(w_j)), and the numerator follows the recursion
   K(J + <m>) = K(J) - t^(w(m)) K(J : m) (Bayer & Stillman, *Computation of
-  Hilbert functions*, 1992).
+  Hilbert functions*, 1992).  A Groebner basis run can apply the step once
+  per new leading monomial and read off the Hilbert function degree by
+  degree (:func:`coefficient`).
 """
 
 from __future__ import annotations
@@ -64,6 +66,22 @@ def one_minus_powers(weights: Sequence[int]) -> list:
 def same_series(a: Series, b: Series) -> bool:
     """Equality of two rational functions, by cross-multiplying."""
     return _mul(a[0], b[1]) == _mul(b[0], a[1])
+
+
+def coefficient(series: Series, degree: int):
+    """The coefficient of t^degree in numerator / denominator, for a
+    denominator with constant term 1: the coefficients c_k of the series
+    satisfy sum_i denominator[i] c_(k-i) = numerator[k]."""
+    numerator, denominator = series
+    if not denominator or denominator[0] != 1:
+        raise ValueError("the denominator must have constant term 1")
+    c: list = []
+    for k in range(degree + 1):
+        value = numerator[k] if k < len(numerator) else 0
+        for i in range(1, min(k, len(denominator) - 1) + 1):
+            value -= denominator[i] * c[k - i]
+        c.append(value)
+    return c[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +161,15 @@ def ideal_numerator(monomials, weights: Sequence[int]) -> list:
         # pairwise coprime: a complete intersection
         return one_minus_powers([sum(map(int.__mul__, g, weights)) for g in gens])
     *rest, pivot = gens
-    colon = [tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest]
-    degree = sum(map(int.__mul__, pivot, weights))
-    return _add(ideal_numerator(rest, weights), _shift(ideal_numerator(colon, weights), degree), -1)
+    return added_numerator(ideal_numerator(rest, weights), rest, pivot, weights)
+
+
+def added_numerator(numerator: list, monomials, m, weights: Sequence[int]) -> list:
+    """K(J + <m>) = K(J) - t^(w(m)) K(J : m), from ``numerator`` = K(J) of
+    the ideal J the exponent tuples ``monomials`` generate."""
+    colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in monomials]
+    degree = sum(map(int.__mul__, m, weights))
+    return _add(numerator, _shift(ideal_numerator(colon, weights), degree), -1)
 
 
 def quotient_series(leads, weights: Sequence[int]) -> Series:

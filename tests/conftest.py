@@ -8,6 +8,7 @@ trial counts and the module tests reuse the builders.
 
 import inspect
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -69,6 +70,24 @@ def random_ideal(rng, ring, count=3, max_degree=3, max_terms=4):
             terms[tuple(exps)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
         gens.append(ring.from_terms(terms))
     return gens
+
+
+def random_homogeneous(rng, ring, degree, weights=None, max_terms=3):
+    """A nonzero polynomial whose terms all have the given degree, each
+    variable x_i counted with weight ``weights[i]`` (1 by default); None
+    when no monomial has that degree."""
+    weights = weights or [1] * ring.nvars
+    monomials = [
+        exps
+        for exps in product(*(range(degree // w + 1) for w in weights))
+        if sum(e * w for e, w in zip(exps, weights)) == degree
+    ]
+    if not monomials:
+        return None
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, max_terms)))
+    return ring.from_terms(
+        {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for e in chosen}
+    )
 
 
 def random_vf(rng, ring, max_degree=3, max_terms=2):
@@ -203,6 +222,21 @@ def count_module_basis_builds(monkeypatch):
         return builds
 
     return start
+
+
+@pytest.fixture
+def hilbert_certificates(monkeypatch):
+    """One entry per Hilbert-driven Buchberger run that ends with its series
+    check during the test: the run's variable weights."""
+    certified = []
+    certify = groebner._HilbertDrive.certify
+
+    def counting(drive):
+        certify(drive)
+        certified.append(list(drive.weights))
+
+    monkeypatch.setattr(groebner._HilbertDrive, "certify", counting)
+    return certified
 
 
 @pytest.fixture

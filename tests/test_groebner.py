@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     coefficient_vector,
     monomials_up_to,
+    random_homogeneous,
     random_ideal,
     random_poly,
     reference_divide,
@@ -35,6 +36,7 @@ from orbitcalc.groebner import (
     normal_form,
     syzygies,
 )
+from orbitcalc.series import one_minus_powers, quotient_series
 
 AMBIENT = PolyRing.ambient(2)
 ORBIT = PolyRing.orbit(3)
@@ -211,6 +213,9 @@ def test_divide_equals_the_fraction_reference(order):
         for divisor_order in (None, permutation):
             expected = reference_divide(p, divisors, order, divisor_order)
             assert divide(p, divisors, order, divisor_order) == expected
+            # a caller that discards the quotients gets none built
+            unbuilt = divide(p, divisors, order, divisor_order, _quotients=False)
+            assert unbuilt == (expected[0], [])
 
 
 def test_divide_rescales_by_a_leading_numerator_the_work_does_not_absorb():
@@ -280,6 +285,59 @@ def test_untracked_basis_equals_tracked_basis(order):
         gens = [v[0] for v in vectors]
         assert buchberger(gens, order).generators == tuple(t.vec[0] for t in tracked)
         assert all(t.rep == [] for t in _buchberger_tracked(vectors, order, 0))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
+def test_hilbert_driven_basis_equals_the_plain_loop(order, hilbert_certificates):
+    """Random ideals homogeneous for random weights, with the series of the
+    quotient read off a plain run: the Hilbert-driven run on the same
+    generators ends with the same reduced basis."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(53)
+    runs = 0
+    while runs < 12:
+        weights = [rng.randint(1, 2) for _ in range(ring.nvars)]
+        gens = [random_homogeneous(rng, ring, rng.randint(2, 4), weights) for _ in range(3)]
+        gens = [g for g in gens if g is not None]
+        plain = buchberger(gens, order).generators
+        known = quotient_series([g.leading(order)[0] for g in plain], weights)
+        driven = _buchberger_tracked([(g,) for g in gens], order, 0, hilbert=(weights, known))
+        assert tuple(t.vec[0] for t in driven) == plain
+        runs += 1
+    assert len(hilbert_certificates) == runs
+
+
+def tagged_z2_generators():
+    """y_j - sigma_j(x) for the Z2/R^2 map (x1^2, x2^2, x1*x2), homogeneous
+    when y_j has weight 2; its quotient has the series 1/(1 - t)^2."""
+    combined = AMBIENT.joined(ORBIT)
+    sigma = [x("x1^2"), x("x2^2"), x("x1*x2")]
+    return [(combined.variable(2 + j) - embed(s, combined, 0),) for j, s in enumerate(sigma)]
+
+
+@pytest.mark.parametrize(
+    "known",
+    [
+        # more standard monomials than the basis leaves: refused at the
+        # first degree where the leads already cover too many
+        ([1], one_minus_powers([1, 1, 1])),
+        # fewer: no pair is ever dropped, and only the final series check
+        # tells the run apart from a correct one
+        ([1], one_minus_powers([1])),
+    ],
+)
+def test_hilbert_driven_run_refuses_a_wrong_known_series(known):
+    with pytest.raises(AssertionError, match="internal error"):
+        _buchberger_tracked(
+            tagged_z2_generators(), BlockOrder(2), 0, hilbert=([1, 1, 2, 2, 2], known)
+        )
+    # the true series certifies the same generators
+    right = ([1], one_minus_powers([1, 1]))
+    driven = _buchberger_tracked(
+        tagged_z2_generators(), BlockOrder(2), 0, hilbert=([1, 1, 2, 2, 2], right)
+    )
+    plain = buchberger([g for (g,) in tagged_z2_generators()], BlockOrder(2))
+    assert tuple(t.vec[0] for t in driven) == plain.generators
 
 
 @pytest.mark.parametrize("drop", [1, 2])

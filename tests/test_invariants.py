@@ -1,8 +1,10 @@
 """Invariant ring generation, relations, subduction, equivariant module."""
 
 import gc
+import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,13 @@ from conftest import (
     make_rotation4_group,
     make_swap_group,
     monomials_up_to,
+    random_homogeneous,
     random_poly,
 )
 from orbitcalc import groebner, invariants, linalg
 from orbitcalc.algebra import (
     GREVLEX,
+    BlockOrder,
     PolyRing,
     Polynomial,
     embed,
@@ -385,6 +389,78 @@ def test_relations_read_off_equal_elimination(rung):
     # the read-off is already the reduced grevlex basis of the relations
     assert buchberger(list(basis.generators), GREVLEX).generators == basis.generators
     assert all(g.ring == hmap.orbit_ring for g in basis.generators)
+
+
+def tagged_generators(hmap):
+    """y_j - sigma_j(x) in the map's combined ring."""
+    n, combined = hmap.ring.nvars, hmap.combined_ring
+    return [combined.variable(n + j) - embed(s, combined, 0) for j, s in enumerate(hmap.sigma)]
+
+
+def fixture_group(name):
+    path = Path(invariants.__file__).parent / "fixtures" / f"{name}.json"
+    return closure(json.loads(path.read_text(encoding="utf-8"))["group_generators"])
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_GROUPS) + ["b3", "s4"])
+def test_hilbert_driven_tagged_basis_equals_the_plain_loop(rung, hilbert_certificates):
+    group = fixture_group(rung) if rung in ("b3", "s4") else closure(SEARCH_GROUPS[rung])
+    hmap = invariant_generators(group)
+    n = hmap.ring.nvars
+    assert hilbert_certificates and all(w[:n] == [1] * n for w in hilbert_certificates)
+    plain = buchberger(tagged_generators(hmap), BlockOrder(n))
+    assert hmap.tag_basis.generators == plain.generators
+
+
+def test_hilbert_driven_tagged_basis_of_random_homogeneous_maps(hilbert_certificates):
+    """Homogeneous sigma need not be invariants of the group for the tagged
+    basis: the quotient is Q[x] whatever they are."""
+    rng = random.Random(61)
+    for n in (2, 3):
+        ring = PolyRing.ambient(n)
+        group = closure([[["1" if i == j else "0" for j in range(n)] for i in range(n)]])
+        for _ in range(6):
+            count = rng.randint(1, 3)
+            sigma = tuple(random_homogeneous(rng, ring, rng.randint(1, 3)) for _ in range(count))
+            hmap = invariants._assemble(group, sigma, ring)
+            plain = buchberger(tagged_generators(hmap), BlockOrder(n))
+            assert hmap.tag_basis.generators == plain.generators
+    assert len(hilbert_certificates) == 12
+
+
+def test_hilbert_driven_tagged_basis_skips_the_pairs_that_reduce_to_zero(monkeypatch):
+    # Z2/R^3: six quadrics; the plain loop reduces 104 S-vectors, 83 to zero
+    hmap = invariant_generators(closure(SEARCH_GROUPS["z2_r3"]))
+    reduced = []
+    s_vector = groebner._s_vector
+
+    def counting(*args):
+        reduced.append(args)
+        return s_vector(*args)
+
+    monkeypatch.setattr(groebner, "_s_vector", counting)
+    again = invariants._assemble(hmap.group, hmap.sigma, hmap.ring)
+    assert again.tag_basis.generators == hmap.tag_basis.generators
+    assert 0 < len(reduced) < 52
+
+
+def test_non_homogeneous_map_keeps_the_plain_loop(hilbert_certificates):
+    group = make_reflection_group()
+    sigma = (x("x1^2 + x1^2*x2^2"), x("x2^2"), x("x1*x2"))
+    hmap = invariants._assemble(group, sigma, RING)
+    assert hilbert_certificates == []
+    # the basis and relations of the unchanged loop, pinned
+    checked = HilbertMap.from_polynomials(group, sigma)
+    assert checked.tag_basis.generators == hmap.tag_basis.generators
+    assert [str(g) for g in hmap.tag_basis.generators] == [
+        "x1^2 + y3^2 - y1",
+        "x1*x2 - y3",
+        "x2^2 - y2",
+        "x1*y2 - x2*y3",
+        "x2*y3^2 - x2*y1 + x1*y3",
+        "y2*y3^2 - y1*y2 + y3^2",
+    ]
+    assert [str(g) for g in relations(checked).basis.generators] == ["y2*y3^2 - y1*y2 + y3^2"]
 
 
 # relation count of each ideal: golden Z2/R^2, Z4/R^2, Z2/R^3, trivial group

@@ -1,7 +1,9 @@
 """Orbit-space calculus: pushforward/lift, intrinsic d, wedge, extension test."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -60,6 +62,25 @@ def test_pushed_generators_frozen(golden_space):
         orbit_field(golden_space, "0", "2*y2", "y3"),
     ]
     assert golden_space.pushed_generators == expected
+
+
+def test_orbit_space_is_freed_with_its_last_reference():
+    """No cached object points back at its space, so a finished space goes
+    with its last reference, not at the next run of the cyclic collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        space = OrbitSpace(invariant_generators(make_rotation4_group()))
+        Y = space.pushed_generators[0]
+        orbit_d(space.parse_function("y1"))
+        lift_vf(orbit_bracket(Y, space.pushed_generators[1]), space)
+        extend_check(orbit_d(space.parse_function("y2")))
+        space_ref, map_ref = weakref.ref(space), weakref.ref(space.hilbert)
+        del space, Y
+        assert space_ref() is None and map_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_push_vf_zero_and_rejection(golden_space):

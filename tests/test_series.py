@@ -20,7 +20,14 @@ from orbitcalc.invariants import (
     invariant_generators,
     relations,
 )
-from orbitcalc.series import field_series, ideal_numerator, molien_series, one_minus_powers
+from orbitcalc.series import (
+    added_numerator,
+    coefficient,
+    field_series,
+    ideal_numerator,
+    molien_series,
+    one_minus_powers,
+)
 
 FIXTURES = Path(invariants.__file__).parent / "fixtures"
 
@@ -108,6 +115,16 @@ def test_ideal_numerator_counts_standard_monomials():
             if degree < top and standard:
                 counts[degree] += 1
         assert coefficients(series, top) == counts, (gens, weights)
+        assert [coefficient(series, d) for d in range(top)] == counts, (gens, weights)
+        # the same numerator, one generator at a time as a basis run adds
+        # its leads, in any order and with repeats
+        numerator, added = [1], []
+        for m in rng.sample(gens + gens[:1], len(gens) + len(gens[:1])):
+            numerator = added_numerator(numerator, added, m, weights)
+            added.append(m)
+        assert numerator == series[0], (gens, weights)
+    with pytest.raises(ValueError):
+        coefficient(([1], [2, -2]), 3)
 
 
 # rung -> the last degrees that gain invariants and fields, as a search run
