@@ -1,14 +1,17 @@
 """Exact multivariate polynomial arithmetic over arbitrary-precision rationals.
 
-Polynomials are sparse maps from exponent tuples to ``fractions.Fraction``
-coefficients in lowest terms, attached to an immutable ring that fixes the
-variable alphabet.  Each polynomial also has an integer form: its terms
-scaled to integer numerators by the lcm of their denominators, with that
-lcm.  It is computed on first use and cached, since polynomials are
-immutable.  A product is formed over the factors' integer forms: the term
-products are summed as Python ints, and one normalised ``Fraction`` is made
-per output term.  Division (:func:`.groebner.divide`) reads its divisors'
-integer forms in the same way.
+A polynomial is attached to an immutable ring that fixes the variable
+alphabet, and is stored in the layout of FLINT's ``fmpq_poly``: integer
+numerators by exponent tuple over one positive common denominator, in
+lowest terms (the gcd of the denominator and all numerators is 1).  That
+form is canonical, so equality and hashing read it as it is.  Arithmetic
+runs on Python ints: a sum puts both operands over the lcm of their
+denominators, a product multiplies the denominators, and every result is
+brought to lowest terms by one gcd.  Division (:func:`.groebner.divide`),
+the tabled normal forms and the group action read and build the same form.
+A ``Fraction`` is made only when a caller reads a coefficient:
+``terms`` (a dict built on first read and kept), ``coefficient``,
+``constant_term`` and ``leading``.
 Three monomial orders are provided (graded reverse lexicographic,
 lexicographic, and a two-block elimination order); grevlex with the first
 variable most significant is the default used for canonical printing.
@@ -171,23 +174,21 @@ class PolyRing:
         return PolyRing(self.names + other.names)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._make(self, {}, 1)
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, value: Scalar) -> "Polynomial":
         c = _as_fraction(value)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial._make(self, {(0,) * self.nvars: c.numerator} if c else {}, c.denominator)
 
     def variable(self, index: int) -> "Polynomial":
         """The variable with 0-based ``index`` as a polynomial."""
         if not 0 <= index < self.nvars:
             raise IndexError(f"variable index {index} out of range")
         exps = tuple(1 if j == index else 0 for j in range(self.nvars))
-        return Polynomial(self, {exps: Fraction(1)})
+        return Polynomial._make(self, {exps: 1}, 1)
 
     def variables(self) -> list["Polynomial"]:
         return [self.variable(i) for i in range(self.nvars)]
@@ -197,57 +198,76 @@ class PolyRing:
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise ValueError("bad exponent tuple")
         c = _as_fraction(coeff)
-        return Polynomial(self, {exps: c} if c else {})
+        return Polynomial._make(self, {exps: c.numerator} if c else {}, c.denominator)
 
     def from_terms(self, terms: Mapping[Exponents, Scalar]) -> "Polynomial":
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
-            c = _as_fraction(coeff)
-            if c:
-                out[tuple(exps)] = c
-        return Polynomial(self, out)
-
-
-def _integer_numerators(
-    terms: dict[Exponents, Fraction],
-) -> tuple[list[tuple[Exponents, int]], int]:
-    """The terms scaled to integers by the lcm of their denominators, and
-    that lcm."""
-    d = 1
-    for c in terms.values():
-        if d % c.denominator:
-            d = math.lcm(d, c.denominator)
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+        return Polynomial(self, {tuple(e): c for e, c in terms.items()})
 
 
 class Polynomial:
-    """Sparse exact-rational polynomial; immutable once constructed."""
+    """Sparse exact-rational polynomial; immutable once constructed.
 
-    __slots__ = ("ring", "terms", "_hash", "_integers")
+    ``Polynomial(ring, terms)`` takes a map from exponent tuples to int or
+    ``Fraction`` coefficients and drops the zero ones.  The stored form is
+    ``_num``, the nonzero integer numerators by exponents, over ``_den``, a
+    positive int with ``gcd(_den, *_num.values()) == 1``; other modules of
+    the package read and build that form directly, through :meth:`_make`.
+    """
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponents, Fraction]):
-        self.ring = ring
-        self.terms = terms
-        self._hash: int | None = None
-        self._integers: tuple[list[tuple[Exponents, int]], int] | None = None
+    __slots__ = ("ring", "_num", "_den", "_hash", "_terms")
+
+    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Scalar]):
+        coeffs = {e: _as_fraction(c) for e, c in terms.items() if c}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        # each coefficient is in lowest terms, so the numerators over the
+        # lcm of the denominators already share no factor with it
+        self.ring, self._den, self._hash, self._terms = ring, den, None, None
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+
+    @classmethod
+    def _make(cls, ring: PolyRing, num: dict[Exponents, int], den: int) -> "Polynomial":
+        """The polynomial ``sum(n * x^e for e, n in num) / den`` for nonzero
+        numerators and a nonzero ``den``, reduced to lowest terms with a
+        positive denominator.  ``num`` may be kept, so it must not be
+        modified afterwards."""
+        if den < 0:
+            den = -den
+            num = {e: -n for e, n in num.items()}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
+        p = object.__new__(cls)
+        p.ring, p._num, p._den, p._hash, p._terms = ring, num, den, None, None
+        return p
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The coefficients as ``Fraction``s by exponents: a dict built on
+        first read and kept, which callers must not modify."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {e: Fraction(n, den) for e, n in self._num.items()}
+        return self._terms
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self._den == other._den and self.ring == other.ring and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash((self.ring, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -256,44 +276,34 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(e) for e in self.terms)
+        return max(map(mono_degree, self._num), default=-1)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+        return Fraction(self._num.get((0,) * self.ring.nvars, 0), self._den)
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
+        exps = max(self._num, key=order.key)
+        return exps, Fraction(self._num[exps], self._den)
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponents, Fraction]]:
-        return [(e, self.terms[e]) for e in order.sort_terms(self.terms)]
+        terms = self.terms
+        return [(e, terms[e]) for e in order.sort_terms(terms)]
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(mono_degree, self._num))) <= 1
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.terms.items())
 
-    def integer_form(self) -> tuple[list[tuple[Exponents, int]], int]:
-        """The terms as integer numerators over the lcm d of their
-        denominators, and d: ``self == sum(n * x^e for e, n) / d``.
-        Computed once per polynomial and cached."""
-        if self._integers is None:
-            self._integers = _integer_numerators(self.terms)
-        return self._integers
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("incompatible rings")
 
     def _coerce(self, other) -> "Polynomial | None":
@@ -303,57 +313,68 @@ class Polynomial:
             return self.ring.constant(other)
         return None
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the two denominators."""
+        self._check_ring(other)
+        if not other._num:
+            return self
+        a, b = self._den, other._den
+        if a == b:
+            den, out = a, dict(self._num)
+        else:
+            den = math.lcm(a, b)
+            k = den // a
+            out = {e: n * k for e, n in self._num.items()}
+            sign *= den // b
+        get = out.get
+        for e, n in other._num.items():
+            new = get(e, 0) + sign * n
+            if new:
+                out[e] = new
+            else:
+                del out[e]
+        return Polynomial._make(self.ring, out, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._check_ring(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            old = out.get(exps)
-            new = coeff if old is None else old + coeff
-            if new:
-                out[exps] = new
-            else:
-                del out[exps]
-        return Polynomial(self.ring, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.ring, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return Polynomial(self.ring, {})
-        left, d1 = self.integer_form()
-        right, d2 = other.integer_form()
+        if not self._num or not other._num:
+            return self.ring.zero()
         acc: dict[Exponents, int] = {}
         get = acc.get
-        for e1, a in left:
+        right = other._num.items()
+        for e1, a in self._num.items():
             for e2, b in right:
                 exps = tuple(map(add, e1, e2))
                 acc[exps] = get(exps, 0) + a * b
-        d = d1 * d2
-        if d == 1:
-            return Polynomial(self.ring, {e: Fraction(v) for e, v in acc.items() if v})
-        return Polynomial(self.ring, {e: Fraction(v, d) for e, v in acc.items() if v})
+        return Polynomial._make(
+            self.ring, {e: v for e, v in acc.items() if v}, self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -366,16 +387,18 @@ class Polynomial:
         return self.scale(Fraction(1, 1) / c)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
-        c = _as_fraction(scalar)
-        if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+        return self.mul_monomial((0,) * self.ring.nvars, scalar)
 
     def mul_monomial(self, exps: Exponents, coeff: Scalar = 1) -> "Polynomial":
         c = _as_fraction(coeff)
         if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, {mono_mul(e, exps): c * v for e, v in self.terms.items()})
+        k = c.numerator
+        return Polynomial._make(
+            self.ring,
+            {mono_mul(e, exps): n * k for e, n in self._num.items()},
+            self._den * c.denominator,
+        )
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -396,14 +419,14 @@ class Polynomial:
         """Formal partial derivative with respect to variable ``index`` (0-based)."""
         if not 0 <= index < self.ring.nvars:
             raise IndexError(f"variable index {index} out of range")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, n in self._num.items():
             e = exps[index]
             if e == 0:
                 continue
             lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            out[lowered] = coeff * e  # lowering is injective: no two terms meet
-        return Polynomial(self.ring, out)
+            out[lowered] = n * e  # lowering is injective: no two terms meet
+        return Polynomial._make(self.ring, out, self._den)
 
     def substitute(self, values: Sequence["Polynomial"]) -> "Polynomial":
         """Compose: evaluate this polynomial at the given value polynomials.
@@ -423,18 +446,20 @@ class Polynomial:
                 raise ValueError("incompatible rings among substitution values")
         # cache powers of each value to keep repeated exponents cheap
         powers: list[dict[int, Polynomial]] = [{0: target.one()} for _ in values]
-        result = target.zero()
-        for exps, coeff in self.terms.items():
-            term = target.constant(coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = values[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
+
+        def pieces() -> Iterator[Piece]:
+            for exps, n in self._num.items():
+                term = target.constant(n)
+                for i, e in enumerate(exps):
+                    if e == 0:
+                        continue
+                    cache = powers[i]
+                    if e not in cache:
+                        cache[e] = values[i] ** e
+                    term = term * cache[e]
+                yield term._num.items(), term._den * self._den, 1
+
+        return _sum_pieces(target, pieces())
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Evaluate at a rational point."""
@@ -442,18 +467,18 @@ class Polynomial:
             raise ValueError("arity mismatch")
         point = [_as_fraction(v) for v in point]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
+        for exps, n in self._num.items():
+            value = Fraction(n)
             for base, e in zip(point, exps):
                 if e:
                     value *= base**e
             total += value
-        return total
+        return total / self._den
 
     # -- normalization -------------------------------------------------------
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
+        if not self._num:
             return self
         _, lc = self.leading(order)
         return self.scale(Fraction(1, 1) / lc)
@@ -474,7 +499,7 @@ class Polynomial:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms(GREVLEX):
@@ -499,17 +524,41 @@ def make_primitive(
     """Rescale a sequence of polynomials by one common factor to integer
     coefficients with content 1, making the leading coefficient of the first
     nonzero polynomial positive.  An all-zero sequence is returned as is."""
-    coeffs = [c for p in polys for c in p.terms.values()]
-    if not coeffs:
+    first = next((p for p in polys if p._num), None)
+    if first is None:
         return list(polys)
-    scale = Fraction(
-        math.lcm(*(c.denominator for c in coeffs)),
-        math.gcd(*(c.numerator for c in coeffs)),
-    )
-    first = next(p for p in polys if p.terms)
-    if first.leading(order)[1] < 0:
-        scale = -scale
-    return [p.scale(scale) for p in polys]
+    den = math.lcm(*(p._den for p in polys))
+    content = math.gcd(*(n * (den // p._den) for p in polys for n in p._num.values()))
+    if first._num[max(first._num, key=order.key)] < 0:
+        content = -content
+    return [
+        Polynomial._make(p.ring, {e: n * (den // p._den) // content for e, n in p._num.items()}, 1)
+        for p in polys
+    ]
+
+
+Piece = tuple[Iterable[tuple[Exponents, int]], int, int]
+
+
+def _sum_pieces(ring: PolyRing, pieces: Iterable[Piece]) -> Polynomial:
+    """The sum of ``factor * sum(n * x^e for e, n in numerators) / den``
+    over the (numerators, den, factor) pieces, over a denominator that
+    grows to the lcm of theirs.  The pieces are read once, in order, so a
+    generator can make each one only when it is added."""
+    den = 1
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for numerators, d, factor in pieces:
+        if den % d:
+            lcm = math.lcm(den, d)
+            k = lcm // den
+            for e in acc:
+                acc[e] *= k
+            den = lcm
+        factor *= den // d
+        for e, n in numerators:
+            acc[e] = get(e, 0) + factor * n
+    return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +644,8 @@ def embed(p: Polynomial, combined: PolyRing, offset: int) -> Polynomial:
         raise ValueError("combined ring does not contain this alphabet at offset")
     pad_left = (0,) * offset
     pad_right = (0,) * (combined.nvars - offset - n)
-    return Polynomial(
-        combined, {pad_left + e + pad_right: c for e, c in p.terms.items()}
+    return Polynomial._make(
+        combined, {pad_left + e + pad_right: c for e, c in p._num.items()}, p._den
     )
 
 
@@ -605,9 +654,9 @@ def restrict(p: Polynomial, target: PolyRing, offset: int) -> Polynomial:
     n = target.nvars
     if p.ring.names[offset : offset + n] != target.names:
         raise ValueError("target alphabet not found at offset")
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms.items():
+    out: dict[Exponents, int] = {}
+    for exps, c in p._num.items():
         if any(exps[: offset]) or any(exps[offset + n :]):
             raise ValueError("polynomial uses variables outside the kept block")
-        out[exps[offset : offset + n]] = coeff
-    return Polynomial(target, out)
+        out[exps[offset : offset + n]] = c
+    return Polynomial._make(target, out, p._den)

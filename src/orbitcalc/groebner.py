@@ -37,8 +37,10 @@ from .algebra import (
     BlockOrder,
     Exponents,
     MonomialOrder,
+    Piece,
     PolyRing,
     Polynomial,
+    _sum_pieces,
     make_primitive,
     mono_degree,
     mono_div,
@@ -98,29 +100,33 @@ def divide(
     caller already has them, and False when the caller discards the
     quotients, which are then not built (an empty list comes back).
 
-    The arithmetic is on integers.  Each divisor D is read through its
-    cached integer form, numerators over one denominator, with leading
-    numerator L.  The work polynomial is held as integer numerators c over
-    one running scale s.  A step on the work term c * x^v subtracts
-    (c // g) * x^u * D, where g = gcd(c, L) and x^u * lm(D) = x^v; when
-    m = L // g is not 1, every work numerator and s are first multiplied
-    by m.  Each quotient term and each remainder term is one ``Fraction``,
-    made when the term is settled.
+    The arithmetic is on the integer numerators of the polynomials.  Each
+    divisor D is numerators N over a denominator, with leading numerator
+    L.  The work polynomial is held as numerators c over one running scale
+    s.  A step on the work term c * x^v subtracts (c // g) * x^u * N, where
+    g = gcd(c, L) and x^u * lm(D) = x^v; when m = L // g is not 1, every
+    work numerator and s are first multiplied by m.  A settled remainder or
+    quotient term keeps the scale it was settled at, and is brought over the
+    final scale once the work is empty.  That scale is negative when some L
+    was, and each result is built in lowest terms with a positive
+    denominator.
     """
     ring = p.ring
     preference = divisor_order if divisor_order is not None else range(len(divisors))
     heads = []
+    leads = [1] * len(divisors)
     for i in preference:
         d = divisors[i]
-        if d.is_zero():
+        if not d._num:
             continue
-        lm, lc = d.leading(order) if _leads is None else _leads[i]
-        numerators, den = d.integer_form()
-        heads.append((i, numerators, den, lm, lc.numerator * (den // lc.denominator)))
-    quotients: list[dict] = [{} for _ in divisors] if _quotients else []
-    remainder_terms: dict = {}
-    numerators, scale = p.integer_form()
-    work = dict(numerators)
+        lm = max(d._num, key=order.key) if _leads is None else _leads[i][0]
+        leads[i] = d._num[lm]
+        heads.append((i, d._num.items(), d._den, lm, leads[i]))
+    # settled terms as (exponents, numerator, scale at settling)
+    quotients: list[list] = [[] for _ in divisors] if _quotients else []
+    remainder: list = []
+    work = dict(p._num)
+    scale = p._den
     # Every monomial of ``work`` is on the heap; entries whose monomial has
     # cancelled since are skipped.  A reduction step only adds monomials
     # below the one it reduces, so a popped monomial never comes back.
@@ -136,7 +142,8 @@ def divide(
             if mono_divides(lm, exps):
                 factor_exps = mono_div(exps, lm)
                 if _quotients:
-                    quotients[i][factor_exps] = Fraction(coeff * den, scale * lead)
+                    # the term coeff * den / (scale * lead)
+                    quotients[i].append((factor_exps, coeff * den, scale))
                 g = gcd(coeff, lead)
                 m = lead // g
                 if m != 1:
@@ -162,8 +169,12 @@ def divide(
                         del work[e]
                 break
         else:
-            remainder_terms[exps] = Fraction(coeff, scale)
-    return Polynomial(ring, remainder_terms), [Polynomial(ring, q) for q in quotients]
+            remainder.append((exps, coeff, scale))
+
+    def settled(terms, den):
+        return Polynomial._make(ring, {e: c * (scale // s) for e, c, s in terms}, den)
+
+    return settled(remainder, scale), [settled(q, scale * L) for q, L in zip(quotients, leads)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +203,7 @@ def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
 
 
 def _is_zero_vector(vec: Vector) -> bool:
-    return not any(c.terms for c in vec)
+    return not any(c._num for c in vec)
 
 
 def _forms_pair(t: _Tracked, u: _Tracked) -> bool:
@@ -210,13 +221,22 @@ def _s_vector(
     """The S-vector u_f * f * s_f - u_g * g * s_g of an element f and an
     element or ideal generator g leading at f's position, where u_f, u_g
     take both leading monomials to their lcm and s_f, s_g are the inverse
-    leading coefficients."""
-    s_vec = [a.mul_monomial(uf, sf) for a in f.vec]
-    if g.pos < 0:
-        s_vec[f.pos] = s_vec[f.pos] - g.vec[0].mul_monomial(ug, sg)
-    else:
-        s_vec = [a - b.mul_monomial(ug, sg) for a, b in zip(s_vec, g.vec)]
-    return tuple(s_vec)
+    leading coefficients.  Each component is summed once, over the integer
+    numerators of its shifted parts."""
+
+    def part(p: Polynomial, u: Exponents, s: Fraction) -> Piece:
+        shifted = ((mono_mul(e, u), n) for e, n in p._num.items())
+        return shifted, p._den * s.denominator, s.numerator
+
+    ring = f.vec[0].ring
+    if g.pos >= 0:
+        return tuple(
+            _sum_pieces(ring, [part(a, uf, sf), part(b, ug, -sg)]) for a, b in zip(f.vec, g.vec)
+        )
+    return tuple(
+        _sum_pieces(ring, [part(a, uf, sf)] + ([part(g.vec[0], ug, -sg)] if i == f.pos else []))
+        for i, a in enumerate(f.vec)
+    )
 
 
 def _subtract_reps(rep, quotients, basis: Sequence[_Tracked]):
@@ -285,7 +305,7 @@ def _divide_vector(
         for k, q in zip(at, qs):  # the ideal's quotients, last, are dropped
             quotients[k] = q
             for j in range(i + 1, len(rest)):
-                if q.terms and basis[k].vec[j].terms:
+                if q._num and basis[k].vec[j]._num:
                     rest[j] = rest[j] - q * basis[k].vec[j]
     return tuple(rest), quotients
 
@@ -383,7 +403,7 @@ def _buchberger_tracked(
     divisors = _Divisors(basis)
 
     def append(vec: Vector, rep: list[Polynomial], sugar: int):
-        pos = next(i for i, c in enumerate(vec) if c.terms)
+        pos = next(i for i, c in enumerate(vec) if c._num)
         t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
         j = len(basis)
         lj = t.lead[0]
@@ -409,7 +429,7 @@ def _buchberger_tracked(
         rep = [ring.zero() for _ in range(columns)]
         if j < columns:
             rep[j] = ring.one()
-        append(tuple(g), rep, max(weigh(e) for c in g for e in c.terms))
+        append(tuple(g), rep, max(weigh(e) for c in g for e in c._num))
 
     while queue:
         _poll(cancel)
@@ -449,7 +469,7 @@ def _buchberger_tracked(
             ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
         ]
         rep = _subtract_reps(rep, quotients, basis)
-        sugar = max(s_sugar, max(weigh(e) for c in remainder for e in c.terms))
+        sugar = max(s_sugar, max(weigh(e) for c in remainder for e in c._num))
         append(remainder, rep, sugar)
 
     if drive is not None:
@@ -573,7 +593,7 @@ def _elimination_part(block_gb: GroebnerBasis, drop: int) -> GroebnerBasis:
     kept = tuple(
         restrict(g, keep_ring, drop)
         for g in block_gb.generators
-        if not any(any(e[:drop]) for e in g.terms)
+        if not any(any(e[:drop]) for e in g._num)
     )
     return GroebnerBasis(kept, GREVLEX, True)
 
@@ -770,7 +790,7 @@ def _span_syzygies(
         rows.append(row)
 
     # reduce modulo the ideal, normalize, dedupe, verify
-    seen: set[tuple] = set()
+    seen: set[tuple[Polynomial, ...]] = set()
     results: list[tuple[Polynomial, ...]] = []
     zeros = [ring.zero()] * problem.ambient_rank
     for row in rows:
@@ -778,7 +798,7 @@ def _span_syzygies(
         if all(p.is_zero() for p in row):
             continue
         row = make_primitive(row)
-        key = tuple(frozenset(p.terms.items()) for p in row)
+        key = tuple(row)
         if key in seen:
             continue
         seen.add(key)

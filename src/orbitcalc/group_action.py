@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .algebra import Exponents, PolyRing, Polynomial
+from .algebra import Exponents, Piece, PolyRing, Polynomial, _sum_pieces
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Terms = tuple[tuple[Exponents, Fraction], ...]
+Image = tuple[tuple[tuple[Exponents, int], ...], int]  # numerators, denominator
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +400,25 @@ def _linear_substitution(m: Matrix, ring: PolyRing) -> list[Polynomial]:
 
 class _MonomialImages:
     """The linear substitution x -> m.x over a ring as a table from an
-    exponent tuple e to the terms of (m.x)^e.  An entry is built from the
-    entry for e - e_i times the i-th linear form, once, when first met, and
-    kept as a tuple of (exponents, coefficient) pairs: smaller than a dict,
-    and the table lives as long as its group."""
+    exponent tuple e to (m.x)^e.  An entry is built from the entry for
+    e - e_i times the i-th linear form, once, when first met, and kept as a
+    tuple of (exponents, numerator) pairs with their denominator, in lowest
+    terms: smaller than a dict, and the table lives as long as its group."""
 
     __slots__ = ("ring", "linear", "images")
 
     def __init__(self, m: Matrix, ring: PolyRing):
         self.ring = ring
-        # the i-th linear form as (j, m[i][j]) over its nonzero terms
+        # the i-th linear form as (j, numerator of m[i][j]) over its
+        # nonzero terms, with the form's denominator
         self.linear = [
-            [(e.index(1), c) for e, c in p.terms.items()] for p in _linear_substitution(m, ring)
+            ([(e.index(1), n) for e, n in p._num.items()], p._den)
+            for p in _linear_substitution(m, ring)
         ]
         one = (0,) * ring.nvars
-        self.images: dict[Exponents, Terms] = {one: ((one, Fraction(1)),)}
+        self.images: dict[Exponents, Image] = {one: (((one, 1),), 1)}
 
-    def image(self, exps: Exponents) -> Terms:
+    def image(self, exps: Exponents) -> Image:
         images = self.images
         found = images.get(exps)
         missing = []
@@ -426,29 +428,26 @@ class _MonomialImages:
             exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             found = images.get(exps)
         for exps, i in reversed(missing):
-            product: dict[Exponents, Fraction] = {}
-            for f, v in found:
-                for j, c in self.linear[i]:
+            numerators, den = found
+            linear, linear_den = self.linear[i]
+            product: dict[Exponents, int] = {}
+            for f, v in numerators:
+                for j, c in linear:
                     e = f[:j] + (f[j] + 1,) + f[j + 1 :]
-                    new = product.get(e, 0) + v * c
-                    if new:
-                        product[e] = new
-                    else:
-                        del product[e]
-            images[exps] = found = tuple(product.items())
+                    product[e] = product.get(e, 0) + v * c
+            p = Polynomial._make(
+                self.ring, {e: v for e, v in product.items() if v}, den * linear_den
+            )
+            images[exps] = found = (tuple(p._num.items()), p._den)
         return found
 
-    def accumulate(self, out: dict, p: Polynomial, factor: Fraction):
-        """Add factor * p(m.x) into the term dict ``out``; p(m.x) is the
+    def accumulate(self, out: list[Piece], p: Polynomial, factor: Fraction):
+        """Append the pieces of factor * p(m.x) to ``out``; p(m.x) is the
         polynomial ``p.substitute`` gives for the linear forms of m."""
-        for exps, coeff in p.terms.items():
-            c = coeff * factor
-            for e, v in self.image(exps):
-                new = out.get(e, 0) + c * v
-                if new:
-                    out[e] = new
-                else:
-                    del out[e]
+        den = p._den * factor.denominator
+        for exps, n in p._num.items():
+            numerators, image_den = self.image(exps)
+            out.append((numerators, den * image_den, n * factor.numerator))
 
 
 def _act_sum(moves, obj):
@@ -457,22 +456,22 @@ def _act_sum(moves, obj):
     the images' ring, accumulated term by term."""
     ring = obj.ring
     if isinstance(obj, Polynomial):
-        out: dict = {}
+        out: list[Piece] = []
         for _, (_, images) in moves:
             images.accumulate(out, obj, Fraction(1))
-        return Polynomial(ring, out)
+        return _sum_pieces(ring, out)
     n = ring.nvars
     if isinstance(obj, PolyVectorField):
         # (g.X)_i = sum_j g[i][j] X_j(g^-1 x)
-        outs = [{} for _ in range(n)]
+        outs: list[list[Piece]] = [[] for _ in range(n)]
         for g, (_, images) in moves:
             for j, c in enumerate(obj.components):
                 for i in range(n):
                     if g[i][j]:
                         images.accumulate(outs[i], c, g[i][j])
-        return PolyVectorField(ring, [Polynomial(ring, t) for t in outs])
+        return PolyVectorField(ring, [_sum_pieces(ring, out) for out in outs])
     k = obj.degree
-    forms: dict[tuple[int, ...], dict] = {}
+    forms: dict[tuple[int, ...], list[Piece]] = {}
     for _, (inv, images) in moves:
         for indices, coeff in obj.terms.items():
             # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index
@@ -480,8 +479,8 @@ def _act_sum(moves, obj):
             for target in combinations(range(n), k):
                 det = _minor_det(inv, indices, target)
                 if det:
-                    images.accumulate(forms.setdefault(target, {}), coeff, det)
-    return PolyDiffForm(ring, k, {t: Polynomial(ring, terms) for t, terms in forms.items()})
+                    images.accumulate(forms.setdefault(target, []), coeff, det)
+    return PolyDiffForm(ring, k, {t: _sum_pieces(ring, out) for t, out in forms.items()})
 
 
 def _act_by(g, obj):

@@ -41,6 +41,7 @@ from .algebra import (
     BlockOrder,
     PolyRing,
     Polynomial,
+    _sum_pieces,
     embed,
     make_primitive,
     restrict,
@@ -173,40 +174,30 @@ def _assemble(group, sigma, ring) -> HilbertMap:
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 
-def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form) -> dict:
-    """The terms of a normal form of p, summed over p's monomials (the
+def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form, ring: PolyRing) -> Polynomial:
+    """The normal form of p, in ``ring``, summed over p's monomials (the
     normal form is linear).  ``forms`` tables each monomial's normal form
-    by exponents, as its integer form (:meth:`Polynomial.integer_form`);
-    ``monomial_form`` computes a missing one.  The sum is taken over
-    integers and the output coefficients are normalised Fractions."""
-    rows = []
-    den = 1
-    for exps, coeff in p.terms.items():
+    by exponents; ``monomial_form`` computes a missing one.  The sum runs
+    over integer numerators."""
+    pieces = []
+    for exps, n in p._num.items():
         form = forms.get(exps)
         if form is None:
-            form = forms[exps] = monomial_form(exps).integer_form()
-        scale = coeff.denominator * form[1]
-        if den % scale:
-            den = math.lcm(den, scale)
-        rows.append((coeff.numerator, scale, form[0]))
-    acc: dict = {}
-    get = acc.get
-    for a, scale, numerators in rows:
-        a *= den // scale
-        for e, n in numerators:
-            acc[e] = get(e, 0) + a * n
-    return {e: Fraction(v, den) for e, v in acc.items() if v}
+            form = forms[exps] = monomial_form(exps)
+        pieces.append((form._num.items(), form._den * p._den, n))
+    return _sum_pieces(ring, pieces)
 
 
-def _normal_form_terms(p: Polynomial, hmap: HilbertMap) -> dict:
-    """The terms of p's normal form against the tagged basis, by exponents
-    in the combined alphabet, each monomial's form computed once per map."""
+def _tag_normal_form(p: Polynomial, hmap: HilbertMap) -> Polynomial:
+    """p's normal form against the tagged basis, in the combined alphabet,
+    each monomial's form computed once per map."""
     return _tabled_normal_form(
         p,
         hmap._monomial_forms,
         lambda exps: normal_form(
             embed(p.ring.monomial(exps), hmap.combined_ring, 0), hmap.tag_basis
         ),
+        hmap.combined_ring,
     )
 
 
@@ -214,10 +205,10 @@ def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
     """The y-polynomial rewriting p through the generators, or None if p is
     not in the subalgebra they generate."""
     n = hmap.ring.nvars
-    total = _normal_form_terms(p, hmap)
-    if any(any(e[:n]) for e in total):
+    total = _tag_normal_form(p, hmap)
+    if any(any(e[:n]) for e in total._num):
         return None
-    return restrict(Polynomial(hmap.combined_ring, total), hmap.orbit_ring, n)
+    return restrict(total, hmap.orbit_ring, n)
 
 
 def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
@@ -343,28 +334,35 @@ def _ring_certified(hmap: HilbertMap, molien) -> bool:
 
 
 def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
-    """The terms of p's normal form against the map that involve x (all of
-    p without a map): zero exactly when p is in the map's subalgebra."""
+    """The numerators of the terms of p's normal form against the map that
+    involve x (all of p without a map): empty exactly when p is in the map's
+    subalgebra.  A common denominator does not change the span, so it is
+    left out."""
     if hmap is None:
-        return dict(p.terms)
+        return dict(p._num)
     n = hmap.ring.nvars
-    return {e: c for e, c in _normal_form_terms(p, hmap).items() if any(e[:n])}
+    return {e: c for e, c in _tag_normal_form(p, hmap)._num.items() if any(e[:n])}
 
 
 def _echelon_insert(vector: dict, rows: dict) -> bool:
-    """Reduce a sparse vector, in place, by echelon rows (keyed by their
-    largest coordinate, which has coefficient 1); if something is left, add
-    it as a row and return True, else return False."""
+    """Reduce a sparse integer vector by echelon rows (keyed by their
+    largest coordinate); if something is left, add it, divided by its
+    content, as a row and return True, else return False.  Only the span
+    matters, so the steps are fraction-free: a * vector - b * row clears the
+    pivot, with a : b the ratio of the two pivot entries."""
     while vector:
         pivot = max(vector)
         row = rows.get(pivot)
         if row is None:
-            scale = vector[pivot]
-            rows[pivot] = {e: c / scale for e, c in vector.items()}
+            content = math.gcd(*vector.values())
+            rows[pivot] = {e: c // content for e, c in vector.items()}
             return True
-        factor = vector[pivot]
+        a, b = row[pivot], vector[pivot]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        vector = {e: a * c for e, c in vector.items()}
         for e, c in row.items():
-            new = vector.get(e, 0) - factor * c
+            new = vector.get(e, 0) - b * c
             if new:
                 vector[e] = new
             else:
@@ -396,10 +394,9 @@ class RelationIdeal:
         ring = self.basis.generators[0].ring
         if p.ring != ring:
             raise ValueError("incompatible rings")
-        terms = _tabled_normal_form(
-            p, self._forms, lambda exps: normal_form(ring.monomial(exps), self.basis)
+        return _tabled_normal_form(
+            p, self._forms, lambda exps: normal_form(ring.monomial(exps), self.basis), ring
         )
-        return Polynomial(ring, terms)
 
     def is_member(self, p: Polynomial) -> bool:
         return self.normal(p).is_zero()
@@ -469,7 +466,7 @@ def invariant_basis(group: FiniteMatrixGroup, ring: PolyRing, degree: int) -> li
     if degree == 0:
         return [ring.one()]
     monos = _monomials_of_degree(ring, degree)
-    coords = sorted({e for m in monos for e in m.terms}, key=GREVLEX.key, reverse=True)
+    coords = sorted({e for m in monos for e in m._num}, key=GREVLEX.key, reverse=True)
     index = {e: i for i, e in enumerate(coords)}
     rows = []
     for m in monos:
@@ -564,7 +561,10 @@ def equivariant_generators(
                 column = _push_field(candidate, hmap)
                 # with no lower-degree fields a pushforward is its own normal form
                 normal = column if span is None else _module_remainder(column, span)[0]
-                vector = {(j, e): c for j, q in enumerate(normal) for e, c in q.terms.items()}
+                den = math.lcm(*(q._den for q in normal))
+                vector = {
+                    (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
+                }
                 if _echelon_insert(vector, rows):
                     kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
                     pushed.append(column)

@@ -220,20 +220,29 @@ class OrbitFunction:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
+    def _class(self, other, rep: Polynomial) -> "OrbitFunction":
+        """The class of ``rep``, a linear combination of self's
+        representative and ``other``'s.  Normal forms span the standard
+        monomials only, so with ``other`` a class of the same space ``rep``
+        is already one; a bare polynomial is reduced."""
+        if isinstance(other, OrbitFunction) and other.space is self.space:
+            return OrbitFunction._normal(self.space, rep)
+        return OrbitFunction(self.space, rep)
+
     def __add__(self, other):
-        return OrbitFunction(self.space, self.rep + _rep(other, self.space))
+        return self._class(other, self.rep + _rep(other, self.space))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return OrbitFunction(self.space, self.rep - _rep(other, self.space))
+        return self._class(other, self.rep - _rep(other, self.space))
 
     def __neg__(self):
-        return OrbitFunction(self.space, -self.rep)
+        return OrbitFunction._normal(self.space, -self.rep)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return OrbitFunction(self.space, self.rep.scale(other))
+            return OrbitFunction._normal(self.space, self.rep.scale(other))
         if not isinstance(other, (OrbitFunction, Polynomial)):
             return NotImplemented
         return OrbitFunction(self.space, self.rep * _rep(other, self.space))

@@ -240,20 +240,19 @@ def hilbert_certificates(monkeypatch):
 
 
 @pytest.fixture
-def integer_forms_computed(monkeypatch):
-    """The terms dicts whose integer form is computed during the test, in
-    order, one entry per computation.  The list keeps each dict alive, so
-    two entries are the same object exactly when they are the same
-    polynomial's terms."""
-    computed = []
-    compute = algebra._integer_numerators
+def fraction_views_built(monkeypatch):
+    """The polynomials whose ``Fraction`` view (``Polynomial.terms``) is
+    built during the test, in order, one entry per view."""
+    built = []
+    view = algebra.Polynomial.terms.fget
 
-    def counting(terms):
-        computed.append(terms)
-        return compute(terms)
+    def recording(p):
+        if p._terms is None:
+            built.append(p)
+        return view(p)
 
-    monkeypatch.setattr(algebra, "_integer_numerators", counting)
-    return computed
+    monkeypatch.setattr(algebra.Polynomial, "terms", property(recording))
+    return built
 
 
 @pytest.fixture

@@ -229,13 +229,15 @@ def test_divide_rescales_by_a_leading_numerator_the_work_does_not_absorb():
     assert quotients == [x("1/3*x1 - 1/9*x2"), x("-1/18*x2 - 19/36")]
 
 
-def test_integer_form_is_computed_once_per_polynomial(integer_forms_computed):
-    # Buchberger divides every S-polynomial by the growing basis, so each
-    # basis element is a divisor many times; its integer form is not.
+def test_buchberger_builds_no_fraction_view(fraction_views_built):
+    # Buchberger, division and normal forms run on the integer numerators
+    # alone: no polynomial's Fraction coefficients are made on the way.
     gens = random_ideal(random.Random(28), PolyRing.ambient(3), count=4)
-    buchberger(gens)
-    ids = [id(terms) for terms in integer_forms_computed]
-    assert ids and len(set(ids)) == len(ids)
+    basis = buchberger(gens)
+    for g in gens:
+        assert normal_form(g * g + g, basis).is_zero()
+    assert fraction_views_built == []
+    assert str(basis.generators[0]) and fraction_views_built == [basis.generators[0]]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])

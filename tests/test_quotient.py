@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -362,6 +363,42 @@ def test_orbit_wedge_graded_commutativity_and_leibniz(calculus_space):
             tail = orbit_wedge(left, orbit_d(right))
             leibniz = leibniz - tail if k % 2 else leibniz + tail
             assert orbit_d(orbit_wedge(left, right)) == leibniz
+
+
+def test_orbit_function_arithmetic_builds_normal_forms(calculus_space):
+    # Sums, differences, negations and scalar multiples of classes skip the
+    # second reduction; their representatives must still be normal forms.
+    space = calculus_space
+    rng = random.Random(16)
+    pool = [space.function(random_poly(rng, space.orbit_ring, 4, 5)) for _ in range(5)]
+    for _ in range(80):
+        a, b = rng.choice(pool), rng.choice(pool)
+        c = rng.choice([3, -1, Fraction(-2, 7), 0])
+        result = rng.choice([a + b, a - b, -a, a * c, c * a, a - a])
+        assert space.ideal.normal(result.rep) == result.rep
+        pool.append(result)
+    # a bare polynomial operand is still reduced
+    raw = random_poly(rng, space.orbit_ring, 4, 5) * space.orbit_ring.variable(0)
+    for result, rep in ((pool[0] + raw, pool[0].rep + raw), (pool[1] - raw, pool[1].rep - raw)):
+        assert result.rep == space.ideal.normal(rep)
+
+
+def test_orbit_operations_build_no_fraction_view(calculus_space, fraction_views_built):
+    # The orbit calculus runs on integer numerators: no operation makes the
+    # Fraction coefficients of a polynomial.
+    space = calculus_space
+    a, b, _ = pushed_one_forms(space, seed=17)
+    f = space.parse_function("y1^2 - 2/3*y2 + 1")
+    field = reynolds(ambient_field("x1^3 - 1/2*x2", "3/5*x1*x2^2 + x1"), space.hilbert.group)
+    fraction_views_built.clear()
+    pushed = push_vf(field, space)
+    bracket = orbit_bracket(pushed, space.pushed_generators[-1])
+    lift_vf(bracket, space)
+    pull_form(a, space)
+    orbit_d(orbit_wedge(a, b))
+    orbit_d(f)
+    extend_check(a)
+    assert fraction_views_built == []
 
 
 def test_bracket_coefficients_rebuild_the_brackets(calculus_space):
