@@ -6,8 +6,12 @@ numerators by exponent tuple over one positive common denominator, in
 lowest terms (the gcd of the denominator and all numerators is 1).  That
 form is canonical, so equality and hashing read it as it is.  Arithmetic
 runs on Python ints: a sum puts both operands over the lcm of their
-denominators, a product multiplies the denominators, and every result is
-brought to lowest terms by one gcd.  Division (:func:`.groebner.divide`),
+denominators, and every result is brought to lowest terms by one gcd.
+Every product goes through one kernel, :func:`combination`, which adds
+the term products of sum(sign * a * b) into one numerator table over the
+lcm of their denominators; ``a * b`` is its case of one product, and
+derivations, contractions, the orbit d and wedge, and witness checks call
+it with all their products at once.  Division (:func:`.groebner.divide`),
 the tabled normal forms and the group action read and build the same form.
 A ``Fraction`` is made only when a caller reads a coefficient:
 ``terms`` (a dict built on first read and kept), ``coefficient``,
@@ -302,10 +306,6 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("incompatible rings")
-
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             return other
@@ -315,7 +315,8 @@ class Polynomial:
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other, over the lcm of the two denominators."""
-        self._check_ring(other)
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("incompatible rings")
         if not other._num:
             return self
         a, b = self._den, other._den
@@ -362,19 +363,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._check_ring(other)
-        if not self._num or not other._num:
-            return self.ring.zero()
-        acc: dict[Exponents, int] = {}
-        get = acc.get
-        right = other._num.items()
-        for e1, a in self._num.items():
-            for e2, b in right:
-                exps = tuple(map(add, e1, e2))
-                acc[exps] = get(exps, 0) + a * b
-        return Polynomial._make(
-            self.ring, {e: v for e, v in acc.items() if v}, self._den * other._den
-        )
+        return combination(self.ring, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -535,6 +524,39 @@ def make_primitive(
         Polynomial._make(p.ring, {e: n * (den // p._den) // content for e, n in p._num.items()}, 1)
         for p in polys
     ]
+
+
+def combination(
+    ring: PolyRing, products: Iterable[tuple[int, Polynomial, Polynomial]]
+) -> Polynomial:
+    """The sum of ``sign * a * b`` over the (sign, a, b) products, all of
+    ``ring``: every term product is added into one numerator table, over a
+    denominator that grows to the lcm of the products' denominators, and
+    the result is brought to lowest terms once.  The product of two
+    polynomials is the case of one product."""
+    den = 1
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for sign, a, b in products:
+        if (a.ring is not ring and a.ring != ring) or (b.ring is not ring and b.ring != ring):
+            raise ValueError("incompatible rings")
+        if not a._num or not b._num:
+            continue
+        d = a._den * b._den
+        if den % d:
+            lcm = math.lcm(den, d)
+            k = lcm // den
+            for e in acc:
+                acc[e] *= k
+            den = lcm
+        factor = sign * (den // d)
+        right = b._num.items()
+        for e1, n1 in a._num.items():
+            n1 *= factor
+            for e2, n2 in right:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + n1 * n2
+    return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
 
 
 Piece = tuple[Iterable[tuple[Exponents, int]], int, int]

@@ -422,13 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for positional in positionals:
             p.add_argument(positional)
-        p.add_argument("-i", "--input", default=None, metavar="FILE",
-                       help="problem file (JSON)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--degree-bound", type=int, default=None, metavar="D")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--cap", type=int, default=100_000, metavar="N",
-                       help="group size cap for the closure computation")
+        # each further flag only on the commands that read it
+        if name == "verify-golden":
+            p.add_argument("--seed", type=int, default=0, metavar="S")
+        else:
+            p.add_argument("-i", "--input", default=None, metavar="FILE",
+                           help="problem file (JSON)")
+            p.add_argument("--cap", type=int, default=100_000, metavar="N",
+                           help="group size cap for the closure computation")
+        if name in _BOUND_SCOPE or name == "pull-form":
+            p.add_argument("--degree-bound", type=int, default=None, metavar="D")
         p.set_defaults(handler=handler)
     return parser
 
@@ -467,6 +471,8 @@ def _explained(exc: ValueError, ctx: Context | None) -> str:
     return str(exc)
 
 
+# the problem-file bound that --degree-bound overrides, by command; pull-form
+# reads the flag as the bound on the pulled coefficients instead
 _BOUND_SCOPE = {
     "invariants": "invariants",
     "relations": "invariants",

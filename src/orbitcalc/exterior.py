@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Polynomial, PolyRing, json_integer, mono_degree, parse_polynomial
+from .algebra import Polynomial, PolyRing, combination, json_integer, mono_degree, parse_polynomial
 from .group_action import (
     FormOrPoly,
     LieAlgebraAction,
     PolyDiffForm,
     PolyVectorField,
+    bracket_components,
     form_degree,
     infinitesimal_fields,
 )
@@ -90,10 +91,9 @@ def interior(X: PolyVectorField, omega: FormOrPoly) -> FormOrPoly:
         raise ValueError("field and form must share the ambient ring")
     k = omega.degree
     if k == 1:
-        total = omega.ring.zero()
-        for (i,), coeff in omega.terms.items():
-            total = total + coeff * X.components[i]
-        return total
+        return combination(
+            omega.ring, [(1, coeff, X.components[i]) for (i,), coeff in omega.terms.items()]
+        )
     items = []
     for indices, coeff in omega.terms.items():
         for t, i in enumerate(indices):
@@ -123,9 +123,7 @@ def vector_field_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorFi
     """Jacobi-Lie bracket [X, Y] with components X(Y_i) - Y(X_i)."""
     if X.ring != Y.ring:
         raise ValueError("fields must share the ambient ring")
-    return PolyVectorField(
-        X.ring, [X.apply(c) - Y.apply(b) for b, c in zip(X.components, Y.components)]
-    )
+    return PolyVectorField(X.ring, bracket_components(X.components, Y.components))
 
 
 def lie_derivative(X: PolyVectorField, obj: FormOrPoly) -> FormOrPoly:
@@ -248,12 +246,8 @@ def homotopy(omega: FormOrPoly) -> FormOrPoly:
                     mono = -mono
                 items.append((rest, mono))
     if k == 1:
-        total = ring.zero()
-        for _, p in items:
-            total = total + p
-        return total
-    merged = PolyDiffForm(ring, k - 1, items)
-    return merged
+        return sum((p for _, p in items), ring.zero())
+    return PolyDiffForm(ring, k - 1, items)
 
 
 def poincare_primitive(beta: PolyDiffForm) -> FormOrPoly:
@@ -290,10 +284,7 @@ def form_to_json(omega: FormOrPoly) -> dict:
 def form_from_json(data: dict, ring: PolyRing) -> FormOrPoly:
     degree = json_integer(data["degree"], "degree")
     if degree == 0:
-        total = ring.zero()
-        for item in data["terms"]:
-            total = total + parse_polynomial(item["coeff"], ring)
-        return total
+        return sum((parse_polynomial(item["coeff"], ring) for item in data["terms"]), ring.zero())
     items = []
     for item in data["terms"]:
         indices = tuple(json_integer(i, "indices") - 1 for i in item["indices"])

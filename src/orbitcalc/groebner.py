@@ -41,6 +41,7 @@ from .algebra import (
     PolyRing,
     Polynomial,
     _sum_pieces,
+    combination,
     make_primitive,
     mono_degree,
     mono_div,
@@ -85,20 +86,18 @@ def divide(
     p: Polynomial,
     divisors: Sequence[Polynomial],
     order: MonomialOrder,
-    divisor_order: Sequence[int] | None = None,
     *,
     _leads: Sequence[tuple[Exponents, Fraction]] | None = None,
     _quotients: bool = True,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Full multivariate division: ``p = sum(q_i * divisors_i) + remainder``.
 
-    No remainder term is divisible by any divisor's leading monomial.  The
-    divisor preference defaults to list order; ``divisor_order`` permutes it
-    (used by the confluence property test — the remainder must not depend on
-    the strategy once the divisors form a Groebner basis).  ``_leads`` and
-    ``_quotients`` are internal: the divisors' leading terms, when the
-    caller already has them, and False when the caller discards the
-    quotients, which are then not built (an empty list comes back).
+    No remainder term is divisible by any divisor's leading monomial; a
+    term is reduced by the first divisor in list order whose leading
+    monomial divides it.  ``_leads`` and ``_quotients`` are internal: the
+    divisors' leading terms, when the caller already has them, and False
+    when the caller discards the quotients, which are then not built (an
+    empty list comes back).
 
     The arithmetic is on the integer numerators of the polynomials.  Each
     divisor D is numerators N over a denominator, with leading numerator
@@ -112,11 +111,9 @@ def divide(
     denominator.
     """
     ring = p.ring
-    preference = divisor_order if divisor_order is not None else range(len(divisors))
     heads = []
     leads = [1] * len(divisors)
-    for i in preference:
-        d = divisors[i]
+    for i, d in enumerate(divisors):
         if not d._num:
             continue
         lm = max(d._num, key=order.key) if _leads is None else _leads[i][0]
@@ -521,7 +518,6 @@ class GroebnerBasis:
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -545,21 +541,17 @@ def buchberger(
     if len(rings) > 1:
         raise ValueError("incompatible rings among generators")
     tracked = _buchberger_tracked([(g,) for g in gens], order, 0, cancel=cancel)
-    return GroebnerBasis(tuple(t.vec[0] for t in tracked), order, True)
+    return GroebnerBasis(tuple(t.vec[0] for t in tracked), order)
 
 
-def normal_form(
-    p: Polynomial,
-    gb: GroebnerBasis,
-    divisor_order: Sequence[int] | None = None,
-) -> Polynomial:
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of full division by the basis: the canonical representative
     of ``p`` modulo the ideal.  Zero iff ``p`` is an ideal member."""
     if not gb.generators:
         return p
     if p.ring != gb.generators[0].ring:
         raise ValueError("incompatible rings")
-    remainder, _ = divide(p, gb.generators, gb.order, divisor_order, _quotients=False)
+    remainder, _ = divide(p, gb.generators, gb.order, _quotients=False)
     return remainder
 
 
@@ -588,14 +580,14 @@ def _elimination_part(block_gb: GroebnerBasis, drop: int) -> GroebnerBasis:
     basis, in the descending order :func:`buchberger` gives.
     """
     if not block_gb.generators:
-        return GroebnerBasis((), GREVLEX, True)
+        return GroebnerBasis((), GREVLEX)
     keep_ring = PolyRing(block_gb.generators[0].ring.names[drop:])
     kept = tuple(
         restrict(g, keep_ring, drop)
         for g in block_gb.generators
         if not any(any(e[:drop]) for e in g._num)
     )
-    return GroebnerBasis(kept, GREVLEX, True)
+    return GroebnerBasis(kept, GREVLEX)
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +670,10 @@ def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> lis
     """Translate a combination over the problem's module basis into the
     scalar coefficients it puts on the columns."""
     ring, tracked = problem._basis
-    out = [ring.zero() for _ in problem.columns]
-    for z, t in zip(combo, tracked):
-        if z.is_zero():
-            continue
-        for j, r in enumerate(t.rep):
-            if not r.is_zero():
-                out[j] = out[j] + z * r
-    return out
+    return [
+        combination(ring, [(1, z, t.rep[j]) for z, t in zip(combo, tracked)])
+        for j in range(len(problem.columns))
+    ]
 
 
 def _module_remainder(
@@ -725,9 +713,7 @@ def module_solve(
 def _verify_combination(problem: SubmoduleProblem, coefficients, target, what: str):
     """Check ``sum(c_i * columns_i) == target`` row by row modulo the ideal."""
     for row, want in enumerate(target):
-        acc = want.ring.zero()
-        for c, col in zip(coefficients, problem.columns):
-            acc = acc + c * col[row]
+        acc = combination(want.ring, [(1, c, col[row]) for c, col in zip(coefficients, problem.columns)])
         if not normal_form(acc - want, problem.ideal).is_zero():
             raise AssertionError(f"internal error: {what} failed verification")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .algebra import Exponents, Piece, PolyRing, Polynomial, _sum_pieces
+from .algebra import Exponents, Piece, PolyRing, Polynomial, _sum_pieces, combination
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Image = tuple[tuple[tuple[Exponents, int], ...], int]  # numerators, denominator
@@ -205,11 +205,7 @@ class PolyVectorField:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Directional derivative: X(p) = sum components[i] * dp/dx_i."""
-        total = self.ring.zero()
-        for i, c in enumerate(self.components):
-            if not c.is_zero():
-                total = total + c * p.partial_derivative(i)
-        return total
+        return derivation(self.components, p)
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(
@@ -267,30 +263,11 @@ class PolyDiffForm:
     __slots__ = ("ring", "degree", "terms")
 
     def __init__(self, ring: PolyRing, degree: int, terms=None):
-        if degree < 1:
-            raise ValueError("form degree must be at least 1")
         # degrees above the dimension are allowed and necessarily zero: no
         # strictly increasing index tuple of that length exists
-        normalized: dict[tuple[int, ...], Polynomial] = {}
-        for indices, coeff in (terms or {}).items() if isinstance(terms, dict) else (terms or []):
-            if len(indices) != degree:
-                raise ValueError("index tuple length must equal the form degree")
-            if any(i < 0 or i >= ring.nvars for i in indices):
-                raise ValueError("form index out of range")
-            if len(set(indices)) != degree:
-                continue  # repeated index: the wedge vanishes
-            sign, sorted_ix = _sort_sign(indices)
-            if sign < 0:
-                coeff = -coeff
-            if sorted_ix in normalized:
-                coeff = normalized[sorted_ix] + coeff
-            if coeff.is_zero():
-                normalized.pop(sorted_ix, None)
-            else:
-                normalized[sorted_ix] = coeff
         self.ring = ring
         self.degree = degree
-        self.terms = normalized
+        self.terms = alternating_table(terms or (), degree, ring.nvars, "form")
 
     @staticmethod
     def zero(ring: PolyRing, degree: int) -> "PolyDiffForm":
@@ -307,20 +284,10 @@ class PolyDiffForm:
     def __add__(self, other: "PolyDiffForm") -> "PolyDiffForm":
         if self.degree != other.degree or self.ring != other.ring:
             raise ValueError("can only add forms of one degree over one ring")
-        merged = dict(self.terms)
-        for ix, c in other.terms.items():
-            s = merged.get(ix)
-            c = c if s is None else s + c
-            if c.is_zero():
-                merged.pop(ix, None)
-            else:
-                merged[ix] = c
-        return PolyDiffForm(self.ring, self.degree, merged)
+        return PolyDiffForm(self.ring, self.degree, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "PolyDiffForm":
-        return PolyDiffForm(
-            self.ring, self.degree, {ix: -c for ix, c in self.terms.items()}
-        )
+        return PolyDiffForm(self.ring, self.degree, {ix: -c for ix, c in self.terms.items()})
 
     def __sub__(self, other: "PolyDiffForm") -> "PolyDiffForm":
         return self + (-other)
@@ -361,6 +328,34 @@ class PolyDiffForm:
         return f"PolyDiffForm({self})"
 
 
+def alternating_table(items, degree: int, size: int, what: str) -> dict:
+    """The table of an alternating ``degree``-linear object on ``size``
+    slots, from (index tuple, value) items as a dict or a sequence: sort
+    each tuple and absorb the sign, add values that meet, drop repeats and
+    zeros.  Values are polynomials or orbit functions; ``what`` names the
+    slots in errors."""
+    if degree < 1:
+        raise ValueError("form degree must be at least 1")
+    table: dict = {}
+    for indices, value in items.items() if isinstance(items, dict) else items:
+        if len(indices) != degree:
+            raise ValueError("index tuple length must equal the form degree")
+        if any(i < 0 or i >= size for i in indices):
+            raise ValueError(f"{what} index out of range")
+        if len(set(indices)) != degree:
+            continue  # repeated index: the value is zero
+        sign, sorted_ix = _sort_sign(indices)
+        if sign < 0:
+            value = -value
+        if sorted_ix in table:
+            value = table[sorted_ix] + value
+        if value.is_zero():
+            table.pop(sorted_ix, None)
+        else:
+            table[sorted_ix] = value
+    return table
+
+
 def _sort_sign(indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Sign of the permutation sorting ``indices``, and the sorted tuple."""
     ix = list(indices)
@@ -370,6 +365,28 @@ def _sort_sign(indices: Sequence[int]) -> tuple[int, tuple[int, ...]]:
             if ix[i] > ix[j]:
                 sign = -sign
     return sign, tuple(sorted(ix))
+
+
+def _derivative_products(components: Sequence[Polynomial], p: Polynomial, sign: int = 1):
+    """The products sign * components[i] * dp/dx_i, as :func:`combination`
+    takes them."""
+    return [(sign, c, p.partial_derivative(i)) for i, c in enumerate(components) if c]
+
+
+def derivation(components: Sequence[Polynomial], p: Polynomial) -> Polynomial:
+    """The derivation sum components[i] * d/dx_i applied to ``p``: the one
+    formula of ambient fields (over Q[x]) and orbit fields (on
+    representatives over the orbit ring)."""
+    return combination(p.ring, _derivative_products(components, p))
+
+
+def bracket_components(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> list[Polynomial]:
+    """The components a(b_j) - b(a_j) of the commutator of the derivations
+    with components ``a`` and ``b``, one kernel sum each."""
+    return [
+        combination(aj.ring, _derivative_products(a, bj) + _derivative_products(b, aj, -1))
+        for aj, bj in zip(a, b)
+    ]
 
 
 FormOrPoly = Union[PolyDiffForm, Polynomial]
@@ -542,7 +559,9 @@ def reynolds(obj, group: FiniteMatrixGroup):
     """
     if not isinstance(obj, (Polynomial, PolyVectorField, PolyDiffForm)):
         raise TypeError(f"cannot average {type(obj).__name__}")
-    return _act_sum(group._moves(obj.ring).items(), obj) * Fraction(1, group.order)
+    average = _act_sum(group._moves(obj.ring).items(), obj)
+    weight = Fraction(1, group.order)
+    return average.scale(weight) if isinstance(average, Polynomial) else average * weight
 
 
 def infinitesimal_fields(action: LieAlgebraAction, ring: PolyRing) -> list[PolyVectorField]:

@@ -19,6 +19,15 @@ Koszul's formula over the function ring, with the bracket structure
 functions of the pushed generators, and the wedge by the shuffle sum.
 No operation here solves a dense linear system.
 
+The public constructors of fields and forms reduce and verify their
+input (tangency, syzygy compatibility); the push, bracket, d and wedge
+results and the JSON readers go through them.  Linear results (sums,
+differences, negatives, multiples by a function or scalar) and the pushed
+generators use ``_linear``, as function arithmetic uses
+``OrbitFunction._normal``.  Form tables are normalised as ambient ones
+are, by :func:`.group_action.alternating_table`, and every sum of
+products is one :func:`.algebra.combination`.
+
 The membership problems depend only on the space, so each is built once
 per :class:`OrbitSpace` and its module basis serves every later call: the
 pushed generators (lifts, brackets, syzygies), the columns of
@@ -32,13 +41,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import GREVLEX, PolyRing, Polynomial, json_integer, parse_polynomial
+from .algebra import GREVLEX, PolyRing, Polynomial, combination, json_integer, parse_polynomial
 from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, module_solve
 from .group_action import (
     LieAlgebraAction,
     PolyDiffForm,
     PolyVectorField,
+    _derivative_products,
     _sort_sign,
+    alternating_table,
+    bracket_components,
+    derivation,
     is_invariant,
 )
 from .exterior import evaluate, semibasic_check
@@ -113,7 +126,7 @@ class OrbitSpace:
                 for X in self.module.generators
             ]
         return [
-            OrbitVectorField(self, [OrbitFunction._normal(self, c) for c in comps], check=False)
+            OrbitVectorField._linear(self, [OrbitFunction._normal(self, c) for c in comps])
             for comps in self._pushed
         ]
 
@@ -276,65 +289,59 @@ def _rep(obj, space: OrbitSpace) -> Polynomial:
 
 class OrbitVectorField:
     """A derivation of the orbit function algebra: one class per orbit
-    coordinate, constrained to preserve the relation ideal (tangency)."""
+    coordinate, constrained to preserve the relation ideal (tangency): the
+    constructor checks it on every relation generator, :meth:`_linear`
+    does not."""
 
     __slots__ = ("space", "components")
 
-    def __init__(self, space: OrbitSpace, components, check: bool = True):
-        comps = tuple(
+    def __init__(self, space: OrbitSpace, components):
+        self.space = space
+        self.components = tuple(
             c if isinstance(c, OrbitFunction) else OrbitFunction(space, c)
             for c in components
         )
-        if len(comps) != space.orbit_ring.nvars:
+        if len(self.components) != space.orbit_ring.nvars:
             raise ValueError("component count must match the orbit alphabet")
-        self.space = space
-        self.components = comps
-        if check:
-            self._check_tangency()
-
-    def _check_tangency(self):
-        for g in self.space.ideal.basis.generators:
+        for g in space.ideal.basis.generators:
             if not self.apply(g).is_zero():
-                raise ValueError(
-                    "orbit field does not preserve the relation ideal"
-                )
+                raise ValueError("orbit field does not preserve the relation ideal")
+
+    @classmethod
+    def _linear(cls, space: OrbitSpace, components) -> "OrbitVectorField":
+        """The field with these orbit-function components, known tangent:
+        a pushed generator, or a linear result of tangent fields, since the
+        fields preserving an ideal form a module over the function ring."""
+        Y = cls.__new__(cls)
+        Y.space = space
+        Y.components = tuple(components)
+        return Y
 
     def apply(self, f) -> OrbitFunction:
         """Directional derivative of an orbit function."""
-        return self.space.function(self._derivative(_rep(f, self.space)))
+        return self.space.function(derivation(self._reps(), _rep(f, self.space)))
 
-    def _derivative(self, rep: Polynomial) -> Polynomial:
-        """The derivative of a representative, not yet reduced modulo the
-        relations."""
-        total = rep.ring.zero()
-        for j, c in enumerate(self.components):
-            total = total + c.rep * rep.partial_derivative(j)
-        return total
+    def _reps(self) -> list[Polynomial]:
+        return [c.rep for c in self.components]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
     def __add__(self, other):
-        return OrbitVectorField(
-            self.space,
-            [a + b for a, b in zip(self.components, other.components)],
-            check=False,
+        return OrbitVectorField._linear(
+            self.space, [a + b for a, b in zip(self.components, other.components)]
         )
 
     def __sub__(self, other):
-        return OrbitVectorField(
-            self.space,
-            [a - b for a, b in zip(self.components, other.components)],
-            check=False,
+        return OrbitVectorField._linear(
+            self.space, [a - b for a, b in zip(self.components, other.components)]
         )
 
     def __neg__(self):
-        return OrbitVectorField(self.space, [-c for c in self.components], check=False)
+        return OrbitVectorField._linear(self.space, [-c for c in self.components])
 
     def __mul__(self, factor):
-        return OrbitVectorField(
-            self.space, [c * factor for c in self.components], check=False
-        )
+        return OrbitVectorField._linear(self.space, [c * factor for c in self.components])
 
     __rmul__ = __mul__
 
@@ -367,72 +374,50 @@ class OrbitForm:
 
     ``values`` assigns an orbit function to every strictly increasing tuple
     of generator indices; alternation recovers the rest, and compatibility
-    with every generator syzygy (checked on construction) is what makes the
-    table a single well-defined functional rather than a list of numbers.
-    Degree-0 orbit forms are bare :class:`OrbitFunction` values.
+    with every generator syzygy is what makes the table a single
+    well-defined functional rather than a list of numbers: the constructor
+    checks it, :meth:`_linear` does not.  Degree-0 orbit forms are bare
+    :class:`OrbitFunction` values.
     """
 
     __slots__ = ("space", "degree", "values")
 
-    def __init__(self, space: OrbitSpace, degree: int, values, check: bool = True):
-        if degree < 1:
-            raise ValueError("form degree must be at least 1")
-        n_gens = len(space.module)
-        table: dict[tuple[int, ...], OrbitFunction] = {}
+    def __init__(self, space: OrbitSpace, degree: int, values):
         items = values.items() if isinstance(values, dict) else values
-        for indices, value in items:
-            if len(indices) != degree:
-                raise ValueError("index tuple length must equal the form degree")
-            if any(i < 0 or i >= n_gens for i in indices):
-                raise ValueError("generator index out of range")
-            if len(set(indices)) != degree:
-                continue
-            sign, sorted_ix = _sort_sign(indices)
-            if not isinstance(value, OrbitFunction):
-                value = space.function(value)
-            if sign < 0:
-                value = -value
-            if sorted_ix in table:
-                value = table[sorted_ix] + value
-            if value.is_zero():
-                table.pop(sorted_ix, None)
-            else:
-                table[sorted_ix] = value
+        self._fill(space, degree, [
+            (ix, v if isinstance(v, OrbitFunction) else space.function(v)) for ix, v in items
+        ])
+        # sum of c_i * value(i, rest) over each syzygy c must vanish modulo
+        # the ideal for every (k-1)-tuple: linearity over the function ring
+        for syz in space.generator_syzygies:
+            for rest in combinations(range(len(space.module)), degree - 1):
+                total = combination(
+                    space.orbit_ring,
+                    [(1, c, self.value((i,) + rest).rep) for i, c in enumerate(syz) if c],
+                )
+                if not space.ideal.is_member(total):
+                    raise ValueError("values are not compatible with the generator syzygies")
+
+    def _fill(self, space: OrbitSpace, degree: int, items):
         self.space = space
         self.degree = degree
-        self.values = table
-        if check:
-            self._check_syzygy_compatibility()
+        self.values = alternating_table(items, degree, len(space.module), "generator")
 
-    def _check_syzygy_compatibility(self):
-        """Sum of c_i * value(i, rest) over each syzygy c must vanish mod the
-        ideal for every (k-1)-tuple: linearity over the function ring."""
-        space = self.space
-        n_gens = len(space.module)
-        rests = list(combinations(range(n_gens), self.degree - 1))
-        for syz in space.generator_syzygies:
-            for rest in rests:
-                total = space.orbit_ring.zero()
-                for i, c in enumerate(syz):
-                    if c.is_zero():
-                        continue
-                    v = self.value((i,) + rest)
-                    if not v.is_zero():
-                        total = total + c * v.rep
-                if not space.ideal.is_member(total):
-                    raise ValueError(
-                        "values are not compatible with the generator syzygies"
-                    )
+    @classmethod
+    def _linear(cls, space: OrbitSpace, degree: int, items) -> "OrbitForm":
+        """The form with these (index tuple, orbit function) items, known
+        compatible: a linear result of compatible tables, since the syzygy
+        conditions are linear over the function ring."""
+        theta = cls.__new__(cls)
+        theta._fill(space, degree, items)
+        return theta
 
     def value(self, indices) -> OrbitFunction:
         """Value on an arbitrary generator tuple, via alternation."""
-        indices = tuple(indices)
-        if len(set(indices)) != len(indices):
-            return self.space.function(self.space.orbit_ring.zero())
         sign, sorted_ix = _sort_sign(indices)
-        value = self.values.get(sorted_ix)
+        value = self.values.get(sorted_ix)  # absent too for a repeated index
         if value is None:
-            return self.space.function(self.space.orbit_ring.zero())
+            return OrbitFunction._normal(self.space, self.space.orbit_ring.zero())
         return -value if sign < 0 else value
 
     def is_zero(self) -> bool:
@@ -441,33 +426,21 @@ class OrbitForm:
     def __add__(self, other):
         if self.degree != other.degree or self.space is not other.space:
             raise ValueError("can only add orbit forms of one degree and space")
-        merged = dict(self.values)
-        for ix, v in other.values.items():
-            w = merged.get(ix)
-            v = v if w is None else w + v
-            if v.is_zero():
-                merged.pop(ix, None)
-            else:
-                merged[ix] = v
-        return OrbitForm(self.space, self.degree, merged, check=False)
+        return OrbitForm._linear(
+            self.space, self.degree, [*self.values.items(), *other.values.items()]
+        )
 
     def __neg__(self):
-        return OrbitForm(
-            self.space,
-            self.degree,
-            {ix: -v for ix, v in self.values.items()},
-            check=False,
+        return OrbitForm._linear(
+            self.space, self.degree, [(ix, -v) for ix, v in self.values.items()]
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, factor):
-        return OrbitForm(
-            self.space,
-            self.degree,
-            {ix: v * factor for ix, v in self.values.items()},
-            check=False,
+        return OrbitForm._linear(
+            self.space, self.degree, [(ix, v * factor) for ix, v in self.values.items()]
         )
 
     __rmul__ = __mul__
@@ -523,7 +496,7 @@ def push_vf(X: PolyVectorField, space: OrbitSpace) -> OrbitVectorField:
     """
     if not is_invariant(X, space.hilbert.group):
         raise ValueError("field is not invariant")
-    return OrbitVectorField(space, _push_field(X, space.hilbert), check=True)
+    return OrbitVectorField(space, _push_field(X, space.hilbert))
 
 
 def _generator_coordinates(Y: OrbitVectorField, space: OrbitSpace) -> tuple[Polynomial, ...]:
@@ -543,10 +516,15 @@ def lift_vf(Y: OrbitVectorField, space: OrbitSpace) -> PolyVectorField:
     """
     if Y.space is not space:
         raise ValueError("field lives on a different orbit space")
-    lifted = PolyVectorField.zero(space.hilbert.ring)
-    for h, X in zip(_generator_coordinates(Y, space), space.module.generators):
-        if not h.is_zero():
-            lifted = lifted + space.hilbert.substitute_into(h) * X
+    ring = space.hilbert.ring
+    terms = [
+        (space.hilbert.substitute_into(h), X.components)
+        for h, X in zip(_generator_coordinates(Y, space), space.module.generators)
+        if h
+    ]
+    lifted = PolyVectorField(
+        ring, [combination(ring, [(1, s, X[j]) for s, X in terms]) for j in range(ring.nvars)]
+    )
     check = push_vf(lifted, space)
     if check != Y:
         raise AssertionError("internal error: lift does not push back to the input")
@@ -562,11 +540,7 @@ def orbit_bracket(Y: OrbitVectorField, Z: OrbitVectorField) -> OrbitVectorField:
     """
     if Y.space is not Z.space:
         raise ValueError("fields live on different orbit spaces")
-    components = [
-        Y._derivative(zc.rep) - Z._derivative(yc.rep)
-        for yc, zc in zip(Y.components, Z.components)
-    ]
-    return OrbitVectorField(Y.space, components, check=True)
+    return OrbitVectorField(Y.space, bracket_components(Y._reps(), Z._reps()))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +567,7 @@ def push_form(theta, space: OrbitSpace):
     for indices in combinations(range(len(fields)), k):
         contraction = evaluate(theta, [fields[i] for i in indices])
         values[indices] = space.function(subduct(contraction, space.hilbert))
-    return OrbitForm(space, k, values, check=True)
+    return OrbitForm(space, k, values)
 
 
 def pull_form(theta, space: OrbitSpace, degree_bound: int | None = None):
@@ -652,21 +626,19 @@ def orbit_d(theta):
         k, value = 0, lambda indices: theta
     else:
         k, value = theta.degree, theta.value
-    pushed = space.pushed_generators
+    pushed = [Y._reps() for Y in space.pushed_generators]
     values = {}
     for I in combinations(range(len(pushed)), k + 1):
-        total = space.orbit_ring.zero()
+        products = []
         for p, i in enumerate(I):
-            term = pushed[i].apply(value(I[:p] + I[p + 1 :])).rep
-            total = total - term if p % 2 else total + term
+            products += _derivative_products(pushed[i], value(I[:p] + I[p + 1 :]).rep, (-1) ** p)
         for p, q in combinations(range(k + 1), 2):
             rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
             for m, c in enumerate(space.bracket_coefficients[(I[p], I[q])]):
-                if not c.is_zero():
-                    term = c * value((m,) + rest).rep
-                    total = total - term if (p + q) % 2 else total + term
-        values[I] = total
-    return OrbitForm(space, k + 1, values, check=True)
+                if c:
+                    products.append(((-1) ** (p + q), c, value((m,) + rest).rep))
+        values[I] = combination(space.orbit_ring, products)
+    return OrbitForm(space, k + 1, values)
 
 
 def orbit_wedge(a, b):
@@ -680,13 +652,16 @@ def orbit_wedge(a, b):
     k, degree = a.degree, a.degree + b.degree
     values = {}
     for I in combinations(range(len(space.module)), degree):
-        total = space.orbit_ring.zero()
+        products = []
         for S in combinations(range(degree), k):
             rest = tuple(p for p in range(degree) if p not in S)
-            term = a.value([I[p] for p in S]).rep * b.value([I[p] for p in rest]).rep
-            total = total - term if _sort_sign(S + rest)[0] < 0 else total + term
-        values[I] = total
-    return OrbitForm(space, degree, values, check=True)
+            products.append((
+                _sort_sign(S + rest)[0],
+                a.value([I[p] for p in S]).rep,
+                b.value([I[p] for p in rest]).rep,
+            ))
+        values[I] = combination(space.orbit_ring, products)
+    return OrbitForm(space, degree, values)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +684,13 @@ def extend_check(theta: OrbitForm, space: OrbitSpace | None = None) -> ExtendRes
     elif space is not theta.space:
         raise ValueError("form lives on a different orbit space")
     pushed = space.pushed_generators
-    n_gens = len(pushed)
-    target = [theta.value((i,)).rep for i in range(n_gens)]
+    target = [theta.value((i,)).rep for i in range(len(pushed))]
     outcome = module_solve(target, space._extension_problem)
     if outcome.member:
         witness = tuple(space.ideal.normal(w) for w in outcome.witness)
-        for i in range(n_gens):
-            acc = space.orbit_ring.zero()
-            for j, w in enumerate(witness):
-                acc = acc + w * pushed[i].components[j].rep
-            if not space.ideal.is_member(acc - target[i]):
+        for Y, want in zip(pushed, target):
+            acc = combination(space.orbit_ring, [(1, w, c) for w, c in zip(witness, Y._reps())])
+            if not space.ideal.is_member(acc - want):
                 raise AssertionError("internal error: extension witness broken")
         return ExtendResult(True, witness=witness)
     return ExtendResult(False, certificate=outcome.certificate)
@@ -754,15 +726,14 @@ def orbit_form_from_json(data: dict, space: OrbitSpace):
     degree = json_integer(data["degree"], "degree")
     ring = space.orbit_ring
     if degree == 0:
-        total = ring.zero()
-        for item in data["values"]:
-            total = total + parse_polynomial(item["class"], ring)
-        return space.function(total)
+        return space.function(
+            sum((parse_polynomial(item["class"], ring) for item in data["values"]), ring.zero())
+        )
     values = []
     for item in data["values"]:
         ix = tuple(json_integer(i, "tuple") - 1 for i in item["tuple"])
         values.append((ix, parse_polynomial(item["class"], ring)))
-    return OrbitForm(space, degree, values, check=True)
+    return OrbitForm(space, degree, values)
 
 
 def orbit_vf_to_json(Y: OrbitVectorField) -> dict:

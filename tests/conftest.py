@@ -118,14 +118,13 @@ def random_form(rng, ring, degree, max_degree=3, max_terms=2):
 # reference division over Fraction coefficients
 # ---------------------------------------------------------------------------
 
-def reference_divide(p, divisors, order, divisor_order=None):
+def reference_divide(p, divisors, order):
     """Multivariate division with ``Fraction`` arithmetic throughout, the
     reference for ``groebner.divide``: the largest remaining monomial of the
-    work polynomial is reduced by the first divisor, in preference order,
-    whose leading monomial divides it, or else moved to the remainder."""
+    work polynomial is reduced by the first divisor, in list order, whose
+    leading monomial divides it, or else moved to the remainder."""
     ring = p.ring
-    preference = divisor_order if divisor_order is not None else range(len(divisors))
-    heads = [(i, divisors[i], *divisors[i].leading(order)) for i in preference if divisors[i]]
+    heads = [(i, d, *d.leading(order)) for i, d in enumerate(divisors) if d]
     quotients = [{} for _ in divisors]
     remainder = {}
     work = dict(p.terms)

@@ -393,6 +393,23 @@ def test_usage_errors(capsys):
     assert "cannot read orbit field" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["push-vf", "X1", "-i", Z2, "--degree-bound", "2"], "--degree-bound"),
+        (["invariants", "-i", Z2, "--seed", "3"], "--seed"),
+        (["verify-golden", "-i", Z2], "-i"),
+        (["verify-golden", "--cap", "4"], "--cap"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
 def test_orbit_field_parsed_before_the_space_is_built(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("equivariant generators computed before the parse")

@@ -24,6 +24,7 @@ from orbitcalc.invariants import EquivariantModule, HilbertMap, invariant_genera
 from orbitcalc.quotient import (
     OrbitForm,
     OrbitSpace,
+    OrbitVectorField,
     extend_check,
     lift_vf,
     orbit_bracket,
@@ -218,8 +219,9 @@ def test_pull_form_zero_and_bound_exhaustion(golden_space, golden_forms):
 def test_pull_form_beyond_the_ambient_dimension(golden_space):
     pulled = pull_form(OrbitForm(golden_space, 3, {}), golden_space)
     assert pulled.degree == 3 and pulled.is_zero()
-    one = golden_space.orbit_ring.one()
-    table = OrbitForm(golden_space, 3, [((0, 1, 2), one)], check=False)
+    # a table no syzygy check admits, so only the private constructor builds it
+    one = golden_space.function(golden_space.orbit_ring.one())
+    table = OrbitForm._linear(golden_space, 3, [((0, 1, 2), one)])
     with pytest.raises(ValueError, match="pull not found"):
         pull_form(table, golden_space)
 
@@ -381,6 +383,25 @@ def test_orbit_function_arithmetic_builds_normal_forms(calculus_space):
     raw = random_poly(rng, space.orbit_ring, 4, 5) * space.orbit_ring.variable(0)
     for result, rep in ((pool[0] + raw, pool[0].rep + raw), (pool[1] - raw, pool[1].rep - raw)):
         assert result.rep == space.ideal.normal(rep)
+
+
+def test_linear_results_pass_the_checking_constructors(calculus_space):
+    # Sums, differences, negatives and multiples of checked forms and fields
+    # are built without the syzygy and tangency checks; the checking
+    # constructors must admit each of them with equal values.
+    space = calculus_space
+    rng = random.Random(19)
+    a, b, c = pushed_one_forms(space, seed=19)
+    fields = space.pushed_generators
+    functions = [space.function(random_poly(rng, space.orbit_ring, 2, 3)) for _ in range(3)]
+    for left, right in ((a, b), (b, c), (orbit_wedge(a, b), orbit_wedge(b, c))):
+        f = rng.choice(functions)
+        for theta in (left + right, left - right, -left, left * f, f * left, Fraction(-2, 7) * left):
+            assert OrbitForm(space, theta.degree, theta.values) == theta
+    for Y, Z in zip(fields, fields[1:] + fields[:1]):
+        f = rng.choice(functions)
+        for field in (Y + Z, Y - Z, -Y, Y * f, f * Z, 3 * Y):
+            assert OrbitVectorField(space, field.components) == field
 
 
 def test_orbit_operations_build_no_fraction_view(calculus_space, fraction_views_built):
@@ -567,9 +588,9 @@ def test_orbit_form_rejects_incompatible_values(golden_space):
     with pytest.raises(ValueError, match="degree must be at least 1"):
         OrbitForm(golden_space, 0, {})
     with pytest.raises(ValueError, match="index out of range"):
-        OrbitForm(golden_space, 1, [((7,), ring.one())], check=False)
+        OrbitForm(golden_space, 1, [((7,), ring.one())])
     with pytest.raises(ValueError, match="tuple length"):
-        OrbitForm(golden_space, 2, [((0,), ring.one())], check=False)
+        OrbitForm(golden_space, 2, [((0,), ring.one())])
 
 
 def test_orbit_field_rejects_non_tangent_components(golden_space):

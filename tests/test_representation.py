@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import reference_divide
-from orbitcalc.algebra import GREVLEX, LEX, PolyRing, Polynomial, parse_polynomial
+from orbitcalc.algebra import GREVLEX, LEX, PolyRing, Polynomial, combination, parse_polynomial
 from orbitcalc.groebner import buchberger, divide
 from orbitcalc.invariants import RelationIdeal
 
@@ -165,6 +165,42 @@ def test_chains_stay_canonical_and_match_the_fraction_oracle(seed):
             assert_canonical(p, oracle)
             if len(oracle) > 24 or max(map(sum, oracle), default=0) > 7:
                 break
+
+
+# ---------------------------------------------------------------------------
+# the sum-of-products kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combination_matches_the_fraction_oracle(seed):
+    # Operands come from a small pool, so products share exponents, and
+    # their denominators (1, 2, 3, 4, 6, 35) differ, so the running
+    # denominator grows and the settled numerators must be rescaled.
+    rng = random.Random(1700 + seed)
+    pool = [random_terms(rng, ORBIT, 2, 3) for _ in range(6)] + [{}]
+    for _ in range(40):
+        products, oracle = [], {}
+        for _ in range(rng.randint(0, 5)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            sign = rng.choice([1, -1])
+            products.append((sign, Polynomial(ORBIT, a), Polynomial(ORBIT, b)))
+            oracle = o_combine(oracle, o_mul(a, b), sign)
+        assert_canonical(combination(ORBIT, products), oracle)
+        if products:
+            _, a, b = products[0]
+            assert_canonical(a * b, o_mul(dict(a.terms), dict(b.terms)))
+
+
+def test_combination_cancels_across_denominators():
+    # the second product grows the denominator from 6 to 12, and the first
+    # product's numerator must follow before the third cancels it
+    half, third = x("1/2*x1"), x("1/3*x2")
+    total = combination(AMBIENT, [(1, half, third), (1, half, half), (-1, third, half)])
+    assert total == x("1/4*x1^2") and (total._den, total._num) == (4, {(2, 0): 1})
+    assert combination(AMBIENT, [(1, half, third), (-1, x("1/6*x1*x2"), AMBIENT.one())]).is_zero()
+    assert combination(AMBIENT, []) == AMBIENT.zero()
+    with pytest.raises(ValueError, match="incompatible rings"):
+        combination(AMBIENT, [(1, half, ORBIT.one())])
 
 
 # ---------------------------------------------------------------------------
