@@ -12,7 +12,7 @@ the term products of sum(sign * a * b) into one numerator table over the
 lcm of their denominators; ``a * b`` is its case of one product, and
 derivations, contractions, the orbit d and wedge, and witness checks call
 it with all their products at once.  Division (:func:`.groebner.divide`),
-the tabled normal forms and the group action read and build the same form.
+the tabled linear maps and the group action read and build the same form.
 A ``Fraction`` is made only when a caller reads a coefficient:
 ``terms`` (a dict built on first read and kept), ``coefficient``,
 ``constant_term`` and ``leading``.
@@ -581,6 +581,20 @@ def _sum_pieces(ring: PolyRing, pieces: Iterable[Piece]) -> Polynomial:
         for e, n in numerators:
             acc[e] = get(e, 0) + factor * n
     return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
+
+
+def _tabled_sum(ring: PolyRing, items) -> Polynomial:
+    """The sum of ``sign * L(p)`` over the (sign, p, table, fill) items, L
+    linear into ``ring``: ``table`` holds L(x^e) by exponents e, and
+    ``fill(e)`` makes an entry when e is first met."""
+    pieces = []
+    for sign, p, table, fill in items:
+        for exps, n in p._num.items():
+            image = table.get(exps)
+            if image is None:
+                image = table[exps] = fill(exps)
+            pieces.append((image._num.items(), image._den * p._den, sign * n))
+    return _sum_pieces(ring, pieces)
 
 
 # ---------------------------------------------------------------------------

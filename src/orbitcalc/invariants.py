@@ -41,7 +41,7 @@ from .algebra import (
     BlockOrder,
     PolyRing,
     Polynomial,
-    _sum_pieces,
+    _tabled_sum,
     embed,
     make_primitive,
     restrict,
@@ -107,7 +107,7 @@ class HilbertMap:
     """
 
     __slots__ = ("group", "sigma", "ring", "orbit_ring", "combined_ring", "tag_basis",
-                 "certificate", "_monomial_forms", "_relations", "__weakref__")
+                 "certificate", "_monomial_forms", "_powers", "_relations", "__weakref__")
 
     def __init__(self, group, sigma, ring, orbit_ring, combined_ring, tag_basis):
         self.group = group
@@ -121,6 +121,8 @@ class HilbertMap:
         # integer numerators over one denominator, by exponent tuple,
         # filled as subduction meets them
         self._monomial_forms: dict = {}
+        # sigma^e by exponent tuple e, filled as substitution meets them
+        self._powers: dict = {(0,) * len(sigma): ring.one()}
         self._relations: RelationIdeal | None = None
 
     @staticmethod
@@ -146,10 +148,21 @@ class HilbertMap:
         return hmap
 
     def substitute_into(self, q: Polynomial) -> Polynomial:
-        """Evaluate a y-polynomial on the generators: q(sigma_1, ..., sigma_l)."""
+        """Evaluate a y-polynomial on the generators: q(sigma_1, ..., sigma_l),
+        summed as c * sigma^e over q's terms from the map's table of powers."""
         if q.ring != self.orbit_ring:
             raise ValueError("argument must live in the orbit ring")
-        return q.substitute(list(self.sigma))
+        return _tabled_sum(self.ring, [(1, q, self._powers, self._power)])
+
+    def _power(self, exps) -> Polynomial:
+        """The table entry sigma^exps, made as sigma^(exps - e_i) * sigma_i
+        for the first nonzero exponent i, lower entries first."""
+        power = self._powers.get(exps)
+        if power is None:
+            i = next(i for i, e in enumerate(exps) if e)
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            power = self._powers[exps] = self._power(lower) * self.sigma[i]
+        return power
 
     def __len__(self):
         return len(self.sigma)
@@ -174,31 +187,11 @@ def _assemble(group, sigma, ring) -> HilbertMap:
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 
-def _tabled_normal_form(p: Polynomial, forms: dict, monomial_form, ring: PolyRing) -> Polynomial:
-    """The normal form of p, in ``ring``, summed over p's monomials (the
-    normal form is linear).  ``forms`` tables each monomial's normal form
-    by exponents; ``monomial_form`` computes a missing one.  The sum runs
-    over integer numerators."""
-    pieces = []
-    for exps, n in p._num.items():
-        form = forms.get(exps)
-        if form is None:
-            form = forms[exps] = monomial_form(exps)
-        pieces.append((form._num.items(), form._den * p._den, n))
-    return _sum_pieces(ring, pieces)
-
-
 def _tag_normal_form(p: Polynomial, hmap: HilbertMap) -> Polynomial:
     """p's normal form against the tagged basis, in the combined alphabet,
     each monomial's form computed once per map."""
-    return _tabled_normal_form(
-        p,
-        hmap._monomial_forms,
-        lambda exps: normal_form(
-            embed(p.ring.monomial(exps), hmap.combined_ring, 0), hmap.tag_basis
-        ),
-        hmap.combined_ring,
-    )
+    fill = lambda exps: normal_form(embed(p.ring.monomial(exps), hmap.combined_ring, 0), hmap.tag_basis)
+    return _tabled_sum(hmap.combined_ring, [(1, p, hmap._monomial_forms, fill)])
 
 
 def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
@@ -211,6 +204,14 @@ def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
     return restrict(total, hmap.orbit_ring, n)
 
 
+def _rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial:
+    """:func:`_subalgebra_rewrite` of p, which must exist."""
+    q = _subalgebra_rewrite(p, hmap)
+    if q is None:
+        raise NotInSubalgebraError("not in subalgebra generated by the Hilbert map")
+    return q
+
+
 def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
     """Rewrite an invariant polynomial as a polynomial in the generators.
 
@@ -221,10 +222,7 @@ def subduct(p: Polynomial, hmap: HilbertMap) -> Polynomial:
         raise ValueError("polynomial lives in the wrong ring")
     if not is_invariant(p, hmap.group):
         raise ValueError("not invariant")
-    q = _subalgebra_rewrite(p, hmap)
-    if q is None:
-        raise NotInSubalgebraError("not in subalgebra generated by the Hilbert map")
-    return q
+    return _rewrite(p, hmap)
 
 
 def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
@@ -232,13 +230,7 @@ def _push_field(X: PolyVectorField, hmap: HilbertMap) -> tuple[Polynomial, ...]:
     component j rewrites X(sigma_j) through the generators.  Components are
     reduced modulo the relations, whose basis the tagged basis holds.
     X(sigma_j) is invariant whenever X is, so that is not tested again."""
-    components = []
-    for s in hmap.sigma:
-        q = _subalgebra_rewrite(X.apply(s), hmap)
-        if q is None:
-            raise NotInSubalgebraError("not in subalgebra generated by the Hilbert map")
-        components.append(q)
-    return tuple(components)
+    return tuple(_rewrite(X.apply(s), hmap) for s in hmap.sigma)
 
 
 def invariant_generators(
@@ -394,9 +386,8 @@ class RelationIdeal:
         ring = self.basis.generators[0].ring
         if p.ring != ring:
             raise ValueError("incompatible rings")
-        return _tabled_normal_form(
-            p, self._forms, lambda exps: normal_form(ring.monomial(exps), self.basis), ring
-        )
+        fill = lambda exps: normal_form(ring.monomial(exps), self.basis)
+        return _tabled_sum(ring, [(1, p, self._forms, fill)])
 
     def is_member(self, p: Polynomial) -> bool:
         return self.normal(p).is_zero()

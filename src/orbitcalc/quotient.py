@@ -26,7 +26,11 @@ differences, negatives, multiples by a function or scalar) and the pushed
 generators use ``_linear``, as function arithmetic uses
 ``OrbitFunction._normal``.  Form tables are normalised as ambient ones
 are, by :func:`.group_action.alternating_table`, and every sum of
-products is one :func:`.algebra.combination`.
+products is one :func:`.algebra.combination`.  Objects of different
+spaces do not mix.  The syzygy check and the derivative terms of
+:func:`orbit_d` are linear, so they sum NF(z_i * y^e) and NF(Y_i(y^e))
+from monomial tables kept per space (:meth:`OrbitSpace._tabled`), as
+q(sigma) sums sigma^e from a table kept per Hilbert map.
 
 The membership problems depend only on the space, so each is built once
 per :class:`OrbitSpace` and its module basis serves every later call: the
@@ -38,16 +42,16 @@ per form degree.  Every witness is still verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import GREVLEX, PolyRing, Polynomial, combination, json_integer, parse_polynomial
+from .algebra import GREVLEX, PolyRing, Polynomial, _tabled_sum, combination, json_integer, parse_polynomial
 from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, module_solve
 from .group_action import (
     LieAlgebraAction,
     PolyDiffForm,
     PolyVectorField,
-    _derivative_products,
     _sort_sign,
     alternating_table,
     bracket_components,
@@ -60,6 +64,7 @@ from .invariants import (
     HilbertMap,
     RelationIdeal,
     _push_field,
+    _rewrite,
     equivariant_generators,
     relations,
     subduct,
@@ -98,6 +103,8 @@ class OrbitSpace:
         self._pulls: dict[int, tuple] = {}
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
         self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
+        # monomial tables of the linear maps of :meth:`_tabled`, by key
+        self._tables: dict = {}
 
     # -- basic constructors -------------------------------------------------
 
@@ -205,6 +212,24 @@ class OrbitSpace:
             }
         return self._brackets
 
+    def _tabled(self, items) -> Polynomial:
+        """NF(sum sign * L(rep)) over the (sign, rep, key) items, L(f) being
+        z_i * f for key ("syzygy", s, i), z the s-th generator syzygy, and
+        Y_i(f) for ("derivative", i): NF(L(y^e)) is read from a table per
+        key, filled when e is first met."""
+        return _tabled_sum(self.orbit_ring, [
+            (sign, rep, self._tables.setdefault(key, {}), partial(self._entry, key))
+            for sign, rep, key in items
+        ])
+
+    def _entry(self, key, exps) -> Polynomial:
+        monomial = self.orbit_ring.monomial(exps)
+        if key[0] == "syzygy":
+            image = self.generator_syzygies[key[1]][key[2]] * monomial
+        else:
+            image = derivation(self.pushed_generators[key[1]]._reps(), monomial)
+        return self.ideal.normal(image)
+
 
 # ---------------------------------------------------------------------------
 # intrinsic objects
@@ -236,9 +261,9 @@ class OrbitFunction:
     def _class(self, other, rep: Polynomial) -> "OrbitFunction":
         """The class of ``rep``, a linear combination of self's
         representative and ``other``'s.  Normal forms span the standard
-        monomials only, so with ``other`` a class of the same space ``rep``
-        is already one; a bare polynomial is reduced."""
-        if isinstance(other, OrbitFunction) and other.space is self.space:
+        monomials only, so with ``other`` a class ``rep`` is already one; a
+        bare polynomial is reduced."""
+        if isinstance(other, OrbitFunction):
             return OrbitFunction._normal(self.space, rep)
         return OrbitFunction(self.space, rep)
 
@@ -280,7 +305,10 @@ class OrbitFunction:
 
 
 def _rep(obj, space: OrbitSpace) -> Polynomial:
+    """The representative of a class of ``space``, or a bare polynomial."""
     if isinstance(obj, OrbitFunction):
+        if obj.space is not space:
+            raise ValueError("operands live on different orbit spaces")
         return obj.rep
     if isinstance(obj, Polynomial):
         return obj
@@ -376,8 +404,9 @@ class OrbitForm:
     of generator indices; alternation recovers the rest, and compatibility
     with every generator syzygy is what makes the table a single
     well-defined functional rather than a list of numbers: the constructor
-    checks it, :meth:`_linear` does not.  Degree-0 orbit forms are bare
-    :class:`OrbitFunction` values.
+    checks it, :meth:`_linear` does not, by sums of the space's table
+    entries NF(z_i * y^e) over the values' terms.  Degree-0 orbit forms
+    are bare :class:`OrbitFunction` values.
     """
 
     __slots__ = ("space", "degree", "values")
@@ -387,15 +416,12 @@ class OrbitForm:
         self._fill(space, degree, [
             (ix, v if isinstance(v, OrbitFunction) else space.function(v)) for ix, v in items
         ])
-        # sum of c_i * value(i, rest) over each syzygy c must vanish modulo
+        # sum of z_i * value(i, rest) over each syzygy z must vanish modulo
         # the ideal for every (k-1)-tuple: linearity over the function ring
-        for syz in space.generator_syzygies:
+        for s, syz in enumerate(space.generator_syzygies):
             for rest in combinations(range(len(space.module)), degree - 1):
-                total = combination(
-                    space.orbit_ring,
-                    [(1, c, self.value((i,) + rest).rep) for i, c in enumerate(syz) if c],
-                )
-                if not space.ideal.is_member(total):
+                items = [(*self._signed((i,) + rest), ("syzygy", s, i)) for i, z in enumerate(syz) if z]
+                if not space._tabled(items).is_zero():
                     raise ValueError("values are not compatible with the generator syzygies")
 
     def _fill(self, space: OrbitSpace, degree: int, items):
@@ -414,11 +440,15 @@ class OrbitForm:
 
     def value(self, indices) -> OrbitFunction:
         """Value on an arbitrary generator tuple, via alternation."""
+        sign, rep = self._signed(indices)
+        return OrbitFunction._normal(self.space, -rep if sign < 0 else rep)
+
+    def _signed(self, indices) -> tuple[int, Polynomial]:
+        """(sign, rep) with value(indices) the class of sign * rep: the
+        table entry of the sorted tuple, not negated."""
         sign, sorted_ix = _sort_sign(indices)
         value = self.values.get(sorted_ix)  # absent too for a repeated index
-        if value is None:
-            return OrbitFunction._normal(self.space, self.space.orbit_ring.zero())
-        return -value if sign < 0 else value
+        return sign, self.space.orbit_ring.zero() if value is None else value.rep
 
     def is_zero(self) -> bool:
         return not self.values
@@ -561,12 +591,14 @@ def push_form(theta, space: OrbitSpace):
     sb = semibasic_check(theta, space.lie_action, space.hilbert.ring)
     if not sb:
         raise ValueError("form is not semi-basic")
+    # an invariant form has invariant contractions with invariant fields,
+    # so they are rewritten with no invariance test of their own
     k = theta.degree
     fields = space.module.generators
     values = {}
     for indices in combinations(range(len(fields)), k):
-        contraction = evaluate(theta, [fields[i] for i in indices])
-        values[indices] = space.function(subduct(contraction, space.hilbert))
+        q = _rewrite(evaluate(theta, [fields[i] for i in indices]), space.hilbert)
+        values[indices] = OrbitFunction._normal(space, q)
     return OrbitForm(space, k, values)
 
 
@@ -620,24 +652,27 @@ def orbit_d(theta):
     d theta(Y_I) = sum_p (-1)^p Y_{i_p}(theta(Y_{I - i_p}))
     + sum_{p<q} (-1)^(p+q) theta([Y_{i_p}, Y_{i_q}], Y_{I - {i_p, i_q}}),
     each bracket written through :attr:`OrbitSpace.bracket_coefficients`.
+    Derivative terms are read from tables; only bracket terms are reduced.
     """
     space = theta.space
     if isinstance(theta, OrbitFunction):
-        k, value = 0, lambda indices: theta
+        k, signed = 0, lambda indices: (1, theta.rep)
     else:
-        k, value = theta.degree, theta.value
-    pushed = [Y._reps() for Y in space.pushed_generators]
+        k, signed = theta.degree, theta._signed
     values = {}
-    for I in combinations(range(len(pushed)), k + 1):
-        products = []
+    for I in combinations(range(len(space.module)), k + 1):
+        derivatives = []
         for p, i in enumerate(I):
-            products += _derivative_products(pushed[i], value(I[:p] + I[p + 1 :]).rep, (-1) ** p)
+            sign, rep = signed(I[:p] + I[p + 1 :])
+            derivatives.append(((-1) ** p * sign, rep, ("derivative", i)))
+        products = []
         for p, q in combinations(range(k + 1), 2):
             rest = I[:p] + I[p + 1 : q] + I[q + 1 :]
             for m, c in enumerate(space.bracket_coefficients[(I[p], I[q])]):
-                if c:
-                    products.append(((-1) ** (p + q), c, value((m,) + rest).rep))
-        values[I] = combination(space.orbit_ring, products)
+                sign, rep = signed((m,) + rest)
+                products.append(((-1) ** (p + q) * sign, c, rep))
+        value = space._tabled(derivatives) + space.ideal.normal(combination(space.orbit_ring, products))
+        values[I] = OrbitFunction._normal(space, value)
     return OrbitForm(space, k + 1, values)
 
 
@@ -649,17 +684,17 @@ def orbit_wedge(a, b):
     if isinstance(a, OrbitFunction) or isinstance(b, OrbitFunction):
         return a * b
     space = a.space
+    if b.space is not space:
+        raise ValueError("forms live on different orbit spaces")
     k, degree = a.degree, a.degree + b.degree
     values = {}
     for I in combinations(range(len(space.module)), degree):
         products = []
         for S in combinations(range(degree), k):
             rest = tuple(p for p in range(degree) if p not in S)
-            products.append((
-                _sort_sign(S + rest)[0],
-                a.value([I[p] for p in S]).rep,
-                b.value([I[p] for p in rest]).rep,
-            ))
+            sa, ra = a._signed([I[p] for p in S])
+            sb, rb = b._signed([I[p] for p in rest])
+            products.append((_sort_sign(S + rest)[0] * sa * sb, ra, rb))
         values[I] = combination(space.orbit_ring, products)
     return OrbitForm(space, degree, values)
 

@@ -509,6 +509,43 @@ def test_relation_ideals_with_equal_bases_keep_their_own_tables():
     assert fresh == built and hash(fresh) == hash(built)
 
 
+@pytest.mark.parametrize("rung", ["z2_r2", "z4_r2", "b2_r2", "d3_r2", "z2_r3", "z3_r3"])
+def test_substitute_into_matches_polynomial_substitution(rung):
+    hmap = invariant_generators(closure(SEARCH_GROUPS[rung]))
+    rng = random.Random(f"substitute-{rung}")
+    for _ in range(25):
+        q = random_poly(rng, hmap.orbit_ring, 4, 5)
+        assert hmap.substitute_into(q) == q.substitute(list(hmap.sigma))
+    assert hmap.substitute_into(hmap.orbit_ring.zero()).is_zero()
+    with pytest.raises(ValueError, match="orbit ring"):
+        hmap.substitute_into(x("x1"))
+
+
+def test_hilbert_maps_with_equal_generators_keep_their_own_power_tables():
+    # Both maps have three quadric generators, so a table shared by
+    # exponents alone would hand one map the other's powers.
+    z2 = invariant_generators(make_reflection_group())
+    z4 = invariant_generators(make_rotation4_group())
+    assert z2.orbit_ring == z4.orbit_ring and z2.sigma != z4.sigma
+    twin = HilbertMap.from_polynomials(z2.group, z2.sigma)
+    assert twin.sigma == z2.sigma and twin._powers is not z2._powers
+    q = parse_polynomial("y1^3*y2 - 2*y2*y3^2 + y1 + 3", z2.orbit_ring)
+    for hmap in (z4, z2):
+        assert hmap.substitute_into(q) == q.substitute(list(hmap.sigma))
+    snapshot = dict(twin._powers)
+    assert twin.substitute_into(q) == z2.substitute_into(q)
+    assert set(twin._powers) > set(snapshot)
+    ref = weakref.ref(twin)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del twin
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # one Hilbert map per group
 # ---------------------------------------------------------------------------

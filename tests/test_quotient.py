@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_lift_roundtrip, make_rotation4_group, random_poly
-from orbitcalc import exterior, groebner, linalg, quotient
-from orbitcalc.algebra import GREVLEX, PolyRing, parse_polynomial
+from conftest import check_lift_roundtrip, make_rotation4_group, monomials_up_to, random_poly
+from orbitcalc import exterior, groebner, invariants, linalg, quotient
+from orbitcalc.algebra import GREVLEX, PolyRing, Polynomial, combination, parse_polynomial
 from orbitcalc.exterior import d, evaluate, wedge
 from orbitcalc.group_action import (
     LieAlgebraAction,
@@ -20,7 +20,13 @@ from orbitcalc.group_action import (
     is_invariant,
     reynolds,
 )
-from orbitcalc.invariants import EquivariantModule, HilbertMap, invariant_generators
+from orbitcalc.invariants import (
+    EquivariantModule,
+    HilbertMap,
+    NotInSubalgebraError,
+    equivariant_generators,
+    invariant_generators,
+)
 from orbitcalc.quotient import (
     OrbitForm,
     OrbitSpace,
@@ -193,6 +199,29 @@ def test_push_form_rejections(golden_space):
     pushed = push_form(radial, coordinates)
     assert pushed.value((0,)) == coordinates.parse_function("y1")
     assert pushed.value((1,)) == coordinates.parse_function("y2")
+
+
+def test_push_form_tests_invariance_once(golden_space, golden_forms, monkeypatch):
+    golden_space.generator_syzygies  # pushes the generator fields
+    calls = []
+    for owner in (quotient, invariants):
+        original = owner.is_invariant
+        monkeypatch.setattr(
+            owner, "is_invariant", lambda obj, group, original=original: calls.append(obj) or original(obj, group)
+        )
+    theta = push_form(golden_forms[3], golden_space)
+    assert len(theta.values) > 1 and calls == [golden_forms[3]]
+
+
+def test_push_form_reports_a_contraction_outside_the_subalgebra():
+    # The contractions are rewritten with no invariance test of their own;
+    # one the generators miss still raises.
+    group = make_rotation4_group()
+    truncated = OrbitSpace(invariant_generators(group, 2), module=equivariant_generators(group))
+    assert len(truncated.hilbert.sigma) == 1
+    theta = reynolds(PolyDiffForm(AMBIENT, 1, [((0,), X1**3), ((1,), X2**3)]), group)
+    with pytest.raises(NotInSubalgebraError, match="not in subalgebra"):
+        push_form(theta, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +507,89 @@ def test_intrinsic_calculus_avoids_ambient_round_trips(calculus_space, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# monomial tables: syzygy check and derivative terms
+# ---------------------------------------------------------------------------
+
+def syzygy_oracle(space, degree, items) -> bool:
+    """The direct compatibility test: sum z_i * value(i, rest) is in the
+    ideal for every generator syzygy z and every (degree - 1)-tuple rest."""
+    theta = OrbitForm._linear(space, degree, [(ix, space.function(v)) for ix, v in items])
+    for syz in space.generator_syzygies:
+        for rest in itertools.combinations(range(len(space.module)), degree - 1):
+            products = [(1, z, theta.value((i,) + rest).rep) for i, z in enumerate(syz) if z]
+            if not space.ideal.is_member(combination(space.orbit_ring, products)):
+                return False
+    return True
+
+
+def test_tabled_syzygy_check_agrees_with_the_direct_oracle(calculus_space):
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    ring = space.orbit_ring
+    rng = random.Random(24)
+    a, b, c = pushed_one_forms(space, seed=24)
+    f = space.function(random_poly(rng, ring, 2, 3, nonzero=True))
+    two = orbit_wedge(a, c)
+    # on these two-dimensional orbit spaces every 3-form is zero; its
+    # perturbations still exercise the degree-3 check
+    accepted = [a, b, a * f - c, two, two - orbit_wedge(b, c) * f, orbit_d(two), orbit_wedge(two, b)]
+    assert {theta.degree for theta in accepted} == {1, 2, 3}
+    standard = [
+        ring.monomial(e) for e in monomials_up_to(ring, 2) if space.ideal.normal(ring.monomial(e)) == ring.monomial(e)
+    ]
+    verdicts = []
+    for theta in accepted:
+        assert theta.degree == 3 or not theta.is_zero()
+        items = [(ix, v.rep) for ix, v in theta.values.items()]
+        tuples = list(itertools.combinations(range(len(space.module)), theta.degree))
+        tables = [items] + [
+            items + [(rng.choice(tuples), rng.choice(standard).scale(rng.choice([1, -2, Fraction(1, 3)])))]
+            for _ in range(4)
+        ]
+        for table in tables:
+            try:
+                OrbitForm(space, theta.degree, table)
+                verdict = True
+            except ValueError:
+                verdict = False
+            assert verdict == syzygy_oracle(space, theta.degree, table)
+            verdicts.append(verdict)
+    assert all(verdicts[:: 5]) and verdicts.count(False) >= 10
+
+
+def test_second_orbit_d_reads_the_derivative_tables(calculus_space, monkeypatch):
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    a, b, _ = pushed_one_forms(space, seed=25)
+    operands = (space.parse_function("y1^2*y3 - y2 + 1"), a, orbit_wedge(a, b))
+    space.bracket_coefficients
+    calls = []
+    original = Polynomial.partial_derivative
+
+    def counted(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", counted)
+    first = [orbit_d(theta) for theta in operands]
+    assert calls  # the first pass fills the tables
+    calls.clear()
+    assert [orbit_d(theta) for theta in operands] == first
+    assert calls == []
+
+
+def test_push_form_and_orbit_d_values_are_normal_forms(calculus_space, golden_forms):
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    forms = pushed_one_forms(space, seed=26)
+    forms += [push_form(theta, space) for theta in golden_forms if is_invariant(theta, space.hilbert.group)]
+    forms.append(orbit_wedge(forms[0], forms[1]))
+    functions = [space.function(random_poly(random.Random(26), space.orbit_ring, 3, 4))]
+    values = [v for theta in forms for v in theta.values.values()]
+    values += [v for theta in forms + functions for v in orbit_d(theta).values.values()]
+    assert len(values) > 20
+    for value in values:
+        assert space.ideal.normal(value.rep) == value.rep
+
+
+# ---------------------------------------------------------------------------
 # extension decision
 # ---------------------------------------------------------------------------
 
@@ -618,6 +730,54 @@ def test_orbit_function_scales_orbit_fields(golden_space):
     scaled = f * Y1
     assert scaled == Y1 * f
     assert scaled.components[0] == golden_space.parse_function("2*y1*y3")
+
+
+@pytest.fixture(scope="module")
+def two_spaces(golden_space):
+    """The two calculus spaces, which share the orbit alphabet y1..y3, with
+    a function, a pushed generator and a pushed 1-form on each."""
+    z4 = OrbitSpace(invariant_generators(make_rotation4_group()))
+    assert z4.orbit_ring == golden_space.orbit_ring
+    return [
+        {
+            "f": space.parse_function("y1"),
+            "g": space.parse_function("y2"),
+            "Y": space.pushed_generators[0],
+            "theta": pushed_one_forms(space, seed=23, count=1)[0],
+        }
+        for space in (golden_space, z4)
+    ]
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda a, b: a["f"] + b["g"],
+        lambda a, b: a["f"] - b["g"],
+        lambda a, b: a["f"] * b["g"],
+        lambda a, b: a["Y"] + b["Y"],
+        lambda a, b: a["Y"] - b["Y"],
+        lambda a, b: a["Y"] * b["f"],
+        lambda a, b: b["f"] * a["Y"],
+        lambda a, b: a["Y"].apply(b["f"]),
+        lambda a, b: a["theta"] * b["f"],
+        lambda a, b: b["f"] * a["theta"],
+        lambda a, b: a["theta"] + b["theta"],
+        lambda a, b: orbit_wedge(a["theta"], b["theta"]),
+        lambda a, b: orbit_wedge(b["f"], a["theta"]),
+        lambda a, b: orbit_bracket(a["Y"], b["Y"]),
+    ],
+    ids=[
+        "function+", "function-", "function*", "field+", "field-", "field*function",
+        "function*field", "field.apply", "form*function", "function*form", "form+",
+        "wedge", "wedge-function", "bracket",
+    ],
+)
+def test_arithmetic_across_orbit_spaces_is_rejected(two_spaces, operation):
+    z2, z4 = two_spaces
+    for a, b in ((z2, z4), (z4, z2)):
+        with pytest.raises(ValueError, match="different orbit spaces|one degree and space"):
+            operation(a, b)
 
 
 # ---------------------------------------------------------------------------
