@@ -11,8 +11,13 @@ Every product goes through one kernel, :func:`combination`, which adds
 the term products of sum(sign * a * b) into one numerator table over the
 lcm of their denominators; ``a * b`` is its case of one product, and
 derivations, contractions, the orbit d and wedge, and witness checks call
-it with all their products at once.  Division (:func:`.groebner.divide`),
-the tabled linear maps and the group action read and build the same form.
+it with all their products at once.  Every substitution (the group action
+x -> g^-1 x, :meth:`Polynomial.substitute`, the Hilbert map y -> sigma(x)
+and pullbacks) reads the powers v^e of its values from one
+:class:`PowerTable`, as ``p ** n`` does for the one value p, and
+:func:`_tabled_sum` sums a linear map from such a table, as the tabled
+normal forms do from theirs.  Division (:func:`.groebner.divide`) reads
+and builds the same integer form.
 A ``Fraction`` is made only when a caller reads a coefficient:
 ``terms`` (a dict built on first read and kept), ``coefficient``,
 ``constant_term`` and ``leading``.
@@ -282,8 +287,14 @@ class Polynomial:
         """Total degree; the zero polynomial has degree -1 by convention."""
         return max(map(mono_degree, self._num), default=-1)
 
+    def _check_arity(self, exps: Exponents) -> Exponents:
+        exps = tuple(exps)
+        if len(exps) != self.ring.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.ring.nvars} variables")
+        return exps
+
     def coefficient(self, exps: Exponents) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(self._check_arity(exps), 0), self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get((0,) * self.ring.nvars, 0), self._den)
@@ -379,6 +390,7 @@ class Polynomial:
         return self.mul_monomial((0,) * self.ring.nvars, scalar)
 
     def mul_monomial(self, exps: Exponents, coeff: Scalar = 1) -> "Polynomial":
+        exps = self._check_arity(exps)
         c = _as_fraction(coeff)
         if not c:
             return self.ring.zero()
@@ -392,15 +404,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return PowerTable([self]).power((exponent,))
 
     # -- calculus and substitution -----------------------------------------
 
@@ -421,7 +425,8 @@ class Polynomial:
         """Compose: evaluate this polynomial at the given value polynomials.
 
         All values must share one ring, which becomes the result's ring; the
-        substitution is a ring homomorphism.
+        substitution is a ring homomorphism, summed as c * v^e over the terms
+        from a :class:`PowerTable` made for the call.
         """
         if len(values) != self.ring.nvars:
             raise ValueError(
@@ -429,26 +434,7 @@ class Polynomial:
             )
         if not values:
             raise ValueError("substitution needs a target ring; got no values")
-        target = values[0].ring
-        for v in values:
-            if v.ring != target:
-                raise ValueError("incompatible rings among substitution values")
-        # cache powers of each value to keep repeated exponents cheap
-        powers: list[dict[int, Polynomial]] = [{0: target.one()} for _ in values]
-
-        def pieces() -> Iterator[Piece]:
-            for exps, n in self._num.items():
-                term = target.constant(n)
-                for i, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    cache = powers[i]
-                    if e not in cache:
-                        cache[e] = values[i] ** e
-                    term = term * cache[e]
-                yield term._num.items(), term._den * self._den, 1
-
-        return _sum_pieces(target, pieces())
+        return PowerTable(values).substitute(self)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Evaluate at a rational point."""
@@ -583,17 +569,53 @@ def _sum_pieces(ring: PolyRing, pieces: Iterable[Piece]) -> Polynomial:
     return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
 
 
+class PowerTable(dict):
+    """The substitution x -> (v_1, ..., v_m) as a table from exponents e to
+    v^e, read by :func:`_tabled_sum` with :meth:`power` as its fill.  The
+    entry for e is made once, as the entry for e - e_i times v_i (i the
+    last nonzero exponent), through :func:`combination`."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Sequence[Polynomial]):
+        ring = values[0].ring
+        if any(v.ring != ring for v in values):
+            raise ValueError("incompatible rings among substitution values")
+        super().__init__({(0,) * len(values): ring.one()})
+        self.values = tuple(values)
+
+    def substitute(self, p: Polynomial) -> Polynomial:
+        """p at the values: the sum of c * v^e over the terms c * x^e of p."""
+        return _tabled_sum(self.values[0].ring, [(1, p, self, self.power)])
+
+    def power(self, exps: Exponents) -> Polynomial:
+        """v^exps, with every missing entry below it made and kept."""
+        missing = []
+        found = self.get(exps)
+        while found is None:
+            i = max(j for j, e in enumerate(exps) if e)
+            missing.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            found = self.get(exps)
+        for exps, i in reversed(missing):
+            v = self.values[i]
+            found = self[exps] = combination(v.ring, ((1, found, v),))
+        return found
+
+
 def _tabled_sum(ring: PolyRing, items) -> Polynomial:
-    """The sum of ``sign * L(p)`` over the (sign, p, table, fill) items, L
-    linear into ``ring``: ``table`` holds L(x^e) by exponents e, and
-    ``fill(e)`` makes an entry when e is first met."""
+    """The sum of ``factor * L(p)`` over the (factor, p, table, fill)
+    items, L linear into ``ring`` and ``factor`` an int or ``Fraction``:
+    ``table`` holds L(x^e) by exponents e, and ``fill(e)`` makes an entry
+    when e is first met."""
     pieces = []
-    for sign, p, table, fill in items:
+    for factor, p, table, fill in items:
+        k, den = factor.numerator, factor.denominator * p._den
         for exps, n in p._num.items():
             image = table.get(exps)
             if image is None:
                 image = table[exps] = fill(exps)
-            pieces.append((image._num.items(), image._den * p._den, sign * n))
+            pieces.append((image._num.items(), image._den * den, k * n))
     return _sum_pieces(ring, pieces)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Polynomial, PolyRing, combination, json_integer, mono_degree, parse_polynomial
+from .algebra import Polynomial, PolyRing, PowerTable, combination, json_integer, mono_degree, parse_polynomial
 from .group_action import (
     FormOrPoly,
     LieAlgebraAction,
@@ -169,16 +169,16 @@ def pullback(phi: Sequence[Polynomial], omega: FormOrPoly) -> FormOrPoly:
     """
     if not phi:
         raise ValueError("empty map")
-    source_ring = phi[0].ring
-    if isinstance(omega, Polynomial):
-        if len(phi) != omega.ring.nvars:
-            raise ValueError("component count must equal the target dimension")
-        return omega.substitute(list(phi))
     if len(phi) != omega.ring.nvars:
         raise ValueError("component count must equal the target dimension")
+    if isinstance(omega, Polynomial):
+        return omega.substitute(list(phi))
+    source_ring = phi[0].ring
+    # one power table of phi serves every coefficient of the form
+    powers = PowerTable(phi)
     total: FormOrPoly | None = None
     for indices, coeff in omega.terms.items():
-        piece: FormOrPoly = coeff.substitute(list(phi))
+        piece: FormOrPoly = powers.substitute(coeff)
         for i in indices:
             piece = wedge(piece, d(phi[i]))
         total = piece if total is None else total + piece

@@ -3,8 +3,10 @@
 The ambient objects live over a fixed polynomial ring in x1..xn.  A group
 element g acts on a function by (g.p)(x) = p(g^-1 x), on a vector field by
 pushforward, and on a differential form by pullback along g^-1; all three are
-left actions and agree on degree zero.  A Reynolds (averaging) operator and
-the infinitesimal fields of a linear Lie algebra action round out the module.
+left actions and agree on degree zero.  All three read the powers
+(g^-1 x)^e from the :class:`.algebra.PowerTable` of x -> g^-1 x, kept per
+element and ring.  A Reynolds (averaging) operator and the infinitesimal
+fields of a linear Lie algebra action round out the module.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .algebra import Exponents, Piece, PolyRing, Polynomial, _sum_pieces, combination
+from .algebra import PolyRing, Polynomial, PowerTable, _tabled_sum, combination
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Image = tuple[tuple[tuple[Exponents, int], ...], int]  # numerators, denominator
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +111,14 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, "_MonomialImages"]]:
-        """g -> (g^-1, the monomial images under x -> g^-1 x over ``ring``)
-        for every element (the generators among them), in element order;
-        built once per instance and ring, the images filled as they are
+    def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, PowerTable]]:
+        """g -> (g^-1, the power table of x -> g^-1 x over ``ring``) for
+        every element (the generators among them), in element order; built
+        once per instance and ring, each table filled as its monomials are
         met."""
         moves = self._moves_by_ring.get(ring)
         if moves is None:
-            moves = {}
-            for g in self.elements:
-                inv = mat_inverse(g)
-                moves[g] = (inv, _MonomialImages(inv, ring))
-            self._moves_by_ring[ring] = moves
+            moves = self._moves_by_ring[ring] = {g: _move(g, ring) for g in self.elements}
         return moves
 
 
@@ -405,105 +402,52 @@ def _linear_substitution(m: Matrix, ring: PolyRing) -> list[Polynomial]:
     n = ring.nvars
     if len(m) != n:
         raise ValueError("dimension mismatch between matrix and ring")
-    images = []
-    for i in range(n):
-        p = ring.zero()
-        for j in range(n):
-            if m[i][j]:
-                p = p + ring.variable(j).scale(m[i][j])
-        images.append(p)
-    return images
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [Polynomial(ring, dict(zip(units, row))) for row in m]
 
 
-class _MonomialImages:
-    """The linear substitution x -> m.x over a ring as a table from an
-    exponent tuple e to (m.x)^e.  An entry is built from the entry for
-    e - e_i times the i-th linear form, once, when first met, and kept as a
-    tuple of (exponents, numerator) pairs with their denominator, in lowest
-    terms: smaller than a dict, and the table lives as long as its group."""
-
-    __slots__ = ("ring", "linear", "images")
-
-    def __init__(self, m: Matrix, ring: PolyRing):
-        self.ring = ring
-        # the i-th linear form as (j, numerator of m[i][j]) over its
-        # nonzero terms, with the form's denominator
-        self.linear = [
-            ([(e.index(1), n) for e, n in p._num.items()], p._den)
-            for p in _linear_substitution(m, ring)
-        ]
-        one = (0,) * ring.nvars
-        self.images: dict[Exponents, Image] = {one: (((one, 1),), 1)}
-
-    def image(self, exps: Exponents) -> Image:
-        images = self.images
-        found = images.get(exps)
-        missing = []
-        while found is None:
-            i = max(j for j, k in enumerate(exps) if k)
-            missing.append((exps, i))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            found = images.get(exps)
-        for exps, i in reversed(missing):
-            numerators, den = found
-            linear, linear_den = self.linear[i]
-            product: dict[Exponents, int] = {}
-            for f, v in numerators:
-                for j, c in linear:
-                    e = f[:j] + (f[j] + 1,) + f[j + 1 :]
-                    product[e] = product.get(e, 0) + v * c
-            p = Polynomial._make(
-                self.ring, {e: v for e, v in product.items() if v}, den * linear_den
-            )
-            images[exps] = found = (tuple(p._num.items()), p._den)
-        return found
-
-    def accumulate(self, out: list[Piece], p: Polynomial, factor: Fraction):
-        """Append the pieces of factor * p(m.x) to ``out``; p(m.x) is the
-        polynomial ``p.substitute`` gives for the linear forms of m."""
-        den = p._den * factor.denominator
-        for exps, n in p._num.items():
-            numerators, image_den = self.image(exps)
-            out.append((numerators, den * image_den, n * factor.numerator))
+def _move(g: Matrix, ring: PolyRing) -> tuple[Matrix, PowerTable]:
+    inv = mat_inverse(g)
+    return inv, PowerTable(_linear_substitution(inv, ring))
 
 
 def _act_sum(moves, obj):
-    """The sum of g . obj over the (g, (g^-1, monomial images under
-    x -> g^-1 x)) pairs in ``moves``, for a polynomial, field or form over
-    the images' ring, accumulated term by term."""
+    """The sum of g . obj over the (g, (g^-1, power table of x -> g^-1 x))
+    pairs in ``moves``, for a polynomial, field or form over the tables'
+    ring: one :func:`.algebra._tabled_sum` per polynomial of the result,
+    whose items carry the coefficients g[i][j] of a field and the minors of
+    g^-1 of a form."""
     ring = obj.ring
     if isinstance(obj, Polynomial):
-        out: list[Piece] = []
-        for _, (_, images) in moves:
-            images.accumulate(out, obj, Fraction(1))
-        return _sum_pieces(ring, out)
+        return _tabled_sum(ring, [(1, obj, table, table.power) for _, (_, table) in moves])
     n = ring.nvars
     if isinstance(obj, PolyVectorField):
         # (g.X)_i = sum_j g[i][j] X_j(g^-1 x)
-        outs: list[list[Piece]] = [[] for _ in range(n)]
-        for g, (_, images) in moves:
-            for j, c in enumerate(obj.components):
-                for i in range(n):
-                    if g[i][j]:
-                        images.accumulate(outs[i], c, g[i][j])
-        return PolyVectorField(ring, [_sum_pieces(ring, out) for out in outs])
+        return PolyVectorField(ring, [
+            _tabled_sum(ring, [
+                (g[i][j], c, table, table.power)
+                for g, (_, table) in moves
+                for j, c in enumerate(obj.components)
+                if g[i][j]
+            ])
+            for i in range(n)
+        ])
     k = obj.degree
-    forms: dict[tuple[int, ...], list[Piece]] = {}
-    for _, (inv, images) in moves:
+    forms: dict[tuple[int, ...], list] = {}
+    for _, (inv, table) in moves:
         for indices, coeff in obj.terms.items():
             # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index
             # tuple expands through minors of inv
             for target in combinations(range(n), k):
                 det = _minor_det(inv, indices, target)
                 if det:
-                    images.accumulate(forms.setdefault(target, []), coeff, det)
-    return PolyDiffForm(ring, k, {t: _sum_pieces(ring, out) for t, out in forms.items()})
+                    forms.setdefault(target, []).append((det, coeff, table, table.power))
+    return PolyDiffForm(ring, k, {t: _tabled_sum(ring, items) for t, items in forms.items()})
 
 
 def _act_by(g, obj):
     g = matrix_from_rows(g)
-    inv = mat_inverse(g)
-    return _act_sum([(g, (inv, _MonomialImages(inv, obj.ring)))], obj)
+    return _act_sum([(g, _move(g, obj.ring))], obj)
 
 
 def act_poly(g, p: Polynomial) -> Polynomial:

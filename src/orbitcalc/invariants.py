@@ -41,6 +41,7 @@ from .algebra import (
     BlockOrder,
     PolyRing,
     Polynomial,
+    PowerTable,
     _tabled_sum,
     embed,
     make_primitive,
@@ -122,7 +123,7 @@ class HilbertMap:
         # filled as subduction meets them
         self._monomial_forms: dict = {}
         # sigma^e by exponent tuple e, filled as substitution meets them
-        self._powers: dict = {(0,) * len(sigma): ring.one()}
+        self._powers = PowerTable(sigma)
         self._relations: RelationIdeal | None = None
 
     @staticmethod
@@ -149,20 +150,10 @@ class HilbertMap:
 
     def substitute_into(self, q: Polynomial) -> Polynomial:
         """Evaluate a y-polynomial on the generators: q(sigma_1, ..., sigma_l),
-        summed as c * sigma^e over q's terms from the map's table of powers."""
+        summed as c * sigma^e over q's terms from the map's power table."""
         if q.ring != self.orbit_ring:
             raise ValueError("argument must live in the orbit ring")
-        return _tabled_sum(self.ring, [(1, q, self._powers, self._power)])
-
-    def _power(self, exps) -> Polynomial:
-        """The table entry sigma^exps, made as sigma^(exps - e_i) * sigma_i
-        for the first nonzero exponent i, lower entries first."""
-        power = self._powers.get(exps)
-        if power is None:
-            i = next(i for i, e in enumerate(exps) if e)
-            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            power = self._powers[exps] = self._power(lower) * self.sigma[i]
-        return power
+        return self._powers.substitute(q)
 
     def __len__(self):
         return len(self.sigma)

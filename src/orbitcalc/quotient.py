@@ -30,7 +30,8 @@ products is one :func:`.algebra.combination`.  Objects of different
 spaces do not mix.  The syzygy check and the derivative terms of
 :func:`orbit_d` are linear, so they sum NF(z_i * y^e) and NF(Y_i(y^e))
 from monomial tables kept per space (:meth:`OrbitSpace._tabled`), as
-q(sigma) sums sigma^e from a table kept per Hilbert map.
+q(sigma) sums sigma^e from the Hilbert map's :class:`.algebra.PowerTable`,
+the one table of powers that every substitution reads.
 
 The membership problems depend only on the space, so each is built once
 per :class:`OrbitSpace` and its module basis serves every later call: the

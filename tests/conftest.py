@@ -152,6 +152,48 @@ def reference_divide(p, divisors, order):
 
 
 # ---------------------------------------------------------------------------
+# the Fraction-dict oracle: polynomials as dicts of Fraction coefficients by
+# exponents, multiplied and substituted term by term, with no table
+# ---------------------------------------------------------------------------
+
+def o_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        new = out.get(e, 0) + sign * c
+        if new:
+            out[e] = new
+        else:
+            out.pop(e, None)
+    return out
+
+
+def o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = o_combine(out, {tuple(map(sum, zip(e1, e2))): c1 * c2}, 1)
+    return out
+
+
+def o_substitute(a, values, nvars):
+    """a at the value dicts, each a polynomial in ``nvars`` variables."""
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for v, k in zip(values, e):
+            for _ in range(k):
+                term = o_mul(term, v)
+        out = o_combine(out, term, 1)
+    return out
+
+
+def reference_substitute(p, values):
+    """``p.substitute(values)`` through the Fraction-dict oracle."""
+    ring = values[0].ring
+    return Polynomial(ring, o_substitute(p.terms, [v.terms for v in values], ring.nvars))
+
+
+# ---------------------------------------------------------------------------
 # linear-algebra views of polynomials (independent membership oracles)
 # ---------------------------------------------------------------------------
 

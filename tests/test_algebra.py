@@ -66,6 +66,44 @@ def test_substitute_arity_mismatch():
         y("y1").substitute([x("x1")])
 
 
+def test_powers_match_repeated_products():
+    rng = random.Random(19)
+    for _ in range(10):
+        p = random_poly(rng, AMBIENT, 2, 3)
+        product = AMBIENT.one()
+        for n in range(6):
+            assert p**n == product
+            product = product * p
+    # a high power of one value and a substitution of it run without
+    # recursion and agree with the product of powers
+    assert x("x1") ** 1500 == AMBIENT.monomial((1500, 0))
+    assert y("y1^1500").substitute(SIGMA) == x("x1^2") ** 1500
+    for bad in (-1, 1.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            x("x1") ** bad
+
+
+def test_substitute_rejects_values_of_two_rings():
+    with pytest.raises(ValueError, match="incompatible rings"):
+        y("y1 + y2").substitute([x("x1"), x("x2"), R3.variable(0)])
+
+
+def test_mul_monomial_rejects_an_exponent_tuple_of_the_wrong_length():
+    p = x("x1 + x2")
+    assert p.mul_monomial((1, 0)) == x("x1^2 + x1*x2")
+    for exps in [(1,), (1, 0, 0), ()]:
+        with pytest.raises(ValueError, match="exponents for 2 variables"):
+            p.mul_monomial(exps)
+
+
+def test_coefficient_rejects_an_exponent_tuple_of_the_wrong_length():
+    p = x("3*x1 + x2")
+    assert p.coefficient((1, 0)) == 3 and p.coefficient([0, 1]) == 1 and p.coefficient((2, 0)) == 0
+    for exps in [(1,), (1, 0, 0), ()]:
+        with pytest.raises(ValueError, match="exponents for 2 variables"):
+            p.coefficient(exps)
+
+
 def test_partial_derivative_examples():
     assert x("x1^2").partial_derivative(0) == x("2*x1")
     assert x("x1*x2").partial_derivative(1) == x("x1")

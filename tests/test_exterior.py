@@ -10,8 +10,10 @@ from conftest import (
     random_form,
     random_poly,
     random_vf,
+    reference_substitute,
     suite_homotopy,
 )
+from orbitcalc import exterior
 from orbitcalc.algebra import Polynomial, PolyRing, parse_polynomial
 from orbitcalc.exterior import (
     NotClosedError,
@@ -210,6 +212,37 @@ def test_pullback_rejects_bad_maps():
         pullback([], ANGULAR)
     with pytest.raises(ValueError, match="target dimension"):
         pullback([x("x1")], ANGULAR)
+    with pytest.raises(ValueError, match="target dimension"):
+        pullback([x("x1")], x("x1*x2"))
+    with pytest.raises(ValueError, match="incompatible rings"):
+        pullback([x("x1"), PolyRing.ambient(3).variable(0)], ANGULAR)
+
+
+def test_pullback_of_a_form_reads_one_power_table(monkeypatch):
+    # every coefficient is substituted through one table of powers of phi,
+    # and the result matches the Fraction-dict substitution oracle
+    rng = random.Random(107)
+    made = []
+
+    class CountingTable(exterior.PowerTable):
+        def __init__(self, values):
+            made.append(values)
+            super().__init__(values)
+
+    monkeypatch.setattr(exterior, "PowerTable", CountingTable)
+    monkeypatch.setattr(Polynomial, "substitute", None)
+    for degree in (1, 2):
+        phi = [random_poly(rng, RING, max_degree=2) for _ in range(2)]
+        omega = random_form(rng, RING, degree, max_degree=3, max_terms=3)
+        expected = PolyDiffForm.zero(RING, degree)
+        for indices, coeff in omega.terms.items():
+            piece = reference_substitute(coeff, phi)
+            for i in indices:
+                piece = wedge(piece, d(phi[i]))
+            expected = expected + piece
+        made.clear()
+        assert pullback(phi, omega) == expected
+        assert len(made) == 1
 
 
 def test_pullback_commutes_with_d_and_wedge():

@@ -12,6 +12,7 @@ from conftest import (
     random_form,
     random_poly,
     random_vf,
+    reference_substitute,
     suite_action_laws,
 )
 from orbitcalc.algebra import PolyRing, Polynomial, parse_polynomial
@@ -221,8 +222,8 @@ TABLED_GROUPS = {
 
 
 def direct_act(g, obj):
-    """g . obj through Polynomial.substitute and, for a form, the wedge of
-    the differentials d(g^-1 x)_i: no monomial image table."""
+    """g . obj through the Fraction-dict substitution oracle and, for a
+    form, the wedge of the differentials d(g^-1 x)_i: no power table."""
     inv = mat_inverse(g)
     ring = obj.ring
     n = ring.nvars
@@ -231,16 +232,16 @@ def direct_act(g, obj):
         for i in range(n)
     ]
     if isinstance(obj, Polynomial):
-        return obj.substitute(subs)
+        return reference_substitute(obj, subs)
     if isinstance(obj, PolyVectorField):
-        moved = [c.substitute(subs) for c in obj.components]
+        moved = [reference_substitute(c, subs) for c in obj.components]
         return PolyVectorField(
             ring,
             [sum((moved[j].scale(g[i][j]) for j in range(n)), ring.zero()) for i in range(n)],
         )
     total = PolyDiffForm.zero(ring, obj.degree)
     for indices, coeff in obj.terms.items():
-        piece = coeff.substitute(subs)
+        piece = reference_substitute(coeff, subs)
         for i in indices:
             piece = wedge(piece, d(subs[i]))
         total = total + piece
@@ -291,9 +292,9 @@ def test_monomial_tables_belong_to_their_group():
     assert first == second
     reynolds(x("x1^3*x2 - 2*x2^2"), first)
     assert not second._moves_by_ring
-    filled = {g: dict(images.images) for g, (_, images) in first._moves(RING).items()}
+    filled = {g: dict(table) for g, (_, table) in first._moves(RING).items()}
     reynolds(x("x1^5 + x1*x2^4"), second)
     reynolds(field("x1^2*x2", "x2^3"), second)
-    assert {g: dict(images.images) for g, (_, images) in first._moves(RING).items()} == filled
-    tables = {id(images) for _, images in first._moves(RING).values()}
-    assert tables.isdisjoint(id(images) for _, images in second._moves(RING).values())
+    assert {g: dict(table) for g, (_, table) in first._moves(RING).items()} == filled
+    tables = {id(table) for _, table in first._moves(RING).values()}
+    assert tables.isdisjoint(id(table) for _, table in second._moves(RING).values())

@@ -16,6 +16,7 @@ from conftest import (
     monomials_up_to,
     random_homogeneous,
     random_poly,
+    reference_substitute,
 )
 from orbitcalc import groebner, invariants, linalg
 from orbitcalc.algebra import (
@@ -515,7 +516,7 @@ def test_substitute_into_matches_polynomial_substitution(rung):
     rng = random.Random(f"substitute-{rung}")
     for _ in range(25):
         q = random_poly(rng, hmap.orbit_ring, 4, 5)
-        assert hmap.substitute_into(q) == q.substitute(list(hmap.sigma))
+        assert hmap.substitute_into(q) == reference_substitute(q, hmap.sigma)
     assert hmap.substitute_into(hmap.orbit_ring.zero()).is_zero()
     with pytest.raises(ValueError, match="orbit ring"):
         hmap.substitute_into(x("x1"))
@@ -531,7 +532,7 @@ def test_hilbert_maps_with_equal_generators_keep_their_own_power_tables():
     assert twin.sigma == z2.sigma and twin._powers is not z2._powers
     q = parse_polynomial("y1^3*y2 - 2*y2*y3^2 + y1 + 3", z2.orbit_ring)
     for hmap in (z4, z2):
-        assert hmap.substitute_into(q) == q.substitute(list(hmap.sigma))
+        assert hmap.substitute_into(q) == reference_substitute(q, hmap.sigma)
     snapshot = dict(twin._powers)
     assert twin.substitute_into(q) == z2.substitute_into(q)
     assert set(twin._powers) > set(snapshot)

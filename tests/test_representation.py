@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_divide
+from conftest import o_combine, o_mul, o_substitute, reference_divide
 from orbitcalc.algebra import GREVLEX, LEX, PolyRing, Polynomial, combination, parse_polynomial
 from orbitcalc.groebner import buchberger, divide
 from orbitcalc.invariants import RelationIdeal
@@ -20,27 +20,8 @@ RELATIONS = RelationIdeal(buchberger([parse_polynomial("y3^2 - y1*y2", ORBIT)]))
 
 
 # ---------------------------------------------------------------------------
-# the Fraction-dict oracle
+# the Fraction-dict oracle (sums, products and substitution in conftest)
 # ---------------------------------------------------------------------------
-
-def o_combine(a, b, sign):
-    out = dict(a)
-    for e, c in b.items():
-        new = out.get(e, 0) + sign * c
-        if new:
-            out[e] = new
-        else:
-            out.pop(e, None)
-    return out
-
-
-def o_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out = o_combine(out, {tuple(map(sum, zip(e1, e2))): c1 * c2}, 1)
-    return out
-
 
 def o_mul_monomial(a, exps, c):
     return {tuple(map(sum, zip(e, exps))): c * v for e, v in a.items()} if c else {}
@@ -48,17 +29,6 @@ def o_mul_monomial(a, exps, c):
 
 def o_derivative(a, i):
     return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in a.items() if e[i]}
-
-
-def o_substitute(a, values):
-    out = {}
-    for e, c in a.items():
-        term = {(0,) * len(e): c}
-        for v, k in zip(values, e):
-            for _ in range(k):
-                term = o_mul(term, v)
-        out = o_combine(out, term, 1)
-    return out
 
 
 def o_str(terms, ring):
@@ -140,7 +110,7 @@ def step(rng, p, oracle):
         return p.partial_derivative(i), o_derivative(oracle, i)
     if op == "substitute":
         values = [random_terms(rng, ring, 1, 2) for _ in range(ring.nvars)]
-        return p.substitute([Polynomial(ring, v) for v in values]), o_substitute(oracle, values)
+        return p.substitute([Polynomial(ring, v) for v in values]), o_substitute(oracle, values, ring.nvars)
     if op == "divide":
         order = rng.choice([GREVLEX, LEX])
         divisors = [Polynomial(ring, random_divisor_terms(rng, ring)) for _ in range(rng.randint(1, 3))]
