@@ -604,12 +604,21 @@ class SubmoduleProblem:
     modulo the ideal.  The tracked module basis is built by the first
     :func:`module_solve` or syzygy computation on the problem and reused by
     every later one.
+
+    Division by the basis is Q-linear, so a solve may sum the divisions of
+    its target's terms: ``_tables[i]`` maps exponents e to the division of
+    y^e at position i, its module normal form and its coefficients on the
+    columns.  A term met for the first time is only marked, and the new
+    terms of a solve are divided together; a term gets its entry when it is
+    met again, so a problem solved once fills none.  Like ``_basis``, the
+    tables take no part in equality or hashing.
     """
 
     ambient_rank: int
     columns: tuple[tuple[Polynomial, ...], ...]
     ideal: GroebnerBasis
     _basis: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _tables: tuple[dict, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_rank < 1:
@@ -617,6 +626,7 @@ class SubmoduleProblem:
         for col in self.columns:
             if len(col) != self.ambient_rank:
                 raise ValueError("column length differs from ambient rank")
+        object.__setattr__(self, "_tables", tuple({} for _ in range(self.ambient_rank)))
 
 
 @dataclass(frozen=True)
@@ -676,19 +686,64 @@ def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> lis
     ]
 
 
+# the table mark of a term met once; its entry is made on the next meeting
+_MET = object()
+
+
+def _scaled_sum(ring: PolyRing, scaled) -> list[Polynomial]:
+    """The sum of ``n * v / den`` over the (v, den, n) items, v vectors of
+    one length."""
+    return [
+        _sum_pieces(ring, [(v[j]._num.items(), v[j]._den * den, n) for v, den, n in scaled])
+        for j in range(len(scaled[0][0]))
+    ]
+
+
 def _module_remainder(
     target: Sequence[Polynomial],
     problem: SubmoduleProblem,
     cancel: CancelCheck | None = None,
-) -> tuple[Vector, list[Polynomial]]:
+) -> tuple[Vector, list[Polynomial] | None]:
     """Division of ``target`` by the problem's module basis and ideal: the
-    module normal form, zero exactly for members, and the quotients on the
-    basis elements."""
+    module normal form, zero exactly for members, and for a member the
+    coefficients its quotients put on the columns (None otherwise).
+
+    The division of a term with an entry in the problem's tables is read
+    from it, and the terms met for the first time are divided together;
+    an entry is made, polling ``cancel``, when its term is met again."""
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
     ring, tracked = _module_basis(problem, cancel)
     _check_ring(ring, target)
-    return _divide_vector(tuple(target), tracked, _Divisors(tracked), problem.ideal.order)
+    divisors, order, zero = _Divisors(tracked), problem.ideal.order, ring.zero()
+    fresh: list[Polynomial] = []
+    read: list[tuple[Vector, list[Polynomial], int, int]] = []
+    for i, (p, table) in enumerate(zip(target, problem._tables)):
+        new = {}
+        for exps, n in p._num.items():
+            entry = table.get(exps)
+            if entry is None:
+                table[exps] = _MET
+                new[exps] = n
+                continue
+            if entry is _MET:
+                _poll(cancel)
+                unit = tuple(Polynomial._make(ring, {exps: 1}, 1) if j == i else zero for j in range(len(target)))
+                remainder, quotients = _divide_vector(unit, tracked, divisors, order)
+                entry = table[exps] = (remainder, _over_columns(quotients, problem))
+            read.append((*entry, p._den, n))
+        fresh.append(p if len(new) == len(p._num) else Polynomial._make(ring, new, p._den))
+    remainder, quotients = tuple(fresh), [zero] * len(tracked)
+    if not _is_zero_vector(remainder):
+        remainder, quotients = _divide_vector(remainder, tracked, divisors, order)
+    if read:
+        remainder = tuple(_scaled_sum(ring, [(remainder, 1, 1)] + [(nf, den, n) for nf, _, den, n in read]))
+    if not _is_zero_vector(remainder):
+        return remainder, None
+    witness = _over_columns(quotients, problem)
+    if read:
+        witness = _scaled_sum(ring, [(witness, 1, 1)] + [(w, den, n) for _, w, den, n in read])
+    return remainder, witness
 
 
 def module_solve(
@@ -700,12 +755,13 @@ def module_solve(
 
     On success the witness lists one coefficient polynomial per column and is
     verified by substitution before being returned; on failure the nonzero
-    module normal form is the certificate.
+    module normal form is the certificate.  Both are sums of the problem's
+    table entries over the target's terms where it has them
+    (:class:`SubmoduleProblem`), equal to those of one division.
     """
-    remainder, quotients = _module_remainder(target, problem, cancel)
-    if not _is_zero_vector(remainder):
+    remainder, witness = _module_remainder(target, problem, cancel)
+    if witness is None:
         return ModuleMembership(member=False, certificate=remainder)
-    witness = _over_columns(quotients, problem)
     _verify_combination(problem, witness, target, "module witness")
     return ModuleMembership(member=True, witness=tuple(witness))
 

@@ -51,8 +51,10 @@ from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
     _buchberger_tracked,
+    _Divisors,
+    _divide_vector,
     _elimination_part,
-    _module_remainder,
+    _module_basis,
     _position_leads,
     module_solve,
     normal_form,
@@ -533,6 +535,11 @@ def equivariant_generators(
     certificate = None
     for degree in range(0, bound + 1):
         rows: dict = {}
+        if span is not None:
+            # the search reads remainders only, so it divides by the span's
+            # module basis directly: no table marks, no column coefficients
+            tracked = _module_basis(span, None)[1]
+            divisors = _Divisors(tracked)
         for mono in _monomials_of_degree(ring, degree):
             for i in range(ring.nvars):
                 components = [ring.zero()] * ring.nvars
@@ -542,7 +549,11 @@ def equivariant_generators(
                     continue
                 column = _push_field(candidate, hmap)
                 # with no lower-degree fields a pushforward is its own normal form
-                normal = column if span is None else _module_remainder(column, span)[0]
+                normal = (
+                    column
+                    if span is None
+                    else _divide_vector(column, tracked, divisors, span.ideal.order, False)[0]
+                )
                 den = math.lcm(*(q._den for q in normal))
                 vector = {
                     (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()

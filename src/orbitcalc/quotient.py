@@ -27,17 +27,21 @@ generators use ``_linear``, as function arithmetic uses
 ``OrbitFunction._normal``.  Form tables are normalised as ambient ones
 are, by :func:`.group_action.alternating_table`, and every sum of
 products is one :func:`.algebra.combination`.  Objects of different
-spaces do not mix.  The syzygy check and the derivative terms of
-:func:`orbit_d` are linear, so they sum NF(z_i * y^e) and NF(Y_i(y^e))
-from monomial tables kept per space (:meth:`OrbitSpace._tabled`), as
-q(sigma) sums sigma^e from the Hilbert map's :class:`.algebra.PowerTable`,
-the one table of powers that every substitution reads.
+spaces do not mix; fields and forms add only their own kind and multiply
+only by functions, polynomials and rationals.  The syzygy check and the
+derivative terms of :func:`orbit_d` are linear, so they sum NF(z_i * y^e)
+and NF(Y_i(y^e)) from monomial tables kept per space
+(:meth:`OrbitSpace._tabled`), as q(sigma) sums sigma^e from the Hilbert
+map's :class:`.algebra.PowerTable`, the one table of powers that every
+substitution reads.  The syzygy check walks the stored values once.
 
 The membership problems depend only on the space, so each is built once
 per :class:`OrbitSpace` and its module basis serves every later call: the
 pushed generators (lifts, brackets, syzygies), the columns of
 :func:`extend_check`, and the k-minors of :func:`pull_form`, one problem
-per form degree.  Every witness is still verified.
+per form degree.  A solve reads the division of each target term from the
+problem's tables, filled when a term is met the second time
+(:class:`.groebner.SubmoduleProblem`).  Every witness is still verified.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ class OrbitSpace:
         self._extension: SubmoduleProblem | None = None
         self._pulls: dict[int, tuple] = {}
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
+        self._syzygy_index: list[list[int]] | None = None
         self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
         # monomial tables of the linear maps of :meth:`_tabled`, by key
         self._tables: dict = {}
@@ -213,6 +218,15 @@ class OrbitSpace:
             }
         return self._brackets
 
+    def _syzygies_at(self, i: int) -> list[int]:
+        """The indices s of the generator syzygies z with z_i nonzero."""
+        if self._syzygy_index is None:
+            self._syzygy_index = [
+                [s for s, syz in enumerate(self.generator_syzygies) if syz[j]]
+                for j in range(len(self.module))
+            ]
+        return self._syzygy_index[i]
+
     def _tabled(self, items) -> Polynomial:
         """NF(sum sign * L(rep)) over the (sign, rep, key) items, L(f) being
         z_i * f for key ("syzygy", s, i), z the s-th generator syzygy, and
@@ -305,6 +319,10 @@ class OrbitFunction:
         return f"OrbitFunction({self.rep})"
 
 
+# what fields and forms may be multiplied by; anything else is a TypeError
+_FACTORS = (OrbitFunction, Polynomial, int, Fraction)
+
+
 def _rep(obj, space: OrbitSpace) -> Polynomial:
     """The representative of a class of ``space``, or a bare polynomial."""
     if isinstance(obj, OrbitFunction):
@@ -357,11 +375,15 @@ class OrbitVectorField:
         return all(c.is_zero() for c in self.components)
 
     def __add__(self, other):
+        if not isinstance(other, OrbitVectorField):
+            return NotImplemented
         return OrbitVectorField._linear(
             self.space, [a + b for a, b in zip(self.components, other.components)]
         )
 
     def __sub__(self, other):
+        if not isinstance(other, OrbitVectorField):
+            return NotImplemented
         return OrbitVectorField._linear(
             self.space, [a - b for a, b in zip(self.components, other.components)]
         )
@@ -370,6 +392,8 @@ class OrbitVectorField:
         return OrbitVectorField._linear(self.space, [-c for c in self.components])
 
     def __mul__(self, factor):
+        if not isinstance(factor, _FACTORS):
+            return NotImplemented
         return OrbitVectorField._linear(self.space, [c * factor for c in self.components])
 
     __rmul__ = __mul__
@@ -418,12 +442,19 @@ class OrbitForm:
             (ix, v if isinstance(v, OrbitFunction) else space.function(v)) for ix, v in items
         ])
         # sum of z_i * value(i, rest) over each syzygy z must vanish modulo
-        # the ideal for every (k-1)-tuple: linearity over the function ring
-        for s, syz in enumerate(space.generator_syzygies):
-            for rest in combinations(range(len(space.module)), degree - 1):
-                items = [(*self._signed((i,) + rest), ("syzygy", s, i)) for i, z in enumerate(syz) if z]
-                if not space._tabled(items).is_zero():
-                    raise ValueError("values are not compatible with the generator syzygies")
+        # the ideal for every (k-1)-tuple: linearity over the function ring.
+        # One walk over the values: the value v at J, at position p, adds
+        # (-1)^p * z_{J[p]} * v to the sum of (z, J - J[p]); sums that
+        # receive nothing are zero.
+        sums: dict[tuple, list] = {}
+        for J, v in self.values.items():
+            for p, i in enumerate(J):
+                rest = J[:p] + J[p + 1 :]
+                for s in space._syzygies_at(i):
+                    sums.setdefault((s, rest), []).append(((-1) ** p, v.rep, ("syzygy", s, i)))
+        for items in sums.values():
+            if not space._tabled(items).is_zero():
+                raise ValueError("values are not compatible with the generator syzygies")
 
     def _fill(self, space: OrbitSpace, degree: int, items):
         self.space = space
@@ -455,6 +486,8 @@ class OrbitForm:
         return not self.values
 
     def __add__(self, other):
+        if not isinstance(other, OrbitForm):
+            return NotImplemented
         if self.degree != other.degree or self.space is not other.space:
             raise ValueError("can only add orbit forms of one degree and space")
         return OrbitForm._linear(
@@ -467,9 +500,13 @@ class OrbitForm:
         )
 
     def __sub__(self, other):
+        if not isinstance(other, OrbitForm):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, factor):
+        if not isinstance(factor, _FACTORS):
+            return NotImplemented
         return OrbitForm._linear(
             self.space, self.degree, [(ix, v * factor) for ix, v in self.values.items()]
         )

@@ -3,8 +3,10 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -576,6 +578,40 @@ def test_second_orbit_d_reads_the_derivative_tables(calculus_space, monkeypatch)
     assert calls == []
 
 
+def failing_sums(space, degree, items) -> list[tuple]:
+    """The (syzygy index, rest) pairs whose sum z_i * value(i, rest) is
+    outside the ideal, computed directly."""
+    theta = OrbitForm._linear(space, degree, [(ix, space.function(v)) for ix, v in items])
+    failing = []
+    for s, syz in enumerate(space.generator_syzygies):
+        for rest in itertools.combinations(range(len(space.module)), degree - 1):
+            products = [(1, z, theta.value((i,) + rest).rep) for i, z in enumerate(syz) if z]
+            if not space.ideal.is_member(combination(space.orbit_ring, products)):
+                failing.append((s, rest))
+    return failing
+
+
+def test_a_form_failing_one_syzygy_sum_is_rejected(calculus_space):
+    # The generator syzygies of these spaces are linked by second
+    # syzygies, so no table fails just one of their sums.  A space that
+    # knows one generator syzygy z makes a table with one nonzero value
+    # fail one sum: the 1-form at (i,) with z_i nonzero, and the 2-form at
+    # (i, j) with exactly one of z_i, z_j nonzero.
+    for syz in calculus_space.generator_syzygies:
+        space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+        space._syzygies = [syz]
+        one, m = space.orbit_ring.one(), len(space.module)
+        tables = [(1, [((i,), one)]) for i in range(m) if syz[i]]
+        tables += [
+            (2, [((i, j), one)]) for i, j in itertools.combinations(range(m), 2) if bool(syz[i]) != bool(syz[j])
+        ]
+        assert {degree for degree, _ in tables} == {1, 2}
+        for degree, items in tables:
+            assert len(failing_sums(space, degree, items)) == 1
+            with pytest.raises(ValueError, match="not compatible with the generator syzygies"):
+                OrbitForm(space, degree, items)
+
+
 def test_push_form_and_orbit_d_values_are_normal_forms(calculus_space, golden_forms):
     space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
     forms = pushed_one_forms(space, seed=26)
@@ -690,6 +726,146 @@ def test_one_module_basis_per_extension_and_pull_degree(golden_forms, count_modu
 
 
 # ---------------------------------------------------------------------------
+# tabled module solves
+# ---------------------------------------------------------------------------
+
+def kept_problems(space) -> dict:
+    """The membership problems a space keeps: the generator span, the
+    extension problem and the pull problems of 1- and 2-forms."""
+    return {
+        "span": space._generator_span,
+        "extension": space._extension_problem,
+        "pull1": space._pull_problem(1)[2],
+        "pull2": space._pull_problem(2)[2],
+    }
+
+
+def one_division(target, problem):
+    """The module normal form of ``target`` and the coefficients its
+    quotients put on the columns, from one division by the module basis."""
+    _, tracked = groebner._module_basis(problem, None)
+    remainder, quotients = groebner._divide_vector(
+        tuple(target), tracked, groebner._Divisors(tracked), problem.ideal.order
+    )
+    return remainder, groebner._over_columns(quotients, problem)
+
+
+def seeded_targets(problem, rng) -> list[list[Polynomial]]:
+    """Members (random combinations of the columns), random vectors, and
+    sums of both, so supports overlap across targets; one target holds one
+    monomial at every position."""
+    ring, rank = problem.columns[0][0].ring, problem.ambient_rank
+
+    def member():
+        coefficients = [random_poly(rng, ring, 2, 2) for _ in problem.columns]
+        return [
+            combination(ring, [(1, c, col[r]) for c, col in zip(coefficients, problem.columns)])
+            for r in range(rank)
+        ]
+
+    members = [member() for _ in range(3)]
+    others = [[random_poly(rng, ring, 3, 3) for _ in range(rank)] for _ in range(3)]
+    mixed = [[a + b for a, b in zip(x, y)] for x, y in zip(members, members[1:] + others[:1])]
+    mixed.append([a - b for a, b in zip(members[2], others[1])])
+    same = [ring.variables()[0] * ring.variables()[-1] * (r + 1) for r in range(rank)]
+    return members + others + mixed + [same]
+
+
+def table_entries(problem) -> list:
+    return [entry for table in problem._tables for entry in table.values()]
+
+
+def test_tabled_module_solves_equal_one_division(calculus_space):
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    rng = random.Random(31)
+    for name, problem in kept_problems(space).items():
+        targets = seeded_targets(problem, rng)
+        expected = [one_division(target, problem) for target in targets]
+        assert table_entries(problem) == []
+        verdicts = []
+        for _ in range(3):
+            for target, (remainder, witness) in zip(targets, expected):
+                outcome = groebner.module_solve(target, problem)
+                verdicts.append(outcome.member)
+                if outcome.member:
+                    assert all(c.is_zero() for c in remainder)
+                    assert outcome.witness == tuple(witness)
+                else:
+                    assert outcome.certificate == remainder
+        assert True in verdicts and False in verdicts, name
+        assert any(entry is not groebner._MET for entry in table_entries(problem)), name
+
+
+def test_a_problem_solved_once_fills_no_entry(golden_space, monkeypatch):
+    space = OrbitSpace(golden_space.hilbert, golden_space.ideal, golden_space.module)
+    problem = space._generator_span
+    field = space.pushed_generators[0] * space.parse_function("y1 + 2*y3") + space.pushed_generators[3]
+    target = [c.rep for c in field.components]
+    first = groebner.module_solve(target, problem)
+    assert first.member
+    entries = table_entries(problem)
+    assert len(entries) == sum(len(c.terms) for c in target)
+    assert all(entry is groebner._MET for entry in entries)
+    assert groebner.module_solve(target, problem) == first
+    assert all(entry is not groebner._MET for entry in table_entries(problem))
+    divisions = []
+    divide_vector = groebner._divide_vector
+    monkeypatch.setattr(groebner, "_divide_vector", lambda *a, **k: divisions.append(a) or divide_vector(*a, **k))
+    assert groebner.module_solve(target, problem) == first
+    assert divisions == []
+
+
+def test_a_fresh_invariant_combination_fills_no_entry(rotation4, monkeypatch):
+    problems = []
+    solve = invariants.module_solve
+
+    def recording(target, problem, cancel=None):
+        problems.append(problem)
+        return solve(target, problem, cancel)
+
+    monkeypatch.setattr(invariants, "module_solve", recording)
+    hmap = invariant_generators(rotation4)
+    fields = equivariant_generators(rotation4).generators
+    target = hmap.sigma[0] * fields[0] + fields[1]
+    assert invariants.invariant_combination(target, fields, rotation4) is not None
+    assert len(problems) == 1
+    assert table_entries(problems[0])
+    assert all(entry is groebner._MET for entry in table_entries(problems[0]))
+
+
+@pytest.mark.parametrize("operation", ["lift_vf", "extend_check"])
+def test_a_third_identical_solve_divides_only_to_verify(calculus_space, monkeypatch, operation):
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    if operation == "lift_vf":
+        Y = space.pushed_generators
+        field = Y[0] * space.parse_function("y1*y2 - 2*y3 + 1") + Y[1] * space.parse_function("y2")
+        call = partial(lift_vf, field, space)
+    else:
+        theta = orbit_d(space.parse_function("y1*y2 + y3^2")) * space.parse_function("y1 - 1")
+        call = partial(extend_check, theta)
+    first = call()
+    assert call() == first
+    if operation == "extend_check":
+        assert first.extendable
+    divisions, verifying = [], []
+    divide_vector, divide = groebner._divide_vector, groebner.divide
+
+    def recording_divide(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        verifying.append("_verify_combination" in names)
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divide_vector", lambda *a, **k: divisions.append(a) or divide_vector(*a, **k))
+    monkeypatch.setattr(groebner, "divide", recording_divide)
+    assert call() == first
+    assert divisions == []
+    assert verifying and all(verifying)
+
+
+# ---------------------------------------------------------------------------
 # validation of intrinsic objects
 # ---------------------------------------------------------------------------
 
@@ -778,6 +954,30 @@ def test_arithmetic_across_orbit_spaces_is_rejected(two_spaces, operation):
     for a, b in ((z2, z4), (z4, z2)):
         with pytest.raises(ValueError, match="different orbit spaces|one degree and space"):
             operation(a, b)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda a: a["Y"] * a["Y"],
+        lambda a: a["theta"] * a["theta"],
+        lambda a: a["theta"] + 1,
+        lambda a: a["theta"] - a["f"],
+        lambda a: a["Y"] - a["theta"],
+        lambda a: a["Y"] + a["f"],
+        lambda a: 1 + a["Y"],
+        lambda a: a["theta"] * a["Y"],
+        lambda a: a["Y"] * 0.5,
+    ],
+    ids=[
+        "field*field", "form*form", "form+int", "form-function", "field-form", "field+function",
+        "int+field", "form*field", "field*float",
+    ],
+)
+def test_orbit_arithmetic_rejects_other_operand_kinds(two_spaces, operation):
+    for a in two_spaces:
+        with pytest.raises(TypeError):
+            operation(a)
 
 
 # ---------------------------------------------------------------------------
