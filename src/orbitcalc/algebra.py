@@ -24,16 +24,19 @@ A ``Fraction`` is made only when a caller reads a coefficient:
 Three monomial orders are provided (graded reverse lexicographic,
 lexicographic, and a two-block elimination order); grevlex with the first
 variable most significant is the default used for canonical printing.
+Exponent arithmetic (:func:`monomial_ops`) and the orders' keys
+(:meth:`MonomialOrder.key_for`) are compiled once per number of variables,
+unrolled over the indices, and every hot loop calls those of its ring.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -48,28 +51,84 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# monomials (bare exponent tuples)
+# monomials (bare exponent tuples): kernels compiled once per arity
 # ---------------------------------------------------------------------------
-
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True if the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(map(le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
 
 def mono_degree(a: Exponents) -> int:
     return sum(a)
+
+
+def _compiled(args: str, body: str) -> Callable:
+    """The function ``lambda args: body``.  Every body passed here is built
+    from integer indices alone, so no outside text is ever compiled."""
+    return eval(f"lambda {args}: {body}", {"__builtins__": {}})
+
+
+def _tuple_source(items: Iterable[str]) -> str:
+    """A tuple display of the item sources; ``()`` for none."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _sum_source(items: Sequence[str]) -> str:
+    """The sum of the item sources, ``0`` for none, nested as a balanced
+    tree so that no arity is too deep for the compiler."""
+    if not items:
+        return "0"
+    while len(items) > 1:
+        items = [
+            f"({items[i]} + {items[i + 1]})" if i + 1 < len(items) else items[i]
+            for i in range(0, len(items), 2)
+        ]
+    return items[0]
+
+
+class MonomialOps(NamedTuple):
+    """The exponent arithmetic of one arity n, each a compiled function of
+    two n-tuples: the product a + b, the quotient a - b, the divisibility
+    test a <= b, the lcm max(a, b) and the colon exponent max(a - b, 0),
+    all componentwise; and the unit tuples, units[i] the exponents of the
+    i-th variable."""
+
+    mul: Callable[[Exponents, Exponents], Exponents]
+    div: Callable[[Exponents, Exponents], Exponents]
+    divides: Callable[[Exponents, Exponents], bool]
+    lcm: Callable[[Exponents, Exponents], Exponents]
+    colon: Callable[[Exponents, Exponents], Exponents]
+    units: tuple[Exponents, ...]
+
+
+@functools.cache
+def monomial_ops(n: int) -> MonomialOps:
+    """The kernels of arity ``n``, compiled on first use; for n = 3 the
+    product is ``lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2], )``."""
+    at = [(f"a[{i}]", f"b[{i}]") for i in range(n)]
+    return MonomialOps(
+        _compiled("a, b", _tuple_source(f"{x} + {y}" for x, y in at)),
+        _compiled("a, b", _tuple_source(f"{x} - {y}" for x, y in at)),
+        _compiled("a, b", " and ".join(f"{x} <= {y}" for x, y in at) or "True"),
+        _compiled("a, b", _tuple_source(f"{x} if {x} > {y} else {y}" for x, y in at)),
+        _compiled("a, b", _tuple_source(f"{x} - {y} if {x} > {y} else 0" for x, y in at)),
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+    )
+
+
+def _graded_source(indices: Sequence[int]) -> str:
+    """The grevlex key of the exponents at ``indices``, as two items of a
+    tuple display: their sum, then their negatives from the last one."""
+    negated = _tuple_source(f"-e[{i}]" for i in reversed(indices))
+    return f"{_sum_source([f'e[{i}]' for i in indices])}, {negated}"
+
+
+@functools.cache
+def _grevlex_key(n: int) -> Callable[[Exponents], tuple]:
+    return _compiled("e", f"({_graded_source(range(n))})")
+
+
+@functools.cache
+def _block_key(block: int, n: int) -> Callable[[Exponents], tuple]:
+    """The block key of arity ``n`` for a first block of ``block <= n``."""
+    head, tail = range(block), range(block, n)
+    return _compiled("e", f"({_graded_source(head)}, {_graded_source(tail)})")
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +140,12 @@ class MonomialOrder:
 
     Subclasses provide :meth:`key`; larger key means larger monomial, so the
     leading monomial of a polynomial is ``max(terms, key=order.key)``.
+    :meth:`key_for` gives a function equal to :meth:`key` on the tuples of
+    one arity; hot loops fetch it once per call.  By default it is ``key``
+    itself, so an order that defines only ``key`` works everywhere; the
+    built-in orders return a key compiled for the arity, which holds no
+    state, and a subclass of one of them that changes ``key`` must change
+    ``key_for`` too.
     """
 
     name = "order"
@@ -88,24 +153,28 @@ class MonomialOrder:
     def key(self, exps: Exponents):
         raise NotImplementedError
 
+    def key_for(self, n: int) -> Callable[[Exponents], object]:
+        """The key on exponent tuples of length ``n``."""
+        return self.key
+
     def greater(self, a: Exponents, b: Exponents) -> bool:
         return self.key(a) > self.key(b)
-
-    def sort_terms(self, exps_iter: Iterable[Exponents]) -> list[Exponents]:
-        """Exponent tuples in descending order (leading monomial first)."""
-        return sorted(exps_iter, key=self.key, reverse=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.name}>"
 
 
 class GrevlexOrder(MonomialOrder):
-    """Graded reverse lexicographic order, first variable most significant."""
+    """Graded reverse lexicographic order, first variable most significant:
+    the key is (total degree, negated exponents from the last variable)."""
 
     name = "grevlex"
 
     def key(self, exps: Exponents):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return self.key_for(len(exps))(exps)
+
+    def key_for(self, n: int) -> Callable[[Exponents], tuple]:
+        return _grevlex_key(n)
 
 
 class LexOrder(MonomialOrder):
@@ -134,13 +203,10 @@ class BlockOrder(MonomialOrder):
         self.block = block
 
     def key(self, exps: Exponents):
-        head, tail = exps[: self.block], exps[self.block :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
+        return self.key_for(len(exps))(exps)
+
+    def key_for(self, n: int) -> Callable[[Exponents], tuple]:
+        return _block_key(min(self.block, n), n)
 
 
 GREVLEX = GrevlexOrder()
@@ -302,12 +368,12 @@ class Polynomial:
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
         if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self._num, key=order.key)
+        exps = max(self._num, key=order.key_for(self.ring.nvars))
         return exps, Fraction(self._num[exps], self._den)
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponents, Fraction]]:
-        terms = self.terms
-        return [(e, terms[e]) for e in order.sort_terms(terms)]
+        terms, key = self.terms, order.key_for(self.ring.nvars)
+        return [(e, terms[e]) for e in sorted(terms, key=key, reverse=True)]
 
     def is_homogeneous(self) -> bool:
         return len(set(map(mono_degree, self._num))) <= 1
@@ -394,10 +460,10 @@ class Polynomial:
         c = _as_fraction(coeff)
         if not c:
             return self.ring.zero()
-        k = c.numerator
+        k, mul = c.numerator, monomial_ops(self.ring.nvars).mul
         return Polynomial._make(
             self.ring,
-            {mono_mul(e, exps): n * k for e, n in self._num.items()},
+            {mul(e, exps): n * k for e, n in self._num.items()},
             self._den * c.denominator,
         )
 
@@ -504,7 +570,7 @@ def make_primitive(
         return list(polys)
     den = math.lcm(*(p._den for p in polys))
     content = math.gcd(*(n * (den // p._den) for p in polys for n in p._num.values()))
-    if first._num[max(first._num, key=order.key)] < 0:
+    if first._num[max(first._num, key=order.key_for(first.ring.nvars))] < 0:
         content = -content
     return [
         Polynomial._make(p.ring, {e: n * (den // p._den) // content for e, n in p._num.items()}, 1)
@@ -522,7 +588,7 @@ def combination(
     polynomials is the case of one product."""
     den = 1
     acc: dict[Exponents, int] = {}
-    get = acc.get
+    get, mul = acc.get, monomial_ops(ring.nvars).mul
     for sign, a, b in products:
         if (a.ring is not ring and a.ring != ring) or (b.ring is not ring and b.ring != ring):
             raise ValueError("incompatible rings")
@@ -540,7 +606,7 @@ def combination(
         for e1, n1 in a._num.items():
             n1 *= factor
             for e2, n2 in right:
-                exps = tuple(map(add, e1, e2))
+                exps = mul(e1, e2)
                 acc[exps] = get(exps, 0) + n1 * n2
     return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
 
@@ -591,11 +657,15 @@ class PowerTable(dict):
     def power(self, exps: Exponents) -> Polynomial:
         """v^exps, with every missing entry below it made and kept."""
         missing = []
+        ops = monomial_ops(len(exps))
+        div, units = ops.div, ops.units
         found = self.get(exps)
         while found is None:
-            i = max(j for j, e in enumerate(exps) if e)
+            i = len(exps) - 1
+            while not exps[i]:
+                i -= 1
             missing.append((exps, i))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            exps = div(exps, units[i])
             found = self.get(exps)
         for exps, i in reversed(missing):
             v = self.values[i]

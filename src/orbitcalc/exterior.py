@@ -129,32 +129,13 @@ def vector_field_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorFi
 def lie_derivative(X: PolyVectorField, obj: FormOrPoly) -> FormOrPoly:
     """Cartan formula d(X -| obj) + X -| d(obj); on functions simply X(obj).
 
-    The coordinate formula (transport of each dx factor) is exposed as
-    :func:`lie_derivative_direct`; the two are asserted equal in the test
-    suite on randomized inputs.
+    The test suite checks it on randomized inputs against the coordinate
+    formula, which derives each coefficient along X and replaces each dx_j
+    factor by dX_j.
     """
     if isinstance(obj, Polynomial):
         return X.apply(obj)
     return d(interior(X, obj)) + interior(X, d(obj))
-
-
-def lie_derivative_direct(X: PolyVectorField, omega: FormOrPoly) -> FormOrPoly:
-    """Flow-free coordinate formula: derive the coefficient along X and
-    replace each dx_j factor by dX_j."""
-    if isinstance(omega, Polynomial):
-        return X.apply(omega)
-    ring = omega.ring
-    items = []
-    for indices, coeff in omega.terms.items():
-        items.append((indices, X.apply(coeff)))
-        for t, j in enumerate(indices):
-            for i in range(ring.nvars):
-                partial = X.components[j].partial_derivative(i)
-                if partial.is_zero():
-                    continue
-                replaced = indices[:t] + (i,) + indices[t + 1 :]
-                items.append((replaced, coeff * partial))
-    return PolyDiffForm(ring, omega.degree, items)
 
 
 # ---------------------------------------------------------------------------

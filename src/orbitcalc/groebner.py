@@ -44,10 +44,7 @@ from .algebra import (
     combination,
     make_primitive,
     mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
+    monomial_ops,
     restrict,
 )
 from .series import Series, added_numerator, coefficient, one_minus_powers, same_series
@@ -111,12 +108,14 @@ def divide(
     denominator.
     """
     ring = p.ring
+    key, ops = order.key_for(ring.nvars), monomial_ops(ring.nvars)
+    divides, div, mul = ops.divides, ops.div, ops.mul
     heads = []
     leads = [1] * len(divisors)
     for i, d in enumerate(divisors):
         if not d._num:
             continue
-        lm = max(d._num, key=order.key) if _leads is None else _leads[i][0]
+        lm = max(d._num, key=key) if _leads is None else _leads[i][0]
         leads[i] = d._num[lm]
         heads.append((i, d._num.items(), d._den, lm, leads[i]))
     # settled terms as (exponents, numerator, scale at settling)
@@ -127,7 +126,7 @@ def divide(
     # Every monomial of ``work`` is on the heap; entries whose monomial has
     # cancelled since are skipped.  A reduction step only adds monomials
     # below the one it reduces, so a popped monomial never comes back.
-    heap = [_Descending(order.key(e), e) for e in work]
+    heap = [_Descending(key(e), e) for e in work]
     heapq.heapify(heap)
     queued = set(work)
     while heap:
@@ -136,8 +135,8 @@ def divide(
         if coeff is None:
             continue
         for i, numerators, den, lm, lead in heads:
-            if mono_divides(lm, exps):
-                factor_exps = mono_div(exps, lm)
+            if divides(lm, exps):
+                factor_exps = div(exps, lm)
                 if _quotients:
                     # the term coeff * den / (scale * lead)
                     quotients[i].append((factor_exps, coeff * den, scale))
@@ -151,13 +150,13 @@ def divide(
                 for e, n in numerators:
                     if e == lm:
                         continue
-                    e = mono_mul(e, factor_exps)
+                    e = mul(e, factor_exps)
                     old = work.get(e)
                     if old is None:
                         work[e] = minus * n
                         if e not in queued:
                             queued.add(e)
-                            heapq.heappush(heap, _Descending(order.key(e), e))
+                            heapq.heappush(heap, _Descending(key(e), e))
                         continue
                     new = old + minus * n
                     if new:
@@ -221,11 +220,13 @@ def _s_vector(
     leading coefficients.  Each component is summed once, over the integer
     numerators of its shifted parts."""
 
+    ring = f.vec[0].ring
+    mul = monomial_ops(ring.nvars).mul
+
     def part(p: Polynomial, u: Exponents, s: Fraction) -> Piece:
-        shifted = ((mono_mul(e, u), n) for e, n in p._num.items())
+        shifted = ((mul(e, u), n) for e, n in p._num.items())
         return shifted, p._den * s.denominator, s.numerator
 
-    ring = f.vec[0].ring
     if g.pos >= 0:
         return tuple(
             _sum_pieces(ring, [part(a, uf, sf), part(b, ug, -sg)]) for a, b in zip(f.vec, g.vec)
@@ -387,9 +388,14 @@ def _buchberger_tracked(
     """
     drive = _HilbertDrive(*hilbert) if hilbert is not None else None
     weigh = drive.weigh if drive is not None else mono_degree
+    ideal_gens = ideal.generators if ideal is not None else ()
+    # the arity of the ring; with no input at all no pair is ever formed
+    nvars = next((p.ring.nvars for p in [*ideal_gens, *(v[0] for v in gens)]), 0)
+    key, ops = order.key_for(nvars), monomial_ops(nvars)
+    lcm_of, div, mul, divides = ops.lcm, ops.div, ops.mul, ops.divides
     basis = [
         _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, g.leading(order))
-        for g in (ideal.generators if ideal is not None else ())
+        for g in ideal_gens
     ]
     # Pending S-pairs, smallest (sugar, position, lcm, i, j) first.  The
     # basis only grows, so a pair's key never changes once pushed, and
@@ -408,11 +414,9 @@ def _buchberger_tracked(
             if not _forms_pair(t, u):
                 continue
             li = u.lead[0]
-            lcm = mono_lcm(li, lj)
-            pair_sugar = max(
-                u.sugar + weigh(mono_div(lcm, li)), t.sugar + weigh(mono_div(lcm, lj))
-            )
-            heapq.heappush(queue, (pair_sugar, -t.pos, order.key(lcm), i, j))
+            lcm = lcm_of(li, lj)
+            pair_sugar = max(u.sugar + weigh(div(lcm, li)), t.sugar + weigh(div(lcm, lj)))
+            heapq.heappush(queue, (pair_sugar, -t.pos, key(lcm), i, j))
             pending.add((i, j))
         basis.append(t)
         divisors.add(j, t)
@@ -436,10 +440,10 @@ def _buchberger_tracked(
             continue
         fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
         (li, ci), (lj, cj) = fi.lead, fj.lead
-        lcm = mono_lcm(li, lj)
+        lcm = lcm_of(li, lj)
         # product criterion: coprime leading monomials of two scalars
         # reduce to zero
-        if len(fi.vec) == 1 and lcm == mono_mul(li, lj):
+        if len(fi.vec) == 1 and lcm == mul(li, lj):
             continue
         # chain criterion: some k acting at the position divides the lcm
         # and both mixed pairs are done
@@ -447,7 +451,7 @@ def _buchberger_tracked(
         for k in divisors.at(fi.pos)[0] + divisors.ideal:
             if k in (i, j):
                 continue
-            if mono_divides(basis[k].lead[0], lcm):
+            if divides(basis[k].lead[0], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -455,7 +459,7 @@ def _buchberger_tracked(
                     break
         if skip:
             continue
-        ui, uj = mono_div(lcm, li), mono_div(lcm, lj)
+        ui, uj = div(lcm, li), div(lcm, lj)
         si, sj = Fraction(1) / ci, Fraction(1) / cj
         s_vec = _s_vector(fi, fj, ui, uj, si, sj)
         s_sugar = max(fi.sugar + weigh(ui), fj.sugar + weigh(uj))
@@ -478,6 +482,8 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
     # minimal: drop elements whose leading monomial another's acting at the
     # same position divides (ideal generators come first and stay)
     ideal = [t for t in basis if t.pos < 0]
+    nvars = len(basis[0].lead[0]) if basis else 0
+    key, divides = order.key_for(nvars), monomial_ops(nvars).divides
     kept: list[_Tracked] = []
     for idx, t in enumerate(basis[len(ideal) :], len(ideal)):
         lm = t.lead[0]
@@ -486,7 +492,7 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
             if jdx == idx or other.pos not in (t.pos, -1):
                 continue
             lo = other.lead[0]
-            if mono_divides(lo, lm) and (lo != lm or jdx < idx):
+            if divides(lo, lm) and (lo != lm or jdx < idx):
                 redundant = True
                 break
         if not redundant:
@@ -504,7 +510,7 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
         reduced.append(
             _scale_tracked(_Tracked(remainder, rep, t.sugar, t.pos, t.lead), Fraction(1) / lc)
         )
-    reduced.sort(key=lambda t: (-t.pos, order.key(t.lead[0])), reverse=True)
+    reduced.sort(key=lambda t: (-t.pos, key(t.lead[0])), reverse=True)
     return reduced + ideal
 
 
@@ -799,6 +805,7 @@ def _span_syzygies(
     problem's module basis (built here only if no solve has built it)."""
     ring, tracked = _module_basis(problem, cancel)
     divisors = _Divisors(tracked)
+    ops = monomial_ops(ring.nvars)
     rows: list[list[Polynomial]] = []
 
     def lift(vec: Vector, own: Sequence[tuple[int, Polynomial]]) -> list[Polynomial]:
@@ -820,8 +827,8 @@ def _span_syzygies(
         for b, fb in enumerate(tracked[a + 1 :], a + 1):
             if fa.pos >= 0 and _forms_pair(fa, fb):
                 (la, ca), (lb, cb) = fa.lead, fb.lead
-                lcm = mono_lcm(la, lb)
-                ua, ub = mono_div(lcm, la), mono_div(lcm, lb)
+                lcm = ops.lcm(la, lb)
+                ua, ub = ops.div(lcm, la), ops.div(lcm, lb)
                 s_vec = _s_vector(fa, fb, ua, ub, 1 / ca, 1 / cb)
                 rows.append(lift(s_vec, [(a, ring.monomial(ua)), (b, ring.monomial(ub, -1))]))
 

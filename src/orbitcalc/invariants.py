@@ -85,7 +85,7 @@ def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Polynomial]:
         for i in combo:
             exps[i] += 1
         seen.append(tuple(exps))
-    seen.sort(key=GREVLEX.key, reverse=True)
+    seen.sort(key=GREVLEX.key_for(n), reverse=True)
     return [ring.monomial(e) for e in seen]
 
 
@@ -450,7 +450,7 @@ def invariant_basis(group: FiniteMatrixGroup, ring: PolyRing, degree: int) -> li
     if degree == 0:
         return [ring.one()]
     monos = _monomials_of_degree(ring, degree)
-    coords = sorted({e for m in monos for e in m._num}, key=GREVLEX.key, reverse=True)
+    coords = sorted({e for m in monos for e in m._num}, key=GREVLEX.key_for(ring.nvars), reverse=True)
     index = {e: i for i, e in enumerate(coords)}
     rows = []
     for m in monos:

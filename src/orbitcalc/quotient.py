@@ -28,9 +28,10 @@ generators use ``_linear``, as function arithmetic uses
 are, by :func:`.group_action.alternating_table`, and every sum of
 products is one :func:`.algebra.combination`.  Objects of different
 spaces do not mix; fields and forms add only their own kind and multiply
-only by functions, polynomials and rationals.  The syzygy check and the
-derivative terms of :func:`orbit_d` are linear, so they sum NF(z_i * y^e)
-and NF(Y_i(y^e)) from monomial tables kept per space
+only by functions, polynomials and rationals.  The syzygy check, the
+tangency check and the derivative terms of :func:`orbit_d` are linear, so
+they sum NF(z_i * y^e), NF(dg/dy_j * y^e) and NF(Y_i(y^e)) from monomial
+tables kept per space
 (:meth:`OrbitSpace._tabled`), as q(sigma) sums sigma^e from the Hilbert
 map's :class:`.algebra.PowerTable`, the one table of powers that every
 substitution reads.  The syzygy check walks the stored values once.
@@ -229,8 +230,9 @@ class OrbitSpace:
 
     def _tabled(self, items) -> Polynomial:
         """NF(sum sign * L(rep)) over the (sign, rep, key) items, L(f) being
-        z_i * f for key ("syzygy", s, i), z the s-th generator syzygy, and
-        Y_i(f) for ("derivative", i): NF(L(y^e)) is read from a table per
+        z_i * f for key ("syzygy", s, i), z the s-th generator syzygy,
+        Y_i(f) for ("derivative", i), and dg_k/dy_j * f for ("tangent", k, j),
+        g_k the k-th relation generator: NF(L(y^e)) is read from a table per
         key, filled when e is first met."""
         return _tabled_sum(self.orbit_ring, [
             (sign, rep, self._tables.setdefault(key, {}), partial(self._entry, key))
@@ -241,6 +243,8 @@ class OrbitSpace:
         monomial = self.orbit_ring.monomial(exps)
         if key[0] == "syzygy":
             image = self.generator_syzygies[key[1]][key[2]] * monomial
+        elif key[0] == "tangent":
+            image = self.ideal.basis.generators[key[1]].partial_derivative(key[2]) * monomial
         else:
             image = derivation(self.pushed_generators[key[1]]._reps(), monomial)
         return self.ideal.normal(image)
@@ -337,8 +341,10 @@ def _rep(obj, space: OrbitSpace) -> Polynomial:
 class OrbitVectorField:
     """A derivation of the orbit function algebra: one class per orbit
     coordinate, constrained to preserve the relation ideal (tangency): the
-    constructor checks it on every relation generator, :meth:`_linear`
-    does not."""
+    constructor checks it on every relation generator g, :meth:`_linear`
+    does not.  The check NF(sum_j c_j * dg/dy_j) = 0 is linear in the
+    components c_j, so it sums the space's table entries NF(dg/dy_j * y^e)
+    over their terms."""
 
     __slots__ = ("space", "components")
 
@@ -350,8 +356,9 @@ class OrbitVectorField:
         )
         if len(self.components) != space.orbit_ring.nvars:
             raise ValueError("component count must match the orbit alphabet")
-        for g in space.ideal.basis.generators:
-            if not self.apply(g).is_zero():
+        for k in range(len(space.ideal.basis.generators)):
+            items = [(1, c.rep, ("tangent", k, j)) for j, c in enumerate(self.components)]
+            if not space._tabled(items).is_zero():
                 raise ValueError("orbit field does not preserve the relation ideal")
 
     @classmethod

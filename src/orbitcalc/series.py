@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .algebra import mono_divides
+from .algebra import monomial_ops
 
 Series = tuple[list, list]
 
@@ -151,9 +151,10 @@ def field_series(group) -> Series:
 def ideal_numerator(monomials, weights: Sequence[int]) -> list:
     """K_J for the ideal J generated by the given exponent tuples: the
     Hilbert series of Q[y]/J is K_J(t) / prod_j (1 - t^(w_j))."""
+    divides = monomial_ops(len(weights)).divides
     gens: list = []
     for m in sorted(set(monomials), key=sum):
-        if not any(mono_divides(g, m) for g in gens):
+        if not any(divides(g, m) for g in gens):
             gens.append(m)
     if not gens:
         return [1]
@@ -167,7 +168,8 @@ def ideal_numerator(monomials, weights: Sequence[int]) -> list:
 def added_numerator(numerator: list, monomials, m, weights: Sequence[int]) -> list:
     """K(J + <m>) = K(J) - t^(w(m)) K(J : m), from ``numerator`` = K(J) of
     the ideal J the exponent tuples ``monomials`` generate."""
-    colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in monomials]
+    colon_of = monomial_ops(len(m)).colon
+    colon = [colon_of(g, m) for g in monomials]
     degree = sum(map(int.__mul__, m, weights))
     return _add(numerator, _shift(ideal_numerator(colon, weights), degree), -1)
 

@@ -9,6 +9,7 @@ trial counts and the module tests reuse the builders.
 import inspect
 from fractions import Fraction
 from itertools import product
+from operator import add, le, sub
 
 import pytest
 
@@ -112,6 +113,41 @@ def random_form(rng, ring, degree, max_degree=3, max_terms=2):
         indices = tuple(sorted(rng.sample(range(n), degree)))
         items.append((indices, random_poly(rng, ring, max_degree, max_terms)))
     return PolyDiffForm(ring, degree, items)
+
+
+# ---------------------------------------------------------------------------
+# reference monomial arithmetic and order keys, the oracles of the compiled
+# kernels of ``algebra.monomial_ops`` and of the orders' ``key_for``
+# ---------------------------------------------------------------------------
+
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def mono_div(a, b):
+    return tuple(map(sub, a, b))
+
+
+def mono_divides(a, b):
+    """True if the monomial with exponents ``a`` divides the one with ``b``."""
+    return all(map(le, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def mono_colon(a, b):
+    return tuple(max(x - y, 0) for x, y in zip(a, b))
+
+
+def grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def block_key(block, exps):
+    head, tail = exps[:block], exps[block:]
+    return grevlex_key(head) + grevlex_key(tail)
 
 
 # ---------------------------------------------------------------------------

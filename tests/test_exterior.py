@@ -24,7 +24,6 @@ from orbitcalc.exterior import (
     homotopy,
     interior,
     lie_derivative,
-    lie_derivative_direct,
     poincare_primitive,
     pullback,
     semibasic_check,
@@ -178,6 +177,25 @@ def test_vector_field_bracket_laws():
 def test_lie_derivative_on_functions():
     assert lie_derivative(field("x2", "0"), x("x1*x2")) == x("x2^2")
     assert lie_derivative(field("0", "x1"), x("x1^2")).is_zero()
+
+
+def lie_derivative_direct(X, omega):
+    """Flow-free coordinate formula, the oracle of the Cartan formula:
+    derive the coefficient along X and replace each dx_j factor by dX_j."""
+    if isinstance(omega, Polynomial):
+        return X.apply(omega)
+    ring = omega.ring
+    items = []
+    for indices, coeff in omega.terms.items():
+        items.append((indices, X.apply(coeff)))
+        for t, j in enumerate(indices):
+            for i in range(ring.nvars):
+                partial = X.components[j].partial_derivative(i)
+                if partial.is_zero():
+                    continue
+                replaced = indices[:t] + (i,) + indices[t + 1 :]
+                items.append((replaced, coeff * partial))
+    return PolyDiffForm(ring, omega.degree, items)
 
 
 def test_lie_derivative_cartan_matches_direct():

@@ -6,6 +6,9 @@ import pytest
 
 from conftest import (
     coefficient_vector,
+    mono_div,
+    mono_divides,
+    mono_lcm,
     monomials_up_to,
     random_homogeneous,
     random_ideal,
@@ -19,9 +22,6 @@ from orbitcalc.algebra import (
     BlockOrder,
     PolyRing,
     embed,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     parse_polynomial,
 )
 from orbitcalc.groebner import (

@@ -10,7 +10,7 @@ from functools import partial
 
 import pytest
 
-from conftest import check_lift_roundtrip, make_rotation4_group, monomials_up_to, random_poly
+from conftest import check_lift_roundtrip, make_rotation4_group, monomials_up_to, random_poly, random_tangent_field
 from orbitcalc import exterior, groebner, invariants, linalg, quotient
 from orbitcalc.algebra import GREVLEX, PolyRing, Polynomial, combination, parse_polynomial
 from orbitcalc.exterior import d, evaluate, wedge
@@ -556,6 +556,38 @@ def test_tabled_syzygy_check_agrees_with_the_direct_oracle(calculus_space):
             assert verdict == syzygy_oracle(space, theta.degree, table)
             verdicts.append(verdict)
     assert all(verdicts[:: 5]) and verdicts.count(False) >= 10
+
+
+def test_tabled_tangency_check_agrees_with_apply(calculus_space):
+    """The constructor's tangency check sums table entries NF(dg/dy_j * y^e);
+    the sums equal the field applied to each relation generator g, on seeded
+    tangent fields and on perturbations of them, which it rejects."""
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    ring = space.orbit_ring
+    rng = random.Random(26)
+    generators = space.ideal.basis.generators
+    assert generators
+    standard = [
+        ring.monomial(e) for e in monomials_up_to(ring, 2) if space.ideal.normal(ring.monomial(e)) == ring.monomial(e)
+    ]
+    for _ in range(6):
+        Y = random_tangent_field(rng, space)
+        components = list(Y.components)
+        j = rng.randrange(len(components))
+        components[j] = components[j] + space.function(rng.choice(standard).scale(rng.choice([1, -2, Fraction(1, 3)])))
+        for field, tangent in ((Y, True), (OrbitVectorField._linear(space, components), False)):
+            images = [field.apply(g).rep for g in generators]
+            tabled = [
+                space._tabled([(1, c.rep, ("tangent", k, i)) for i, c in enumerate(field.components)])
+                for k in range(len(generators))
+            ]
+            assert tabled == images
+            assert (not any(images)) == tangent
+            if tangent:
+                assert OrbitVectorField(space, field.components) == field
+            else:
+                with pytest.raises(ValueError, match="does not preserve the relation ideal"):
+                    OrbitVectorField(space, field.components)
 
 
 def test_second_orbit_d_reads_the_derivative_tables(calculus_space, monkeypatch):
