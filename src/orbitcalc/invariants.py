@@ -14,6 +14,8 @@ Both generating sets are found degree by degree.  The invariant ring and the
 module of invariant fields are graded, so an average of degree d is new when
 its normal form modulo what lower degrees generate is independent of those
 of the degree-d generators: one basis per degree that gains generators.
+The exact series of the group say how many generators each degree needs,
+so a degree that needs none averages nothing and a scan stops at its count.
 
 Both searches stop at the end of the first degree where what they have
 found is certified complete: the Hilbert series of what the generators
@@ -67,6 +69,8 @@ from .group_action import (
 )
 from . import linalg
 from .series import (
+    Series,
+    coefficient,
     field_series,
     module_series,
     molien_series,
@@ -242,6 +246,12 @@ def invariant_generators(
     map, which for homogeneous generators is the leave-one-out minimality
     test of :meth:`HilbertMap.from_polynomials`.
 
+    Degree d needs missing(d) generators, the dimension the x parts span:
+    the degree-d coefficient of the Molien series less that of the lower
+    generators' subalgebra.  A degree that needs none averages nothing, and
+    a scan stops at its count, keeping what a full scan keeps; a degree that
+    ends short of it, or a negative count, raises ``AssertionError``.
+
     The search stops at the end of the first degree d whose generators are
     certified complete, and records d as the map's ``certificate``: the
     Hilbert series of Q[y]/in(I), with y_j weighted by deg sigma_j and in(I)
@@ -272,16 +282,23 @@ def invariant_generators(
 
 def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
+    molien = molien_series(group)
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None  # the map of all generators found so far
-    molien = None
+    # the series of hmap's subalgebra, as its certificate test last read it
+    found_series: Series = ([1], [1])
     for degree in range(1, bound + 1):
+        missing = coefficient(molien, degree) - coefficient(found_series, degree)
         rows: dict = {}
         found = []
         for mono in _monomials_of_degree(ring, degree):
+            if len(found) >= missing:
+                break
             candidate = reynolds(mono, group)
             if not candidate.is_zero() and _echelon_insert(_x_part(candidate, hmap), rows):
                 found.append(candidate.primitive())
+        if len(found) != missing:
+            raise AssertionError(f"internal error: {len(found)} generators in degree {degree}, counted {missing}")
         if found:
             found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
             # the checks of from_polynomials: invariance, and minimality as
@@ -297,9 +314,8 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
         if hmap is None or (not found and degree < group.order):
             continue
         if degree < group.order:  # from |G| on, Noether's bound certifies
-            if molien is None:
-                molien = molien_series(group)
-            if not _ring_certified(hmap, molien):
+            found_series = _subalgebra_series(hmap)
+            if not same_series(found_series, molien):
                 continue
         hmap.certificate = degree
         break
@@ -308,14 +324,21 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     return hmap
 
 
-def _ring_certified(hmap: HilbertMap, molien) -> bool:
-    """Whether the map's generators span the whole invariant ring: the
-    weighted Hilbert series of Q[y]/in(I) equals the Molien series."""
+def _subalgebra_series(hmap: HilbertMap) -> Series:
+    """The Hilbert series of the subalgebra the map's generators span:
+    that of Q[y]/in(I), y_j weighted by deg sigma_j, with in(I) the leading
+    monomials of the relations in the tagged basis."""
     leads = [
         g.leading(GREVLEX)[0]
         for g in _elimination_part(hmap.tag_basis, hmap.ring.nvars).generators
     ]
-    return same_series(quotient_series(leads, [s.degree() for s in hmap.sigma]), molien)
+    return quotient_series(leads, [s.degree() for s in hmap.sigma])
+
+
+def _ring_certified(hmap: HilbertMap, molien) -> bool:
+    """Whether the map's generators span the whole invariant ring: the
+    series of their subalgebra equals the Molien series."""
+    return same_series(_subalgebra_series(hmap), molien)
 
 
 def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
@@ -512,12 +535,13 @@ def equivariant_generators(
     those kept in its degree; for homogeneous fields that is the
     leave-one-out test of :meth:`EquivariantModule.from_fields`.
 
+    Degree d needs missing(d) fields, counted and scanned as in
+    :func:`invariant_generators` from the field series and the series of
+    the lower fields' span.
+
     The search stops at the end of the first degree d whose fields are
-    certified complete, and records d as the module's ``certificate``: with
-    J_j the leading monomials at position j of the relations and of the
-    pushed span's module basis, the series sum_j t^(1 - deg sigma_j)
-    (K_in(I) - K_J_j) / prod(1 - t^(deg sigma)) equals the field series of
-    the group.  A degree d >= |G| - 1 needs no test: the fields are the
+    certified complete, and records d as the module's ``certificate``: the
+    series of the pushed span equals the field series of the group.  A degree d >= |G| - 1 needs no test: the fields are the
     invariants on V + V* linear in V*, so Noether's bound |G| there puts
     every field generator in degree |G| - 1 or below.  ``degree_bound``
     (default |G|) only caps the search; a module it cuts before the series
@@ -528,47 +552,50 @@ def equivariant_generators(
         raise ValueError("degree bound must be non-negative")
     hmap = invariant_generators(group)
     ring = hmap.ring
+    series = field_series(group)
     kept: list[PolyVectorField] = []
     pushed: list[tuple[Polynomial, ...]] = []
     span: SubmoduleProblem | None = None  # the fields of lower degrees, once there are any
-    series = None
+    # the series of span, as its certificate test last read it
+    found_series: Series = ([], [1])
     certificate = None
     for degree in range(0, bound + 1):
+        missing = coefficient(series, degree) - coefficient(found_series, degree)
         rows: dict = {}
         if span is not None:
             # the search reads remainders only, so it divides by the span's
             # module basis directly: no table marks, no column coefficients
             tracked = _module_basis(span, None)[1]
             divisors = _Divisors(tracked)
-        for mono in _monomials_of_degree(ring, degree):
-            for i in range(ring.nvars):
-                components = [ring.zero()] * ring.nvars
-                components[i] = mono
-                candidate = reynolds(PolyVectorField(ring, components), group)
-                if candidate.is_zero():
-                    continue
-                column = _push_field(candidate, hmap)
-                # with no lower-degree fields a pushforward is its own normal form
-                normal = (
-                    column
-                    if span is None
-                    else _divide_vector(column, tracked, divisors, span.ideal.order, False)[0]
-                )
-                den = math.lcm(*(q._den for q in normal))
-                vector = {
-                    (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
-                }
-                if _echelon_insert(vector, rows):
-                    kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
-                    pushed.append(column)
+        for X in _monomial_fields(ring, degree):
+            if len(rows) >= missing:
+                break
+            candidate = reynolds(X, group)
+            if candidate.is_zero():
+                continue
+            column = _push_field(candidate, hmap)
+            # with no lower-degree fields a pushforward is its own normal form
+            normal = (
+                column
+                if span is None
+                else _divide_vector(column, tracked, divisors, span.ideal.order, False)[0]
+            )
+            den = math.lcm(*(q._den for q in normal))
+            vector = {
+                (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
+            }
+            if _echelon_insert(vector, rows):
+                kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
+                pushed.append(column)
+        if len(rows) != missing:
+            raise AssertionError(f"internal error: {len(rows)} fields in degree {degree}, counted {missing}")
         if rows:
             span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
         if span is None or (not rows and degree < group.order - 1):
             continue
         if degree < group.order - 1:  # from |G| - 1 on, Noether's bound certifies
-            if series is None:
-                series = field_series(group)
-            if not _fields_certified(span, hmap, series):
+            found_series = _span_series(span, hmap)
+            if not same_series(found_series, series):
                 continue
         certificate = degree
         break
@@ -577,11 +604,29 @@ def equivariant_generators(
     return EquivariantModule(tuple(kept), certificate)
 
 
-def _fields_certified(span: SubmoduleProblem, hmap: HilbertMap, series) -> bool:
-    """Whether the pushed fields of ``span`` generate every invariant field:
-    the Hilbert series of their span modulo the relations, shifted back to
-    field degrees, equals the field series.  The module basis read here is
-    the one the next degree's membership tests use."""
+def _monomial_fields(ring: PolyRing, degree: int):
+    """The fields m d/dx_i, m a monomial of the given degree, in search
+    order: monomials grevlex-descending, then i ascending."""
+    for mono in _monomials_of_degree(ring, degree):
+        for i in range(ring.nvars):
+            components = [ring.zero()] * ring.nvars
+            components[i] = mono
+            yield PolyVectorField(ring, components)
+
+
+def _span_series(span: SubmoduleProblem, hmap: HilbertMap) -> Series:
+    """The Hilbert series of the pushed fields' span modulo the relations,
+    shifted back to field degrees: with J_j the leading monomials at
+    position j of the relations and of the span's module basis,
+    sum_j t^(1 - deg sigma_j) (K_in(I) - K_J_j) / prod(1 - t^(deg sigma)).
+    The module basis read here is the one the next degree's membership
+    tests use."""
     ideal_leads = [g.leading(GREVLEX)[0] for g in relations(hmap).basis.generators]
     weights = [s.degree() for s in hmap.sigma]
-    return same_series(module_series(ideal_leads, _position_leads(span), weights), series)
+    return module_series(ideal_leads, _position_leads(span), weights)
+
+
+def _fields_certified(span: SubmoduleProblem, hmap: HilbertMap, series) -> bool:
+    """Whether the pushed fields of ``span`` generate every invariant field:
+    the series of their span equals the field series."""
+    return same_series(_span_series(span, hmap), series)

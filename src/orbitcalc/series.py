@@ -68,20 +68,27 @@ def same_series(a: Series, b: Series) -> bool:
     return _mul(a[0], b[1]) == _mul(b[0], a[1])
 
 
-def coefficient(series: Series, degree: int):
+def coefficient(series: Series, degree: int) -> int:
     """The coefficient of t^degree in numerator / denominator, for a
-    denominator with constant term 1: the coefficients c_k of the series
-    satisfy sum_i denominator[i] c_(k-i) = numerator[k]."""
+    denominator c t^s (1 + ...) with c a nonzero integer: it is the
+    coefficient of t^(degree + s) in numerator / (c (1 + ...)), whose
+    coefficients a_k satisfy sum_i denominator[s + i] a_(k-i) = numerator[k].
+    A Hilbert series counts dimensions, so every a_k must be an integer;
+    a division that is not exact raises ``ValueError``."""
     numerator, denominator = series
-    if not denominator or denominator[0] != 1:
-        raise ValueError("the denominator must have constant term 1")
-    c: list = []
-    for k in range(degree + 1):
+    s = next((i for i, c in enumerate(denominator) if c), None)
+    if s is None:
+        raise ValueError("the denominator is zero")
+    a: list = []
+    for k in range(degree + s + 1):
         value = numerator[k] if k < len(numerator) else 0
-        for i in range(1, min(k, len(denominator) - 1) + 1):
-            value -= denominator[i] * c[k - i]
-        c.append(value)
-    return c[degree]
+        for i in range(1, min(k, len(denominator) - s - 1) + 1):
+            value -= denominator[s + i] * a[k - i]
+        quotient, remainder = divmod(value, denominator[s])
+        if remainder:
+            raise ValueError(f"the coefficient of t^{k - s} is not an integer")
+        a.append(quotient)
+    return a[degree + s]
 
 
 # ---------------------------------------------------------------------------

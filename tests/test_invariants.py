@@ -862,3 +862,91 @@ def test_equivariant_degree_bound_must_be_non_negative():
         equivariant_generators(group, -1)
     module = equivariant_generators(group, 0)
     assert [str(X) for X in module.generators] == ["(1)*d/dx1", "(1)*d/dx2"]
+
+
+# ---------------------------------------------------------------------------
+# the series counts that drive both searches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def averaged(monkeypatch):
+    """The averages the searches take during the test, in order, as
+    (kind, degree) with kind "poly" or "field"."""
+    seen = []
+    average = invariants.reynolds
+
+    def counting(obj, group):
+        if isinstance(obj, PolyVectorField):
+            seen.append(("field", field_degree(obj)))
+        else:
+            seen.append(("poly", obj.degree()))
+        return average(obj, group)
+
+    monkeypatch.setattr(invariants, "reynolds", counting)
+    return seen
+
+
+def test_invariant_search_averages_nothing_where_nothing_is_missing(averaged):
+    # Z6 on R^2: one quadric and two sextics; the Molien series counts no
+    # new invariant in degrees 1, 3, 4 and 5
+    hmap = invariant_generators(closure(SEARCH_RUNGS["z6_r2"]))
+    assert [s.degree() for s in hmap.sigma] == [2, 6, 6]
+    assert {d for kind, d in averaged if kind == "poly"} == {2, 6}
+
+
+def test_invariant_search_stops_a_degree_at_its_count(averaged):
+    # Z3 permuting R^3: two cubics are missing, and the first two monomials
+    # of degree 3 (x1^3, x1^2*x2) average to them; eight are left unaveraged
+    hmap = invariant_generators(closure(SEARCH_RUNGS["z3_r3"]))
+    assert [s.degree() for s in hmap.sigma] == [1, 2, 3, 3]
+    assert averaged.count(("poly", 3)) == 2
+
+
+def test_field_search_averages_nothing_where_nothing_is_missing(averaged):
+    # B2 on R^2 contains -1, so no invariant field has even degree; the
+    # field series counts one new field in degrees 1 and 3
+    group = closure(SEARCH_RUNGS["b2_r2"])
+    hmap = invariant_generators(group)  # held, so the field search reuses it
+    averaged.clear()
+    module = equivariant_generators(group)
+    assert [field_degree(X) for X in module.generators] == [1, 3]
+    assert set(averaged) == {("field", 1), ("field", 3)}
+    assert invariant_generators(group) is hmap
+
+
+def bumped(series, degree, step):
+    """The rational series plus step * t^degree."""
+    numerator, denominator = series
+    extra = [0] * degree + [step * c for c in denominator]
+    size = max(len(numerator), len(extra))
+    padded = [list(p) + [0] * (size - len(p)) for p in (numerator, extra)]
+    return [a + b for a, b in zip(*padded)], denominator
+
+
+# (rung, degree): in the first two the degree has no generator, so one too
+# low is a negative count; in the last, one too high asks for a third cubic
+WRONG_MOLIEN = [("z6_r2", 3, 1), ("z6_r2", 3, -1), ("z3_r3", 3, 1)]
+
+
+@pytest.mark.parametrize("rung, degree, step", WRONG_MOLIEN)
+def test_invariant_search_refuses_a_wrong_molien_count(rung, degree, step, monkeypatch):
+    molien = invariants.molien_series
+    monkeypatch.setattr(invariants, "molien_series", lambda g: bumped(molien(g), degree, step))
+    group = closure(SEARCH_RUNGS[rung])
+    with pytest.raises(AssertionError, match=f"internal error: . generators in degree {degree}"):
+        invariant_generators(group)
+    assert not group._hilbert_maps
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_field_search_refuses_a_wrong_field_count(step, monkeypatch):
+    # B2 on R^2 has no invariant field of degree 2
+    group = closure(SEARCH_RUNGS["b2_r2"])
+    hmap = invariant_generators(group)
+    series = invariants.field_series
+    monkeypatch.setattr(invariants, "field_series", lambda g: bumped(series(g), 2, step))
+    with pytest.raises(AssertionError, match="internal error: 0 fields in degree 2"):
+        equivariant_generators(group)
+    monkeypatch.undo()
+    assert invariant_generators(group) is hmap
+    assert len(equivariant_generators(group)) == 2

@@ -11,8 +11,8 @@ import pytest
 from conftest import field_degree
 
 from orbitcalc import invariants, linalg
-from orbitcalc.algebra import PolyRing
-from orbitcalc.groebner import SubmoduleProblem
+from orbitcalc.algebra import GREVLEX, PolyRing
+from orbitcalc.groebner import SubmoduleProblem, _position_leads
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
 from orbitcalc.invariants import (
     equivariant_generators,
@@ -25,6 +25,7 @@ from orbitcalc.series import (
     coefficient,
     field_series,
     ideal_numerator,
+    module_series,
     molien_series,
     one_minus_powers,
 )
@@ -77,15 +78,19 @@ def monomial_fields(ring, degree):
 def test_molien_coefficients_count_the_invariants(rung):
     group = closure(LADDER[rung])
     ring = PolyRing.ambient(group.n)
-    counts = coefficients(molien_series(group), group.order + 2)
+    molien = molien_series(group)
+    counts = coefficients(molien, group.order + 2)
     assert counts == [len(invariant_basis(group, ring, d)) for d in range(group.order + 2)]
+    assert [coefficient(molien, d) for d in range(group.order + 2)] == counts
 
 
 @pytest.mark.parametrize("rung", sorted(LADDER))
 def test_field_series_counts_the_averaged_fields(rung):
     group = closure(LADDER[rung])
     ring = PolyRing.ambient(group.n)
-    counts = coefficients(field_series(group), group.order + 1)
+    series = field_series(group)
+    counts = coefficients(series, group.order + 1)
+    assert [coefficient(series, d) for d in range(group.order + 1)] == counts
     for degree, expected in enumerate(counts):
         averaged = [reynolds(X, group) for X in monomial_fields(ring, degree)]
         coords = sorted({(i, e) for X in averaged for i, c in enumerate(X.components) for e in c.terms})
@@ -96,6 +101,36 @@ def test_field_series_counts_the_averaged_fields(rung):
         ]
         rank = len(linalg.echelon(rows)[1]) if rows else 0
         assert rank == expected, f"degree {degree}"
+
+
+@pytest.mark.parametrize("rung", sorted(LADDER))
+def test_module_series_of_the_certified_span_counts_the_fields(rung):
+    """The series of the pushed span, shifted by t^(max w - 1) in both
+    numerator and denominator, agrees with the field series degree by
+    degree once the search certifies it."""
+    group = closure(LADDER[rung])
+    hmap = invariant_generators(group)
+    columns = tuple(invariants._push_field(X, hmap) for X in equivariant_generators(group).generators)
+    span = SubmoduleProblem(len(hmap.sigma), columns, relations(hmap).basis)
+    ideal_leads = [g.leading(GREVLEX)[0] for g in relations(hmap).basis.generators]
+    weights = [s.degree() for s in hmap.sigma]
+    series = module_series(ideal_leads, _position_leads(span), weights)
+    assert series[1][: max(weights) - 1] == [0] * (max(weights) - 1)
+    counts = coefficients(field_series(group), group.order + 1)
+    assert [coefficient(series, d) for d in range(group.order + 1)] == counts
+
+
+def test_coefficient_divides_a_scaled_and_shifted_denominator():
+    # (2 + 4t) / (2t (1 - t)) = t^-1 + 3 + 3t + 3t^2 + ...
+    assert [coefficient(([2, 4], [0, 2, -2]), d) for d in range(4)] == [3, 3, 3, 3]
+    # (2 + t) / (2 (1 - t)) = 1 + 3/2 t + ...: exact up to the first fraction
+    assert coefficient(([2, 1], [2, -2]), 0) == 1
+    with pytest.raises(ValueError, match="not an integer"):
+        coefficient(([2, 1], [2, -2]), 1)
+    # (1 + t) / (-1 + t) = -1 - 2t - 2t^2 - ...
+    assert [coefficient(([1, 1], [-1, 1]), d) for d in range(3)] == [-1, -2, -2]
+    with pytest.raises(ValueError, match="denominator is zero"):
+        coefficient(([1], [0, 0]), 0)
 
 
 def test_ideal_numerator_counts_standard_monomials():
