@@ -79,6 +79,8 @@ class ProblemFile:
 
     @staticmethod
     def from_json(data: dict) -> "ProblemFile":
+        if not isinstance(data, dict):
+            raise InputError("bad problem file: a problem must be a JSON object")
         try:
             n = json_integer(data["n"], "n")
             gens = [matrix_from_rows(m) for m in data["group_generators"]]
@@ -231,7 +233,10 @@ def _parse_orbit_vf(ctx: Context, spec: str):
     try:
         if from_file:
             with open(spec, encoding="utf-8") as handle:
-                texts = json.load(handle)["components"]
+                data = json.load(handle)
+            if not isinstance(data, dict):
+                raise ValueError("an orbit field must be a JSON object")
+            texts = data["components"]
         else:
             texts = spec.split(",")
         comps = [parse_polynomial(s, ring) for s in texts]

@@ -607,9 +607,9 @@ class SubmoduleProblem:
 
     A vector is a tuple of scalar polynomials, one per position, and each
     position is reduced by the ideal's own basis, so membership is tested
-    modulo the ideal.  The tracked module basis is built by the first
-    :func:`module_solve` or syzygy computation on the problem and reused by
-    every later one.
+    modulo the ideal.  The tracked module basis, with its divisor lists at
+    each position, is built by the first :func:`module_solve`, syzygy
+    computation or normal form on the problem and reused by every later one.
 
     Division by the basis is Q-linear, so a solve may sum the divisions of
     its target's terms: ``_tables[i]`` maps exponents e to the division of
@@ -651,11 +651,11 @@ def _check_ring(ring: PolyRing, components):
 
 def _module_basis(
     problem: SubmoduleProblem, cancel: CancelCheck | None
-) -> tuple[PolyRing, list[_Tracked]]:
-    """The problem's scalar ring, and the position-over-term basis of its
+) -> tuple[PolyRing, list[_Tracked], _Divisors]:
+    """The problem's scalar ring, the position-over-term basis of its
     columns modulo the ideal, with representations over the columns and
-    followed by the ideal's generators; built on first use and kept on the
-    problem."""
+    followed by the ideal's generators, and the basis's divisor lists;
+    built on first use and kept on the problem."""
     if problem._basis is None:
         columns, ideal = problem.columns, problem.ideal
         if columns:
@@ -666,7 +666,7 @@ def _module_basis(
             raise ValueError("cannot infer scalar ring from an empty problem")
         _check_ring(ring, [c for col in columns for c in col] + list(ideal.generators))
         tracked = _buchberger_tracked(columns, ideal.order, len(columns), ideal, cancel)
-        object.__setattr__(problem, "_basis", (ring, tracked))
+        object.__setattr__(problem, "_basis", (ring, tracked, _Divisors(tracked)))
     return problem._basis
 
 
@@ -674,18 +674,22 @@ def _position_leads(problem: SubmoduleProblem) -> list[list[Exponents]]:
     """The leading monomials of the problem's module basis and of the ideal
     at each position: the monomial ideals whose sum is the initial
     submodule."""
-    _, tracked = _module_basis(problem, None)
-    leads: list[list[Exponents]] = [[] for _ in range(problem.ambient_rank)]
-    for t in tracked:
-        for pos in range(problem.ambient_rank) if t.pos < 0 else [t.pos]:
-            leads[pos].append(t.lead[0])
-    return leads
+    divisors = _module_basis(problem, None)[2]
+    return [[lm for lm, _ in divisors.at(pos)[2]] for pos in range(problem.ambient_rank)]
+
+
+def _module_normal_form(vec: Sequence[Polynomial], problem: SubmoduleProblem) -> Vector:
+    """The module normal form of ``vec``, zero exactly for members: one
+    division by the problem's module basis that reads and marks no table
+    and keeps no quotient it does not need."""
+    _, tracked, divisors = _module_basis(problem, None)
+    return _divide_vector(tuple(vec), tracked, divisors, problem.ideal.order, False)[0]
 
 
 def _over_columns(combo: Sequence[Polynomial], problem: SubmoduleProblem) -> list[Polynomial]:
     """Translate a combination over the problem's module basis into the
     scalar coefficients it puts on the columns."""
-    ring, tracked = problem._basis
+    ring, tracked, _ = problem._basis
     return [
         combination(ring, [(1, z, t.rep[j]) for z, t in zip(combo, tracked)])
         for j in range(len(problem.columns))
@@ -719,9 +723,9 @@ def _module_remainder(
     an entry is made, polling ``cancel``, when its term is met again."""
     if len(target) != problem.ambient_rank:
         raise ValueError("target length differs from ambient rank")
-    ring, tracked = _module_basis(problem, cancel)
+    ring, tracked, divisors = _module_basis(problem, cancel)
     _check_ring(ring, target)
-    divisors, order, zero = _Divisors(tracked), problem.ideal.order, ring.zero()
+    order, zero = problem.ideal.order, ring.zero()
     fresh: list[Polynomial] = []
     read: list[tuple[Vector, list[Polynomial], int, int]] = []
     for i, (p, table) in enumerate(zip(target, problem._tables)):
@@ -803,8 +807,7 @@ def _span_syzygies(
 ) -> list[tuple[Polynomial, ...]]:
     """:func:`syzygies` of the problem's columns modulo its ideal, on the
     problem's module basis (built here only if no solve has built it)."""
-    ring, tracked = _module_basis(problem, cancel)
-    divisors = _Divisors(tracked)
+    ring, tracked, divisors = _module_basis(problem, cancel)
     ops = monomial_ops(ring.nvars)
     rows: list[list[Polynomial]] = []
 

@@ -53,10 +53,8 @@ from .groebner import (
     GroebnerBasis,
     SubmoduleProblem,
     _buchberger_tracked,
-    _Divisors,
-    _divide_vector,
     _elimination_part,
-    _module_basis,
+    _module_normal_form,
     _position_leads,
     module_solve,
     normal_form,
@@ -256,9 +254,11 @@ def invariant_generators(
     certified complete, and records d as the map's ``certificate``: the
     Hilbert series of Q[y]/in(I), with y_j weighted by deg sigma_j and in(I)
     the leading monomials of the relations in the tagged basis, equals the
-    Molien series.  A degree d >= |G| needs no test: Noether's bound
-    certifies it.  ``degree_bound`` (default |G|) only caps the search; a
-    map it cuts before the series agree has no certificate.
+    Molien series.  By Noether's bound the generators of degree |G| or
+    less generate, so the search ends at |G|, where series that still
+    differ raise ``AssertionError``: the series or the search is wrong.
+    ``degree_bound`` (default |G|) only caps the search; a map it cuts
+    before the series agree has no certificate.
 
     Output order is canonical: ascending degree, then descending grevlex
     leading monomial within a degree.  The map is built once per group
@@ -313,10 +313,13 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
             hmap = _assemble(group, tuple(sigma), ring)
         if hmap is None or (not found and degree < group.order):
             continue
-        if degree < group.order:  # from |G| on, Noether's bound certifies
+        if found:
             found_series = _subalgebra_series(hmap)
-            if not same_series(found_series, molien):
+        if not same_series(found_series, molien):
+            if degree < group.order:
                 continue
+            # Noether's bound: generators of degree |G| or less generate
+            raise AssertionError(f"internal error: the generators of degree {degree} miss the Molien series")
         hmap.certificate = degree
         break
     if hmap is None:
@@ -333,12 +336,6 @@ def _subalgebra_series(hmap: HilbertMap) -> Series:
         for g in _elimination_part(hmap.tag_basis, hmap.ring.nvars).generators
     ]
     return quotient_series(leads, [s.degree() for s in hmap.sigma])
-
-
-def _ring_certified(hmap: HilbertMap, molien) -> bool:
-    """Whether the map's generators span the whole invariant ring: the
-    series of their subalgebra equals the Molien series."""
-    return same_series(_subalgebra_series(hmap), molien)
 
 
 def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
@@ -541,11 +538,14 @@ def equivariant_generators(
 
     The search stops at the end of the first degree d whose fields are
     certified complete, and records d as the module's ``certificate``: the
-    series of the pushed span equals the field series of the group.  A degree d >= |G| - 1 needs no test: the fields are the
-    invariants on V + V* linear in V*, so Noether's bound |G| there puts
-    every field generator in degree |G| - 1 or below.  ``degree_bound``
-    (default |G|) only caps the search; a module it cuts before the series
-    agree has no certificate.
+    series of the pushed span equals the field series of the group.  The
+    fields are the invariants on V + V* linear in V*, so Noether's bound
+    |G| there puts every field generator in degree |G| - 1 or below, and
+    the search ends at |G| - 1.  If that degree gains no field, the series
+    read at the last degree that did must equal the field series, or
+    ``AssertionError`` is raised; fields new in degree |G| - 1 end the
+    search untested.  ``degree_bound`` (default |G|) only caps the search;
+    a module it cuts before the series agree has no certificate.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 0:
@@ -562,11 +562,6 @@ def equivariant_generators(
     for degree in range(0, bound + 1):
         missing = coefficient(series, degree) - coefficient(found_series, degree)
         rows: dict = {}
-        if span is not None:
-            # the search reads remainders only, so it divides by the span's
-            # module basis directly: no table marks, no column coefficients
-            tracked = _module_basis(span, None)[1]
-            divisors = _Divisors(tracked)
         for X in _monomial_fields(ring, degree):
             if len(rows) >= missing:
                 break
@@ -575,11 +570,7 @@ def equivariant_generators(
                 continue
             column = _push_field(candidate, hmap)
             # with no lower-degree fields a pushforward is its own normal form
-            normal = (
-                column
-                if span is None
-                else _divide_vector(column, tracked, divisors, span.ideal.order, False)[0]
-            )
+            normal = column if span is None else _module_normal_form(column, span)
             den = math.lcm(*(q._den for q in normal))
             vector = {
                 (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
@@ -593,10 +584,14 @@ def equivariant_generators(
             span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
         if span is None or (not rows and degree < group.order - 1):
             continue
-        if degree < group.order - 1:  # from |G| - 1 on, Noether's bound certifies
+        if degree < group.order - 1:
             found_series = _span_series(span, hmap)
             if not same_series(found_series, series):
                 continue
+        elif not rows and not same_series(found_series, series):
+            # Noether's bound: the fields of lower degrees generate, so the
+            # series read at the last degree that gained fields must agree
+            raise AssertionError(f"internal error: the fields of degree {degree} miss the field series")
         certificate = degree
         break
     if not kept:
@@ -625,8 +620,3 @@ def _span_series(span: SubmoduleProblem, hmap: HilbertMap) -> Series:
     weights = [s.degree() for s in hmap.sigma]
     return module_series(ideal_leads, _position_leads(span), weights)
 
-
-def _fields_certified(span: SubmoduleProblem, hmap: HilbertMap, series) -> bool:
-    """Whether the pushed fields of ``span`` generate every invariant field:
-    the series of their span equals the field series."""
-    return same_series(_span_series(span, hmap), series)

@@ -43,12 +43,16 @@ pushed generators (lifts, brackets, syzygies), the columns of
 per form degree.  A solve reads the division of each target term from the
 problem's tables, filled when a term is met the second time
 (:class:`.groebner.SubmoduleProblem`).  Every witness is still verified.
+The representatives of the pushed generators are kept once per space
+(``OrbitSpace._pushed``): the two problems on them, the derivative tables
+and :func:`extend_check` read them there, and only the public
+``pushed_generators`` and the bracket coefficients wrap them as fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from fractions import Fraction
 
@@ -100,16 +104,8 @@ class OrbitSpace:
             if lie_action is not None
             else LieAlgebraAction(hilbert.group.n, ())
         )
-        # components of the pushed generators, never the fields themselves:
-        # a field points at its space, and a cycle would keep a finished
-        # space alive until the cyclic collector runs
-        self._pushed: list[tuple[Polynomial, ...]] | None = None
-        self._span: SubmoduleProblem | None = None
-        self._extension: SubmoduleProblem | None = None
         self._pulls: dict[int, tuple] = {}
         self._syzygies: list[tuple[Polynomial, ...]] | None = None
-        self._syzygy_index: list[list[int]] | None = None
-        self._brackets: dict[tuple[int, int], tuple[Polynomial, ...]] | None = None
         # monomial tables of the linear maps of :meth:`_tabled`, by key
         self._tables: dict = {}
 
@@ -130,47 +126,37 @@ class OrbitSpace:
 
     # -- caches ---------------------------------------------------------------
 
+    @cached_property
+    def _pushed(self) -> list[tuple[Polynomial, ...]]:
+        """The representatives of the pushed generators' components,
+        computed and checked once: the store every reader of the pushed
+        generators reads.  It holds no fields, since a field points at its
+        space and the cycle would keep a finished space alive until the
+        cyclic collector runs."""
+        return [tuple(c.rep for c in push_vf(X, self).components) for X in self.module.generators]
+
     @property
     def pushed_generators(self) -> list["OrbitVectorField"]:
-        """The generator fields pushed to the orbit space.  Their components
-        are computed and checked once; each access wraps them anew."""
-        if self._pushed is None:
-            self._pushed = [
-                tuple(c.rep for c in push_vf(X, self).components)
-                for X in self.module.generators
-            ]
+        """The generator fields pushed to the orbit space, wrapped anew from
+        :attr:`_pushed` on each access."""
         return [
             OrbitVectorField._linear(self, [OrbitFunction._normal(self, c) for c in comps])
             for comps in self._pushed
         ]
 
-    @property
+    @cached_property
     def _generator_span(self) -> SubmoduleProblem:
         """The pushed generators as one membership problem modulo the
         relations; its module basis is built once and shared by every
         lift, bracket expansion and the generator syzygies."""
-        if self._span is None:
-            columns = tuple(
-                tuple(c.rep for c in Y.components) for Y in self.pushed_generators
-            )
-            self._span = SubmoduleProblem(
-                self.orbit_ring.nvars, columns, self.ideal.basis
-            )
-        return self._span
+        return SubmoduleProblem(self.orbit_ring.nvars, tuple(self._pushed), self.ideal.basis)
 
-    @property
+    @cached_property
     def _extension_problem(self) -> SubmoduleProblem:
         """The columns (Y_i(y_j))_i, one per orbit coordinate, as one
         membership problem modulo the relations, shared by every
         :func:`extend_check` on this space."""
-        if self._extension is None:
-            pushed = self.pushed_generators
-            columns = tuple(
-                tuple(Y.components[j].rep for Y in pushed)
-                for j in range(self.orbit_ring.nvars)
-            )
-            self._extension = SubmoduleProblem(len(pushed), columns, self.ideal.basis)
-        return self._extension
+        return SubmoduleProblem(len(self._pushed), tuple(zip(*self._pushed)), self.ideal.basis)
 
     def _pull_problem(self, k: int) -> tuple:
         """The generator index tuples I, the coordinate tuples J, and the
@@ -205,28 +191,26 @@ class OrbitSpace:
             self._syzygies = _span_syzygies(self._generator_span)
         return self._syzygies
 
-    @property
+    @cached_property
     def bracket_coefficients(self) -> dict[tuple[int, int], tuple[Polynomial, ...]]:
         """Coefficients c_ij with [Y_i, Y_j] = sum_m c_ij[m] Y_m for i < j.
 
         They are unique only up to a generator syzygy, which no orbit form
         sees, so any verified witness serves (computed once)."""
-        if self._brackets is None:
-            pushed = self.pushed_generators
-            self._brackets = {
-                (i, j): _generator_coordinates(orbit_bracket(pushed[i], pushed[j]), self)
-                for i, j in combinations(range(len(pushed)), 2)
-            }
-        return self._brackets
+        pushed = self.pushed_generators
+        return {
+            (i, j): _generator_coordinates(orbit_bracket(pushed[i], pushed[j]), self)
+            for i, j in combinations(range(len(pushed)), 2)
+        }
 
-    def _syzygies_at(self, i: int) -> list[int]:
-        """The indices s of the generator syzygies z with z_i nonzero."""
-        if self._syzygy_index is None:
-            self._syzygy_index = [
-                [s for s, syz in enumerate(self.generator_syzygies) if syz[j]]
-                for j in range(len(self.module))
-            ]
-        return self._syzygy_index[i]
+    @cached_property
+    def _syzygy_index(self) -> list[list[int]]:
+        """Per generator i, the indices s of the generator syzygies z with
+        z_i nonzero."""
+        return [
+            [s for s, syz in enumerate(self.generator_syzygies) if syz[i]]
+            for i in range(len(self.module))
+        ]
 
     def _tabled(self, items) -> Polynomial:
         """NF(sum sign * L(rep)) over the (sign, rep, key) items, L(f) being
@@ -246,7 +230,7 @@ class OrbitSpace:
         elif key[0] == "tangent":
             image = self.ideal.basis.generators[key[1]].partial_derivative(key[2]) * monomial
         else:
-            image = derivation(self.pushed_generators[key[1]]._reps(), monomial)
+            image = derivation(self._pushed[key[1]], monomial)
         return self.ideal.normal(image)
 
 
@@ -457,7 +441,7 @@ class OrbitForm:
         for J, v in self.values.items():
             for p, i in enumerate(J):
                 rest = J[:p] + J[p + 1 :]
-                for s in space._syzygies_at(i):
+                for s in space._syzygy_index[i]:
                     sums.setdefault((s, rest), []).append(((-1) ** p, v.rep, ("syzygy", s, i)))
         for items in sums.values():
             if not space._tabled(items).is_zero():
@@ -763,13 +747,13 @@ def extend_check(theta: OrbitForm, space: OrbitSpace | None = None) -> ExtendRes
         space = theta.space
     elif space is not theta.space:
         raise ValueError("form lives on a different orbit space")
-    pushed = space.pushed_generators
+    pushed = space._pushed
     target = [theta.value((i,)).rep for i in range(len(pushed))]
     outcome = module_solve(target, space._extension_problem)
     if outcome.member:
         witness = tuple(space.ideal.normal(w) for w in outcome.witness)
-        for Y, want in zip(pushed, target):
-            acc = combination(space.orbit_ring, [(1, w, c) for w, c in zip(witness, Y._reps())])
+        for reps, want in zip(pushed, target):
+            acc = combination(space.orbit_ring, [(1, w, c) for w, c in zip(witness, reps)])
             if not space.ideal.is_member(acc - want):
                 raise AssertionError("internal error: extension witness broken")
         return ExtendResult(True, witness=witness)

@@ -507,12 +507,15 @@ def test_orbit_form_file_missing_or_mistyped_fields(tmp_path):
         ({"n": 2.7}, "bad problem file: n must be an integer"),
         ({"n": "2"}, "bad problem file: n must be an integer"),
         ({"n": True}, "bad problem file: n must be an integer"),
+        ("x", "bad problem file: a problem must be a JSON object"),
     ],
 )
 def test_problem_file_mistyped_fields(tmp_path, change, fragment):
+    """Each change is merged into a valid file; one that is not an object
+    replaces the file."""
     data = json.loads(Path(Z2).read_text(encoding="utf-8"))
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({**data, **change}), encoding="utf-8")
+    problem.write_text(json.dumps({**data, **change} if isinstance(change, dict) else change), encoding="utf-8")
     result = run_process(tmp_path, "invariants", "-i", str(problem))
     assert_input_error(result, fragment)
 
@@ -525,12 +528,16 @@ def test_negative_equivariant_degree_bound_is_an_input_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "components, fragment",
-    [(5, "not iterable"), (["y1", 5, "0"], "must be a string")],
+    "document, fragment",
+    [
+        ({"components": 5}, "not iterable"),
+        ({"components": ["y1", 5, "0"]}, "must be a string"),
+        ([1, 2], "an orbit field must be a JSON object"),
+    ],
 )
-def test_orbit_field_file_mistyped_components(tmp_path, components, fragment):
+def test_orbit_field_file_mistyped_components(tmp_path, document, fragment):
     field = tmp_path / "field.json"
-    field.write_text(json.dumps({"components": components}), encoding="utf-8")
+    field.write_text(json.dumps(document), encoding="utf-8")
     result = run_process(tmp_path, "lift-vf", str(field), "-i", Z2)
     assert_input_error(result, "cannot read orbit field")
     assert fragment in result.stderr

@@ -15,7 +15,7 @@ from conftest import (
     random_poly,
     reference_divide,
 )
-from orbitcalc import linalg
+from orbitcalc import groebner, linalg
 from orbitcalc.algebra import (
     GREVLEX,
     LEX,
@@ -437,6 +437,33 @@ def test_module_basis_is_built_once_per_problem(count_module_basis_builds):
     assert len(builds) == 2  # the cancelled build, then one for every solve
 
 
+def test_module_basis_keeps_its_divisor_lists(monkeypatch):
+    """The divisor lists of a problem's module basis are built once, beside
+    it: later solves, syzygies and initial-submodule reads build none."""
+    built = []
+    divisors_class = groebner._Divisors
+
+    class Counting(divisors_class):
+        def __init__(self, basis):
+            built.append(basis)
+            super().__init__(basis)
+
+    monkeypatch.setattr(groebner, "_Divisors", Counting)
+    columns = golden_columns()
+    problem = SubmoduleProblem(3, columns, relation_basis())
+    assert module_solve(columns[0], problem).member
+    kept = problem._basis[2]
+    before = len(built)
+    for column in columns:
+        assert module_solve(column, problem).member
+    assert not module_solve([y("1"), y("y1"), y("0")], problem).member
+    groebner._span_syzygies(problem)
+    groebner._position_leads(problem)
+    assert len(built) == before
+    assert sum(basis is problem._basis[1] for basis in built) == 1
+    assert isinstance(kept, Counting) and problem._basis[2] is kept
+
+
 def test_module_solve_not_member():
     problem = SubmoduleProblem(1, [[y("y1")]], buchberger([]))
     result = module_solve([y("y2")], problem)
@@ -575,7 +602,7 @@ def test_module_basis_elements_are_their_column_combinations():
     position."""
     gb = relation_basis()
     columns = golden_columns()
-    ring, tracked = _module_basis(SubmoduleProblem(3, columns, gb), None)
+    ring, tracked, _ = _module_basis(SubmoduleProblem(3, columns, gb), None)
     elements = [t for t in tracked if t.pos >= 0]
     assert ring == ORBIT and elements
     assert [t.vec for t in tracked[len(elements) :]] == [(g,) for g in gb.generators]
@@ -700,7 +727,7 @@ def test_module_layer_outputs_are_pinned(name):
     for row in syzygies(columns, gb):
         lines.append("syzygy: " + ", ".join(str(p) for p in row))
     assert lines == expected
-    _, tracked = problem._basis
+    _, tracked, _ = problem._basis
     assert sum(t.pos >= 0 for t in tracked) == {"golden": 4, "z2_r3_span": 9}[name]
     assert all(len(t.rep) == len(columns) for t in tracked)
 

@@ -950,3 +950,32 @@ def test_field_search_refuses_a_wrong_field_count(step, monkeypatch):
     monkeypatch.undo()
     assert invariant_generators(group) is hmap
     assert len(equivariant_generators(group)) == 2
+
+
+# (rung, degree, step): the series stays met degree by degree, one
+# generator short; the parent kept p1, p2 and p3 on Z3 permuting R^3 with
+# certificate 3.  Only the series test at the Noether degree |G| sees it.
+NOETHER_MOLIEN = [("z3_r3", 3, -1)]
+
+
+@pytest.mark.parametrize("rung, degree, step", NOETHER_MOLIEN)
+def test_invariant_search_refuses_a_molien_series_off_at_the_noether_degree(rung, degree, step, monkeypatch):
+    molien = invariants.molien_series
+    monkeypatch.setattr(invariants, "molien_series", lambda g: bumped(molien(g), degree, step))
+    group = closure(SEARCH_RUNGS[rung])
+    with pytest.raises(AssertionError, match=f"internal error: the generators of degree {group.order} miss"):
+        invariant_generators(group)
+    assert not group._hilbert_maps
+
+
+def test_field_search_refuses_a_field_series_off_when_the_noether_degree_gains_none(monkeypatch):
+    # Z2 x Z2 on R^3: one field short in degree 2, and degree |G| - 1 = 3
+    # gains none, so the series read at degree 2 must agree there
+    group = closure(SEARCH_RUNGS["z2z2_r3"])
+    hmap = invariant_generators(group)
+    series = invariants.field_series
+    monkeypatch.setattr(invariants, "field_series", lambda g: bumped(series(g), 2, -1))
+    with pytest.raises(AssertionError, match="internal error: the fields of degree 3 miss the field series"):
+        equivariant_generators(group)
+    monkeypatch.undo()
+    assert invariant_generators(group) is hmap

@@ -31,6 +31,7 @@ from orbitcalc.invariants import (
 )
 from orbitcalc.quotient import (
     OrbitForm,
+    OrbitFunction,
     OrbitSpace,
     OrbitVectorField,
     extend_check,
@@ -470,6 +471,37 @@ def test_bracket_coefficients_rebuild_the_brackets(calculus_space):
             assert space.ideal.is_member(total)
 
 
+def test_space_reads_one_store_of_pushed_representatives(calculus_space, monkeypatch):
+    """Past the bracket coefficients, every reader of the pushed generators
+    reads the representatives the space keeps, not the wrapped fields."""
+    space = OrbitSpace(calculus_space.hilbert, calculus_space.ideal, calculus_space.module)
+    assert space._pushed == [tuple(Y._reps()) for Y in calculus_space.pushed_generators]
+    forms = pushed_one_forms(space, seed=23) + [space.parse_function("y1 + y2")]
+
+    def outcomes(theta):
+        """orbit_d's values, and extend_check's verdict on a 1-form."""
+        values = orbit_d(theta).values
+        if isinstance(theta, OrbitFunction):
+            return [(ix, v.rep) for ix, v in values.items()]
+        verdict = extend_check(theta)
+        return [(ix, v.rep) for ix, v in values.items()], verdict.witness, verdict.certificate
+
+    expected = [outcomes(push_form(pull_form(theta, space), calculus_space)) for theta in forms]
+
+    def refused(self):
+        raise AssertionError("pushed_generators read")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OrbitSpace, "pushed_generators", property(refused))
+        assert space._generator_span.columns == tuple(space._pushed)
+        assert space._extension_problem.columns == tuple(zip(*space._pushed))
+    space.bracket_coefficients
+    assert not any(key[0] == "derivative" for key in space._tables)
+    monkeypatch.setattr(OrbitSpace, "pushed_generators", property(refused))
+    assert [outcomes(theta) for theta in forms] == expected
+    assert any(key[0] == "derivative" for key in space._tables)
+
+
 def test_orbit_wedge_beyond_the_generator_count_is_zero(calculus_space):
     space = calculus_space
     a, b, c = pushed_one_forms(space, seed=14)
@@ -775,7 +807,7 @@ def kept_problems(space) -> dict:
 def one_division(target, problem):
     """The module normal form of ``target`` and the coefficients its
     quotients put on the columns, from one division by the module basis."""
-    _, tracked = groebner._module_basis(problem, None)
+    _, tracked, _ = groebner._module_basis(problem, None)
     remainder, quotients = groebner._divide_vector(
         tuple(target), tracked, groebner._Divisors(tracked), problem.ideal.order
     )
