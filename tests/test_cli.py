@@ -528,19 +528,23 @@ def test_negative_equivariant_degree_bound_is_an_input_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "document, fragment",
-    [
-        ({"components": 5}, "not iterable"),
-        ({"components": ["y1", 5, "0"]}, "must be a string"),
-        ([1, 2], "an orbit field must be a JSON object"),
-    ],
+    "components, fragment",
+    [(5, "not iterable"), (["y1", 5, "0"], "must be a string")],
 )
-def test_orbit_field_file_mistyped_components(tmp_path, document, fragment):
+def test_orbit_field_file_mistyped_components(tmp_path, components, fragment):
     field = tmp_path / "field.json"
-    field.write_text(json.dumps(document), encoding="utf-8")
+    field.write_text(json.dumps({"components": components}), encoding="utf-8")
     result = run_process(tmp_path, "lift-vf", str(field), "-i", Z2)
     assert_input_error(result, "cannot read orbit field")
     assert fragment in result.stderr
+
+
+def test_orbit_field_file_that_is_not_an_object(tmp_path):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps([1, 2]), encoding="utf-8")
+    result = run_process(tmp_path, "lift-vf", str(field), "-i", Z2)
+    assert_input_error(result, "cannot read orbit field")
+    assert "an orbit field must be a JSON object" in result.stderr
 
 
 # ---------------------------------------------------------------------------
