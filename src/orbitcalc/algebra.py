@@ -453,7 +453,13 @@ class Polynomial:
         return self.scale(Fraction(1, 1) / c)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
-        return self.mul_monomial((0,) * self.ring.nvars, scalar)
+        c = _as_fraction(scalar)
+        if c == 1 or not self._num:
+            return self
+        if not c:
+            return self.ring.zero()
+        num = {e: n * c.numerator for e, n in self._num.items()}
+        return Polynomial._make(self.ring, num, self._den * c.denominator)
 
     def mul_monomial(self, exps: Exponents, coeff: Scalar = 1) -> "Polynomial":
         exps = self._check_arity(exps)

@@ -14,6 +14,10 @@ lifting of the same pairs on the final basis (2.5); both read only
 coefficients on the columns, so representations are tracked over the
 columns alone.
 
+The final interreduction divides by one set of divisor lists, and leaves
+an element appended as a remainder as it is unless a later lead divides
+one of its terms (:func:`_reduce_tracked`).
+
 A scalar ideal that is homogeneous for some positive variable weights, and
 whose quotient has a Hilbert series known in advance, gets a
 Hilbert-driven run (Traverso, *Hilbert functions and the Buchberger
@@ -21,7 +25,9 @@ algorithm*, 1996): pairs go by weighted degree, and once the leading
 monomials found so far leave as many standard monomials of a degree as the
 known series counts, the remaining pairs of that degree reduce to zero and
 are dropped unreduced.  The run ends by checking that the series of the
-leading monomials equals the known one, which certifies the basis.
+leading monomials equals the known one, which certifies the basis.  The
+Hilbert functions it compares are read from expansions that are kept and
+extended as the degrees rise.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .algebra import (
     monomial_ops,
     restrict,
 )
-from .series import Series, added_numerator, coefficient, one_minus_powers, same_series
+from .series import Expansion, Series, added_numerator, one_minus_powers, same_series
 
 CancelCheck = Callable[[], bool]
 
@@ -192,12 +198,6 @@ class _Tracked:
     lead: tuple[Exponents, Fraction]  # vec[pos].leading(order), computed once
 
 
-def _scale_tracked(t: _Tracked, c: Fraction) -> _Tracked:
-    lm, lc = t.lead
-    vec = tuple(p.scale(c) for p in t.vec)
-    return _Tracked(vec, [r.scale(c) for r in t.rep], t.sugar, t.pos, (lm, lc * c))
-
-
 def _is_zero_vector(vec: Vector) -> bool:
     return not any(c._num for c in vec)
 
@@ -318,16 +318,23 @@ class _HilbertDrive:
     and lies inside it at d, so HF_(R/J)(d) - HF_(R/I)(d) >= 0 counts the
     leading monomials still missing at d.  Each new element of degree d
     supplies one; once none is missing, the pairs of degree d left reduce
-    to zero."""
+    to zero.  HF_(R/J)(d) is sum_i K_i c_(d-i), c the coefficients of
+    1 / prod_j (1 - t^(w_j)); those and the coefficients of the known
+    series are expanded once, as far as the degrees reached."""
 
-    __slots__ = ("weights", "known", "leads", "numerator", "denominator", "degree", "missing")
+    __slots__ = (
+        "weights", "known", "expected", "leads", "numerator", "denominator", "inverse",
+        "degree", "missing",
+    )
 
     def __init__(self, weights: Sequence[int], known: Series):
         self.weights = weights
         self.known = known
+        self.expected = Expansion(known)
         self.leads: list[Exponents] = []
         self.numerator = [1]
         self.denominator = one_minus_powers(weights)
+        self.inverse = Expansion(([1], self.denominator))
         self.degree: int | None = None
         self.missing = 0
 
@@ -344,9 +351,8 @@ class _HilbertDrive:
         pairs come in ascending degree."""
         if degree != self.degree:
             self.degree = degree
-            self.missing = coefficient(
-                (self.numerator, self.denominator), degree
-            ) - coefficient(self.known, degree)
+            found = self.inverse.coefficient(degree, self.numerator)
+            self.missing = found - self.expected.coefficient(degree)
             if self.missing < 0:
                 raise AssertionError(
                     f"internal error: more leading monomials in degree {degree} "
@@ -404,21 +410,24 @@ def _buchberger_tracked(
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
     divisors = _Divisors(basis)
+    # sugar less weight of each element's lead: the weighting is linear, so
+    # a pair's sugar is the weight of the lcm plus the larger of the two
+    slack = [t.sugar - weigh(t.lead[0]) for t in basis]
 
     def append(vec: Vector, rep: list[Polynomial], sugar: int):
         pos = next(i for i, c in enumerate(vec) if c._num)
         t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
         j = len(basis)
         lj = t.lead[0]
+        sj = sugar - weigh(lj)
         for i, u in enumerate(basis):
             if not _forms_pair(t, u):
                 continue
-            li = u.lead[0]
-            lcm = lcm_of(li, lj)
-            pair_sugar = max(u.sugar + weigh(div(lcm, li)), t.sugar + weigh(div(lcm, lj)))
-            heapq.heappush(queue, (pair_sugar, -t.pos, key(lcm), i, j))
+            lcm = lcm_of(u.lead[0], lj)
+            heapq.heappush(queue, (weigh(lcm) + max(slack[i], sj), -t.pos, key(lcm), i, j))
             pending.add((i, j))
         basis.append(t)
+        slack.append(sj)
         divisors.add(j, t)
         if drive is not None:
             drive.add(lj)
@@ -431,12 +440,15 @@ def _buchberger_tracked(
         if j < columns:
             rep[j] = ring.one()
         append(tuple(g), rep, max(weigh(e) for c in g for e in c._num))
+    # the elements appended from here on are remainders of a full division
+    # by every element before them
+    reduced_from = len(basis)
 
     while queue:
         _poll(cancel)
-        degree, _, _, i, j = heapq.heappop(queue)
+        s_sugar, _, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        if drive is not None and drive.complete(degree):
+        if drive is not None and drive.complete(s_sugar):
             continue
         fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
         (li, ci), (lj, cj) = fi.lead, fj.lead
@@ -462,7 +474,6 @@ def _buchberger_tracked(
         ui, uj = div(lcm, li), div(lcm, lj)
         si, sj = Fraction(1) / ci, Fraction(1) / cj
         s_vec = _s_vector(fi, fj, ui, uj, si, sj)
-        s_sugar = max(fi.sugar + weigh(ui), fj.sugar + weigh(uj))
         remainder, quotients = _divide_vector(s_vec, basis, divisors, order, columns > 0)
         if _is_zero_vector(remainder):
             continue
@@ -475,16 +486,26 @@ def _buchberger_tracked(
 
     if drive is not None:
         drive.certify()
-    return _reduce_tracked(basis, order)
+    return _reduce_tracked(basis, order, reduced_from)
 
 
-def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracked]:
-    # minimal: drop elements whose leading monomial another's acting at the
-    # same position divides (ideal generators come first and stay)
+def _reduce_tracked(
+    basis: list[_Tracked], order: MonomialOrder, reduced_from: int
+) -> list[_Tracked]:
+    """The reduced basis of a finished run: the minimal elements, each with
+    its tail reduced by the others and the ideal and made monic, sorted by
+    leading term (descending), then the ideal generators.
+
+    One set of divisor lists, of every kept element and the ideal, serves
+    all: an element's own lead divides no term below it, so its tail meets
+    the same divisors in the same order as with the others alone.  The
+    elements from ``reduced_from`` on are remainders, reduced by every
+    element before them; when no later kept lead divides a term of one at
+    any position, dividing it would return it unchanged, so it is skipped."""
     ideal = [t for t in basis if t.pos < 0]
     nvars = len(basis[0].lead[0]) if basis else 0
     key, divides = order.key_for(nvars), monomial_ops(nvars).divides
-    kept: list[_Tracked] = []
+    kept: list[tuple[int, _Tracked]] = []
     for idx, t in enumerate(basis[len(ideal) :], len(ideal)):
         lm = t.lead[0]
         redundant = False
@@ -496,20 +517,24 @@ def _reduce_tracked(basis: list[_Tracked], order: MonomialOrder) -> list[_Tracke
                 redundant = True
                 break
         if not redundant:
-            kept.append(t)
-    # interreduce tails and normalize monic; no other kept leading term and
-    # no ideal lead divides t's, so t's leading term is also the remainder's
+            kept.append((idx, t))
+    reducers = [t for _, t in kept] + ideal
+    divisors = _Divisors(reducers)
     reduced: list[_Tracked] = []
-    for idx, t in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :] + ideal
-        remainder, quotients = _divide_vector(
-            t.vec, others, _Divisors(others), order, bool(t.rep)
-        )
-        rep = _subtract_reps(t.rep, quotients, others)
-        lc = t.lead[1]
-        reduced.append(
-            _scale_tracked(_Tracked(remainder, rep, t.sugar, t.pos, t.lead), Fraction(1) / lc)
-        )
+    for k, (idx, t) in enumerate(kept):
+        vec, rep, pos, (lm, lc) = t.vec, t.rep, t.pos, t.lead
+        if idx < reduced_from or any(
+            divides(u.lead[0], e) for _, u in kept[k + 1 :] for e in vec[u.pos]._num
+        ):
+            lead = vec[pos].ring.monomial(lm, lc)
+            tail = vec[:pos] + (vec[pos] - lead,) + vec[pos + 1 :]
+            rest, quotients = _divide_vector(tail, reducers, divisors, order, bool(rep))
+            vec = rest[:pos] + (rest[pos] + lead,) + rest[pos + 1 :]
+            rep = _subtract_reps(rep, quotients, reducers)
+        if lc != 1:
+            c = 1 / lc
+            vec, rep = tuple(p.scale(c) for p in vec), [r.scale(c) for r in rep]
+        reduced.append(_Tracked(vec, rep, t.sugar, pos, (lm, Fraction(1))))
     reduced.sort(key=lambda t: (-t.pos, key(t.lead[0])), reverse=True)
     return reduced + ideal
 

@@ -15,12 +15,13 @@ series are compared by cross-multiplying, so no polynomial gcd is needed.
   K(J + <m>) = K(J) - t^(w(m)) K(J : m) (Bayer & Stillman, *Computation of
   Hilbert functions*, 1992).  A Groebner basis run can apply the step once
   per new leading monomial and read off the Hilbert function degree by
-  degree (:func:`coefficient`).
+  degree (:class:`Expansion`).
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Sequence
 
 from .algebra import monomial_ops
@@ -68,27 +69,40 @@ def same_series(a: Series, b: Series) -> bool:
     return _mul(a[0], b[1]) == _mul(b[0], a[1])
 
 
+class Expansion:
+    """numerator / denominator as a power series, for a denominator
+    c t^s (1 + ...) with c a nonzero integer; its coefficients are kept as
+    read and extended on demand.  The coefficient a_k of t^(k - s) satisfies
+    sum_i denominator[s + i] a_(k-i) = numerator[k].  A Hilbert series counts
+    dimensions, so a division that is not exact raises ``ValueError``."""
+
+    __slots__ = ("numerator", "denominator", "read")
+
+    def __init__(self, series: Series):
+        self.numerator, self.denominator = series
+        self.read: list = []
+
+    def coefficient(self, degree: int, factor: Sequence[int] = (1,)) -> int:
+        """The coefficient of t^degree in factor(t) times the series."""
+        numerator, denominator, a = self.numerator, self.denominator, self.read
+        s = next((i for i, c in enumerate(denominator) if c), None)
+        if s is None:
+            raise ValueError("the denominator is zero")
+        for k in range(len(a), degree + s + 1):
+            value = numerator[k] if k < len(numerator) else 0
+            for i in range(1, min(k, len(denominator) - s - 1) + 1):
+                value -= denominator[s + i] * a[k - i]
+            quotient, remainder = divmod(value, denominator[s])
+            if remainder:
+                raise ValueError(f"the coefficient of t^{k - s} is not an integer")
+            a.append(quotient)
+        top = degree + s
+        return sum(c * a[top - i] for i, c in enumerate(factor) if i <= top)
+
+
 def coefficient(series: Series, degree: int) -> int:
-    """The coefficient of t^degree in numerator / denominator, for a
-    denominator c t^s (1 + ...) with c a nonzero integer: it is the
-    coefficient of t^(degree + s) in numerator / (c (1 + ...)), whose
-    coefficients a_k satisfy sum_i denominator[s + i] a_(k-i) = numerator[k].
-    A Hilbert series counts dimensions, so every a_k must be an integer;
-    a division that is not exact raises ``ValueError``."""
-    numerator, denominator = series
-    s = next((i for i, c in enumerate(denominator) if c), None)
-    if s is None:
-        raise ValueError("the denominator is zero")
-    a: list = []
-    for k in range(degree + s + 1):
-        value = numerator[k] if k < len(numerator) else 0
-        for i in range(1, min(k, len(denominator) - s - 1) + 1):
-            value -= denominator[s + i] * a[k - i]
-        quotient, remainder = divmod(value, denominator[s])
-        if remainder:
-            raise ValueError(f"the coefficient of t^{k - s} is not an integer")
-        a.append(quotient)
-    return a[degree + s]
+    """The coefficient of t^degree in numerator / denominator."""
+    return Expansion(series).coefficient(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +179,9 @@ def ideal_numerator(monomials, weights: Sequence[int]) -> list:
             gens.append(m)
     if not gens:
         return [1]
-    if all(not any(a and b for a, b in zip(g, h)) for i, g in enumerate(gens) for h in gens[i + 1:]):
-        # pairwise coprime: a complete intersection
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    if sum(map(int.bit_count, supports)) == reduce(int.__or__, supports).bit_count():
+        # pairwise disjoint supports, so pairwise coprime: a complete intersection
         return one_minus_powers([sum(map(int.__mul__, g, weights)) for g in gens])
     *rest, pivot = gens
     return added_numerator(ideal_numerator(rest, weights), rest, pivot, weights)

@@ -27,6 +27,7 @@ from orbitcalc.group_action import (
     mat_mul,
     reynolds,
 )
+from orbitcalc.invariants import invariant_generators
 from orbitcalc.quotient import (
     OrbitSpace,
     OrbitVectorField,
@@ -277,6 +278,14 @@ def golden_space() -> OrbitSpace:
 @pytest.fixture(scope="session")
 def golden_forms(golden_space):
     return canonical_one_forms(golden_space.hilbert.ring)
+
+
+@pytest.fixture(scope="module", params=["z2", "z4"])
+def calculus_space(request, golden_space):
+    """The golden Z2/R^2 space and the automatic Z4/R^2 space."""
+    if request.param == "z2":
+        return golden_space
+    return OrbitSpace(invariant_generators(make_rotation4_group()))
 
 
 @pytest.fixture

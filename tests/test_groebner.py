@@ -342,6 +342,16 @@ def test_hilbert_driven_run_refuses_a_wrong_known_series(known):
     assert tuple(t.vec[0] for t in driven) == plain.generators
 
 
+def test_hilbert_driven_run_refuses_a_non_integral_known_series():
+    """1 / (2 (1 - t)^2) has the coefficient 1/2 at t^0, which no Hilbert
+    function has: the first pair's degree reads it and is refused."""
+    known = ([1], [2 * c for c in one_minus_powers([1, 1])])
+    with pytest.raises(ValueError, match="not an integer"):
+        _buchberger_tracked(
+            tagged_z2_generators(), BlockOrder(2), 0, hilbert=([1, 1, 2, 2, 2], known)
+        )
+
+
 @pytest.mark.parametrize("drop", [1, 2])
 def test_eliminate_reads_off_the_reduced_grevlex_basis(drop):
     """The x-free part of the block basis needs no second Buchberger run."""

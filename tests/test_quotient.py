@@ -331,14 +331,6 @@ def test_orbit_wedge_and_leibniz(golden_space, golden_forms):
 # Koszul d and shuffle wedge against the pull-compute-push oracle
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module", params=["z2", "z4"])
-def calculus_space(request, golden_space):
-    """The golden Z2/R^2 space and the automatic Z4/R^2 space."""
-    if request.param == "z2":
-        return golden_space
-    return OrbitSpace(invariant_generators(make_rotation4_group()))
-
-
 def pushed_one_forms(space, seed, count=3):
     """Seeded Reynolds averages of ambient 1-forms with a random coefficient
     on every dx_i, pushed down."""

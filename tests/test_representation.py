@@ -214,3 +214,24 @@ def test_fraction_accessors_read_the_integer_form():
     assert type(p.terms) is dict and p.terms is p.terms
     assert (AMBIENT.zero()._den, AMBIENT.zero()._num) == (1, {})
     assert (p - p)._den == 1 and (p * 12)._den == 1
+
+
+def test_scale_equals_a_product_with_the_unit_monomial():
+    """``scale`` builds its result directly, and returns the polynomial
+    itself for the scalar 1 and for the zero polynomial."""
+    rng = random.Random("scale")
+    scalars = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(35, 6), Fraction(0, 5)]
+    for ring in (ORBIT, PolyRing.ambient(1)):
+        one = (0,) * ring.nvars
+        for _ in range(40):
+            terms = random_terms(rng, ring)
+            p = Polynomial(ring, terms)
+            for c in scalars + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))]:
+                scaled = p.scale(c)
+                assert scaled == p.mul_monomial(one, c) and hash(scaled) == hash(p.mul_monomial(one, c))
+                assert_canonical(scaled, o_mul_monomial(terms, one, c))
+            assert p.scale(1) is p and p.scale(Fraction(1)) is p
+        zero = ring.zero()
+        assert all(zero.scale(c) is zero for c in scalars)
+    with pytest.raises(TypeError):
+        ORBIT.one().scale(0.5)

@@ -12,7 +12,7 @@ from conftest import field_degree
 
 from orbitcalc import invariants, linalg
 from orbitcalc.algebra import GREVLEX, PolyRing
-from orbitcalc.groebner import SubmoduleProblem, _position_leads
+from orbitcalc.groebner import SubmoduleProblem, _HilbertDrive, _position_leads
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
 from orbitcalc.invariants import (
     equivariant_generators,
@@ -21,6 +21,9 @@ from orbitcalc.invariants import (
     relations,
 )
 from orbitcalc.series import (
+    Expansion,
+    _add,
+    _shift,
     added_numerator,
     coefficient,
     field_series,
@@ -28,8 +31,15 @@ from orbitcalc.series import (
     module_series,
     molien_series,
     one_minus_powers,
+    quotient_series,
     same_series,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is a test extra
+    st = None
 
 FIXTURES = Path(invariants.__file__).parent / "fixtures"
 
@@ -161,6 +171,116 @@ def test_ideal_numerator_counts_standard_monomials():
         assert numerator == series[0], (gens, weights)
     with pytest.raises(ValueError):
         coefficient(([1], [2, -2]), 3)
+
+
+def test_expansion_extends_what_it_has_read():
+    """Reads in any order give the coefficients of a fresh expansion, with
+    and without a factor; a coefficient that is not an integer is refused
+    on every read that needs it, while those below it still read."""
+    series = ([2, 4], [0, 2, -2])
+    expansion = Expansion(series)
+    for d in (3, 0, 5, 1):
+        assert expansion.coefficient(d) == coefficient(series, d)
+    # (1 - t) (2 + 4t) / (2t (1 - t)) = t^-1 + 2
+    assert [expansion.coefficient(d, [1, -1]) for d in range(-3, 4)] == [0, 0, 1, 2, 0, 0, 0]
+    half = Expansion(([2, 1], [2, -2]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an integer"):
+            half.coefficient(1)
+        assert half.coefficient(0) == 1
+    with pytest.raises(ValueError, match="denominator is zero"):
+        Expansion(([1], [0, 0])).coefficient(0)
+
+
+def check_drive_reads(weights, monomials, rng):
+    """The drive's Hilbert function of the leads added so far, read from its
+    kept expansions, equals a fresh expansion of their series at every
+    degree up to 20; the missing count of ``complete`` agrees too."""
+    known = quotient_series(monomials, weights)
+    drive = _HilbertDrive(weights, known)
+    for d in range(21):
+        if monomials and rng.random() < 0.4:
+            drive.add(monomials[rng.randrange(len(monomials))])
+        assert drive.numerator == ideal_numerator(drive.leads, weights)
+        for read in range(d, 21):
+            expected = coefficient((drive.numerator, drive.denominator), read)
+            assert drive.inverse.coefficient(read, drive.numerator) == expected
+        found = coefficient((drive.numerator, drive.denominator), d)
+        drive.complete(d)
+        assert drive.missing == found - coefficient(known, d) >= 0
+
+
+if st is not None:
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_drive_reads_the_hilbert_function_from_kept_expansions(data):
+        nvars = data.draw(st.integers(1, 3))
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+        monomials = data.draw(
+            st.lists(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars), max_size=4)
+        )
+        rng = random.Random(data.draw(st.integers()))
+        check_drive_reads(weights, [tuple(m) for m in monomials], rng)
+
+else:  # pragma: no cover
+
+    def test_drive_reads_the_hilbert_function_from_kept_expansions():
+        rng = random.Random(5)
+        for _ in range(30):
+            nvars = rng.randint(1, 3)
+            weights = [rng.randint(1, 3) for _ in range(nvars)]
+            monomials = [
+                tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 4))
+            ]
+            check_drive_reads(weights, monomials, rng)
+
+
+def reference_ideal_numerator(monomials, weights):
+    """The numerator by the pairwise ``zip`` scan for coprime generators at
+    every level, recursing on itself."""
+    gens = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            gens.append(m)
+    if not gens:
+        return [1]
+    if all(not any(a and b for a, b in zip(g, h)) for i, g in enumerate(gens) for h in gens[i + 1 :]):
+        return one_minus_powers([sum(e * w for e, w in zip(g, weights)) for g in gens])
+    *rest, pivot = gens
+    colon = [tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest]
+    degree = sum(e * w for e, w in zip(pivot, weights))
+    return _add(
+        reference_ideal_numerator(rest, weights),
+        _shift(reference_ideal_numerator(colon, weights), degree),
+        -1,
+    )
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [
+        [],
+        [(2, 1, 0)],
+        [(1, 1, 0), (1, 1, 0), (0, 2, 1)],  # a duplicate
+        [(1, 0, 0), (2, 1, 0), (0, 0, 3)],  # a generator divides another
+        [(2, 0, 0), (0, 3, 0), (0, 0, 1)],  # all coprime
+        [(2, 0, 0), (0, 3, 0), (0, 1, 1), (1, 0, 0)],  # coprime but for one pair
+        [(0, 0, 0), (1, 2, 3)],  # the unit ideal
+    ],
+)
+def test_ideal_numerator_equals_the_pairwise_scan(monomials):
+    for weights in ([1, 1, 1], [1, 2, 3]):
+        assert ideal_numerator(monomials, weights) == reference_ideal_numerator(monomials, weights)
+
+
+def test_ideal_numerator_equals_the_pairwise_scan_on_random_sets():
+    rng = random.Random("coprime-scan")
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        gens = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars)) for _ in range(rng.randint(0, 6))]
+        assert ideal_numerator(gens, weights) == reference_ideal_numerator(gens, weights), gens
 
 
 # rung -> the last degrees that gain invariants and fields, as a search run
