@@ -11,7 +11,10 @@ fields of a linear Lie algebra action round out the module.
 
 from __future__ import annotations
 
+import math
+import operator
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +22,9 @@ from typing import Iterable, Sequence, Union
 
 from .algebra import PolyRing, Polynomial, PowerTable, _tabled_sum, combination
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# An integral entry is an ``int`` and any other a ``Fraction``; the two
+# compare and hash alike and both carry .numerator and .denominator.
+Matrix = tuple[tuple[Union[int, Fraction], ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -40,44 +45,55 @@ def parse_rational(text) -> Fraction:
     raise TypeError(f"cannot read a rational from {text!r}")
 
 
+def _entry(q):
+    """A matrix entry: ``q`` as an ``int`` when integral, else as given."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    mat = tuple(tuple(parse_rational(e) for e in row) for row in rows)
+    mat = tuple(tuple(_entry(parse_rational(e)) for e in row) for row in rows)
     if not mat or any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square and nonempty")
     return mat
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(_entry(sum(map(operator.mul, row, col))) for col in cols) for row in a)
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
+    """Fraction-free Gauss-Jordan inverse; raises ValueError on a singular
+    matrix.  It runs on the integer matrix a = D m, D the lcm of m's
+    denominators, beside the identity: each step replaces every other row
+    by (pivot * row - row[col] * pivot row) / previous pivot, a division
+    that is exact as in Bareiss's elimination, and the last step leaves
+    d I beside d a^-1, d = +-det a.  So m^-1 = D (d a^-1) / d."""
     n = len(m)
-    work = [list(row) + list(identity_matrix(n)[i]) for i, row in enumerate(m)]
+    scale = math.lcm(*(e.denominator for row in m for e in row))
+    work = [
+        [int(e * scale) for e in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    previous = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [e * inv for e in work[col]]
+        top = work[col]
+        p = top[col]
         for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [e - factor * p for e, p in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            if r != col:
+                row = work[r]
+                f = row[col]
+                work[r] = [(p * e - f * t) // previous for e, t in zip(row, top)]
+        previous = p
+    return tuple(tuple(_entry(Fraction(scale * e, previous)) for e in row[n:]) for row in work)
 
 
 def format_matrix(m: Matrix) -> list[list[str]]:
@@ -94,11 +110,15 @@ class FiniteMatrixGroup:
 
     ``elements`` is the breadth-first closure from the identity (generators
     applied in input order), so downstream averages are deterministic.
+    Integral entries are ``int`` and the others ``Fraction``.  ``inverses``
+    holds the inverse of each element, in element order, as the closure
+    recorded it: the same tuples as in ``elements``, not copies.
     """
 
     n: int
     generators: tuple[Matrix, ...]
     elements: tuple[Matrix, ...]
+    inverses: tuple[Matrix, ...] = field(repr=False, compare=False)
     _moves_by_ring: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Hilbert maps built for this group, by degree bound.  Weak values: a
     # map refers to its group, so a strong reference here would make a
@@ -114,19 +134,23 @@ class FiniteMatrixGroup:
     def _moves(self, ring: PolyRing) -> dict[Matrix, tuple[Matrix, PowerTable]]:
         """g -> (g^-1, the power table of x -> g^-1 x over ``ring``) for
         every element (the generators among them), in element order; built
-        once per instance and ring, each table filled as its monomials are
-        met."""
+        once per instance and ring from the recorded inverses, each table
+        filled as its monomials are met."""
         moves = self._moves_by_ring.get(ring)
         if moves is None:
-            moves = self._moves_by_ring[ring] = {g: _move(g, ring) for g in self.elements}
+            moves = self._moves_by_ring[ring] = {
+                g: _move(inv, ring) for g, inv in zip(self.elements, self.inverses)
+            }
         return moves
 
 
 def closure(generators: Sequence, cap: int = 100_000) -> FiniteMatrixGroup:
     """Saturate a generator list into a full finite group element list.
 
-    Raises if a generator is singular or if more than ``cap`` distinct
-    elements appear (the group is then presumed infinite).
+    Each new element current * g has the inverse g^-1 * current^-1, so only
+    the generators are inverted.  Raises if a generator is singular or if
+    more than ``cap`` distinct elements appear (the group is then presumed
+    infinite).
     """
     mats = [matrix_from_rows(g) for g in generators]
     if not mats:
@@ -134,23 +158,25 @@ def closure(generators: Sequence, cap: int = 100_000) -> FiniteMatrixGroup:
     n = len(mats[0])
     if any(len(m) != n for m in mats):
         raise ValueError("generators must share one size")
-    for m in mats:
-        mat_inverse(m)  # raises on a singular generator
+    steps = [(m, mat_inverse(m)) for m in mats]  # raises on a singular generator
     ident = identity_matrix(n)
-    elements = [ident]
-    seen = {ident}
-    queue = [ident]
+    inverse_of = {ident: ident}  # the seen elements, in element order
+    queue = deque([ident])
     while queue:
-        current = queue.pop(0)
-        for g in mats:
+        current = queue.popleft()
+        current_inv = inverse_of[current]
+        for g, g_inv in steps:
             nxt = mat_mul(current, g)
-            if nxt not in seen:
-                if len(seen) >= cap:
+            if nxt not in inverse_of:
+                if len(inverse_of) >= cap:
                     raise ValueError(f"group not finite within cap {cap}")
-                seen.add(nxt)
-                elements.append(nxt)
+                inverse_of[nxt] = mat_mul(g_inv, current_inv)
                 queue.append(nxt)
-    return FiniteMatrixGroup(n, tuple(mats), tuple(elements))
+    # each inverse is an element: keep the element's own tuple, not the copy
+    elements = {g: g for g in inverse_of}
+    return FiniteMatrixGroup(
+        n, tuple(mats), tuple(elements), tuple(elements[inv] for inv in inverse_of.values())
+    )
 
 
 @dataclass(frozen=True)
@@ -406,8 +432,8 @@ def _linear_substitution(m: Matrix, ring: PolyRing) -> list[Polynomial]:
     return [Polynomial(ring, dict(zip(units, row))) for row in m]
 
 
-def _move(g: Matrix, ring: PolyRing) -> tuple[Matrix, PowerTable]:
-    inv = mat_inverse(g)
+def _move(inv: Matrix, ring: PolyRing) -> tuple[Matrix, PowerTable]:
+    """(g^-1, the power table of x -> g^-1 x over ``ring``) from g^-1."""
     return inv, PowerTable(_linear_substitution(inv, ring))
 
 
@@ -447,7 +473,7 @@ def _act_sum(moves, obj):
 
 def _act_by(g, obj):
     g = matrix_from_rows(g)
-    return _act_sum([(g, _move(g, obj.ring))], obj)
+    return _act_sum([(g, _move(mat_inverse(g), obj.ring))], obj)
 
 
 def act_poly(g, p: Polynomial) -> Polynomial:

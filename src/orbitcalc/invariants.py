@@ -67,6 +67,7 @@ from .group_action import (
 )
 from . import linalg
 from .series import (
+    Expansion,
     Series,
     coefficient,
     field_series,
@@ -283,12 +284,13 @@ def invariant_generators(
 def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
     molien = molien_series(group)
+    counts = Expansion(molien)  # one expansion of the fixed series for the whole search
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None  # the map of all generators found so far
     # the series of hmap's subalgebra, as its certificate test last read it
     found_series: Series = ([1], [1])
     for degree in range(1, bound + 1):
-        missing = coefficient(molien, degree) - coefficient(found_series, degree)
+        missing = counts.coefficient(degree) - coefficient(found_series, degree)
         rows: dict = {}
         found = []
         for mono in _monomials_of_degree(ring, degree):
@@ -553,6 +555,7 @@ def equivariant_generators(
     hmap = invariant_generators(group)
     ring = hmap.ring
     series = field_series(group)
+    counts = Expansion(series)  # one expansion of the fixed series for the whole search
     kept: list[PolyVectorField] = []
     pushed: list[tuple[Polynomial, ...]] = []
     span: SubmoduleProblem | None = None  # the fields of lower degrees, once there are any
@@ -560,7 +563,7 @@ def equivariant_generators(
     found_series: Series = ([], [1])
     certificate = None
     for degree in range(0, bound + 1):
-        missing = coefficient(series, degree) - coefficient(found_series, degree)
+        missing = counts.coefficient(degree) - coefficient(found_series, degree)
         rows: dict = {}
         for X in _monomial_fields(ring, degree):
             if len(rows) >= missing:

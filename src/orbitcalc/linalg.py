@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
 Plain Gaussian elimination on ``fractions.Fraction`` entries.  In the
-package only :func:`orbitcalc.invariants.invariant_basis` uses it; every
+package only :func:`orbitcalc.invariants.invariant_basis` and the rank at a
+point of the zero-syzygy test in :mod:`orbitcalc.quotient` use it; every
 membership question (equivariant generators, minimality, pulls of forms)
 goes through the Groebner module layer instead.  The tests keep these
 routines as an independent dense oracle for that layer.

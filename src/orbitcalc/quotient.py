@@ -69,6 +69,7 @@ from .group_action import (
     is_invariant,
 )
 from .exterior import evaluate, semibasic_check
+from . import linalg
 from .invariants import (
     EquivariantModule,
     HilbertMap,
@@ -186,9 +187,12 @@ class OrbitSpace:
 
     @property
     def generator_syzygies(self) -> list[tuple[Polynomial, ...]]:
-        """Relations among the pushed generators modulo the relation ideal."""
+        """Relations among the pushed generators modulo the relation ideal:
+        none where :func:`_free_columns` proves it, else the Schreyer
+        syzygies of the generator span."""
         if self._syzygies is None:
-            self._syzygies = _span_syzygies(self._generator_span)
+            span = self._generator_span
+            self._syzygies = [] if _free_columns(span, self.orbit_ring) else _span_syzygies(span)
         return self._syzygies
 
     @cached_property
@@ -309,6 +313,26 @@ class OrbitFunction:
 
 # what fields and forms may be multiplied by; anything else is a TypeError
 _FACTORS = (OrbitFunction, Polynomial, int, Fraction)
+
+
+def _sample_point(nvars: int) -> tuple[int, ...]:
+    """The fixed integer point of :func:`_free_columns`: (2, 3, ..., nvars + 1)."""
+    return tuple(range(2, nvars + 2))
+
+
+def _free_columns(problem: SubmoduleProblem, ring: PolyRing) -> bool:
+    """True when the m columns of ``problem``, polynomials over ``ring``,
+    have no syzygy because the ideal is zero and their m x l matrix has
+    rank m at :func:`_sample_point`.  Q[ring] is then a domain, a syzygy
+    would make every m x m minor the zero polynomial, and a minor that is
+    nonzero at a point is not.  False means only that this test cannot
+    tell: m > l, a nonzero ideal, or every minor vanishing at the point."""
+    columns = problem.columns
+    if problem.ideal.generators or len(columns) > problem.ambient_rank:
+        return False
+    point = _sample_point(ring.nvars)
+    values = [[c.evaluate(point) for c in col] for col in columns]
+    return linalg.rank(values, problem.ambient_rank) == len(columns)
 
 
 def _rep(obj, space: OrbitSpace) -> Polynomial:

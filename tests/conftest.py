@@ -257,6 +257,22 @@ def coefficient_vector(p, columns):
 # groups and spaces used across files
 # ---------------------------------------------------------------------------
 
+# The benchmark's presentation and elimination ladders (unconjugated).
+LADDER = {
+    "z2_r2": [[["-1", "0"], ["0", "-1"]]],
+    "z4_r2": [[["0", "-1"], ["1", "0"]]],
+    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z2z2_r3": [
+        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+    ],
+    "z2_r3": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]],
+    "z3_r3": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]],
+    "z6_r2": [[["1", "-1"], ["1", "0"]]],
+}
+
+
 def make_reflection_group():
     return closure([[["-1", "0"], ["0", "-1"]]])
 

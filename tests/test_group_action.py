@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    LADDER,
+    field_degree,
     make_reflection_group,
     make_rotation4_group,
     make_swap_group,
@@ -15,6 +17,7 @@ from conftest import (
     reference_substitute,
     suite_action_laws,
 )
+from orbitcalc import group_action, linalg
 from orbitcalc.algebra import PolyRing, Polynomial, parse_polynomial
 from orbitcalc.exterior import d, wedge
 from orbitcalc.group_action import (
@@ -25,13 +28,17 @@ from orbitcalc.group_action import (
     act_poly,
     act_vf,
     closure,
+    identity_matrix,
     infinitesimal_fields,
     is_invariant,
     mat_inverse,
+    mat_mul,
     matrix_from_rows,
     parse_rational,
     reynolds,
 )
+from orbitcalc.invariants import equivariant_generators, invariant_generators
+from orbitcalc.series import field_series, molien_series, same_series
 
 RING = PolyRing.ambient(2)
 X1, X2 = RING.variables()
@@ -298,3 +305,126 @@ def test_monomial_tables_belong_to_their_group():
     assert {g: dict(table) for g, (_, table) in first._moves(RING).items()} == filled
     tables = {id(table) for _, table in first._moves(RING).values()}
     assert tables.isdisjoint(id(table) for _, table in second._moves(RING).values())
+
+
+# ---------------------------------------------------------------------------
+# the integer group layer: int entries, inverses recorded by the closure
+# ---------------------------------------------------------------------------
+
+# D3 conjugated by diag(1, 2): P g P^-1 has entries g[i][j] p_i / p_j, so
+# the rotation becomes [[0, -1/2], [2, -1]] and the swap [[0, 1/2], [2, 0]].
+D3_CONJUGATED = [[["0", "-1/2"], ["2", "-1"]], [["0", "1/2"], ["2", "0"]]]
+INVERSE_GROUPS = {**LADDER, "d3_conjugated": D3_CONJUGATED}
+
+
+def entries(matrices):
+    return [e for m in matrices for row in m for e in row]
+
+
+def reference_elements(generators):
+    """The breadth-first closure from the identity over Fraction entries,
+    generators applied in input order: the element order to keep."""
+    gens = [[[Fraction(e) for e in row] for row in g] for g in generators]
+    n = len(gens[0])
+
+    def product(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    elements, queue = [identity], [identity]
+    while queue:
+        current = queue.pop(0)
+        for g in gens:
+            nxt = product(current, g)
+            if nxt not in elements:
+                elements.append(nxt)
+                queue.append(nxt)
+    return elements
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_GROUPS))
+def test_closure_records_each_inverse(name):
+    group = closure(INVERSE_GROUPS[name])
+    identity = identity_matrix(group.n)
+    assert list(group.elements) == reference_elements(INVERSE_GROUPS[name])
+    assert len(group.inverses) == group.order
+    stored = {id(g) for g in group.elements}
+    for g, inv in zip(group.elements, group.inverses):
+        assert inv == mat_inverse(g)
+        assert mat_mul(g, inv) == identity
+        assert mat_mul(inv, g) == identity
+        # the element's own tuple, not a copy
+        assert id(inv) in stored
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_integral_generators_give_int_elements(name):
+    group = closure(LADDER[name])
+    assert all(type(e) is int for e in entries(group.generators + group.elements + group.inverses))
+
+
+def test_rational_elements_keep_only_integral_entries_as_int():
+    group = closure(D3_CONJUGATED)
+    values = entries(group.elements + group.inverses)
+    assert Fraction(-1, 2) in values
+    assert all(type(e) is int or e.denominator != 1 for e in values)
+    assert group.elements[0] == identity_matrix(2)
+
+
+def test_conjugated_d3_has_the_series_and_degrees_of_d3():
+    plain, conjugated = closure(LADDER["d3_r2"]), closure(D3_CONJUGATED)
+    assert conjugated.order == plain.order == 6
+    assert same_series(molien_series(conjugated), molien_series(plain))
+    assert same_series(field_series(conjugated), field_series(plain))
+
+    def degrees(group):
+        sigma = invariant_generators(group).sigma
+        fields = equivariant_generators(group).generators
+        return [s.degree() for s in sigma], [field_degree(X) for X in fields]
+
+    assert degrees(conjugated) == degrees(plain)
+
+
+def test_mat_inverse_of_random_rational_matrices():
+    rng = random.Random("mat-inverse")
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = matrix_from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(n)]
+        )
+        if n > 1 and rng.random() < 0.2:
+            m = m[:-1] + (m[0],)  # a repeated row
+        try:
+            inv = mat_inverse(m)
+        except ValueError:
+            # singular: some column of the echelon form has no pivot
+            assert linalg.rank([list(row) for row in m], n) < n
+            continue
+        assert mat_mul(m, inv) == identity_matrix(n) == mat_mul(inv, m)
+        assert all(type(e) is int or e.denominator != 1 for e in entries([inv]))
+
+
+def test_closure_still_rejects_singular_rational_generator_and_caps():
+    with pytest.raises(ValueError, match="singular"):
+        closure([[["1/2", "1"], ["1", "2"]]])
+    with pytest.raises(ValueError, match="not finite within cap 5"):
+        closure(D3_CONJUGATED, cap=5)
+    assert closure(D3_CONJUGATED, cap=6).order == 6
+
+
+def test_moves_invert_no_element(monkeypatch):
+    calls = []
+    original = group_action.mat_inverse
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(group_action, "mat_inverse", counted)
+    group = closure(D3_CONJUGATED)
+    assert calls == list(group.generators)  # once per generator, in the closure
+    moves = group._moves(RING)
+    assert all(inv is recorded for (inv, _), recorded in zip(moves.values(), group.inverses))
+    average = reynolds(x("x1^3 + x1*x2"), group)
+    assert is_invariant(average, group)
+    assert len(calls) == 2

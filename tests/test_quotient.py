@@ -10,7 +10,7 @@ from functools import partial
 
 import pytest
 
-from conftest import check_lift_roundtrip, make_rotation4_group, monomials_up_to, random_poly, random_tangent_field
+from conftest import LADDER, check_lift_roundtrip, make_rotation4_group, monomials_up_to, random_poly, random_tangent_field
 from orbitcalc import exterior, groebner, invariants, linalg, quotient
 from orbitcalc.algebra import GREVLEX, PolyRing, Polynomial, combination, parse_polynomial
 from orbitcalc.exterior import d, evaluate, wedge
@@ -1186,3 +1186,71 @@ def test_minus_identity_syzygies_span_the_tag_encoded_rows_modulo_the_relations(
     encoded_span = groebner.SubmoduleProblem(9, tuple(encoded), ideal)
     assert all(groebner.module_solve(row, returned_span).member for row in encoded)
     assert all(groebner.module_solve(row, encoded_span).member for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the zero-syzygy shortcut
+# ---------------------------------------------------------------------------
+
+def ladder_space(rung):
+    return OrbitSpace(invariant_generators(closure(LADDER[rung])))
+
+
+@pytest.mark.parametrize("rung", ["b2_r2", "d3_r2"])
+def test_free_rungs_have_no_syzygies_without_the_computation(rung, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the syzygy computation ran")
+
+    space = ladder_space(rung)
+    monkeypatch.setattr(quotient, "_span_syzygies", fail)
+    assert space.ideal.is_zero_ideal()
+    assert space.generator_syzygies == []
+
+
+@pytest.mark.parametrize("rung", ["z2_r2", "z4_r2", "z2z2_r3"])
+def test_rungs_with_relations_compute_their_syzygies(rung):
+    space = ladder_space(rung)
+    assert not space.ideal.is_zero_ideal()
+    assert not quotient._free_columns(space._generator_span, space.orbit_ring)
+    rows = space.generator_syzygies
+    assert rows
+    assert rows == groebner.syzygies(space._pushed, space.ideal.basis)
+
+
+def test_minors_vanishing_at_the_point_fall_through(monkeypatch):
+    calls = []
+    full = quotient._span_syzygies
+
+    def counted(problem):
+        calls.append(problem)
+        return full(problem)
+
+    space = ladder_space("b2_r2")
+    # every pushed component is homogeneous of positive degree, so every
+    # minor vanishes at the origin
+    monkeypatch.setattr(quotient, "_sample_point", lambda nvars: (0,) * nvars)
+    monkeypatch.setattr(quotient, "_span_syzygies", counted)
+    assert space.generator_syzygies == [] == groebner.syzygies(space._pushed, space.ideal.basis)
+    assert len(calls) == 1
+
+
+def test_free_columns_is_false_where_it_cannot_tell():
+    ring = PolyRing(("y1", "y2"))
+    y1, y2 = ring.variables()
+    point = quotient._sample_point(2)
+    # the minor point[1] * y1 - point[0] * y2 is not zero, but vanishes at the point
+    columns = ((y1, y2), (ring.one().scale(point[0]), ring.one().scale(point[1])))
+    empty = groebner.GroebnerBasis((), GREVLEX)
+    problem = groebner.SubmoduleProblem(2, columns, empty)
+    assert not quotient._free_columns(problem, ring)
+    assert groebner.syzygies(columns, empty) == []
+    # modulo a nonzero ideal a column can vanish although its values at the
+    # point do not: (y1, y1) is zero modulo <y1>
+    ideal = groebner.buchberger([y1])
+    vanishing = groebner.SubmoduleProblem(2, ((y1, y1),), ideal)
+    assert not quotient._free_columns(vanishing, ring)
+    assert groebner.syzygies(vanishing.columns, ideal)
+    # more columns than positions always have a syzygy
+    crowded = groebner.SubmoduleProblem(1, ((y1,), (y2,)), empty)
+    assert not quotient._free_columns(crowded, ring)
+    assert groebner.syzygies(crowded.columns, empty)

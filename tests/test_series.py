@@ -8,7 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import field_degree
+from conftest import LADDER, field_degree
 
 from orbitcalc import invariants, linalg
 from orbitcalc.algebra import GREVLEX, PolyRing
@@ -42,22 +42,6 @@ except ImportError:  # pragma: no cover - hypothesis is a test extra
     st = None
 
 FIXTURES = Path(invariants.__file__).parent / "fixtures"
-
-# The benchmark's presentation and elimination ladders (unconjugated).
-LADDER = {
-    "z2_r2": [[["-1", "0"], ["0", "-1"]]],
-    "z4_r2": [[["0", "-1"], ["1", "0"]]],
-    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
-    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
-    "z2z2_r3": [
-        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
-        [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
-    ],
-    "z2_r3": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]],
-    "z3_r3": [[["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]],
-    "z6_r2": [[["1", "-1"], ["1", "0"]]],
-}
-
 
 def fixture_generators(name):
     return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))["group_generators"]
