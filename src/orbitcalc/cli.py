@@ -134,17 +134,21 @@ def _json_object(data: dict, key: str) -> dict:
     return value
 
 
-def load_problem(path: str) -> ProblemFile:
-    if not path:
-        raise InputError("a problem file is required (-i FILE)")
+def _read_json(path: str):
+    """The JSON document in the file at ``path``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return ProblemFile.from_json(data)
+
+
+def load_problem(path: str) -> ProblemFile:
+    if not path:
+        raise InputError("a problem file is required (-i FILE)")
+    return ProblemFile.from_json(_read_json(path))
 
 
 class Context:
@@ -167,8 +171,7 @@ class Context:
     @property
     def group(self) -> FiniteMatrixGroup:
         if self._group is None:
-            raw = [format_matrix(m) for m in self.problem.group_generators]
-            self._group = closure(raw, cap=self.cap)
+            self._group = closure(self.problem.group_generators, cap=self.cap)
         return self._group
 
     @property
@@ -250,13 +253,7 @@ def _parse_orbit_vf(ctx: Context, spec: str):
 
 
 def _load_orbit_form(ctx: Context, path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     try:
         return orbit_form_from_json(data, ctx.space)
     except (ValueError, KeyError, TypeError) as exc:

@@ -18,6 +18,10 @@ The final interreduction divides by one set of divisor lists, and leaves
 an element appended as a remainder as it is unless a later lead divides
 one of its terms (:func:`_reduce_tracked`).
 
+A finished scalar basis (:class:`GroebnerBasis`) keeps its generators'
+leading terms and, for its life, the normal form of each monomial that
+:func:`normal_form`, the one scalar reduction, has met.
+
 A scalar ideal that is homogeneous for some positive variable weights, and
 whose quotient has a Hilbert series known in advance, gets a
 Hilbert-driven run (Traverso, *Hilbert functions and the Buchberger
@@ -47,6 +51,7 @@ from .algebra import (
     PolyRing,
     Polynomial,
     _sum_pieces,
+    _tabled_sum,
     combination,
     make_primitive,
     mono_degree,
@@ -98,9 +103,9 @@ def divide(
     No remainder term is divisible by any divisor's leading monomial; a
     term is reduced by the first divisor in list order whose leading
     monomial divides it.  ``_leads`` and ``_quotients`` are internal: the
-    divisors' leading terms, when the caller already has them, and False
-    when the caller discards the quotients, which are then not built (an
-    empty list comes back).
+    divisors' leading terms, which every caller in the package keeps with
+    its divisors, and False when the caller discards the quotients, which
+    are then not built (an empty list comes back).
 
     The arithmetic is on the integer numerators of the polynomials.  Each
     divisor D is numerators N over a denominator, with leading numerator
@@ -394,14 +399,15 @@ def _buchberger_tracked(
     """
     drive = _HilbertDrive(*hilbert) if hilbert is not None else None
     weigh = drive.weigh if drive is not None else mono_degree
-    ideal_gens = ideal.generators if ideal is not None else ()
+    if ideal is None:
+        ideal = GroebnerBasis((), order)
     # the arity of the ring; with no input at all no pair is ever formed
-    nvars = next((p.ring.nvars for p in [*ideal_gens, *(v[0] for v in gens)]), 0)
+    nvars = next((p.ring.nvars for p in [*ideal.generators, *(v[0] for v in gens)]), 0)
     key, ops = order.key_for(nvars), monomial_ops(nvars)
     lcm_of, div, mul, divides = ops.lcm, ops.div, ops.mul, ops.divides
     basis = [
-        _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, g.leading(order))
-        for g in ideal_gens
+        _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, lead)
+        for g, lead in zip(ideal.generators, ideal.leads)
     ]
     # Pending S-pairs, smallest (sugar, position, lcm, i, j) first.  The
     # basis only grows, so a pair's key never changes once pushed, and
@@ -545,10 +551,20 @@ def _reduce_tracked(
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its monomial order."""
+    """A reduced Groebner basis together with its monomial order.
+
+    ``leads`` holds the generators' leading terms, found once when the basis
+    is made; ``_forms`` maps e to NF(x^e), filled by :func:`normal_form` and
+    kept for the life of the basis.  Neither takes part in equality, hashing
+    or ``repr``, so equal bases keep tables of their own."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
+    leads: tuple[tuple[Exponents, Fraction], ...] = field(init=False, repr=False, compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "leads", tuple(g.leading(self.order) for g in self.generators))
 
     def __iter__(self):
         return iter(self.generators)
@@ -577,13 +593,16 @@ def buchberger(
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of full division by the basis: the canonical representative
-    of ``p`` modulo the ideal.  Zero iff ``p`` is an ideal member."""
+    of ``p`` modulo the ideal.  Zero iff ``p`` is an ideal member.
+
+    It is linear, so it sums c * NF(x^e) over p's terms from the basis's
+    table; a monomial met for the first time is divided once."""
     if not gb.generators:
         return p
     if p.ring != gb.generators[0].ring:
         raise ValueError("incompatible rings")
-    remainder, _ = divide(p, gb.generators, gb.order, _quotients=False)
-    return remainder
+    fill = lambda exps: divide(p.ring.monomial(exps), gb.generators, gb.order, _leads=gb.leads, _quotients=False)[0]
+    return _tabled_sum(p.ring, [(1, p, gb._forms, fill)])
 
 
 def eliminate(

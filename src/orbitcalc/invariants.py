@@ -44,7 +44,6 @@ from .algebra import (
     PolyRing,
     Polynomial,
     PowerTable,
-    _tabled_sum,
     embed,
     make_primitive,
     restrict,
@@ -103,7 +102,8 @@ class NotInSubalgebraError(ValueError):
 
 class HilbertMap:
     """A generating set sigma_1..sigma_l of the invariant ring, with the
-    tagged Groebner basis that powers subduction.
+    tagged Groebner basis that powers subduction; the basis keeps the
+    normal forms of the monomials subduction meets.
 
     The y alphabet doubles as coordinates of the orbit space model: the image
     of x -> (sigma_1(x), ..., sigma_l(x)) carries the quotient structure.
@@ -113,7 +113,7 @@ class HilbertMap:
     """
 
     __slots__ = ("group", "sigma", "ring", "orbit_ring", "combined_ring", "tag_basis",
-                 "certificate", "_monomial_forms", "_powers", "_relations", "__weakref__")
+                 "certificate", "_powers", "_relations", "__weakref__")
 
     def __init__(self, group, sigma, ring, orbit_ring, combined_ring, tag_basis):
         self.group = group
@@ -123,10 +123,6 @@ class HilbertMap:
         self.combined_ring = combined_ring
         self.tag_basis = tag_basis
         self.certificate: int | None = None
-        # normal forms of ambient monomials against the tagged basis as
-        # integer numerators over one denominator, by exponent tuple,
-        # filled as subduction meets them
-        self._monomial_forms: dict = {}
         # sigma^e by exponent tuple e, filled as substitution meets them
         self._powers = PowerTable(sigma)
         self._relations: RelationIdeal | None = None
@@ -184,10 +180,8 @@ def _assemble(group, sigma, ring) -> HilbertMap:
 
 
 def _tag_normal_form(p: Polynomial, hmap: HilbertMap) -> Polynomial:
-    """p's normal form against the tagged basis, in the combined alphabet,
-    each monomial's form computed once per map."""
-    fill = lambda exps: normal_form(embed(p.ring.monomial(exps), hmap.combined_ring, 0), hmap.tag_basis)
-    return _tabled_sum(hmap.combined_ring, [(1, p, hmap._monomial_forms, fill)])
+    """p's normal form against the tagged basis, in the combined alphabet."""
+    return normal_form(embed(p, hmap.combined_ring, 0), hmap.tag_basis)
 
 
 def _subalgebra_rewrite(p: Polynomial, hmap: HilbertMap) -> Polynomial | None:
@@ -333,10 +327,7 @@ def _subalgebra_series(hmap: HilbertMap) -> Series:
     """The Hilbert series of the subalgebra the map's generators span:
     that of Q[y]/in(I), y_j weighted by deg sigma_j, with in(I) the leading
     monomials of the relations in the tagged basis."""
-    leads = [
-        g.leading(GREVLEX)[0]
-        for g in _elimination_part(hmap.tag_basis, hmap.ring.nvars).generators
-    ]
+    leads = [lm for lm, _ in _elimination_part(hmap.tag_basis, hmap.ring.nvars).leads]
     return quotient_series(leads, [s.degree() for s in hmap.sigma])
 
 
@@ -387,22 +378,15 @@ class RelationIdeal:
     space model is its zero set.  ``basis`` is the reduced Groebner basis
     over the orbit ring, so ``normal`` canonically represents classes.
 
-    The normal form is linear, so ``normal`` sums c * NF(y^e) over the
-    terms from a table of monomial normal forms kept per ideal.  A product
-    of reduced representatives y^a * y^b = y^(a+b) is looked up there too.
-    The table takes no part in equality or hashing."""
+    ``normal`` is :func:`.groebner.normal_form` against the basis, which
+    sums c * NF(y^e) over the terms from the basis's table of monomial
+    normal forms.  A product of reduced representatives y^a * y^b =
+    y^(a+b) is looked up there too."""
 
     basis: GroebnerBasis
-    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def normal(self, p: Polynomial) -> Polynomial:
-        if not self.basis.generators:
-            return p
-        ring = self.basis.generators[0].ring
-        if p.ring != ring:
-            raise ValueError("incompatible rings")
-        fill = lambda exps: normal_form(ring.monomial(exps), self.basis)
-        return _tabled_sum(ring, [(1, p, self._forms, fill)])
+        return normal_form(p, self.basis)
 
     def is_member(self, p: Polynomial) -> bool:
         return self.normal(p).is_zero()
@@ -619,7 +603,7 @@ def _span_series(span: SubmoduleProblem, hmap: HilbertMap) -> Series:
     sum_j t^(1 - deg sigma_j) (K_in(I) - K_J_j) / prod(1 - t^(deg sigma)).
     The module basis read here is the one the next degree's membership
     tests use."""
-    ideal_leads = [g.leading(GREVLEX)[0] for g in relations(hmap).basis.generators]
+    ideal_leads = [lm for lm, _ in relations(hmap).basis.leads]
     weights = [s.degree() for s in hmap.sigma]
     return module_series(ideal_leads, _position_leads(span), weights)
 

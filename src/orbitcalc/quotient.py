@@ -57,7 +57,7 @@ from itertools import combinations
 from fractions import Fraction
 
 from .algebra import GREVLEX, PolyRing, Polynomial, _tabled_sum, combination, json_integer, parse_polynomial
-from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, module_solve
+from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, _verify_combination, module_solve
 from .group_action import (
     LieAlgebraAction,
     PolyDiffForm,
@@ -771,15 +771,11 @@ def extend_check(theta: OrbitForm, space: OrbitSpace | None = None) -> ExtendRes
         space = theta.space
     elif space is not theta.space:
         raise ValueError("form lives on a different orbit space")
-    pushed = space._pushed
-    target = [theta.value((i,)).rep for i in range(len(pushed))]
+    target = [theta.value((i,)).rep for i in range(len(space._pushed))]
     outcome = module_solve(target, space._extension_problem)
     if outcome.member:
         witness = tuple(space.ideal.normal(w) for w in outcome.witness)
-        for reps, want in zip(pushed, target):
-            acc = combination(space.orbit_ring, [(1, w, c) for w, c in zip(witness, reps)])
-            if not space.ideal.is_member(acc - want):
-                raise AssertionError("internal error: extension witness broken")
+        _verify_combination(space._extension_problem, witness, target, "extension witness")
         return ExtendResult(True, witness=witness)
     return ExtendResult(False, certificate=outcome.certificate)
 

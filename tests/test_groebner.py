@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    LADDER,
     coefficient_vector,
     mono_div,
     mono_divides,
@@ -16,6 +17,9 @@ from conftest import (
     reference_divide,
 )
 from orbitcalc import groebner, linalg
+from orbitcalc.group_action import closure
+from orbitcalc.invariants import equivariant_generators, invariant_generators, relations
+from orbitcalc.quotient import OrbitSpace
 from orbitcalc.algebra import (
     GREVLEX,
     LEX,
@@ -26,8 +30,10 @@ from orbitcalc.algebra import (
 )
 from orbitcalc.groebner import (
     ComputationCancelled,
+    GroebnerBasis,
     SubmoduleProblem,
     _buchberger_tracked,
+    _elimination_part,
     _module_basis,
     buchberger,
     divide,
@@ -56,6 +62,9 @@ RELATION = y("y3^2 - y1*y2")
 
 def relation_basis():
     return buchberger([RELATION])
+
+
+PRESENTATION_RUNGS = ["z2_r2", "z4_r2", "b2_r2", "d3_r2", "z2z2_r3"]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +236,70 @@ def test_divide_rescales_by_a_leading_numerator_the_work_does_not_absorb():
     assert (remainder, quotients) == reference_divide(p, divisors, GREVLEX)
     assert remainder == x("19/36")
     assert quotients == [x("1/3*x1 - 1/9*x2"), x("-1/18*x2 - 19/36")]
+
+
+# ---------------------------------------------------------------------------
+# a basis keeps its leading terms and its monomial normal forms
+# ---------------------------------------------------------------------------
+
+def kept_bases():
+    """One basis of each kind the package makes, by name."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(53)
+    bases = {"empty": GroebnerBasis((), GREVLEX)}
+    for order in (GREVLEX, LEX, BlockOrder(1)):
+        bases[f"buchberger-{order}"] = buchberger(random_ideal(rng, ring), order)
+    block = buchberger(random_ideal(rng, ring), BlockOrder(1))
+    bases["eliminate"] = eliminate(random_ideal(rng, ring), 1)
+    bases["elimination-part"] = _elimination_part(block, 1)
+    for rung in ("z2_r2", "z4_r2", "z2_r3"):
+        bases[f"tagged-{rung}"] = invariant_generators(closure(LADDER[rung])).tag_basis
+    return bases
+
+
+def test_a_basis_keeps_the_leading_terms_of_its_generators():
+    bases = kept_bases()
+    assert bases["empty"].leads == ()
+    assert sum(len(gb) for gb in bases.values()) > len(bases)
+    for name, gb in bases.items():
+        assert gb.leads == tuple(g.leading(gb.order) for g in gb.generators), name
+        assert "leads" not in repr(gb) and "_forms" not in repr(gb)
+
+
+@pytest.mark.parametrize("rung", PRESENTATION_RUNGS)
+def test_every_division_of_a_space_build_reads_kept_leads(rung, monkeypatch):
+    leads = []
+    divide = groebner.divide
+
+    def recording(*args, **kwargs):
+        leads.append(kwargs.get("_leads"))
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "divide", recording)
+    hilbert = invariant_generators(closure(LADDER[rung]))
+    space = OrbitSpace(hilbert, module=equivariant_generators(hilbert.group))
+    space.pushed_generators
+    space.generator_syzygies
+    assert leads and all(lead is not None for lead in leads)
+
+
+@pytest.mark.parametrize("kind", ["z2_r3-relations", "z4_r2-tagged"])
+def test_normal_form_equals_the_reference_with_cold_and_warm_tables(kind, monkeypatch):
+    rung, basis_kind = kind.split("-")
+    hilbert = invariant_generators(closure(LADDER[rung]))
+    built = relations(hilbert).basis if basis_kind == "relations" else hilbert.tag_basis
+    gb = GroebnerBasis(built.generators, built.order)  # equal, with a table of its own
+    assert gb == built and gb._forms == {}
+    ring = gb.generators[0].ring
+    rng = random.Random(f"tabled-normal-form-{kind}")
+    polys = [random_poly(rng, ring, 4, 5) for _ in range(25)]
+    expected = [reference_divide(p, gb.generators, gb.order)[0] for p in polys]
+    assert [normal_form(p, gb) for p in polys] == expected
+    assert set(gb._forms) == {e for p in polys for e in p.terms}
+    divisions = []
+    monkeypatch.setattr(groebner, "divide", lambda *a, **k: divisions.append(a))
+    assert [normal_form(p, gb) for p in polys] == expected
+    assert divisions == []
 
 
 def test_buchberger_builds_no_fraction_view(fraction_views_built):

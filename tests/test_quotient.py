@@ -3,7 +3,6 @@
 import gc
 import itertools
 import random
-import sys
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -903,22 +902,24 @@ def test_a_third_identical_solve_divides_only_to_verify(calculus_space, monkeypa
     assert call() == first
     if operation == "extend_check":
         assert first.extendable
-    divisions, verifying = [], []
-    divide_vector, divide = groebner._divide_vector, groebner.divide
+    divisions, scalar_divisions, checks = [], [], []
+    divide_vector, divide, verify = groebner._divide_vector, groebner.divide, groebner._verify_combination
 
-    def recording_divide(*args, **kwargs):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        verifying.append("_verify_combination" in names)
-        return divide(*args, **kwargs)
+    def recording_verify(*args, **kwargs):
+        checks.append(args[3])
+        return verify(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_divide_vector", lambda *a, **k: divisions.append(a) or divide_vector(*a, **k))
-    monkeypatch.setattr(groebner, "divide", recording_divide)
+    monkeypatch.setattr(groebner, "divide", lambda *a, **k: scalar_divisions.append(a) or divide(*a, **k))
+    monkeypatch.setattr(groebner, "_verify_combination", recording_verify)
+    monkeypatch.setattr(quotient, "_verify_combination", recording_verify)
     assert call() == first
     assert divisions == []
-    assert verifying and all(verifying)
+    # the witness checks still run, and read the normal forms the first two
+    # calls left in the relation basis's table: nothing is divided at all
+    assert "module witness" in checks
+    assert ("extension witness" in checks) == (operation == "extend_check")
+    assert scalar_divisions == []
 
 
 # ---------------------------------------------------------------------------
