@@ -1,12 +1,12 @@
 """orbitcalc: exact calculus on orbit spaces of linear finite group actions.
 
 Layers, bottom up: sparse rational polynomial arithmetic with monomial
-orders (``algebra``), Groebner engine with witnesses and syzygies
-(``groebner``), finite matrix groups acting on polynomials, fields, and
-forms (``group_action``), exterior calculus and the homotopy operator
-(``exterior``), invariant ring and invariant fields (``invariants``), and
-the orbit-space calculus itself (``quotient``).  ``cli`` is the console
-entry point.
+orders (``algebra``), the fraction-free exact eliminations (``linalg``),
+Groebner engine with witnesses and syzygies (``groebner``), finite matrix
+groups acting on polynomials, fields, and forms (``group_action``),
+exterior calculus and the homotopy operator (``exterior``), invariant ring
+and invariant fields (``invariants``), and the orbit-space calculus itself
+(``quotient``).  ``cli`` is the console entry point.
 """
 
 from .algebra import (

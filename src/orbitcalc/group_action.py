@@ -11,7 +11,6 @@ fields of a linear Lie algebra action round out the module.
 
 from __future__ import annotations
 
-import math
 import operator
 import weakref
 from collections import deque
@@ -21,10 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .algebra import PolyRing, Polynomial, PowerTable, _tabled_sum, combination
-
-# An integral entry is an ``int`` and any other a ``Fraction``; the two
-# compare and hash alike and both carry .numerator and .denominator.
-Matrix = tuple[tuple[Union[int, Fraction], ...], ...]
+from .linalg import Matrix, _entry, det, mat_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +41,6 @@ def parse_rational(text) -> Fraction:
     raise TypeError(f"cannot read a rational from {text!r}")
 
 
-def _entry(q):
-    """A matrix entry: ``q`` as an ``int`` when integral, else as given."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
     mat = tuple(tuple(_entry(parse_rational(e)) for e in row) for row in rows)
     if not mat or any(len(row) != len(mat) for row in mat):
@@ -64,36 +55,6 @@ def identity_matrix(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(tuple(_entry(sum(map(operator.mul, row, col))) for col in cols) for row in a)
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    """Fraction-free Gauss-Jordan inverse; raises ValueError on a singular
-    matrix.  It runs on the integer matrix a = D m, D the lcm of m's
-    denominators, beside the identity: each step replaces every other row
-    by (pivot * row - row[col] * pivot row) / previous pivot, a division
-    that is exact as in Bareiss's elimination, and the last step leaves
-    d I beside d a^-1, d = +-det a.  So m^-1 = D (d a^-1) / d."""
-    n = len(m)
-    scale = math.lcm(*(e.denominator for row in m for e in row))
-    work = [
-        [int(e * scale) for e in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    previous = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        top = work[col]
-        p = top[col]
-        for r in range(n):
-            if r != col:
-                row = work[r]
-                f = row[col]
-                work[r] = [(p * e - f * t) // previous for e, t in zip(row, top)]
-        previous = p
-    return tuple(tuple(_entry(Fraction(scale * e, previous)) for e in row[n:]) for row in work)
 
 
 def format_matrix(m: Matrix) -> list[list[str]]:
@@ -465,9 +426,9 @@ def _act_sum(moves, obj):
             # d(inv.x)_{i} = sum_j inv[i][j] dx_j; the wedge over the index
             # tuple expands through minors of inv
             for target in combinations(range(n), k):
-                det = _minor_det(inv, indices, target)
-                if det:
-                    forms.setdefault(target, []).append((det, coeff, table, table.power))
+                minor = det([[inv[r][c] for c in target] for r in indices])
+                if minor:
+                    forms.setdefault(target, []).append((minor, coeff, table, table.power))
     return PolyDiffForm(ring, k, {t: _tabled_sum(ring, items) for t, items in forms.items()})
 
 
@@ -490,28 +451,6 @@ def act_form(g, omega: FormOrPoly) -> FormOrPoly:
     """Pullback along g^-1, making a left action that matches act_poly in
     degree 0 and pairs with act_vf: (g.omega)(g.X) = g.(omega(X))."""
     return _act_by(g, omega)
-
-
-def _minor_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    k = len(rows)
-    sub = [[m[r][c] for c in cols] for r in rows]
-    # Laplace by permutation expansion is fine at these sizes, but Gaussian
-    # elimination keeps it polynomial if someone wedges in high degree
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if sub[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            sub[col], sub[pivot] = sub[pivot], sub[col]
-            det = -det
-        det *= sub[col][col]
-        inv = Fraction(1) / sub[col][col]
-        for r in range(col + 1, k):
-            if sub[r][col]:
-                factor = sub[r][col] * inv
-                sub[r] = [e - factor * p for e, p in zip(sub[r], sub[col])]
-    return det
 
 
 def is_invariant(obj, group: FiniteMatrixGroup) -> bool:

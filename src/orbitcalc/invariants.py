@@ -232,7 +232,7 @@ def invariant_generators(
     The invariant ring is graded, so a degree-d average lies in the
     subalgebra of the generators found so far exactly when its normal form
     against the map of the lower-degree generators, less a combination of
-    the degree-d generators' normal forms, is free of x; an exact echelon
+    the degree-d generators' normal forms, is free of x; :func:`.linalg.insert`
     of those x parts decides each candidate.  One tagged basis is built per
     degree that gains generators.  Every generator is checked invariant,
     and each degree's generators must stay independent modulo the lower
@@ -291,7 +291,7 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
             if len(found) >= missing:
                 break
             candidate = reynolds(mono, group)
-            if not candidate.is_zero() and _echelon_insert(_x_part(candidate, hmap), rows):
+            if not candidate.is_zero() and linalg.insert(_x_part(candidate, hmap), rows):
                 found.append(candidate.primitive())
         if len(found) != missing:
             raise AssertionError(f"internal error: {len(found)} generators in degree {degree}, counted {missing}")
@@ -303,7 +303,7 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
             for p in found:
                 if not is_invariant(p, group):
                     raise AssertionError(f"internal error: not invariant: {p}")
-                if not _echelon_insert(_x_part(p, hmap), rows):
+                if not linalg.insert(_x_part(p, hmap), rows):
                     raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
             sigma.extend(found)
             hmap = _assemble(group, tuple(sigma), ring)
@@ -326,8 +326,10 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
 def _subalgebra_series(hmap: HilbertMap) -> Series:
     """The Hilbert series of the subalgebra the map's generators span:
     that of Q[y]/in(I), y_j weighted by deg sigma_j, with in(I) the leading
-    monomials of the relations in the tagged basis."""
-    leads = [lm for lm, _ in _elimination_part(hmap.tag_basis, hmap.ring.nvars).leads]
+    monomials of the relations in the tagged basis: its x-free leads, as
+    in the block order an element with an x-free lead is x-free."""
+    n = hmap.ring.nvars
+    leads = [lm[n:] for lm, _ in hmap.tag_basis.leads if not any(lm[:n])]
     return quotient_series(leads, [s.degree() for s in hmap.sigma])
 
 
@@ -340,32 +342,6 @@ def _x_part(p: Polynomial, hmap: HilbertMap | None) -> dict:
         return dict(p._num)
     n = hmap.ring.nvars
     return {e: c for e, c in _tag_normal_form(p, hmap)._num.items() if any(e[:n])}
-
-
-def _echelon_insert(vector: dict, rows: dict) -> bool:
-    """Reduce a sparse integer vector by echelon rows (keyed by their
-    largest coordinate); if something is left, add it, divided by its
-    content, as a row and return True, else return False.  Only the span
-    matters, so the steps are fraction-free: a * vector - b * row clears the
-    pivot, with a : b the ratio of the two pivot entries."""
-    while vector:
-        pivot = max(vector)
-        row = rows.get(pivot)
-        if row is None:
-            content = math.gcd(*vector.values())
-            rows[pivot] = {e: c // content for e, c in vector.items()}
-            return True
-        a, b = row[pivot], vector[pivot]
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        vector = {e: a * c for e, c in vector.items()}
-        for e, c in row.items():
-            new = vector.get(e, 0) - b * c
-            if new:
-                vector[e] = new
-            else:
-                del vector[e]
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +538,7 @@ def equivariant_generators(
             vector = {
                 (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
             }
-            if _echelon_insert(vector, rows):
+            if linalg.insert(vector, rows):
                 kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
                 pushed.append(column)
         if len(rows) != missing:

@@ -20,11 +20,11 @@ series are compared by cross-multiplying, so no polynomial gcd is needed.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import Sequence
 
 from .algebra import monomial_ops
+from .linalg import integral
 
 Series = tuple[list, list]
 
@@ -111,13 +111,12 @@ def coefficient(series: Series, degree: int) -> int:
 
 def _det_one_minus(g) -> tuple:
     """det(I - t g), constant term first: Faddeev-LeVerrier over the
-    integers on a = D g, D the lcm of g's denominators, whose characteristic
+    integers on a = D g (:func:`.linalg.integral`), whose characteristic
     polynomial has det(I - s a) for its reversed coefficients; the
     coefficient of t^k is then that of s^k over D^k.  An element of finite
     order has integer coefficients here, so the divisions are exact."""
     n = len(g)
-    scale = math.lcm(*(c.denominator for row in g for c in row))
-    a = [[int(c * scale) for c in row] for row in g]
+    scale, a = integral(g)
     coeffs = [1]
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):

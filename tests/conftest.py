@@ -13,7 +13,7 @@ from operator import add, le, sub
 
 import pytest
 
-from orbitcalc import algebra, groebner, invariants
+from orbitcalc import algebra, groebner, invariants, linalg
 from orbitcalc.algebra import PolyRing, Polynomial
 from orbitcalc.exterior import d, homotopy, wedge
 from orbitcalc.group_action import (
@@ -251,6 +251,21 @@ def monomials_up_to(ring, degree):
 
 def coefficient_vector(p, columns):
     return [p.coefficient(e) for e in columns]
+
+
+def nullspace(matrix, ncols):
+    """Basis of the kernel of ``matrix`` acting on column vectors of length
+    ``ncols``, from the dense ``Fraction`` echelon."""
+    reduced, pivots = linalg.echelon([list(r) for r in matrix], ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 # ---------------------------------------------------------------------------

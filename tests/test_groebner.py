@@ -11,6 +11,7 @@ from conftest import (
     mono_divides,
     mono_lcm,
     monomials_up_to,
+    nullspace,
     random_homogeneous,
     random_ideal,
     random_poly,
@@ -840,7 +841,7 @@ def homogeneous_syzygies(columns, ideal_gens, degree):
         images.append([c for comp in vector for c in coefficient_vector(comp, top)])
     matrix = [[image[e] for image in images] for e in range(rank * len(top))]
     rows = []
-    for kernel in linalg.nullspace(matrix, len(unknowns)):
+    for kernel in nullspace(matrix, len(unknowns)):
         row = [ring.zero()] * len(columns)
         for coeff, (j, _, m) in zip(kernel, unknowns):
             if j is not None and coeff:

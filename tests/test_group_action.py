@@ -218,9 +218,15 @@ def test_dimension_mismatch_errors():
 # the tabled action against direct substitution
 # ---------------------------------------------------------------------------
 
-# D3 on R^2 with its non-monomial rotation, and Z2 x Z2 on R^3.
+# D3 conjugated by diag(1, 2): P g P^-1 has entries g[i][j] p_i / p_j, so
+# the rotation becomes [[0, -1/2], [2, -1]] and the swap [[0, 1/2], [2, 0]].
+D3_CONJUGATED = [[["0", "-1/2"], ["2", "-1"]], [["0", "1/2"], ["2", "0"]]]
+
+# D3 on R^2 with its non-monomial rotation, the same conjugated (so the
+# minors of a form's action have Fraction entries), and Z2 x Z2 on R^3.
 TABLED_GROUPS = {
     "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "d3_conjugated": D3_CONJUGATED,
     "z2z2_r3": [
         [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
         [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
@@ -311,9 +317,6 @@ def test_monomial_tables_belong_to_their_group():
 # the integer group layer: int entries, inverses recorded by the closure
 # ---------------------------------------------------------------------------
 
-# D3 conjugated by diag(1, 2): P g P^-1 has entries g[i][j] p_i / p_j, so
-# the rotation becomes [[0, -1/2], [2, -1]] and the swap [[0, 1/2], [2, 0]].
-D3_CONJUGATED = [[["0", "-1/2"], ["2", "-1"]], [["0", "1/2"], ["2", "0"]]]
 INVERSE_GROUPS = {**LADDER, "d3_conjugated": D3_CONJUGATED}
 
 
@@ -397,8 +400,8 @@ def test_mat_inverse_of_random_rational_matrices():
         try:
             inv = mat_inverse(m)
         except ValueError:
-            # singular: some column of the echelon form has no pivot
-            assert linalg.rank([list(row) for row in m], n) < n
+            # singular: some column of the dense echelon form has no pivot
+            assert len(linalg.echelon([list(row) for row in m], n)[1]) < n
             continue
         assert mat_mul(m, inv) == identity_matrix(n) == mat_mul(inv, m)
         assert all(type(e) is int or e.denominator != 1 for e in entries([inv]))

@@ -14,6 +14,7 @@ from conftest import (
     make_rotation4_group,
     make_swap_group,
     monomials_up_to,
+    nullspace,
     random_homogeneous,
     random_poly,
     reference_divide,
@@ -43,6 +44,7 @@ from orbitcalc.invariants import (
     relations,
     subduct,
 )
+from orbitcalc.series import quotient_series
 
 RING = PolyRing.ambient(2)
 
@@ -211,7 +213,7 @@ def test_relations_complete_to_degree_four(make_group):
     matrix = []
     for col in columns:
         matrix.append([img.coefficient(col) for img in images])
-    kernel = linalg.nullspace(matrix, len(monos))
+    kernel = nullspace(matrix, len(monos))
     for vector in kernel:
         candidate = orbit.zero()
         for coeff, m in zip(vector, monos):
@@ -391,6 +393,28 @@ def test_relations_read_off_equal_elimination(rung):
     # the read-off is already the reduced grevlex basis of the relations
     assert buchberger(list(basis.generators), GREVLEX).generators == basis.generators
     assert all(g.ring == hmap.orbit_ring for g in basis.generators)
+
+
+@pytest.mark.parametrize("rung", ["z2_r3", "z3_r3", "z6_r2", "z2z2_r3"])
+def test_the_relation_basis_is_restricted_once(rung, monkeypatch):
+    """The search's certificate tests read the x-free leads of each tagged
+    basis; only :func:`relations` restricts a basis, once per map."""
+    restricted = []
+    restrict_basis = invariants._elimination_part
+
+    def counting(basis, drop):
+        restricted.append(basis)
+        return restrict_basis(basis, drop)
+
+    monkeypatch.setattr(invariants, "_elimination_part", counting)
+    hmap = invariant_generators(closure(SEARCH_GROUPS[rung]))
+    assert restricted == []
+    ideal = relations(hmap)
+    assert relations(hmap) is ideal
+    assert len(restricted) == 1 and restricted[0] is hmap.tag_basis
+    leads = [lm for lm, _ in ideal.basis.leads]
+    weights = [s.degree() for s in hmap.sigma]
+    assert invariants._subalgebra_series(hmap) == quotient_series(leads, weights)
 
 
 def tagged_generators(hmap):
