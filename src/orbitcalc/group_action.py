@@ -81,6 +81,9 @@ class FiniteMatrixGroup:
     elements: tuple[Matrix, ...]
     inverses: tuple[Matrix, ...] = field(repr=False, compare=False)
     _moves_by_ring: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # det(I - t g) -> [element count, trace sum], filled once by the Molien
+    # sums of :mod:`.series`
+    _det_classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Hilbert maps built for this group, by degree bound.  Weak values: a
     # map refers to its group, so a strong reference here would make a
     # cycle that outlives every caller until the cyclic collector runs.

@@ -394,10 +394,20 @@ class EquivariantModule:
     """A minimal generating set for the module of invariant polynomial
     vector fields over the invariant ring.  ``certificate`` is the degree
     at which :func:`equivariant_generators` certified it complete, or None;
-    it takes no part in equality or hashing."""
+    it takes no part in equality or hashing.
+
+    A module the search found also keeps what the search built, for an
+    :class:`.quotient.OrbitSpace` to take over: ``_hilbert``, the map the
+    fields were pushed through, and ``_span``, the membership problem of
+    their pushforwards modulo ``relations(_hilbert).basis`` in generator
+    order, with the module basis its certificate read.  :meth:`from_fields`
+    and direct construction leave both None.  Neither takes part in
+    equality, hashing or ``repr``."""
 
     generators: tuple[PolyVectorField, ...]
     certificate: int | None = field(default=None, compare=False)
+    _hilbert: HilbertMap | None = field(default=None, init=False, repr=False, compare=False)
+    _span: SubmoduleProblem | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.generators)
@@ -408,12 +418,14 @@ class EquivariantModule:
 
     @staticmethod
     def from_fields(group: FiniteMatrixGroup, fields) -> "EquivariantModule":
-        """Validate invariance and minimality: no field is a combination of
-        the others with invariant coefficients."""
+        """Validate invariance and minimality: no field is zero or a
+        combination of the others with invariant coefficients."""
         fields = tuple(fields)
         if not fields:
             raise ValueError("empty generating set")
         for X in fields:
+            if X.is_zero():
+                raise ValueError("zero generator")
             if not is_invariant(X, group):
                 raise ValueError(f"not invariant: {X}")
         hmap = invariant_generators(group)
@@ -508,6 +520,11 @@ def equivariant_generators(
     ``AssertionError`` is raised; fields new in degree |G| - 1 end the
     search untested.  ``degree_bound`` (default |G|) only caps the search;
     a module it cuts before the series agree has no certificate.
+
+    A candidate is pushed as the primitive field it would be kept as: push
+    is linear and :func:`.linalg.insert` ignores scale.  The module keeps
+    those pushforwards for an :class:`.quotient.OrbitSpace` (see
+    :class:`EquivariantModule`).
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 0:
@@ -531,6 +548,7 @@ def equivariant_generators(
             candidate = reynolds(X, group)
             if candidate.is_zero():
                 continue
+            candidate = PolyVectorField(ring, make_primitive(candidate.components))
             column = _push_field(candidate, hmap)
             # with no lower-degree fields a pushforward is its own normal form
             normal = column if span is None else _module_normal_form(column, span)
@@ -539,7 +557,7 @@ def equivariant_generators(
                 (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
             }
             if linalg.insert(vector, rows):
-                kept.append(PolyVectorField(ring, make_primitive(candidate.components)))
+                kept.append(candidate)
                 pushed.append(column)
         if len(rows) != missing:
             raise AssertionError(f"internal error: {len(rows)} fields in degree {degree}, counted {missing}")
@@ -559,7 +577,10 @@ def equivariant_generators(
         break
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
-    return EquivariantModule(tuple(kept), certificate)
+    module = EquivariantModule(tuple(kept), certificate)
+    object.__setattr__(module, "_hilbert", hmap)
+    object.__setattr__(module, "_span", span)
+    return module
 
 
 def _monomial_fields(ring: PolyRing, degree: int):

@@ -47,6 +47,9 @@ The representatives of the pushed generators are kept once per space
 (``OrbitSpace._pushed``): the two problems on them, the derivative tables
 and :func:`extend_check` read them there, and only the public
 ``pushed_generators`` and the bracket coefficients wrap them as fields.
+A module from :func:`.invariants.equivariant_generators` hands over the
+pushforwards and the module basis its search built, and the space checks
+the pushforwards as :func:`push_vf` does.
 """
 
 from __future__ import annotations
@@ -133,8 +136,28 @@ class OrbitSpace:
         computed and checked once: the store every reader of the pushed
         generators reads.  It holds no fields, since a field points at its
         space and the cycle would keep a finished space alive until the
-        cyclic collector runs."""
-        return [tuple(c.rep for c in push_vf(X, self).components) for X in self.module.generators]
+        cyclic collector runs.
+
+        A module from :func:`.invariants.equivariant_generators` on this
+        space's Hilbert map and relation basis hands over the pushforwards
+        its search made (``EquivariantModule._span``), so none is pushed
+        again; each still passes both checks of :func:`push_vf`, the
+        generator's invariance and the tangency of its pushforward."""
+        span = self._handed_span()
+        if span is None:
+            return [tuple(c.rep for c in push_vf(X, self).components) for X in self.module.generators]
+        for X in self.module.generators:
+            if not is_invariant(X, self.hilbert.group):
+                raise ValueError("field is not invariant")
+        return [tuple(c.rep for c in OrbitVectorField(self, column).components) for column in span.columns]
+
+    def _handed_span(self) -> SubmoduleProblem | None:
+        """The search's problem on the module's pushforwards, when they were
+        pushed through this space's Hilbert map modulo its relation basis."""
+        span = self.module._span
+        if span is None or self.module._hilbert is not self.hilbert or span.ideal != self.ideal.basis:
+            return None
+        return span
 
     @property
     def pushed_generators(self) -> list["OrbitVectorField"]:
@@ -149,8 +172,15 @@ class OrbitSpace:
     def _generator_span(self) -> SubmoduleProblem:
         """The pushed generators as one membership problem modulo the
         relations; its module basis is built once and shared by every
-        lift, bracket expansion and the generator syzygies."""
-        return SubmoduleProblem(self.orbit_ring.nvars, tuple(self._pushed), self.ideal.basis)
+        lift, bracket expansion and the generator syzygies.  The problem
+        and its tables are the space's own, but a module basis the
+        equivariant search already built on equal columns is taken over,
+        not built again."""
+        problem = SubmoduleProblem(self.orbit_ring.nvars, tuple(self._pushed), self.ideal.basis)
+        span = self._handed_span()
+        if span is not None and span._basis is not None and span.columns == problem.columns:
+            object.__setattr__(problem, "_basis", span._basis)
+        return problem
 
     @cached_property
     def _extension_problem(self) -> SubmoduleProblem:

@@ -9,7 +9,8 @@ series are compared by cross-multiplying, so no polynomial gcd is needed.
   (1/|G|) sum_g 1/det(I - t g), and its module of invariant vector fields,
   graded by coefficient degree, has (1/|G|) sum_g tr(g)/det(I - t g)
   (Derksen & Kemper, *Computational Invariant Theory*, ch. 3).  Both sums
-  group the elements by det(I - t g).
+  group the elements by det(I - t g) and read one table per group, which
+  holds each denominator's element count and trace sum.
 - Monomial ideals: Q[y]/J, with y_j of weight w_j, has the series
   K_J(t) / prod_j (1 - t^(w_j)), and the numerator follows the recursion
   K(J + <m>) = K(J) - t^(w(m)) K(J : m) (Bayer & Stillman, *Computation of
@@ -129,18 +130,33 @@ def _det_one_minus(g) -> tuple:
     return tuple(c // scale**k for k, c in enumerate(coeffs))
 
 
-def _averaged(group, weight) -> Series:
-    """(1/|G|) sum_g weight(g) / det(I - t g), over the distinct
-    denominators with their weights added up; all in integers."""
-    classes: dict = {}
-    for g in group.elements:
-        den = _det_one_minus(g)
-        classes[den] = classes.get(den, 0) + weight(g)
+def _classes(group) -> dict:
+    """det(I - t g) -> [count, trace sum] over the elements g of the group,
+    in order of first meeting; built once per group instance and kept in
+    its ``_det_classes``.  A rational representation of a finite group has
+    a rational character, so tr(g^-1) = tr(g) and no inverse is needed; for
+    an element of finite order that trace is an integer."""
+    if not group._det_classes:
+        # filled aside, so an interrupted build leaves no partial table
+        classes: dict = {}
+        for g in group.elements:
+            weights = classes.setdefault(_det_one_minus(g), [0, 0])
+            weights[0] += 1
+            weights[1] += int(sum(g[i][i] for i in range(len(g))))
+        group._det_classes.update(classes)
+    return group._det_classes
+
+
+def _averaged(group, index: int) -> Series:
+    """(1/|G|) sum_g w(g) / det(I - t g), with w(g) 1 for ``index`` 0 and
+    tr(g) for 1, over the distinct denominators of :func:`_classes` with
+    their weights added up; all in integers."""
+    classes = _classes(group)
     dens = [list(den) for den in classes]
     numerator: list = []
-    for k, total in enumerate(classes.values()):
-        if total:
-            term = [total]
+    for k, weights in enumerate(classes.values()):
+        if weights[index]:
+            term = [weights[index]]
             for j, den in enumerate(dens):
                 if j != k:
                     term = _mul(term, den)
@@ -153,15 +169,13 @@ def _averaged(group, weight) -> Series:
 
 def molien_series(group) -> Series:
     """The Hilbert series of the invariant ring."""
-    return _averaged(group, lambda g: 1)
+    return _averaged(group, 0)
 
 
 def field_series(group) -> Series:
     """The Hilbert series of the invariant vector fields by coefficient
-    degree.  A rational representation of a finite group has a rational
-    character, so tr(g^-1) = tr(g) and no inverse is needed; for an element
-    of finite order that trace is an integer."""
-    return _averaged(group, lambda g: int(sum(g[i][i] for i in range(len(g)))))
+    degree."""
+    return _averaged(group, 1)
 
 
 # ---------------------------------------------------------------------------

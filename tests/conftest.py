@@ -287,6 +287,10 @@ LADDER = {
     "z6_r2": [[["1", "-1"], ["1", "0"]]],
 }
 
+# D3 conjugated by diag(1, 2): P g P^-1 has entries g[i][j] p_i / p_j, so
+# the rotation becomes [[0, -1/2], [2, -1]] and the swap [[0, 1/2], [2, 0]].
+D3_CONJUGATED = [[["0", "-1/2"], ["2", "-1"]], [["0", "1/2"], ["2", "0"]]]
+
 
 def make_reflection_group():
     return closure([[["-1", "0"], ["0", "-1"]]])

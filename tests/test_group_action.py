@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    D3_CONJUGATED,
     LADDER,
     field_degree,
     make_reflection_group,
@@ -217,10 +218,6 @@ def test_dimension_mismatch_errors():
 # ---------------------------------------------------------------------------
 # the tabled action against direct substitution
 # ---------------------------------------------------------------------------
-
-# D3 conjugated by diag(1, 2): P g P^-1 has entries g[i][j] p_i / p_j, so
-# the rotation becomes [[0, -1/2], [2, -1]] and the swap [[0, 1/2], [2, 0]].
-D3_CONJUGATED = [[["0", "-1/2"], ["2", "-1"]], [["0", "1/2"], ["2", "0"]]]
 
 # D3 on R^2 with its non-monomial rotation, the same conjugated (so the
 # minors of a form's action have Fraction entries), and Z2 x Z2 on R^3.

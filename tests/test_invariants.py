@@ -701,6 +701,17 @@ def test_module_minimality_validation():
         EquivariantModule.from_fields(group, [gen, gen])
 
 
+def test_a_lone_zero_field_is_no_generator():
+    """The zero field is the empty combination, so it is rejected alone as
+    it is beside another field."""
+    group = make_reflection_group()
+    zero = PolyVectorField.zero(RING)
+    with pytest.raises(ValueError, match="zero generator"):
+        EquivariantModule.from_fields(group, [zero])
+    with pytest.raises(ValueError):
+        EquivariantModule.from_fields(group, [field("x1", "0"), zero])
+
+
 def test_equivariants_raising_bound_adds_nothing():
     group = make_reflection_group()
     at_noether = equivariant_generators(group)

@@ -1,5 +1,6 @@
 """Orbit-space calculus: pushforward/lift, intrinsic d, wedge, extension test."""
 
+import copy
 import gc
 import itertools
 import random
@@ -131,6 +132,124 @@ def test_one_module_basis_serves_lifts_and_brackets(count_module_basis_builds):
     # the public entry point, on its own basis, gives the same rows
     assert groebner.syzygies(space._generator_span.columns, space.ideal.basis) == syzygies
     assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the equivariant search hands its pushforwards and module basis over
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def count_pushes(monkeypatch):
+    """Start recording the fields :func:`.invariants._push_field` pushes,
+    from the search and from the space alike."""
+
+    def start():
+        pushed = []
+        push = invariants._push_field
+
+        def recording(X, hmap):
+            pushed.append(X)
+            return push(X, hmap)
+
+        monkeypatch.setattr(invariants, "_push_field", recording)
+        monkeypatch.setattr(quotient, "_push_field", recording)
+        return pushed
+
+    return start
+
+
+def test_the_space_pushes_no_generator_twice(count_pushes, count_module_basis_builds):
+    """On Z2 x Z2 on R^3 the search pushes every field it keeps and builds
+    the module basis of the six pushed fields for its certificate; the
+    space reads both and builds neither again."""
+    group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
+    pushes, builds = count_pushes(), count_module_basis_builds()
+    module = equivariant_generators(group)
+    space = OrbitSpace(hmap, module=module)
+    syzygies = space.generator_syzygies
+    assert len(module) == 6 and syzygies
+    assert [sum(1 for X in pushes if X == gen) for gen in module.generators] == [1] * 6
+    assert [len(args[0]) for args in builds].count(6) == 1
+    # the space built without the handover has the same pushes and syzygies
+    fresh = OrbitSpace(hmap, module=EquivariantModule(module.generators))
+    assert fresh._pushed == space._pushed
+    assert fresh.generator_syzygies == syzygies
+    assert [len(args[0]) for args in builds].count(6) == 2
+
+
+def test_a_space_on_another_map_pushes_the_fields_itself(count_pushes):
+    group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
+    module = equivariant_generators(group)
+    handed = OrbitSpace(hmap, module=module)._pushed
+    # an equal map that is not the search's: the space pushes every field
+    pushes = count_pushes()
+    copy = HilbertMap.from_polynomials(group, hmap.sigma)
+    assert OrbitSpace(copy, module=module)._pushed == handed
+    assert pushes == list(module.generators)
+    # a map cut by a degree bound, as the command line builds one, with
+    # fields chosen by hand: x_i d/dx_i pushes to 2 y_i d/dy_i
+    cut = invariant_generators(group, 2)
+    assert cut.certificate is None and len(cut) == 3
+    ring = hmap.ring
+    zero = ring.zero()
+    fields = [PolyVectorField(ring, [x if i == j else zero for j in range(3)]) for i, x in enumerate(ring.variables())]
+    space = OrbitSpace(cut, module=EquivariantModule.from_fields(group, fields))
+    del pushes[:]
+    two = [[cut.orbit_ring.variable(i) * 2 if i == j else cut.orbit_ring.zero() for j in range(3)] for i in range(3)]
+    assert space._pushed == [tuple(row) for row in two]
+    assert pushes == fields
+
+
+def test_a_handed_over_push_is_still_checked():
+    """A corrupted column fails the tangency check and a field that is not
+    invariant the invariance check, as they fail in :func:`push_vf`."""
+    group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
+    module = equivariant_generators(group)
+    span = module._span
+    assert module._hilbert is hmap and span.columns and span.ideal.generators
+    bad = copy.copy(module)
+    column = (span.columns[0][0] + 1,) + span.columns[0][1:]
+    corrupted = groebner.SubmoduleProblem(span.ambient_rank, (column,) + span.columns[1:], span.ideal)
+    object.__setattr__(bad, "_span", corrupted)
+    space = OrbitSpace(hmap, module=bad)
+    assert space._handed_span() is corrupted
+    with pytest.raises(ValueError, match="does not preserve the relation ideal"):
+        space._pushed
+    not_invariant = PolyVectorField(hmap.ring, [hmap.ring.variable(1)] + list(module.generators[0].components[1:]))
+    bad = copy.copy(module)
+    object.__setattr__(bad, "generators", (not_invariant,) + module.generators[1:])
+    with pytest.raises(ValueError, match="not invariant"):
+        OrbitSpace(hmap, module=bad)._pushed
+
+
+def test_the_handed_over_fields_are_no_part_of_the_module_value():
+    group = closure(LADDER["z2z2_r3"])
+    module = equivariant_generators(group)
+    plain = EquivariantModule(module.generators, module.certificate)
+    assert module._span is not None and plain._span is None and plain._hilbert is None
+    assert module == plain and hash(module) == hash(plain) and repr(module) == repr(plain)
+    assert EquivariantModule.from_fields(group, module.generators)._span is None
+
+
+def test_spaces_of_one_module_keep_tables_of_their_own():
+    group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
+    module = equivariant_generators(group)
+    first, second = OrbitSpace(hmap, module=module), OrbitSpace(hmap, module=module)
+    problem = first._generator_span
+    assert all(not table for table in problem._tables)
+    target = [c.rep for c in (first.pushed_generators[0] + first.pushed_generators[1]).components]
+    for _ in range(2):
+        assert groebner.module_solve(target, problem).member
+    assert any(problem._tables)
+    assert all(not table for table in second._generator_span._tables)
+    assert all(not table for table in module._span._tables)
+    # the search's module basis is taken over, its problem is not
+    assert problem._basis is module._span._basis is second._generator_span._basis
+    assert problem is not module._span and second._generator_span is not problem
 
 
 def test_orbit_bracket_golden(golden_space):

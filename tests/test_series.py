@@ -8,9 +8,9 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import LADDER, field_degree
+from conftest import D3_CONJUGATED, LADDER, field_degree
 
-from orbitcalc import invariants, linalg
+from orbitcalc import invariants, linalg, series
 from orbitcalc.algebra import GREVLEX, PolyRing
 from orbitcalc.groebner import SubmoduleProblem, _HilbertDrive, _position_leads
 from orbitcalc.group_action import PolyVectorField, closure, reynolds
@@ -113,6 +113,42 @@ def test_module_series_of_the_certified_span_counts_the_fields(rung):
     assert series[1][: max(weights) - 1] == [0] * (max(weights) - 1)
     counts = coefficients(field_series(group), group.order + 1)
     assert [coefficient(series, d) for d in range(group.order + 1)] == counts
+
+
+SERIES_GROUPS = {**LADDER, "d3_conjugated": D3_CONJUGATED}
+
+
+@pytest.mark.parametrize("rung", sorted(SERIES_GROUPS))
+def test_both_sums_read_one_determinant_per_element(rung, monkeypatch):
+    group = closure(SERIES_GROUPS[rung])
+    calls = []
+    det_one_minus = series._det_one_minus
+    monkeypatch.setattr(series, "_det_one_minus", lambda g: calls.append(g) or det_one_minus(g))
+    molien, fields = molien_series(group), field_series(group)
+    assert molien_series(group) == molien and field_series(group) == fields
+    assert sorted(calls) == sorted(group.elements)
+
+
+@pytest.mark.parametrize("rung", sorted(SERIES_GROUPS))
+def test_both_sums_equal_the_per_element_reference(rung):
+    """(1/|G|) sum_g 1/det(I - t g) and (1/|G|) sum_g tr(g)/det(I - t g),
+    summed element by element by sympy."""
+    sympy = pytest.importorskip("sympy")
+    group = closure(SERIES_GROUPS[rung])
+    t = sympy.Symbol("t")
+    molien_sum = field_sum = 0
+    for g in group.elements:
+        m = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in g])
+        den = (sympy.eye(group.n) - t * m).det()
+        molien_sum += 1 / den
+        field_sum += m.trace() / den
+
+    def rational(pair):
+        numerator, denominator = (sum(c * t**k for k, c in enumerate(p)) for p in pair)
+        return numerator / denominator
+
+    for ours, reference in ((molien_series(group), molien_sum), (field_series(group), field_sum)):
+        assert sympy.cancel(rational(ours) - reference / group.order) == 0
 
 
 def test_coefficient_divides_a_scaled_and_shifted_denominator():
