@@ -26,7 +26,9 @@ lexicographic, and a two-block elimination order); grevlex with the first
 variable most significant is the default used for canonical printing.
 Exponent arithmetic (:func:`monomial_ops`) and the orders' keys
 (:meth:`MonomialOrder.key_for`) are compiled once per number of variables,
-unrolled over the indices, and every hot loop calls those of its ring.
+unrolled over the indices, and every hot loop calls those of its ring;
+weighted degrees (:func:`weighted_degree`) are compiled once per weight
+tuple.
 """
 
 from __future__ import annotations
@@ -86,14 +88,16 @@ class MonomialOps(NamedTuple):
     """The exponent arithmetic of one arity n, each a compiled function of
     two n-tuples: the product a + b, the quotient a - b, the divisibility
     test a <= b, the lcm max(a, b) and the colon exponent max(a - b, 0),
-    all componentwise; and the unit tuples, units[i] the exponents of the
-    i-th variable."""
+    all componentwise; the support of one n-tuple, the bitmask with bit i
+    set when the i-th exponent is nonzero; and the unit tuples, units[i]
+    the exponents of the i-th variable."""
 
     mul: Callable[[Exponents, Exponents], Exponents]
     div: Callable[[Exponents, Exponents], Exponents]
     divides: Callable[[Exponents, Exponents], bool]
     lcm: Callable[[Exponents, Exponents], Exponents]
     colon: Callable[[Exponents, Exponents], Exponents]
+    support: Callable[[Exponents], int]
     units: tuple[Exponents, ...]
 
 
@@ -108,7 +112,31 @@ def monomial_ops(n: int) -> MonomialOps:
         _compiled("a, b", " and ".join(f"{x} <= {y}" for x, y in at) or "True"),
         _compiled("a, b", _tuple_source(f"{x} if {x} > {y} else {y}" for x, y in at)),
         _compiled("a, b", _tuple_source(f"{x} - {y} if {x} > {y} else 0" for x, y in at)),
+        # distinct bits, so their sum is their union
+        _compiled("a", _sum_source([f"({1 << i} if a[{i}] else 0)" for i in range(n)])),
         tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+    )
+
+
+def weighted_degree(weights: Sequence[int]) -> Callable[[Exponents], int]:
+    """The weighted degree sum_i w_i e_i of exponent tuples of arity
+    len(weights), compiled once per weight tuple (the last 256 are kept);
+    for weights (1, 2) it is ``lambda e: (e[0] + 2 * e[1])``.  Each weight
+    must be a positive ``int``, checked on every call, before the cache is
+    read: the cache would take True or 1.0 for 1."""
+    weights = tuple(weights)
+    for w in weights:
+        if type(w) is not int:
+            raise TypeError(f"a weight must be an int, got {type(w).__name__}")
+        if w <= 0:
+            raise ValueError(f"a weight must be positive, got {w}")
+    return _weighted_degree(weights)
+
+
+@functools.lru_cache(maxsize=256)
+def _weighted_degree(weights: tuple[int, ...]) -> Callable[[Exponents], int]:
+    return _compiled(
+        "e", _sum_source([f"e[{i}]" if w == 1 else f"{w} * e[{i}]" for i, w in enumerate(weights)])
     )
 
 

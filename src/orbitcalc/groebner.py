@@ -32,6 +32,14 @@ are dropped unreduced.  The run ends by checking that the series of the
 leading monomials equals the known one, which certifies the basis.  The
 Hilbert functions it compares are read from expansions that are kept and
 extended as the degrees rise.
+
+The bookkeeping is kept below the cost of the reductions it saves: pairs
+are formed, and the product criterion tested, on the support bitmasks of
+the leading monomials; weighted degrees and sugars come from a kernel
+compiled once per weight tuple (:func:`.algebra.weighted_degree`); the
+cancellation hook is polled once per pair only when one was given; and a
+division builds quotients only for the divisors that reduced a term and
+that the caller reads.
 """
 
 from __future__ import annotations
@@ -57,8 +65,9 @@ from .algebra import (
     mono_degree,
     monomial_ops,
     restrict,
+    weighted_degree,
 )
-from .series import Expansion, Series, added_numerator, one_minus_powers, same_series
+from .series import Expansion, Series, _added, one_minus_powers, same_series
 
 CancelCheck = Callable[[], bool]
 
@@ -96,7 +105,7 @@ def divide(
     order: MonomialOrder,
     *,
     _leads: Sequence[tuple[Exponents, Fraction]] | None = None,
-    _quotients: bool = True,
+    _quotients: int | None = None,
 ) -> tuple[Polynomial, list[Polynomial]]:
     """Full multivariate division: ``p = sum(q_i * divisors_i) + remainder``.
 
@@ -104,8 +113,10 @@ def divide(
     term is reduced by the first divisor in list order whose leading
     monomial divides it.  ``_leads`` and ``_quotients`` are internal: the
     divisors' leading terms, which every caller in the package keeps with
-    its divisors, and False when the caller discards the quotients, which
-    are then not built (an empty list comes back).
+    its divisors, and the number of leading divisors whose quotients the
+    caller reads (all by default; False or 0 for none, and an empty list
+    comes back).  Only the quotients of divisors that reduced a term are
+    built; the others are one shared zero.
 
     The arithmetic is on the integer numerators of the polynomials.  Each
     divisor D is numerators N over a denominator, with leading numerator
@@ -130,7 +141,8 @@ def divide(
         leads[i] = d._num[lm]
         heads.append((i, d._num.items(), d._den, lm, leads[i]))
     # settled terms as (exponents, numerator, scale at settling)
-    quotients: list[list] = [[] for _ in divisors] if _quotients else []
+    wanted = len(divisors) if _quotients is None else _quotients
+    quotients: list[list] = [[] for _ in range(wanted)]
     remainder: list = []
     work = dict(p._num)
     scale = p._den
@@ -148,7 +160,7 @@ def divide(
         for i, numerators, den, lm, lead in heads:
             if divides(lm, exps):
                 factor_exps = div(exps, lm)
-                if _quotients:
+                if i < wanted:
                     # the term coeff * den / (scale * lead)
                     quotients[i].append((factor_exps, coeff * den, scale))
                 g = gcd(coeff, lead)
@@ -181,7 +193,10 @@ def divide(
     def settled(terms, den):
         return Polynomial._make(ring, {e: c * (scale // s) for e, c, s in terms}, den)
 
-    return settled(remainder, scale), [settled(q, scale * L) for q, L in zip(quotients, leads)]
+    zero = ring.zero()
+    return settled(remainder, scale), [
+        settled(q, scale * L) if q else zero for q, L in zip(quotients, leads)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +231,34 @@ def _forms_pair(t: _Tracked, u: _Tracked) -> bool:
     return u.pos == t.pos
 
 
-def _s_vector(
-    f: _Tracked, g: _Tracked, uf: Exponents, ug: Exponents, sf: Fraction, sg: Fraction
-) -> Vector:
-    """The S-vector u_f * f * s_f - u_g * g * s_g of an element f and an
-    element or ideal generator g leading at f's position, where u_f, u_g
-    take both leading monomials to their lcm and s_f, s_g are the inverse
-    leading coefficients.  Each component is summed once, over the integer
-    numerators of its shifted parts."""
+def _s_vector(f: _Tracked, g: _Tracked, uf: Exponents, ug: Exponents) -> Vector:
+    """The S-vector u_f * f / lc(f) - u_g * g / lc(g) of an element f and
+    an element or ideal generator g leading at f's position, where u_f, u_g
+    take both leading monomials to their lcm.  Each component is summed
+    once, over the integer numerators of its shifted parts: with N / D the
+    leading component of f and L its leading numerator, f / lc(f) is f
+    times D / L, so no ``Fraction`` is made."""
 
     ring = f.vec[0].ring
     mul = monomial_ops(ring.nvars).mul
 
-    def part(p: Polynomial, u: Exponents, s: Fraction) -> Piece:
-        shifted = ((mul(e, u), n) for e, n in p._num.items())
-        return shifted, p._den * s.denominator, s.numerator
+    def inverse(t: _Tracked, sign: int) -> tuple[int, int]:
+        """sign / lc(t) as (numerator, positive denominator)."""
+        lead = t.vec[t.pos]
+        n = lead._num[t.lead[0]]
+        return (sign * lead._den, n) if n > 0 else (-sign * lead._den, -n)
 
+    def part(p: Polynomial, u: Exponents, s: tuple[int, int]) -> Piece:
+        shifted = ((mul(e, u), n) for e, n in p._num.items())
+        return shifted, p._den * s[1], s[0]
+
+    sf, sg = inverse(f, 1), inverse(g, -1)
     if g.pos >= 0:
         return tuple(
-            _sum_pieces(ring, [part(a, uf, sf), part(b, ug, -sg)]) for a, b in zip(f.vec, g.vec)
+            _sum_pieces(ring, [part(a, uf, sf), part(b, ug, sg)]) for a, b in zip(f.vec, g.vec)
         )
     return tuple(
-        _sum_pieces(ring, [part(a, uf, sf)] + ([part(g.vec[0], ug, -sg)] if i == f.pos else []))
+        _sum_pieces(ring, [part(a, uf, sf)] + ([part(g.vec[0], ug, sg)] if i == f.pos else []))
         for i, a in enumerate(f.vec)
     )
 
@@ -296,7 +317,8 @@ def _divide_vector(
     and one quotient per element of ``basis`` (zero on the ideal
     generators); ``vec - remainder - sum(q_k * basis_k)`` has every
     component in the ideal.  With ``track`` False the caller reads no
-    quotient, so a rank-1 division builds none and all come back zero."""
+    quotient, so a rank-1 division builds none and all come back zero.
+    No quotient on an ideal generator is built."""
     rest = list(vec)
     quotients = [vec[0].ring.zero()] * len(basis)
     keep = track or len(rest) > 1
@@ -304,8 +326,8 @@ def _divide_vector(
         if rest[i].is_zero():
             continue
         at, polys, leads = divisors.at(i)
-        rest[i], qs = divide(rest[i], polys, order, _leads=leads, _quotients=keep)
-        for k, q in zip(at, qs):  # the ideal's quotients, last, are dropped
+        rest[i], qs = divide(rest[i], polys, order, _leads=leads, _quotients=len(at) if keep else 0)
+        for k, q in zip(at, qs):
             quotients[k] = q
             for j in range(i + 1, len(rest)):
                 if q._num and basis[k].vec[j]._num:
@@ -325,15 +347,21 @@ class _HilbertDrive:
     supplies one; once none is missing, the pairs of degree d left reduce
     to zero.  HF_(R/J)(d) is sum_i K_i c_(d-i), c the coefficients of
     1 / prod_j (1 - t^(w_j)); those and the coefficients of the known
-    series are expanded once, as far as the degrees reached."""
+    series are expanded once, as far as the degrees reached.
+
+    Each update computes K(J : m) by the pivot rule of :mod:`.series`,
+    and ``weigh``, the weighted degree the run's sugars read too, is the
+    kernel compiled for the weight tuple."""
 
     __slots__ = (
-        "weights", "known", "expected", "leads", "numerator", "denominator", "inverse",
-        "degree", "missing",
+        "weights", "weigh", "ops", "known", "expected", "leads", "numerator", "denominator",
+        "inverse", "degree", "missing",
     )
 
     def __init__(self, weights: Sequence[int], known: Series):
         self.weights = weights
+        self.weigh = weighted_degree(weights)
+        self.ops = monomial_ops(len(weights))
         self.known = known
         self.expected = Expansion(known)
         self.leads: list[Exponents] = []
@@ -343,11 +371,8 @@ class _HilbertDrive:
         self.degree: int | None = None
         self.missing = 0
 
-    def weigh(self, exps: Exponents) -> int:
-        return sum(map(int.__mul__, exps, self.weights))
-
     def add(self, lm: Exponents):
-        self.numerator = added_numerator(self.numerator, self.leads, lm, self.weights)
+        self.numerator = _added(self.numerator, self.leads, lm, self.ops, self.weigh)
         self.leads.append(lm)
         self.missing -= 1
 
@@ -404,7 +429,7 @@ def _buchberger_tracked(
     # the arity of the ring; with no input at all no pair is ever formed
     nvars = next((p.ring.nvars for p in [*ideal.generators, *(v[0] for v in gens)]), 0)
     key, ops = order.key_for(nvars), monomial_ops(nvars)
-    lcm_of, div, mul, divides = ops.lcm, ops.div, ops.mul, ops.divides
+    lcm_of, div, divides, support = ops.lcm, ops.div, ops.divides, ops.support
     basis = [
         _Tracked((g,), [g.ring.zero()] * columns, g.degree(), -1, lead)
         for g, lead in zip(ideal.generators, ideal.leads)
@@ -415,25 +440,31 @@ def _buchberger_tracked(
     # chain criterion.
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
+    push, pend = heapq.heappush, pending.add
     divisors = _Divisors(basis)
     # sugar less weight of each element's lead: the weighting is linear, so
     # a pair's sugar is the weight of the lcm plus the larger of the two
     slack = [t.sugar - weigh(t.lead[0]) for t in basis]
+    # the support bitmask of each element's lead
+    masks = [support(t.lead[0]) for t in basis]
 
     def append(vec: Vector, rep: list[Polynomial], sugar: int):
         pos = next(i for i, c in enumerate(vec) if c._num)
         t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
         j = len(basis)
         lj = t.lead[0]
-        sj = sugar - weigh(lj)
+        sj, mj = sugar - weigh(lj), support(lj)
         for i, u in enumerate(basis):
-            if not _forms_pair(t, u):
+            # :func:`_forms_pair`, on the support bitmasks
+            if u.pos != pos and (u.pos >= 0 or not masks[i] & mj):
                 continue
             lcm = lcm_of(u.lead[0], lj)
-            heapq.heappush(queue, (weigh(lcm) + max(slack[i], sj), -t.pos, key(lcm), i, j))
-            pending.add((i, j))
+            si = slack[i]
+            push(queue, (weigh(lcm) + (si if si > sj else sj), -pos, key(lcm), i, j))
+            pend((i, j))
         basis.append(t)
         slack.append(sj)
+        masks.append(mj)
         divisors.add(j, t)
         if drive is not None:
             drive.add(lj)
@@ -451,18 +482,19 @@ def _buchberger_tracked(
     reduced_from = len(basis)
 
     while queue:
-        _poll(cancel)
+        if cancel is not None:
+            _poll(cancel)
         s_sugar, _, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         if drive is not None and drive.complete(s_sugar):
             continue
         fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
-        (li, ci), (lj, cj) = fi.lead, fj.lead
-        lcm = lcm_of(li, lj)
         # product criterion: coprime leading monomials of two scalars
         # reduce to zero
-        if len(fi.vec) == 1 and lcm == mul(li, lj):
+        if len(fi.vec) == 1 and not masks[i] & masks[j]:
             continue
+        (li, ci), (lj, cj) = fi.lead, fj.lead
+        lcm = lcm_of(li, lj)
         # chain criterion: some k acting at the position divides the lcm
         # and both mixed pairs are done
         skip = False
@@ -478,11 +510,11 @@ def _buchberger_tracked(
         if skip:
             continue
         ui, uj = div(lcm, li), div(lcm, lj)
-        si, sj = Fraction(1) / ci, Fraction(1) / cj
-        s_vec = _s_vector(fi, fj, ui, uj, si, sj)
+        s_vec = _s_vector(fi, fj, ui, uj)
         remainder, quotients = _divide_vector(s_vec, basis, divisors, order, columns > 0)
         if _is_zero_vector(remainder):
             continue
+        si, sj = 1 / ci, 1 / cj
         rep = [
             ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
         ]
@@ -873,10 +905,10 @@ def _span_syzygies(
     for a, fa in enumerate(tracked):
         for b, fb in enumerate(tracked[a + 1 :], a + 1):
             if fa.pos >= 0 and _forms_pair(fa, fb):
-                (la, ca), (lb, cb) = fa.lead, fb.lead
+                la, lb = fa.lead[0], fb.lead[0]
                 lcm = ops.lcm(la, lb)
                 ua, ub = ops.div(lcm, la), ops.div(lcm, lb)
-                s_vec = _s_vector(fa, fb, ua, ub, 1 / ca, 1 / cb)
+                s_vec = _s_vector(fa, fb, ua, ub)
                 rows.append(lift(s_vec, [(a, ring.monomial(ua)), (b, ring.monomial(ub, -1))]))
 
     # completion rows: each column minus its own expression through the basis

@@ -16,15 +16,25 @@ series are compared by cross-multiplying, so no polynomial gcd is needed.
   K(J + <m>) = K(J) - t^(w(m)) K(J : m) (Bayer & Stillman, *Computation of
   Hilbert functions*, 1992).  A Groebner basis run can apply the step once
   per new leading monomial and read off the Hilbert function degree by
-  degree (:class:`Expansion`).
+  degree (:class:`Expansion`).  The numerator of a whole ideal is computed
+  on its minimal generators.  When their supports are pairwise disjoint
+  they are coprime, and K_J is the product of the factors 1 - t^(w(m)).
+  Otherwise it pivots on p = x_i^e, with x_i the variable that occurs in
+  the most generators and e its least positive exponent among them
+  (Bigatti, *Computation of Hilbert-Poincare series*, J. Pure Appl.
+  Algebra 119, 1997).  Every generator that contains x_i is then a
+  multiple of p, so J + <p> = J' + <p> for the generators J' free of x_i,
+  and K(J) = K(J') (1 - t^(w(p))) + t^(w(p)) K(J : p).  Both J' and J : p
+  are smaller, and the minimal generators of J : p follow from those of J
+  without a search.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from operator import mul
 from typing import Sequence
 
-from .algebra import monomial_ops
+from .algebra import MonomialOps, monomial_ops, weighted_degree
 from .linalg import integral
 
 Series = tuple[list, list]
@@ -57,11 +67,25 @@ def _shift(p: list, k: int) -> list:
     return [0] * k + p if p else []
 
 
+def _plus_shifted(p: list, q: list, k: int, sign: int) -> list:
+    """p + sign * t^k * q, for k >= 0."""
+    out = p + [0] * (k + len(q) - len(p))
+    for i, c in enumerate(q, k):
+        out[i] += sign * c
+    return _trim(out)
+
+
 def one_minus_powers(weights: Sequence[int]) -> list:
-    """prod_j (1 - t^(w_j))."""
+    """prod_j (1 - t^(w_j)); zero once some w_j is not positive."""
     out = [1]
     for w in weights:
-        out = _add(out, _shift(out, w), -1)
+        if w <= 0:
+            return []
+        # times 1 - t^w in place, from the top, so each step reads a
+        # coefficient not yet updated
+        out += [0] * w
+        for k in range(len(out) - 1, w - 1, -1):
+            out[k] -= out[k - w]
     return out
 
 
@@ -98,7 +122,7 @@ class Expansion:
                 raise ValueError(f"the coefficient of t^{k - s} is not an integer")
             a.append(quotient)
         top = degree + s
-        return sum(c * a[top - i] for i, c in enumerate(factor) if i <= top)
+        return sum(map(mul, factor, a[top::-1])) if top >= 0 else 0
 
 
 def coefficient(series: Series, degree: int) -> int:
@@ -185,28 +209,68 @@ def field_series(group) -> Series:
 def ideal_numerator(monomials, weights: Sequence[int]) -> list:
     """K_J for the ideal J generated by the given exponent tuples: the
     Hilbert series of Q[y]/J is K_J(t) / prod_j (1 - t^(w_j))."""
-    divides = monomial_ops(len(weights)).divides
-    gens: list = []
-    for m in sorted(set(monomials), key=sum):
-        if not any(divides(g, m) for g in gens):
-            gens.append(m)
-    if not gens:
-        return [1]
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
-    if sum(map(int.bit_count, supports)) == reduce(int.__or__, supports).bit_count():
-        # pairwise disjoint supports, so pairwise coprime: a complete intersection
-        return one_minus_powers([sum(map(int.__mul__, g, weights)) for g in gens])
-    *rest, pivot = gens
-    return added_numerator(ideal_numerator(rest, weights), rest, pivot, weights)
+    ops = monomial_ops(len(weights))
+    return _numerator(_minimal(monomials, ops), ops, weighted_degree(weights))
 
 
 def added_numerator(numerator: list, monomials, m, weights: Sequence[int]) -> list:
     """K(J + <m>) = K(J) - t^(w(m)) K(J : m), from ``numerator`` = K(J) of
     the ideal J the exponent tuples ``monomials`` generate."""
-    colon_of = monomial_ops(len(m)).colon
-    colon = [colon_of(g, m) for g in monomials]
-    degree = sum(map(int.__mul__, m, weights))
-    return _add(numerator, _shift(ideal_numerator(colon, weights), degree), -1)
+    return _added(numerator, monomials, m, monomial_ops(len(m)), weighted_degree(weights))
+
+
+def _added(numerator: list, monomials, m, ops: MonomialOps, weigh) -> list:
+    """:func:`added_numerator` with the kernels of the arity and weights."""
+    colon = ops.colon
+    inner = _numerator(_minimal([colon(g, m) for g in monomials], ops), ops, weigh)
+    return _plus_shifted(numerator, inner, weigh(m), -1)
+
+
+def _minimal(monomials, ops: MonomialOps) -> list:
+    """The minimal generators among the exponent tuples.  A divisor of m
+    other than m has a lower total degree, so one pass in ascending total
+    degree keeps m when no tuple kept before it divides it."""
+    divides = ops.divides
+    gens: list = []
+    for m in sorted(set(monomials), key=sum):
+        for g in gens:
+            if divides(g, m):
+                break
+        else:
+            gens.append(m)
+    return gens
+
+
+def _numerator(gens: list, ops: MonomialOps, weigh) -> list:
+    """K_J for the minimal generators ``gens`` of J, by the pivot rule of
+    the module docstring; ``weigh`` is the weighted degree."""
+    if not gens:
+        return [1]
+    support, union = ops.support, 0
+    for g in gens:
+        bits = support(g)
+        if union & bits:
+            break
+        union |= bits
+    else:
+        return one_minus_powers([weigh(g) for g in gens])
+    columns = list(zip(*gens))
+    counts = [len(gens) - column.count(0) for column in columns]
+    i = counts.index(max(counts))
+    e = min([x for x in columns[i] if x])
+    pivot = (0,) * i + (e,) + (0,) * (len(columns) - i - 1)
+    free = [g for g in gens if not g[i]]
+    # The quotients g / p of the multiples of p are minimal among
+    # themselves, as their multiples by p were, and no generator free of
+    # x_i divides one; only a quotient free of x_i may divide such a
+    # generator.
+    colon, divides = ops.colon, ops.divides
+    cut = [colon(g, pivot) for g in gens if g[i]]
+    low = [c for c in cut if not c[i]]
+    cut += [g for g in free if not any([divides(c, g) for c in low])]
+    rest = _numerator(free, ops, weigh)
+    degree = weigh(pivot)
+    return _plus_shifted(_plus_shifted(rest, rest, degree, -1), _numerator(cut, ops, weigh), degree, 1)
 
 
 def quotient_series(leads, weights: Sequence[int]) -> Series:

@@ -918,3 +918,55 @@ def test_cancellation_token():
     ]
     with pytest.raises(ComputationCancelled):
         eliminate(tags, 2, cancel=lambda: True)
+
+
+def tagged_quadrics_generators():
+    """y_j - sigma_j(x) for the six quadrics sigma of -Id on R^3, with the
+    weights that make them homogeneous and the series 1/(1 - t)^3 of their
+    quotient: a driven run that pops about two hundred pairs."""
+    ambient = PolyRing.ambient(3)
+    sigma = [ambient.monomial(e) for e in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))]
+    combined = ambient.joined(PolyRing.orbit(6))
+    gens = [(combined.variable(3 + j) - embed(s, combined, 0),) for j, s in enumerate(sigma)]
+    return gens, ([1, 1, 1] + [2] * 6, ([1], one_minus_powers([1, 1, 1])))
+
+
+def driven_tagged_build(cancel):
+    gens, hilbert = tagged_quadrics_generators()
+    return _buchberger_tracked(gens, BlockOrder(3), 0, cancel=cancel, hilbert=hilbert)
+
+
+def module_build(cancel):
+    gb = relation_basis()
+    columns = golden_columns()
+    return _buchberger_tracked(columns, gb.order, len(columns), gb, cancel)
+
+
+def firing_on(k):
+    """A cancellation hook that fires on its ``k``-th call (never for
+    None), and the list its calls are recorded in."""
+    calls = []
+
+    def hook():
+        calls.append(None)
+        return len(calls) == k
+
+    return hook, calls
+
+
+@pytest.mark.parametrize("build", [driven_tagged_build, module_build])
+def test_cancellation_fires_after_exactly_k_polls(build, hilbert_certificates):
+    """The hook is polled once per popped pair: one that fires on its k-th
+    call stops the run after exactly k polls, and one that never fires
+    leaves the basis, representations included, as the run with no hook."""
+    hook, calls = firing_on(None)
+    assert build(hook) == build(None)
+    total = len(calls)
+    assert total >= 3
+    for k in sorted({1, 2, total // 2, total}):
+        hook, calls = firing_on(k)
+        with pytest.raises(ComputationCancelled):
+            build(hook)
+        assert len(calls) == k
+    # only the two completed driven runs reach their series check
+    assert len(hilbert_certificates) == (2 if build is driven_tagged_build else 0)

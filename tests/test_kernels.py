@@ -162,3 +162,46 @@ def test_exponent_arithmetic_has_one_home():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("weight", [True, 1.0, 2.5, "1", None])
+def test_weighted_degree_refuses_a_weight_that_is_no_int(weight, monkeypatch):
+    algebra.weighted_degree((1,))  # cached: True and 1.0 hash as 1 does
+    compiled = []
+    monkeypatch.setattr(algebra, "_compiled", lambda *args: compiled.append(args))
+    with pytest.raises(TypeError, match="must be an int"):
+        algebra.weighted_degree((1, weight, 2))
+    with pytest.raises(TypeError, match="must be an int"):
+        algebra.weighted_degree((weight,))
+    assert compiled == []
+
+
+@pytest.mark.parametrize("weight", [0, -1, -7])
+def test_weighted_degree_refuses_a_weight_that_is_not_positive(weight, monkeypatch):
+    compiled = []
+    monkeypatch.setattr(algebra, "_compiled", lambda *args: compiled.append(args))
+    with pytest.raises(ValueError, match="must be positive"):
+        algebra.weighted_degree((2, weight))
+    assert compiled == []
+
+
+def test_weighted_degree_equals_the_weighted_sum():
+    rng = random.Random("weights")
+    for n in range(1, 10):
+        for _ in range(20):
+            weights = [rng.randint(1, 12) for _ in range(n)]
+            weigh = algebra.weighted_degree(weights)
+            assert algebra.weighted_degree(tuple(weights)) is weigh
+            for _ in range(10):
+                e = tuple(rng.randint(0, 9) for _ in range(n))
+                assert weigh(e) == sum(a * w for a, w in zip(e, weights))
+    assert algebra.weighted_degree(())(()) == 0
+
+
+def test_support_is_the_bitmask_of_the_nonzero_exponents():
+    rng = random.Random("supports")
+    for n in range(10):
+        support = monomial_ops(n).support
+        for _ in range(30):
+            e = tuple(rng.choice((0, 0, 1, 4)) for _ in range(n))
+            assert support(e) == sum(1 << i for i, a in enumerate(e) if a)

@@ -303,6 +303,87 @@ def test_ideal_numerator_equals_the_pairwise_scan_on_random_sets():
         assert ideal_numerator(gens, weights) == reference_ideal_numerator(gens, weights), gens
 
 
+def overlapping_ideal(rng, nvars, count):
+    """``count`` exponent tuples in ``nvars`` variables whose supports
+    overlap, so the pivot recursion nests; with duplicates and multiples
+    of earlier tuples mixed in, so the set is not minimal."""
+    gens = []
+    for _ in range(count):
+        roll = rng.random()
+        if gens and roll < 0.15:
+            gens.append(rng.choice(gens))
+        elif gens and roll < 0.3:
+            base = rng.choice(gens)
+            gens.append(tuple(e + rng.choice((0, 0, 1)) for e in base))
+        else:
+            gens.append(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(nvars)))
+    return gens
+
+
+def brute_force_counts(gens, weights, top):
+    """The number of standard monomials of each degree below ``top``."""
+    counts = [0] * top
+    for exps in product(range(top), repeat=len(weights)):
+        degree = sum(e * w for e, w in zip(exps, weights))
+        if degree < top and not any(all(g <= e for g, e in zip(m, exps)) for m in gens):
+            counts[degree] += 1
+    return counts
+
+
+def test_pivoted_numerator_equals_the_reference_on_nested_ideals():
+    """5 to 7 variables and up to 12 generators with overlapping supports:
+    the pivot recursion nests several levels deep, and its numerator is the
+    last-generator recursion's, also when the generators come one at a
+    time through ``added_numerator`` in a random order."""
+    rng = random.Random("pivot-oracle")
+    for _ in range(40):
+        nvars = rng.randint(5, 7)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        gens = overlapping_ideal(rng, nvars, rng.randint(1, 12))
+        expected = reference_ideal_numerator(gens, weights)
+        assert ideal_numerator(gens, weights) == expected, (gens, weights)
+        numerator, added = [1], []
+        for m in rng.sample(gens, len(gens)):
+            numerator = added_numerator(numerator, added, m, weights)
+            added.append(m)
+        assert numerator == expected, (gens, weights)
+
+
+@pytest.mark.parametrize("nvars", [5, 6, 7])
+def test_pivoted_numerator_of_the_unit_and_zero_ideals(nvars):
+    rng = random.Random(f"edge-ideals-{nvars}")
+    weights = [rng.randint(1, 3) for _ in range(nvars)]
+    unit = (0,) * nvars
+    assert ideal_numerator([], weights) == [1]
+    assert ideal_numerator([unit], weights) == []
+    for _ in range(10):
+        gens = overlapping_ideal(rng, nvars, rng.randint(1, 12))
+        # the unit ideal absorbs every generator, in any position
+        with_unit = rng.sample(gens + [unit], len(gens) + 1)
+        assert ideal_numerator(with_unit, weights) == [] == reference_ideal_numerator(with_unit, weights)
+        # duplicating every generator changes nothing
+        assert ideal_numerator(gens + gens, weights) == ideal_numerator(gens, weights)
+        # adding a generator the ideal holds changes nothing
+        m = tuple(e + 1 for e in rng.choice(gens))
+        assert added_numerator(ideal_numerator(gens, weights), gens, m, weights) == ideal_numerator(gens, weights)
+
+
+def test_pivoted_numerator_counts_standard_monomials_of_dense_ideals():
+    """Up to 3 variables and 12 generators: the series of the pivoted
+    numerator counts the standard monomials of each degree."""
+    rng = random.Random("pivot-brute-force")
+    top = 10
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        gens = overlapping_ideal(rng, nvars, rng.randint(0, 12))
+        series = (ideal_numerator(gens, weights), one_minus_powers(weights))
+        assert [coefficient(series, d) for d in range(top)] == brute_force_counts(gens, weights, top), (
+            gens,
+            weights,
+        )
+
+
 # rung -> the last degrees that gain invariants and fields, as a search run
 # to the bound |G| finds them; pinned, so that a certificate that holds too
 # early cannot move them with it
