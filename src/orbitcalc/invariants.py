@@ -391,23 +391,22 @@ def relations(hmap: HilbertMap) -> RelationIdeal:
 
 @dataclass(frozen=True)
 class EquivariantModule:
-    """A minimal generating set for the module of invariant polynomial
-    vector fields over the invariant ring.  ``certificate`` is the degree
-    at which :func:`equivariant_generators` certified it complete, or None;
-    it takes no part in equality or hashing.
+    """A minimal generating set, never empty, for the module of invariant
+    polynomial vector fields over the invariant ring.  ``certificate`` is
+    the degree at which :func:`equivariant_generators` certified it
+    complete, or None; it takes no part in equality or hashing.
 
-    A module the search found also keeps what the search built, for an
-    :class:`.quotient.OrbitSpace` to take over: ``_hilbert``, the map the
-    fields were pushed through, and ``_span``, the membership problem of
-    their pushforwards modulo ``relations(_hilbert).basis`` in generator
-    order, with the module basis its certificate read.  :meth:`from_fields`
-    and direct construction leave both None.  Neither takes part in
-    equality, hashing or ``repr``."""
+    ``_spans`` keeps :meth:`_span` per Hilbert map.  The search seeds it;
+    :meth:`from_fields` and direct construction start with it empty.  It
+    takes no part in equality, hashing or ``repr``."""
 
     generators: tuple[PolyVectorField, ...]
     certificate: int | None = field(default=None, compare=False)
-    _hilbert: HilbertMap | None = field(default=None, init=False, repr=False, compare=False)
-    _span: SubmoduleProblem | None = field(default=None, init=False, repr=False, compare=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("empty generating set")
 
     def __len__(self):
         return len(self.generators)
@@ -416,26 +415,34 @@ class EquivariantModule:
     def ring(self) -> PolyRing:
         return self.generators[0].ring
 
+    def _span(self, hmap: HilbertMap) -> SubmoduleProblem:
+        """The membership problem of the generators' pushforwards through
+        ``hmap`` modulo its relation basis, in generator order: one per map
+        (a map hashes by identity), so a map pushes each generator once."""
+        span = self._spans.get(hmap)
+        if span is None:
+            columns = tuple(_push_field(X, hmap) for X in self.generators)
+            span = self._spans[hmap] = SubmoduleProblem(len(hmap.sigma), columns, relations(hmap).basis)
+        return span
+
     @staticmethod
     def from_fields(group: FiniteMatrixGroup, fields) -> "EquivariantModule":
         """Validate invariance and minimality: no field is zero or a
         combination of the others with invariant coefficients."""
-        fields = tuple(fields)
-        if not fields:
-            raise ValueError("empty generating set")
-        for X in fields:
+        module = EquivariantModule(tuple(fields))
+        for X in module.generators:
             if X.is_zero():
                 raise ValueError("zero generator")
             if not is_invariant(X, group):
                 raise ValueError(f"not invariant: {X}")
         hmap = invariant_generators(group)
-        pushed = [_push_field(X, hmap) for X in fields]
-        for j, X in enumerate(fields):
+        pushed = [_push_field(X, hmap) for X in module.generators]
+        for j, X in enumerate(module.generators):
             rest = tuple(pushed[:j] + pushed[j + 1 :])
             span = SubmoduleProblem(len(hmap.sigma), rest, relations(hmap).basis)
             if rest and module_solve(pushed[j], span).member:
                 raise ValueError(f"generator {X} is a combination of the others")
-        return EquivariantModule(fields)
+        return module
 
 
 def invariant_basis(group: FiniteMatrixGroup, ring: PolyRing, degree: int) -> list[Polynomial]:
@@ -522,9 +529,10 @@ def equivariant_generators(
     a module it cuts before the series agree has no certificate.
 
     A candidate is pushed as the primitive field it would be kept as: push
-    is linear and :func:`.linalg.insert` ignores scale.  The module keeps
-    those pushforwards for an :class:`.quotient.OrbitSpace` (see
-    :class:`EquivariantModule`).
+    is linear and :func:`.linalg.insert` ignores scale.  The module's
+    :meth:`~EquivariantModule._span` on the map starts as the search's last
+    span, so its pushforwards and any module basis its certificate built
+    are not made again.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 0:
@@ -578,8 +586,7 @@ def equivariant_generators(
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
     module = EquivariantModule(tuple(kept), certificate)
-    object.__setattr__(module, "_hilbert", hmap)
-    object.__setattr__(module, "_span", span)
+    module._spans[hmap] = span
     return module
 
 

@@ -47,9 +47,10 @@ The representatives of the pushed generators are kept once per space
 (``OrbitSpace._pushed``): the two problems on them, the derivative tables
 and :func:`extend_check` read them there, and only the public
 ``pushed_generators`` and the bracket coefficients wrap them as fields.
-A module from :func:`.invariants.equivariant_generators` hands over the
-pushforwards and the module basis its search built, and the space checks
-the pushforwards as :func:`push_vf` does.
+They come from one source, the module's pushforwards on the space's map,
+made once per map (:meth:`.invariants.EquivariantModule._span`); the space
+checks them as :func:`push_vf` does, and its own problem on them starts
+with any module basis built there.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ from .invariants import (
 
 class OrbitSpace:
     """Shared context: Hilbert map, relation ideal, generator fields, and the
-    caches (pushed generators, their syzygies) every operation leans on."""
+    caches (pushed generators, their syzygies) every operation leans on.
+    An ``ideal`` other than ``relations(hilbert)`` raises ``ValueError``."""
 
     def __init__(
         self,
@@ -97,7 +99,9 @@ class OrbitSpace:
         lie_action: LieAlgebraAction | None = None,
     ):
         self.hilbert = hilbert
-        self.ideal = ideal if ideal is not None else relations(hilbert)
+        self.ideal = relations(hilbert)
+        if ideal is not None and ideal != self.ideal:
+            raise ValueError("the ideal is not the relation ideal of the Hilbert map")
         self.module = (
             module if module is not None else equivariant_generators(hilbert.group)
         )
@@ -138,26 +142,14 @@ class OrbitSpace:
         space and the cycle would keep a finished space alive until the
         cyclic collector runs.
 
-        A module from :func:`.invariants.equivariant_generators` on this
-        space's Hilbert map and relation basis hands over the pushforwards
-        its search made (``EquivariantModule._span``), so none is pushed
-        again; each still passes both checks of :func:`push_vf`, the
-        generator's invariance and the tangency of its pushforward."""
-        span = self._handed_span()
-        if span is None:
-            return [tuple(c.rep for c in push_vf(X, self).components) for X in self.module.generators]
+        Every generator is checked invariant first; then each pushforward,
+        from the module's :meth:`.invariants.EquivariantModule._span` on
+        this map, passes the tangency check of :class:`OrbitVectorField`."""
         for X in self.module.generators:
             if not is_invariant(X, self.hilbert.group):
                 raise ValueError("field is not invariant")
-        return [tuple(c.rep for c in OrbitVectorField(self, column).components) for column in span.columns]
-
-    def _handed_span(self) -> SubmoduleProblem | None:
-        """The search's problem on the module's pushforwards, when they were
-        pushed through this space's Hilbert map modulo its relation basis."""
-        span = self.module._span
-        if span is None or self.module._hilbert is not self.hilbert or span.ideal != self.ideal.basis:
-            return None
-        return span
+        columns = self.module._span(self.hilbert).columns
+        return [tuple(c.rep for c in OrbitVectorField(self, column).components) for column in columns]
 
     @property
     def pushed_generators(self) -> list["OrbitVectorField"]:
@@ -172,14 +164,10 @@ class OrbitSpace:
     def _generator_span(self) -> SubmoduleProblem:
         """The pushed generators as one membership problem modulo the
         relations; its module basis is built once and shared by every
-        lift, bracket expansion and the generator syzygies.  The problem
-        and its tables are the space's own, but a module basis the
-        equivariant search already built on equal columns is taken over,
-        not built again."""
+        lift, bracket expansion and the generator syzygies.  Its tables
+        are its own; its module basis starts as the module's on this map."""
         problem = SubmoduleProblem(self.orbit_ring.nvars, tuple(self._pushed), self.ideal.basis)
-        span = self._handed_span()
-        if span is not None and span._basis is not None and span.columns == problem.columns:
-            object.__setattr__(problem, "_basis", span._basis)
+        object.__setattr__(problem, "_basis", self.module._span(self.hilbert)._basis)
         return problem
 
     @cached_property
@@ -855,6 +843,8 @@ def orbit_vf_to_json(Y: OrbitVectorField) -> dict:
 
 
 def orbit_vf_from_json(data: dict, space: OrbitSpace) -> OrbitVectorField:
+    if not isinstance(data, dict):
+        raise ValueError("an orbit field must be a JSON object")
     ring = space.orbit_ring
     comps = [parse_polynomial(s, ring) for s in data["components"]]
     return space.field(comps)

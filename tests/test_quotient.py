@@ -135,13 +135,13 @@ def test_one_module_basis_serves_lifts_and_brackets(count_module_basis_builds):
 
 
 # ---------------------------------------------------------------------------
-# the equivariant search hands its pushforwards and module basis over
+# a module pushes its generators once per map, seeded by the search
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def count_pushes(monkeypatch):
     """Start recording the fields :func:`.invariants._push_field` pushes,
-    from the search and from the space alike."""
+    from the search, the module and push_vf alike."""
 
     def start():
         pushed = []
@@ -183,11 +183,16 @@ def test_a_space_on_another_map_pushes_the_fields_itself(count_pushes):
     hmap = invariant_generators(group)
     module = equivariant_generators(group)
     handed = OrbitSpace(hmap, module=module)._pushed
-    # an equal map that is not the search's: the space pushes every field
+    # an equal map that is not the search's: the first space on it pushes
+    # every field, and a second space on it pushes none again
     pushes = count_pushes()
     copy = HilbertMap.from_polynomials(group, hmap.sigma)
     assert OrbitSpace(copy, module=module)._pushed == handed
     assert pushes == list(module.generators)
+    del pushes[:]
+    again = OrbitSpace(copy, module=module)
+    assert again._pushed == handed and pushes == []
+    assert set(module._spans) == {hmap, copy}
     # a map cut by a degree bound, as the command line builds one, with
     # fields chosen by hand: x_i d/dx_i pushes to 2 y_i d/dy_i
     cut = invariant_generators(group, 2)
@@ -202,42 +207,52 @@ def test_a_space_on_another_map_pushes_the_fields_itself(count_pushes):
     assert pushes == fields
 
 
-def test_a_handed_over_push_is_still_checked():
-    """A corrupted column fails the tangency check and a field that is not
-    invariant the invariance check, as they fail in :func:`push_vf`."""
+def test_a_handed_over_push_is_still_checked(count_pushes):
+    """A corrupted column of the module's span fails the tangency check, and
+    a field that is not invariant fails the invariance check before any
+    push, as they fail in :func:`push_vf`."""
     group = closure(LADDER["z2z2_r3"])
     hmap = invariant_generators(group)
     module = equivariant_generators(group)
-    span = module._span
-    assert module._hilbert is hmap and span.columns and span.ideal.generators
-    bad = copy.copy(module)
+    span = module._span(hmap)
+    assert module._spans == {hmap: span} and span.columns and span.ideal.generators
     column = (span.columns[0][0] + 1,) + span.columns[0][1:]
     corrupted = groebner.SubmoduleProblem(span.ambient_rank, (column,) + span.columns[1:], span.ideal)
-    object.__setattr__(bad, "_span", corrupted)
+    # a shallow copy shares the memo, so each copy gets a dict of its own
+    bad = copy.copy(module)
+    object.__setattr__(bad, "_spans", {hmap: corrupted})
     space = OrbitSpace(hmap, module=bad)
-    assert space._handed_span() is corrupted
     with pytest.raises(ValueError, match="does not preserve the relation ideal"):
         space._pushed
+    assert module._spans == {hmap: span}
     not_invariant = PolyVectorField(hmap.ring, [hmap.ring.variable(1)] + list(module.generators[0].components[1:]))
     bad = copy.copy(module)
     object.__setattr__(bad, "generators", (not_invariant,) + module.generators[1:])
+    object.__setattr__(bad, "_spans", {})
+    pushes = count_pushes()
     with pytest.raises(ValueError, match="not invariant"):
         OrbitSpace(hmap, module=bad)._pushed
+    assert pushes == [] and bad._spans == {}
 
 
 def test_the_handed_over_fields_are_no_part_of_the_module_value():
     group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
     module = equivariant_generators(group)
     plain = EquivariantModule(module.generators, module.certificate)
-    assert module._span is not None and plain._span is None and plain._hilbert is None
+    assert set(module._spans) == {hmap} and plain._spans == {}
     assert module == plain and hash(module) == hash(plain) and repr(module) == repr(plain)
-    assert EquivariantModule.from_fields(group, module.generators)._span is None
+    assert "_spans" not in repr(module)
+    assert plain._span(hmap).columns == module._span(hmap).columns
+    assert module == plain and hash(module) == hash(plain) and repr(module) == repr(plain)
+    assert EquivariantModule.from_fields(group, module.generators)._spans == {}
 
 
 def test_spaces_of_one_module_keep_tables_of_their_own():
     group = closure(LADDER["z2z2_r3"])
     hmap = invariant_generators(group)
     module = equivariant_generators(group)
+    span = module._span(hmap)
     first, second = OrbitSpace(hmap, module=module), OrbitSpace(hmap, module=module)
     problem = first._generator_span
     assert all(not table for table in problem._tables)
@@ -246,10 +261,34 @@ def test_spaces_of_one_module_keep_tables_of_their_own():
         assert groebner.module_solve(target, problem).member
     assert any(problem._tables)
     assert all(not table for table in second._generator_span._tables)
-    assert all(not table for table in module._span._tables)
-    # the search's module basis is taken over, its problem is not
-    assert problem._basis is module._span._basis is second._generator_span._basis
-    assert problem is not module._span and second._generator_span is not problem
+    assert all(not table for table in span._tables)
+    # the search's module basis is shared, its problem is not
+    assert span._basis is not None
+    assert problem._basis is span._basis is second._generator_span._basis
+    assert problem is not span and second._generator_span is not problem
+
+
+def test_the_space_takes_only_its_maps_relation_ideal():
+    """A foreign ideal would give wrong answers: modulo the zero ideal, the
+    Z2 relation among y1, y2, y3 would not be the zero function."""
+    hmap = invariant_generators(closure(LADDER["z2_r2"]))
+    ideal = invariants.relations(hmap)
+    assert ideal.basis.generators
+    with pytest.raises(ValueError, match="not the relation ideal"):
+        OrbitSpace(hmap, ideal=invariants.RelationIdeal(groebner.GroebnerBasis((), GREVLEX)))
+    equal = invariants.RelationIdeal(groebner.GroebnerBasis(ideal.basis.generators, ideal.basis.order))
+    assert equal == ideal and equal is not ideal
+    space = OrbitSpace(hmap, ideal=equal)
+    assert space.ideal is ideal
+    relation = space.function(ideal.basis.generators[0])
+    assert relation.is_zero()
+
+
+def test_a_module_has_at_least_one_generator(golden_space):
+    with pytest.raises(ValueError, match="empty generating set"):
+        EquivariantModule(())
+    with pytest.raises(ValueError, match="empty generating set"):
+        EquivariantModule.from_fields(golden_space.hilbert.group, [])
 
 
 def test_orbit_bracket_golden(golden_space):
@@ -1175,6 +1214,14 @@ def test_orbit_json_round_trips(golden_space, golden_forms):
     data = orbit_form_to_json(theta4)
     data["generators"] = 3
     with pytest.raises(ValueError, match="generator count differs"):
+        orbit_form_from_json(data, golden_space)
+
+
+@pytest.mark.parametrize("data", [["2*y1", "0", "y3"], "y1", 3, None])
+def test_orbit_json_readers_refuse_a_non_object(golden_space, data):
+    with pytest.raises(ValueError, match="an orbit field must be a JSON object"):
+        orbit_vf_from_json(data, golden_space)
+    with pytest.raises(ValueError, match="an orbit form must be a JSON object"):
         orbit_form_from_json(data, golden_space)
 
 
