@@ -52,6 +52,7 @@ from .quotient import (
     orbit_d,
     orbit_form_from_json,
     orbit_form_to_json,
+    orbit_vf_components,
     orbit_vf_to_json,
     pull_form,
     push_form,
@@ -236,13 +237,9 @@ def _parse_orbit_vf(ctx: Context, spec: str):
     try:
         if from_file:
             with open(spec, encoding="utf-8") as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                raise ValueError("an orbit field must be a JSON object")
-            texts = data["components"]
+                comps = orbit_vf_components(json.load(handle), ring)
         else:
-            texts = spec.split(",")
-        comps = [parse_polynomial(s, ring) for s in texts]
+            comps = [parse_polynomial(s, ring) for s in spec.split(",")]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read orbit field {where}: {exc}") from exc
     space = ctx.space

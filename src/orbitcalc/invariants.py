@@ -10,19 +10,14 @@ rewrites the invariant through the generators.  The x-free elements of
 that basis are the reduced basis of the relation ideal (elimination
 theorem), so the relations need no Groebner basis of their own.
 
-Both generating sets are found degree by degree.  The invariant ring and the
-module of invariant fields are graded, so an average of degree d is new when
-its normal form modulo what lower degrees generate is independent of those
-of the degree-d generators: one basis per degree that gains generators.
-The exact series of the group say how many generators each degree needs,
-so a degree that needs none averages nothing and a scan stops at its count.
-
-Both searches stop at the end of the first degree where what they have
-found is certified complete: the Hilbert series of what the generators
-span, read off the leading monomials of a basis the search holds anyway,
-equals the exact Molien series of the group (:mod:`.series`).  A degree
-bound only caps a runaway search; when it cuts a search before the series
-agree, the result records no certificate.
+Both generating sets are found degree by degree, by one loop
+(:func:`_graded_search`).  The invariant ring and the module of invariant
+fields are graded, so an average of degree d is new when its normal form
+modulo what lower degrees generate is independent of those of the degree-d
+generators: one basis per degree that gains generators.  The exact series
+of the group (:mod:`.series`) say how many generators each degree needs,
+and a search stops at the first degree where the series of what it has
+found, read off a basis it holds anyway, equals the group's.
 
 Membership of an invariant field in the span of others is decided one level
 down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
@@ -37,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from weakref import WeakKeyDictionary
 
 from .algebra import (
     GREVLEX,
@@ -239,21 +235,12 @@ def invariant_generators(
     map, which for homogeneous generators is the leave-one-out minimality
     test of :meth:`HilbertMap.from_polynomials`.
 
-    Degree d needs missing(d) generators, the dimension the x parts span:
-    the degree-d coefficient of the Molien series less that of the lower
-    generators' subalgebra.  A degree that needs none averages nothing, and
-    a scan stops at its count, keeping what a full scan keeps; a degree that
-    ends short of it, or a negative count, raises ``AssertionError``.
-
-    The search stops at the end of the first degree d whose generators are
-    certified complete, and records d as the map's ``certificate``: the
-    Hilbert series of Q[y]/in(I), with y_j weighted by deg sigma_j and in(I)
-    the leading monomials of the relations in the tagged basis, equals the
-    Molien series.  By Noether's bound the generators of degree |G| or
-    less generate, so the search ends at |G|, where series that still
-    differ raise ``AssertionError``: the series or the search is wrong.
-    ``degree_bound`` (default |G|) only caps the search; a map it cuts
-    before the series agree has no certificate.
+    :func:`_graded_search` counts, certifies and ends the degrees against
+    the Molien series, reading the series of Q[y]/in(I): y_j weighted by
+    deg sigma_j, in(I) the leading monomials of the relations in the tagged
+    basis.  Its certificate is the map's ``certificate``; ``degree_bound``
+    (default |G|) only caps the search, and a map it cuts before the series
+    agree has none.
 
     Output order is canonical: ascending degree, then descending grevlex
     leading monomial within a degree.  The map is built once per group
@@ -275,51 +262,82 @@ def invariant_generators(
     return hmap
 
 
+def _graded_search(known: Series, found: Series, dual: int, group: FiniteMatrixGroup, bound: int,
+                   scan, gain, noun: str, name: str) -> int | None:
+    """The degree loop of both searches, for the invariants on V + V* of
+    degree ``dual`` in V*, by degree d in V from 1 - dual up to ``bound``.
+
+    Degree d needs missing(d) generators: the degree-d coefficient of the
+    ``known`` series less that of ``found``, the series of what the lower
+    degrees generate.  ``scan(d)`` yields the nonzero candidates lazily,
+    each with a vector for :func:`.linalg.insert`; a scan stops at the
+    count, keeping what a full scan keeps, and a degree that needs none
+    scans nothing.  A degree that ends short of its count, or a negative
+    count, raises ``AssertionError``.  ``gain(kept)`` takes each degree's
+    kept candidates and returns the new ``found``.
+
+    The certificate returned is the first degree after which ``found``
+    equals ``known``; None when the bound cuts the search first.  By
+    Noether's bound the invariants on V + V* of degree |G| or less
+    generate, so the search ends at d = |G| - dual, where a series that
+    still differs raises ``AssertionError``: the series or the search is
+    wrong.
+    """
+    counts = Expansion(known)  # one expansion of the fixed series for the whole search
+    noether = group.order - dual
+    for degree in range(1 - dual, min(bound, noether) + 1):
+        missing = counts.coefficient(degree) - coefficient(found, degree)
+        rows: dict = {}
+        kept = []
+        if missing > 0:
+            for candidate, vector in scan(degree):
+                if linalg.insert(vector, rows):
+                    kept.append(candidate)
+                    if len(kept) == missing:
+                        break
+        if len(kept) != missing:
+            raise AssertionError(f"internal error: {len(kept)} {noun} in degree {degree}, counted {missing}")
+        if kept:
+            found = gain(kept)
+            if same_series(found, known):
+                return degree
+        if degree == noether:
+            raise AssertionError(f"internal error: the {noun} of degree {degree} miss the {name}")
+    return None
+
+
 def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
     ring = PolyRing.ambient(group.n)
-    molien = molien_series(group)
-    counts = Expansion(molien)  # one expansion of the fixed series for the whole search
     sigma: list[Polynomial] = []
     hmap: HilbertMap | None = None  # the map of all generators found so far
-    # the series of hmap's subalgebra, as its certificate test last read it
-    found_series: Series = ([1], [1])
-    for degree in range(1, bound + 1):
-        missing = counts.coefficient(degree) - coefficient(found_series, degree)
-        rows: dict = {}
-        found = []
+
+    def scan(degree):
         for mono in _monomials_of_degree(ring, degree):
-            if len(found) >= missing:
-                break
             candidate = reynolds(mono, group)
-            if not candidate.is_zero() and linalg.insert(_x_part(candidate, hmap), rows):
-                found.append(candidate.primitive())
-        if len(found) != missing:
-            raise AssertionError(f"internal error: {len(found)} generators in degree {degree}, counted {missing}")
-        if found:
-            found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
-            # the checks of from_polynomials: invariance, and minimality as
-            # independence of the sorted generators modulo the lower map
-            rows = {}
-            for p in found:
-                if not is_invariant(p, group):
-                    raise AssertionError(f"internal error: not invariant: {p}")
-                if not linalg.insert(_x_part(p, hmap), rows):
-                    raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
-            sigma.extend(found)
-            hmap = _assemble(group, tuple(sigma), ring)
-        if hmap is None or (not found and degree < group.order):
-            continue
-        if found:
-            found_series = _subalgebra_series(hmap)
-        if not same_series(found_series, molien):
-            if degree < group.order:
-                continue
-            # Noether's bound: generators of degree |G| or less generate
-            raise AssertionError(f"internal error: the generators of degree {degree} miss the Molien series")
-        hmap.certificate = degree
-        break
+            if not candidate.is_zero():
+                yield candidate, _x_part(candidate, hmap)
+
+    def gain(kept):
+        nonlocal hmap
+        found = [p.primitive() for p in kept]
+        found.sort(key=lambda p: GREVLEX.key(p.leading(GREVLEX)[0]), reverse=True)
+        # the checks of from_polynomials: invariance, and minimality as
+        # independence of the sorted generators modulo the lower map
+        rows: dict = {}
+        for p in found:
+            if not is_invariant(p, group):
+                raise AssertionError(f"internal error: not invariant: {p}")
+            if not linalg.insert(_x_part(p, hmap), rows):
+                raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
+        sigma.extend(found)
+        hmap = _assemble(group, tuple(sigma), ring)
+        return _subalgebra_series(hmap)
+
+    certificate = _graded_search(molien_series(group), ([1], [1]), 0, group, bound, scan, gain,
+                                 "generators", "Molien series")
     if hmap is None:
         raise ValueError("no invariants found up to the degree bound")
+    hmap.certificate = certificate
     return hmap
 
 
@@ -396,13 +414,14 @@ class EquivariantModule:
     the degree at which :func:`equivariant_generators` certified it
     complete, or None; it takes no part in equality or hashing.
 
-    ``_spans`` keeps :meth:`_span` per Hilbert map.  The search seeds it;
+    ``_spans`` keeps :meth:`_span` per Hilbert map, weakly: a span refers
+    to no map, so an entry goes with its map.  The search seeds it;
     :meth:`from_fields` and direct construction start with it empty.  It
     takes no part in equality, hashing or ``repr``."""
 
     generators: tuple[PolyVectorField, ...]
     certificate: int | None = field(default=None, compare=False)
-    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spans: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -478,12 +497,15 @@ def invariant_combination(
     group: FiniteMatrixGroup,
 ) -> list[Polynomial] | None:
     """Express ``target`` as sum h_j * fields_j with each h_j invariant, or
-    return None.  The fields must be invariant.
+    return None.  A field that is not invariant raises ``ValueError``.
 
     Exact submodule membership of the pushforwards modulo the relation
     ideal, against the default-bound Hilbert map; the h_j are the witness
     substituted into the generators, checked by rebuilding the target."""
     fields = tuple(fields)
+    for X in fields:
+        if not is_invariant(X, group):
+            raise ValueError(f"not invariant: {X}")
     if not is_invariant(target, group):
         return None
     if not fields:
@@ -513,20 +535,12 @@ def equivariant_generators(
     those kept in its degree; for homogeneous fields that is the
     leave-one-out test of :meth:`EquivariantModule.from_fields`.
 
-    Degree d needs missing(d) fields, counted and scanned as in
-    :func:`invariant_generators` from the field series and the series of
-    the lower fields' span.
-
-    The search stops at the end of the first degree d whose fields are
-    certified complete, and records d as the module's ``certificate``: the
-    series of the pushed span equals the field series of the group.  The
-    fields are the invariants on V + V* linear in V*, so Noether's bound
-    |G| there puts every field generator in degree |G| - 1 or below, and
-    the search ends at |G| - 1.  If that degree gains no field, the series
-    read at the last degree that did must equal the field series, or
-    ``AssertionError`` is raised; fields new in degree |G| - 1 end the
-    search untested.  ``degree_bound`` (default |G|) only caps the search;
-    a module it cuts before the series agree has no certificate.
+    The fields are the invariants on V + V* linear in V*, and
+    :func:`_graded_search` counts, certifies and ends their degrees against
+    the field series, reading the series of the pushed span.  Its
+    certificate is the module's ``certificate``; ``degree_bound`` (default
+    |G|) only caps the search, and a module it cuts before the series agree
+    has none.
 
     A candidate is pushed as the primitive field it would be kept as: push
     is linear and :func:`.linalg.insert` ignores scale.  The module's
@@ -539,20 +553,12 @@ def equivariant_generators(
         raise ValueError("degree bound must be non-negative")
     hmap = invariant_generators(group)
     ring = hmap.ring
-    series = field_series(group)
-    counts = Expansion(series)  # one expansion of the fixed series for the whole search
     kept: list[PolyVectorField] = []
     pushed: list[tuple[Polynomial, ...]] = []
     span: SubmoduleProblem | None = None  # the fields of lower degrees, once there are any
-    # the series of span, as its certificate test last read it
-    found_series: Series = ([], [1])
-    certificate = None
-    for degree in range(0, bound + 1):
-        missing = counts.coefficient(degree) - coefficient(found_series, degree)
-        rows: dict = {}
+
+    def scan(degree):
         for X in _monomial_fields(ring, degree):
-            if len(rows) >= missing:
-                break
             candidate = reynolds(X, group)
             if candidate.is_zero():
                 continue
@@ -564,25 +570,18 @@ def equivariant_generators(
             vector = {
                 (j, e): c * (den // q._den) for j, q in enumerate(normal) for e, c in q._num.items()
             }
-            if linalg.insert(vector, rows):
-                kept.append(candidate)
-                pushed.append(column)
-        if len(rows) != missing:
-            raise AssertionError(f"internal error: {len(rows)} fields in degree {degree}, counted {missing}")
-        if rows:
-            span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
-        if span is None or (not rows and degree < group.order - 1):
-            continue
-        if degree < group.order - 1:
-            found_series = _span_series(span, hmap)
-            if not same_series(found_series, series):
-                continue
-        elif not rows and not same_series(found_series, series):
-            # Noether's bound: the fields of lower degrees generate, so the
-            # series read at the last degree that gained fields must agree
-            raise AssertionError(f"internal error: the fields of degree {degree} miss the field series")
-        certificate = degree
-        break
+            yield (candidate, column), vector
+
+    def gain(found):
+        nonlocal span
+        for candidate, column in found:
+            kept.append(candidate)
+            pushed.append(column)
+        span = SubmoduleProblem(len(hmap.sigma), tuple(pushed), relations(hmap).basis)
+        return _span_series(span, hmap)
+
+    certificate = _graded_search(field_series(group), ([], [1]), 1, group, bound, scan, gain,
+                                 "fields", "field series")
     if not kept:
         raise ValueError("no invariant fields found up to the degree bound")
     module = EquivariantModule(tuple(kept), certificate)

@@ -842,9 +842,13 @@ def orbit_vf_to_json(Y: OrbitVectorField) -> dict:
     return {"components": [str(c.rep) for c in Y.components]}
 
 
-def orbit_vf_from_json(data: dict, space: OrbitSpace) -> OrbitVectorField:
+def orbit_vf_components(data: dict, ring: PolyRing) -> list[Polynomial]:
+    """The components of an orbit field's JSON object, read in the orbit
+    ring: what the text says, before any space checks it."""
     if not isinstance(data, dict):
         raise ValueError("an orbit field must be a JSON object")
-    ring = space.orbit_ring
-    comps = [parse_polynomial(s, ring) for s in data["components"]]
-    return space.field(comps)
+    return [parse_polynomial(s, ring) for s in data["components"]]
+
+
+def orbit_vf_from_json(data: dict, space: OrbitSpace) -> OrbitVectorField:
+    return space.field(orbit_vf_components(data, space.orbit_ring))

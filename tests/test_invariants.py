@@ -44,7 +44,8 @@ from orbitcalc.invariants import (
     relations,
     subduct,
 )
-from orbitcalc.series import quotient_series
+from orbitcalc.quotient import OrbitSpace
+from orbitcalc.series import field_series, quotient_series, same_series
 
 RING = PolyRing.ambient(2)
 
@@ -677,6 +678,17 @@ def test_invariant_combination_reconstructs_exactly():
     assert rebuilt == target
 
 
+def test_invariant_combination_refuses_a_field_that_is_not_invariant():
+    # -Id on R^2: x1^2 d/dx1 changes sign, and the Hilbert map is not to blame
+    group = closure([[["-1", "0"], ["0", "-1"]]])
+    euler = field("x1", "x2")
+    with pytest.raises(ValueError, match=r"^not invariant: "):
+        invariant_combination(euler, [field("x1^2", "0")], group)
+    with pytest.raises(ValueError, match=r"^not invariant: "):
+        invariant_combination(euler, [euler, field("x1^2", "0")], group)
+    assert invariant_combination(euler, [euler], group) == [RING.one()]
+
+
 @pytest.mark.parametrize("make_group", [make_reflection_group, make_swap_group])
 def test_equivariants_complete_one_degree_beyond(make_group):
     group = make_group()
@@ -876,8 +888,12 @@ def test_one_module_basis_at_most_per_degree_that_gains_fields(rung, count_modul
     module = equivariant_generators(group)
     assert len(builds) <= len({field_degree(X) for X in module.generators})
     if rung == "z2_r3":
-        # all nine generators are linear, and every other degree averages to zero
-        assert len(module) == 9 and not builds
+        # all nine generators are linear, and every other degree averages to
+        # zero; the series test at the Noether degree |G| - 1 = 1 builds the
+        # one module basis, and the space's syzygies read it
+        assert len(module) == 9 and len(builds) == 1
+        OrbitSpace(hmap, module=module).generator_syzygies
+        assert len(builds) == 1
 
 
 def test_equivariant_search_needs_no_leave_one_out_check(monkeypatch):
@@ -1019,3 +1035,48 @@ def test_field_search_refuses_a_field_series_off_when_the_noether_degree_gains_n
         equivariant_generators(group)
     monkeypatch.undo()
     assert invariant_generators(group) is hmap
+
+
+# The field series one low in degree 1 leaves the degree-1 fields one short,
+# and the Noether degree |G| - 1 gains fields, so only a series test there
+# sees it: without one, Z2 on R^2 ended on 3 fields certified at degree 1,
+# and Z3 permuting R^3 on 5 fields certified at degree 2.
+@pytest.mark.parametrize("rung", ["z2_r2", "z3_r3"])
+def test_field_search_refuses_a_field_series_off_when_the_noether_degree_gains_fields(rung, monkeypatch):
+    group = closure(SEARCH_RUNGS[rung])
+    hmap = invariant_generators(group)
+    series = invariants.field_series
+    monkeypatch.setattr(invariants, "field_series", lambda g: bumped(series(g), 1, -1))
+    with pytest.raises(AssertionError, match=f"internal error: the fields of degree {group.order - 1} miss the field series"):
+        equivariant_generators(group)
+    monkeypatch.undo()
+    assert invariant_generators(group) is hmap
+    assert equivariant_generators(group).certificate == group.order - 1
+
+
+@pytest.mark.parametrize("rung", sorted(SEARCH_RUNGS))
+def test_a_certified_module_hands_over_the_span_its_series_read(rung):
+    group = closure(SEARCH_RUNGS[rung])
+    hmap = invariant_generators(group)
+    module = equivariant_generators(group)
+    assert module.certificate is not None
+    span = module._span(hmap)
+    assert span._basis is not None
+    assert same_series(invariants._span_series(span, hmap), field_series(group))
+
+
+PRESENTATION_RUNGS = ["z2_r2", "z4_r2", "b2_r2", "d3_r2", "z2z2_r3"]
+
+
+def test_the_presentation_ladder_builds_nine_module_bases(count_module_basis_builds):
+    # each rung as the benchmark's presentation chain builds it
+    builds = count_module_basis_builds()
+    for rung in PRESENTATION_RUNGS:
+        group = closure(SEARCH_RUNGS[rung])
+        hilbert = invariant_generators(group)
+        ideal = relations(hilbert)
+        module = equivariant_generators(group)
+        space = OrbitSpace(hilbert, ideal=ideal, module=module)
+        space.pushed_generators
+        space.generator_syzygies
+    assert len(builds) == 9

@@ -207,6 +207,29 @@ def test_a_space_on_another_map_pushes_the_fields_itself(count_pushes):
     assert pushes == fields
 
 
+def test_a_module_keeps_no_map_it_was_asked_about_alive():
+    """The module's spans hold their maps weakly: spaces on equal maps that
+    are not the search's leave nothing behind once dropped, even with the
+    cyclic collector off."""
+    group = closure(LADDER["z2z2_r3"])
+    hmap = invariant_generators(group)
+    module = equivariant_generators(group)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spaces = [OrbitSpace(HilbertMap.from_polynomials(group, hmap.sigma), module=module) for _ in range(3)]
+        for space in spaces:
+            space.generator_syzygies
+        maps = [weakref.ref(space.hilbert) for space in spaces]
+        assert len(module._spans) == 4
+        del spaces, space
+        assert [ref() for ref in maps] == [None] * 3
+        assert set(module._spans) == {hmap}
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_a_handed_over_push_is_still_checked(count_pushes):
     """A corrupted column of the module's span fails the tangency check, and
     a field that is not invariant fails the invariance check before any
