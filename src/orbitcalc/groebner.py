@@ -14,9 +14,11 @@ lifting of the same pairs on the final basis (2.5); both read only
 coefficients on the columns, so representations are tracked over the
 columns alone.
 
-The final interreduction divides by one set of divisor lists, and leaves
-an element appended as a remainder as it is unless a later lead divides
-one of its terms (:func:`_reduce_tracked`).
+A run may start from a reduced basis of a smaller module: those inputs
+form no pair with each other.  The final interreduction divides by one
+set of divisor lists, and divides an element only when a lead that may
+still reduce it divides one of its terms: each element is marked with the
+first basis index whose lead may (:func:`_reduce_tracked`).
 
 A finished scalar basis (:class:`GroebnerBasis`) keeps its generators'
 leading terms and, for its life, the normal form of each monomial that
@@ -45,7 +47,8 @@ that the caller reads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
@@ -403,6 +406,7 @@ def _buchberger_tracked(
     ideal: GroebnerBasis | None = None,
     cancel: CancelCheck | None = None,
     hilbert: tuple[Sequence[int], Series] | None = None,
+    reduced: int = 0,
 ) -> list[_Tracked]:
     """Reduced Groebner basis of the module spanned by the vectors ``gens``
     modulo ``ideal`` (a Groebner basis for ``order``) at every position,
@@ -421,6 +425,11 @@ def _buchberger_tracked(
     term 1): the run is Hilbert-driven (:class:`_HilbertDrive`), with sugar
     the weighted degree, and raises ``AssertionError`` unless the basis it
     ends with has that series.
+
+    ``reduced`` is internal: the first ``reduced`` vectors of ``gens``,
+    with the ideal's generators, are already a reduced Groebner basis, so
+    no pair among them is formed and none is divided again unless a lead
+    after them divides one of its terms.
     """
     drive = _HilbertDrive(*hilbert) if hilbert is not None else None
     weigh = drive.weigh if drive is not None else mono_degree
@@ -447,14 +456,19 @@ def _buchberger_tracked(
     slack = [t.sugar - weigh(t.lead[0]) for t in basis]
     # the support bitmask of each element's lead
     masks = [support(t.lead[0]) for t in basis]
+    # the first index of the basis whose lead may divide a term of each
+    # element (:func:`_reduce_tracked`); the seeds, the reduced inputs, end
+    # at ``seeded`` and form pairs only with what comes after them
+    marks = [0] * len(basis)
+    seeded = len(basis) + reduced
 
-    def append(vec: Vector, rep: list[Polynomial], sugar: int):
+    def append(vec: Vector, rep: list[Polynomial], sugar: int, mark: int):
         pos = next(i for i, c in enumerate(vec) if c._num)
         t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
         j = len(basis)
         lj = t.lead[0]
         sj, mj = sugar - weigh(lj), support(lj)
-        for i, u in enumerate(basis):
+        for i, u in enumerate(basis if j >= seeded else ()):
             # :func:`_forms_pair`, on the support bitmasks
             if u.pos != pos and (u.pos >= 0 or not masks[i] & mj):
                 continue
@@ -465,6 +479,7 @@ def _buchberger_tracked(
         basis.append(t)
         slack.append(sj)
         masks.append(mj)
+        marks.append(mark)
         divisors.add(j, t)
         if drive is not None:
             drive.add(lj)
@@ -476,10 +491,9 @@ def _buchberger_tracked(
         rep = [ring.zero() for _ in range(columns)]
         if j < columns:
             rep[j] = ring.one()
-        append(tuple(g), rep, max(weigh(e) for c in g for e in c._num))
-    # the elements appended from here on are remainders of a full division
-    # by every element before them
-    reduced_from = len(basis)
+        # a seed may be divided only by a lead after the seeds, a raw input
+        # by any other
+        append(tuple(g), rep, max(weigh(e) for c in g for e in c._num), seeded if j < reduced else 0)
 
     while queue:
         if cancel is not None:
@@ -514,21 +528,24 @@ def _buchberger_tracked(
         remainder, quotients = _divide_vector(s_vec, basis, divisors, order, columns > 0)
         if _is_zero_vector(remainder):
             continue
-        si, sj = 1 / ci, 1 / cj
-        rep = [
-            ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
-        ]
-        rep = _subtract_reps(rep, quotients, basis)
+        rep = []
+        if columns:
+            si, sj = 1 / ci, 1 / cj
+            rep = [
+                ri.mul_monomial(ui, si) - rj.mul_monomial(uj, sj) for ri, rj in zip(fi.rep, fj.rep)
+            ]
+            rep = _subtract_reps(rep, quotients, basis)
         sugar = max(s_sugar, max(weigh(e) for c in remainder for e in c._num))
-        append(remainder, rep, sugar)
+        # a remainder was divided by every element before it
+        append(remainder, rep, sugar, len(basis) + 1)
 
     if drive is not None:
         drive.certify()
-    return _reduce_tracked(basis, order, reduced_from)
+    return _reduce_tracked(basis, order, marks)
 
 
 def _reduce_tracked(
-    basis: list[_Tracked], order: MonomialOrder, reduced_from: int
+    basis: list[_Tracked], order: MonomialOrder, marks: Sequence[int]
 ) -> list[_Tracked]:
     """The reduced basis of a finished run: the minimal elements, each with
     its tail reduced by the others and the ideal and made monic, sorted by
@@ -536,10 +553,12 @@ def _reduce_tracked(
 
     One set of divisor lists, of every kept element and the ideal, serves
     all: an element's own lead divides no term below it, so its tail meets
-    the same divisors in the same order as with the others alone.  The
-    elements from ``reduced_from`` on are remainders, reduced by every
-    element before them; when no later kept lead divides a term of one at
-    any position, dividing it would return it unchanged, so it is skipped."""
+    the same divisors in the same order as with the others alone.
+    ``marks[i]`` is the first index of ``basis`` whose lead may divide a
+    term of element i: 0 for a raw input, the end of the seeds for a seed,
+    i + 1 for a remainder.  When no kept lead from its mark on (the ideal's
+    too, for a mark inside the ideal) divides a term of an element at any
+    position, dividing it would return it unchanged, so it is not divided."""
     ideal = [t for t in basis if t.pos < 0]
     nvars = len(basis[0].lead[0]) if basis else 0
     key, divides = order.key_for(nvars), monomial_ops(nvars).divides
@@ -558,17 +577,22 @@ def _reduce_tracked(
             kept.append((idx, t))
     reducers = [t for _, t in kept] + ideal
     divisors = _Divisors(reducers)
+    indices = [idx for idx, _ in kept]
     reduced: list[_Tracked] = []
     for k, (idx, t) in enumerate(kept):
         vec, rep, pos, (lm, lc) = t.vec, t.rep, t.pos, t.lead
-        if idx < reduced_from or any(
-            divides(u.lead[0], e) for _, u in kept[k + 1 :] for e in vec[u.pos]._num
+        mark = marks[idx]
+        # no other kept or ideal lead divides the lead, so every term is tested
+        others = kept[bisect_left(indices, mark) :] if mark > idx else kept[:k] + kept[k + 1 :]
+        if any(divides(u.lead[0], e) for _, u in others for e in vec[u.pos]._num) or any(
+            divides(u.lead[0], e) for u in ideal[mark:] for c in vec for e in c._num
         ):
             lead = vec[pos].ring.monomial(lm, lc)
             tail = vec[:pos] + (vec[pos] - lead,) + vec[pos + 1 :]
             rest, quotients = _divide_vector(tail, reducers, divisors, order, bool(rep))
             vec = rest[:pos] + (rest[pos] + lead,) + rest[pos + 1 :]
-            rep = _subtract_reps(rep, quotients, reducers)
+            if rep:
+                rep = _subtract_reps(rep, quotients, reducers)
         if lc != 1:
             c = 1 / lc
             vec, rep = tuple(p.scale(c) for p in vec), [r.scale(c) for r in rep]
@@ -586,17 +610,23 @@ class GroebnerBasis:
     """A reduced Groebner basis together with its monomial order.
 
     ``leads`` holds the generators' leading terms, found once when the basis
-    is made; ``_forms`` maps e to NF(x^e), filled by :func:`normal_form` and
-    kept for the life of the basis.  Neither takes part in equality, hashing
-    or ``repr``, so equal bases keep tables of their own."""
+    is made; the keyword-only ``_leads`` is internal, the leading terms a
+    build already holds.
+    ``_forms`` maps e to NF(x^e), filled by :func:`normal_form` and kept for
+    the life of the basis.  Neither takes part in equality, hashing or
+    ``repr``, so equal bases keep tables of their own."""
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
+    _: KW_ONLY
+    _leads: InitVar[tuple | None] = None
     leads: tuple[tuple[Exponents, Fraction], ...] = field(init=False, repr=False, compare=False)
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "leads", tuple(g.leading(self.order) for g in self.generators))
+    def __post_init__(self, _leads):
+        if _leads is None:
+            _leads = tuple(g.leading(self.order) for g in self.generators)
+        object.__setattr__(self, "leads", _leads)
 
     def __iter__(self):
         return iter(self.generators)
@@ -620,7 +650,7 @@ def buchberger(
     if len(rings) > 1:
         raise ValueError("incompatible rings among generators")
     tracked = _buchberger_tracked([(g,) for g in gens], order, 0, cancel=cancel)
-    return GroebnerBasis(tuple(t.vec[0] for t in tracked), order)
+    return GroebnerBasis(tuple(t.vec[0] for t in tracked), order, _leads=tuple(t.lead for t in tracked))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -664,12 +694,12 @@ def _elimination_part(block_gb: GroebnerBasis, drop: int) -> GroebnerBasis:
     if not block_gb.generators:
         return GroebnerBasis((), GREVLEX)
     keep_ring = PolyRing(block_gb.generators[0].ring.names[drop:])
-    kept = tuple(
-        restrict(g, keep_ring, drop)
-        for g in block_gb.generators
+    kept = [
+        (restrict(g, keep_ring, drop), (lm[drop:], lc))
+        for g, (lm, lc) in zip(block_gb.generators, block_gb.leads)
         if not any(any(e[:drop]) for e in g._num)
-    )
-    return GroebnerBasis(kept, GREVLEX)
+    ]
+    return GroebnerBasis(tuple(g for g, _ in kept), GREVLEX, _leads=tuple(lead for _, lead in kept))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ Both generating sets are found degree by degree, by one loop
 (:func:`_graded_search`).  The invariant ring and the module of invariant
 fields are graded, so an average of degree d is new when its normal form
 modulo what lower degrees generate is independent of those of the degree-d
-generators: one basis per degree that gains generators.  The exact series
-of the group (:mod:`.series`) say how many generators each degree needs,
-and a search stops at the first degree where the series of what it has
-found, read off a basis it holds anyway, equals the group's.
+generators.  Each degree that gains generators extends the tagged basis of
+the lower ones (:func:`_assemble`), and the field search builds one module
+basis per degree that gains fields.  The exact series of the group
+(:mod:`.series`) say how many generators each degree needs, and a search
+stops at the first degree where the series of what it has found, read off
+a basis it holds anyway, equals the group's.
 
 Membership of an invariant field in the span of others is decided one level
 down: the pushforward X -> (X(sigma_j))_j, rewritten through the generators,
@@ -156,13 +158,26 @@ class HilbertMap:
         return len(self.sigma)
 
 
-def _assemble(group, sigma, ring) -> HilbertMap:
+def _assemble(group, sigma, ring, lower: HilbertMap | None = None) -> HilbertMap:
+    """The Hilbert map of ``sigma``, with its tagged basis: the reduced
+    Groebner basis of < y_j - sigma_j(x) > in the block order with the x
+    block first, Hilbert-driven when every sigma_j is homogeneous.
+
+    ``lower``, the map of a prefix of ``sigma``, extends its basis rather
+    than building one from nothing: the lower tag basis, embedded in the
+    wider ring, is the build's first, already reduced, inputs, and the new
+    y's come last, so no order comparison and no weight of an old monomial
+    changes.  A reduced basis is unique, so the result is the same."""
     n = ring.nvars
     orbit_ring = PolyRing.orbit(len(sigma))
     if set(orbit_ring.names) & set(ring.names):
         raise ValueError("ambient variable names collide with the orbit alphabet")
     combined = PolyRing(ring.names + orbit_ring.names)
-    gens = [(combined.variable(n + j) - embed(s, combined, 0),) for j, s in enumerate(sigma)]
+    seeds = [] if lower is None else [(embed(g, combined, 0),) for g in lower.tag_basis.generators]
+    known = 0 if lower is None else len(lower.sigma)
+    gens = seeds + [
+        (combined.variable(n + j) - embed(s, combined, 0),) for j, s in enumerate(sigma[known:], known)
+    ]
     # With y_j of weight deg sigma_j the tagged ideal I is homogeneous when
     # every sigma_j is, and Q[x, y]/I = Q[x] has the series 1/(1 - t)^n.
     hilbert = None
@@ -170,8 +185,8 @@ def _assemble(group, sigma, ring) -> HilbertMap:
         weights = [1] * n + [s.degree() for s in sigma]
         hilbert = (weights, ([1], one_minus_powers([1] * n)))
     order = BlockOrder(n)
-    tracked = _buchberger_tracked(gens, order, 0, hilbert=hilbert)
-    tag_basis = GroebnerBasis(tuple(t.vec[0] for t in tracked), order)
+    tracked = _buchberger_tracked(gens, order, 0, hilbert=hilbert, reduced=len(seeds))
+    tag_basis = GroebnerBasis(tuple(t.vec[0] for t in tracked), order, _leads=tuple(t.lead for t in tracked))
     return HilbertMap(group, sigma, ring, orbit_ring, combined, tag_basis)
 
 
@@ -229,11 +244,11 @@ def invariant_generators(
     subalgebra of the generators found so far exactly when its normal form
     against the map of the lower-degree generators, less a combination of
     the degree-d generators' normal forms, is free of x; :func:`.linalg.insert`
-    of those x parts decides each candidate.  One tagged basis is built per
-    degree that gains generators.  Every generator is checked invariant,
-    and each degree's generators must stay independent modulo the lower
-    map, which for homogeneous generators is the leave-one-out minimality
-    test of :meth:`HilbertMap.from_polynomials`.
+    of those x parts decides each candidate.  Each degree that gains
+    generators extends the last tagged basis.  Every generator is checked
+    invariant, and each degree's generators must stay independent modulo
+    the lower map, which for homogeneous generators is the leave-one-out
+    minimality test of :meth:`HilbertMap.from_polynomials`.
 
     :func:`_graded_search` counts, certifies and ends the degrees against
     the Molien series, reading the series of Q[y]/in(I): y_j weighted by
@@ -330,7 +345,7 @@ def _search_generators(group: FiniteMatrixGroup, bound: int) -> HilbertMap:
             if not linalg.insert(_x_part(p, hmap), rows):
                 raise AssertionError(f"internal error: generator {p} is a polynomial in the others")
         sigma.extend(found)
-        hmap = _assemble(group, tuple(sigma), ring)
+        hmap = _assemble(group, tuple(sigma), ring, hmap)
         return _subalgebra_series(hmap)
 
     certificate = _graded_search(molien_series(group), ([1], [1]), 0, group, bound, scan, gain,
@@ -498,11 +513,17 @@ def invariant_combination(
 ) -> list[Polynomial] | None:
     """Express ``target`` as sum h_j * fields_j with each h_j invariant, or
     return None.  A field that is not invariant raises ``ValueError``.
+    ``fields`` may be an :class:`EquivariantModule`, whose generators are
+    then the fields.
 
     Exact submodule membership of the pushforwards modulo the relation
     ideal, against the default-bound Hilbert map; the h_j are the witness
-    substituted into the generators, checked by rebuilding the target."""
-    fields = tuple(fields)
+    substituted into the generators, checked by rebuilding the target.  A
+    module's span on the map (:meth:`EquivariantModule._span`) is read, so
+    while a caller holds the map its generators are pushed, and their
+    module basis built, once for all calls."""
+    module = fields if isinstance(fields, EquivariantModule) else None
+    fields = tuple(fields) if module is None else module.generators
     for X in fields:
         if not is_invariant(X, group):
             raise ValueError(f"not invariant: {X}")
@@ -510,10 +531,10 @@ def invariant_combination(
         return None
     if not fields:
         return [] if target.is_zero() else None
+    if module is None:
+        module = EquivariantModule(fields)
     hmap = invariant_generators(group)
-    columns = tuple(_push_field(X, hmap) for X in fields)
-    span = SubmoduleProblem(len(hmap.sigma), columns, relations(hmap).basis)
-    outcome = module_solve(_push_field(target, hmap), span)
+    outcome = module_solve(_push_field(target, hmap), module._span(hmap))
     if not outcome.member:
         return None
     combination = [hmap.substitute_into(h) for h in outcome.witness]

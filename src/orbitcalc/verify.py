@@ -133,10 +133,10 @@ def run_golden_checks(seed: int = 0) -> list[CheckResult]:
     # 3. invariant field module agrees with the automatic computation
     auto_fields = equivariant_generators(group)
     mutual = all(
-        invariant_combination(X, auto_fields.generators, group) is not None
+        invariant_combination(X, auto_fields, group) is not None
         for X in space.module.generators
     ) and all(
-        invariant_combination(X, space.module.generators, group) is not None
+        invariant_combination(X, space.module, group) is not None
         for X in auto_fields.generators
     )
     check(

@@ -267,6 +267,13 @@ def test_a_basis_keeps_the_leading_terms_of_its_generators():
         assert "leads" not in repr(gb) and "_forms" not in repr(gb)
 
 
+def test_a_basis_takes_known_leading_terms_only_by_keyword():
+    built = kept_bases()["buchberger-<grevlex>"]
+    with pytest.raises(TypeError):
+        GroebnerBasis(built.generators, built.order, built.leads)
+    assert GroebnerBasis(built.generators, built.order, _leads=built.leads).leads == built.leads
+
+
 @pytest.mark.parametrize("rung", PRESENTATION_RUNGS)
 def test_every_division_of_a_space_build_reads_kept_leads(rung, monkeypatch):
     leads = []
@@ -284,11 +291,20 @@ def test_every_division_of_a_space_build_reads_kept_leads(rung, monkeypatch):
     assert leads and all(lead is not None for lead in leads)
 
 
-@pytest.mark.parametrize("kind", ["z2_r3-relations", "z4_r2-tagged"])
+TABLE_KINDS = [
+    "z2_r3-relations", "z4_r2-tagged", "buchberger-<grevlex>", "buchberger-<lex>",
+    "buchberger-<block>", "eliminate", "elimination-part", "tagged-z2_r2", "tagged-z2_r3",
+]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_normal_form_equals_the_reference_with_cold_and_warm_tables(kind, monkeypatch):
-    rung, basis_kind = kind.split("-")
-    hilbert = invariant_generators(closure(LADDER[rung]))
-    built = relations(hilbert).basis if basis_kind == "relations" else hilbert.tag_basis
+    if kind.endswith(("-relations", "-tagged")):
+        rung, basis_kind = kind.split("-")
+        hilbert = invariant_generators(closure(LADDER[rung]))
+        built = relations(hilbert).basis if basis_kind == "relations" else hilbert.tag_basis
+    else:
+        built = kept_bases()[kind]
     gb = GroebnerBasis(built.generators, built.order)  # equal, with a table of its own
     assert gb == built and gb._forms == {}
     ring = gb.generators[0].ring
@@ -301,6 +317,13 @@ def test_normal_form_equals_the_reference_with_cold_and_warm_tables(kind, monkey
     monkeypatch.setattr(groebner, "divide", lambda *a, **k: divisions.append(a))
     assert [normal_form(p, gb) for p in polys] == expected
     assert divisions == []
+    monkeypatch.undo()
+    # More polynomials on the warm table; every entry, old or new, is the
+    # remainder of its monomial.
+    for p in [random_poly(rng, ring, 4, 5) for _ in range(10)]:
+        assert normal_form(p, gb) == reference_divide(p, gb.generators, gb.order)[0]
+    for e, form in gb._forms.items():
+        assert form == reference_divide(ring.monomial(e), gb.generators, gb.order)[0]
 
 
 def test_buchberger_builds_no_fraction_view(fraction_views_built):

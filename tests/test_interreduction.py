@@ -24,7 +24,7 @@ from orbitcalc.groebner import (
     _Tracked,
     buchberger,
 )
-from orbitcalc.invariants import invariant_generators
+from orbitcalc.invariants import equivariant_generators, invariant_generators
 from orbitcalc.series import quotient_series
 
 try:
@@ -225,3 +225,146 @@ def test_interreduction_builds_one_divisor_list_and_skips_clean_remainders(monke
     tagged = invariants._assemble(group, hmap.sigma, hmap.ring)
     assert tagged.tag_basis.generators == hmap.tag_basis.generators
     assert built == [kept[0]] and len(divided) < kept[0]
+
+
+# ---------------------------------------------------------------------------
+# seeded builds and per-element marks
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def logged_builds():
+    """Logs every tracked build run inside the block: the number of ideal
+    generators, the seeds and the count of nonzero inputs, the S-pairs it
+    reduces, the basis its interreduction gets and the vectors that
+    interreduction divides.  Yields the list of logs."""
+    logs, stack = [], []
+    run, s_vector = groebner._buchberger_tracked, groebner._s_vector
+    reduce, divide_vector = groebner._reduce_tracked, groebner._divide_vector
+
+    def running(gens, order, columns, ideal=None, cancel=None, hilbert=None, reduced=0):
+        nonzero = [tuple(g) for g in gens if not groebner._is_zero_vector(g)]
+        log = {
+            "ideal": len(ideal.generators) if ideal is not None else 0,
+            "seeds": nonzero[:reduced],
+            "inputs": len(nonzero),
+            "pairs": [],
+            "divided": [],
+            "reducing": False,
+        }
+        stack.append(log)
+        try:
+            return run(gens, order, columns, ideal, cancel, hilbert, reduced)
+        finally:
+            logs.append(stack.pop())
+
+    def pairing(f, g, uf, ug):
+        if stack:
+            stack[-1]["pairs"].append((f.vec, g.vec))
+        return s_vector(f, g, uf, ug)
+
+    def reducing(basis, order, marks):
+        stack[-1]["basis"], stack[-1]["reducing"] = list(basis), True
+        try:
+            return reduce(basis, order, marks)
+        finally:
+            stack[-1]["reducing"] = False
+
+    def dividing(vec, *args, **kwargs):
+        if stack and stack[-1]["reducing"]:
+            stack[-1]["divided"].append(vec)
+        return divide_vector(vec, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_buchberger_tracked", running)
+        patch.setattr(invariants, "_buchberger_tracked", running)
+        patch.setattr(groebner, "_s_vector", pairing)
+        patch.setattr(groebner, "_reduce_tracked", reducing)
+        patch.setattr(groebner, "_divide_vector", dividing)
+        yield logs
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def expected_divisions(log):
+    """The tails an interreduction must divide, with each element marked
+    from the build's own layout: the ideal, the seeds, the raw inputs,
+    then remainders.  A seed may be reduced by the leads after the seeds,
+    a raw input by every other lead and the ideal's, a remainder by the
+    leads after it."""
+    basis, start = log["basis"], log["ideal"]
+    seeded = start + len(log["seeds"])
+    kept = []
+    for idx, t in enumerate(basis[start:], start):
+        lm = t.lead[0]
+        if not any(
+            jdx != idx and u.pos in (t.pos, -1) and divides(u.lead[0], lm) and (u.lead[0] != lm or jdx < idx)
+            for jdx, u in enumerate(basis)
+        ):
+            kept.append((idx, t))
+    tails = []
+    for idx, t in kept:
+        mark = seeded if idx < seeded else 0 if idx < start + log["inputs"] else idx + 1
+        others = [u for jdx, u in kept if jdx >= mark and jdx != idx]
+        ideal = [u for jdx, u in enumerate(basis[:start]) if jdx >= mark]
+        if any(divides(u.lead[0], e) for u in others for e in t.vec[u.pos].terms) or any(
+            divides(u.lead[0], e) for u in ideal for c in t.vec for e in c.terms
+        ):
+            lead = t.vec[t.pos].ring.monomial(*t.lead)
+            tails.append(t.vec[: t.pos] + (t.vec[t.pos] - lead,) + t.vec[t.pos + 1 :])
+    return tails
+
+
+SEEDED_RUNGS = {
+    **ELIMINATION_LADDER,
+    "b2_r2": [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]],
+    "d3_r2": [[["0", "-1"], ["1", "-1"]], [["0", "1"], ["1", "0"]]],
+    "z4_r2": [[["0", "-1"], ["1", "0"]]],
+    "s5_r5": [
+        [["0", "1", "0", "0", "0"], ["1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+         ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"]],
+        [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"],
+         ["0", "0", "0", "0", "1"], ["1", "0", "0", "0", "0"]],
+    ],
+}
+
+
+def test_seeded_builds_pair_no_two_seeds_and_divide_by_their_marks():
+    """Over the tagged builds of the invariant searches, the module builds
+    of the field searches and plain Buchberger runs, homogeneous or not: no
+    S-pair of two seeds is reduced, seeds do pair with the new inputs, and
+    each interreduction divides exactly the elements some lead past their
+    mark divides."""
+    rng = random.Random(79)
+    ring = PolyRing.ambient(3)
+    with logged_builds() as logs:
+        for gens in SEEDED_RUNGS.values():
+            equivariant_generators(closure(gens))
+        for _ in range(6):
+            buchberger(random_ideal(rng, ring), rng.choice(ORDERS))
+            weights = [rng.randint(1, 2) for _ in range(ring.nvars)]
+            gens = [random_homogeneous(rng, ring, rng.randint(2, 4), weights) for _ in range(3)]
+            buchberger([g for g in gens if g is not None], rng.choice(ORDERS))
+        # coprime leads, so no remainder: only the input y^2 + x*z, which an
+        # earlier lead divides, can reduce its tail
+        raw = buchberger([parse_polynomial(t, ring) for t in ("x1 - x3", "x2^2 + x1*x3")])
+    assert [str(g) for g in raw.generators] == ["x2^2 + x3^2", "x1 - x3"]
+    seeded = [log for log in logs if log["seeds"]]
+    assert len(seeded) >= 8 and any(log["ideal"] for log in logs)
+    for log in seeded:
+        seeds = set(log["seeds"])
+        assert not any(f in seeds and g in seeds for f, g in log["pairs"])
+        assert any((f in seeds) != (g in seeds) for f, g in log["pairs"])
+    divided = {"input": 0, "remainder": 0}
+    for log in logs:
+        assert log["divided"] == expected_divisions(log)
+        raw = range(log["ideal"] + len(log["seeds"]), log["ideal"] + log["inputs"])
+        for idx, t in enumerate(log["basis"][log["ideal"] :], log["ideal"]):
+            lead = t.vec[t.pos].ring.monomial(*t.lead)
+            if t.vec[: t.pos] + (t.vec[t.pos] - lead,) + t.vec[t.pos + 1 :] in log["divided"]:
+                divided["input" if idx in raw else "remainder"] += 1
+    # raw inputs and remainders are both divided somewhere, and not every
+    # kept element is
+    assert all(divided.values())
+    assert sum(divided.values()) < sum(len(log["basis"]) - log["ideal"] for log in logs)

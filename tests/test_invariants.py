@@ -46,6 +46,7 @@ from orbitcalc.invariants import (
 )
 from orbitcalc.quotient import OrbitSpace
 from orbitcalc.series import field_series, quotient_series, same_series
+from test_reflection_group_pins import GROUPS as REFLECTION_GROUPS
 
 RING = PolyRing.ambient(2)
 
@@ -368,9 +369,9 @@ def test_graded_search_matches_sequential_search(rung, monkeypatch):
     expected = sequential_generators(group)
     assembled = []
 
-    def counting(group, sigma, ring):
+    def counting(group, sigma, ring, lower=None):
         assembled.append(len(sigma))
-        return assemble(group, sigma, ring)
+        return assemble(group, sigma, ring, lower)
 
     assemble = invariants._assemble
     monkeypatch.setattr(invariants, "_assemble", counting)
@@ -1080,3 +1081,60 @@ def test_the_presentation_ladder_builds_nine_module_bases(count_module_basis_bui
         space.pushed_generators
         space.generator_syzygies
     assert len(builds) == 9
+
+
+# ---------------------------------------------------------------------------
+# each search degree extends the last tagged basis
+# ---------------------------------------------------------------------------
+
+EXTENDED_RUNGS = {**SEARCH_RUNGS, **{name: spec[0] for name, spec in REFLECTION_GROUPS.items()}}
+
+
+@pytest.mark.parametrize("rung", sorted(EXTENDED_RUNGS))
+def test_each_search_degree_extends_the_last_tag_basis_to_the_one_built_from_nothing(rung, monkeypatch):
+    group = closure(EXTENDED_RUNGS[rung])
+    assembled = []
+    assemble = invariants._assemble
+
+    def recording(group, sigma, ring, lower=None):
+        hmap = assemble(group, sigma, ring, lower)
+        assembled.append((lower, hmap))
+        return hmap
+
+    monkeypatch.setattr(invariants, "_assemble", recording)
+    hmap = invariant_generators(group)
+    monkeypatch.undo()
+    assert assembled[0][0] is None and assembled[-1][1] is hmap
+    for (_, previous), (lower, extended) in zip(assembled, assembled[1:]):
+        assert lower is previous
+        scratch = assemble(group, extended.sigma, extended.ring)
+        assert extended.tag_basis.generators == scratch.tag_basis.generators
+        order = extended.tag_basis.order
+        expected_leads = tuple(g.leading(order) for g in scratch.tag_basis.generators)
+        assert extended.tag_basis.leads == scratch.tag_basis.leads == expected_leads
+
+
+def test_invariant_combination_reads_a_module_span_once(count_module_basis_builds):
+    """Twelve averaged fields against the Z4/R^2 module: the module's span is
+    built once, where a tuple of its generators builds one per call."""
+    group = closure(SEARCH_RUNGS["z4_r2"])
+    hmap = invariant_generators(group)  # held, so every call shares it
+    searched = equivariant_generators(group)
+    targets = []
+    for degree in range(4):
+        for X in invariants._monomial_fields(RING, degree):
+            candidate = reynolds(X, group)
+            if not candidate.is_zero():
+                targets.append(candidate)
+    assert len(targets) == 12
+    builds = count_module_basis_builds()
+    by_fields = [invariant_combination(X, searched.generators, group) for X in targets]
+    assert len(builds) == 12
+    module = EquivariantModule(searched.generators)  # equal, with no span yet
+    by_module = [invariant_combination(X, module, group) for X in targets]
+    assert len(builds) == 13
+    # the search's own module hands over the span its certificate built
+    assert [invariant_combination(X, searched, group) for X in targets] == by_fields
+    assert len(builds) == 13
+    assert by_module == by_fields and all(combo is not None for combo in by_fields)
+    assert invariant_generators(group) is hmap
