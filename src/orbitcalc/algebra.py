@@ -9,15 +9,21 @@ runs on Python ints: a sum puts both operands over the lcm of their
 denominators, and every result is brought to lowest terms by one gcd.
 Every product goes through one kernel, :func:`combination`, which adds
 the term products of sum(sign * a * b) into one numerator table over the
-lcm of their denominators; ``a * b`` is its case of one product, and
-derivations, contractions, the orbit d and wedge, and witness checks call
-it with all their products at once.  Every substitution (the group action
-x -> g^-1 x, :meth:`Polynomial.substitute`, the Hilbert map y -> sigma(x)
-and pullbacks) reads the powers v^e of its values from one
-:class:`PowerTable`, as ``p ** n`` does for the one value p, and
-:func:`_tabled_sum` sums a linear map from such a table, as the tabled
-normal forms do from theirs.  Division (:func:`.groebner.divide`) reads
-and builds the same integer form.
+lcm of their denominators, by a loop compiled once per number of
+variables (``monomial_ops(n).products``) that unpacks the exponent
+tuples, so no call is made per term product; ``a * b`` is its case of one
+product, and derivations, contractions, the orbit d and wedge, and
+witness residues call it with all their products at once.  Every
+substitution (the group action x -> g^-1 x, :meth:`Polynomial.substitute`,
+the Hilbert map y -> sigma(x) and pullbacks) reads the powers v^e of its
+values from one :class:`PowerTable`, as ``p ** n`` does for the one value
+p.  A linear map is summed from such a table, as the tabled normal forms
+are from theirs, by one routine (:func:`_tabled_numerators`) that adds
+each image straight into one numerator table; :func:`_tabled_sum` reads
+that table as a polynomial, and :func:`_tabled_vanish` reads the tables
+of several such sums as one exact zero test that makes no polynomial.
+Division (:func:`.groebner.divide`) reads and builds the same integer
+form.
 A ``Fraction`` is made only when a caller reads a coefficient:
 ``terms`` (a dict built on first read and kept), ``coefficient``,
 ``constant_term`` and ``leading``.
@@ -84,13 +90,31 @@ def _sum_source(items: Sequence[str]) -> str:
     return items[0]
 
 
+def _products_source(n: int) -> str:
+    """The term-product loop of arity ``n``: both exponent tuples are
+    unpacked into locals, so a product is one tuple display, no call."""
+    a, b = _tuple_source(f"a{i}" for i in range(n)), _tuple_source(f"b{i}" for i in range(n))
+    return (
+        "def products(acc, left, right, factor):\n"
+        "    get = acc.get\n"
+        f"    for {a}, n in left:\n"
+        "        n *= factor\n"
+        f"        for {b}, m in right:\n"
+        f"            e = {_tuple_source(f'a{i} + b{i}' for i in range(n))}\n"
+        "            acc[e] = get(e, 0) + n * m\n"
+    )
+
+
 class MonomialOps(NamedTuple):
     """The exponent arithmetic of one arity n, each a compiled function of
     two n-tuples: the product a + b, the quotient a - b, the divisibility
     test a <= b, the lcm max(a, b) and the colon exponent max(a - b, 0),
     all componentwise; the support of one n-tuple, the bitmask with bit i
-    set when the i-th exponent is nonzero; and the unit tuples, units[i]
-    the exponents of the i-th variable."""
+    set when the i-th exponent is nonzero; the unit tuples, units[i] the
+    exponents of the i-th variable; and ``products(acc, left, right, k)``,
+    which adds k * n * m at a + b into the numerator table ``acc`` for
+    every term (a, n) of ``left`` and (b, m) of ``right``, both iterables
+    of (exponents, numerator) pairs."""
 
     mul: Callable[[Exponents, Exponents], Exponents]
     div: Callable[[Exponents, Exponents], Exponents]
@@ -99,6 +123,7 @@ class MonomialOps(NamedTuple):
     colon: Callable[[Exponents, Exponents], Exponents]
     support: Callable[[Exponents], int]
     units: tuple[Exponents, ...]
+    products: Callable[[dict, Iterable, Iterable, int], None]
 
 
 @functools.cache
@@ -106,6 +131,8 @@ def monomial_ops(n: int) -> MonomialOps:
     """The kernels of arity ``n``, compiled on first use; for n = 3 the
     product is ``lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2], )``."""
     at = [(f"a[{i}]", f"b[{i}]") for i in range(n)]
+    namespace = {"__builtins__": {}}
+    exec(_products_source(n), namespace)  # indices alone, as in _compiled
     return MonomialOps(
         _compiled("a, b", _tuple_source(f"{x} + {y}" for x, y in at)),
         _compiled("a, b", _tuple_source(f"{x} - {y}" for x, y in at)),
@@ -115,6 +142,7 @@ def monomial_ops(n: int) -> MonomialOps:
         # distinct bits, so their sum is their union
         _compiled("a", _sum_source([f"({1 << i} if a[{i}] else 0)" for i in range(n)])),
         tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+        namespace["products"],
     )
 
 
@@ -622,7 +650,7 @@ def combination(
     polynomials is the case of one product."""
     den = 1
     acc: dict[Exponents, int] = {}
-    get, mul = acc.get, monomial_ops(ring.nvars).mul
+    add_products = monomial_ops(ring.nvars).products
     for sign, a, b in products:
         if (a.ring is not ring and a.ring != ring) or (b.ring is not ring and b.ring != ring):
             raise ValueError("incompatible rings")
@@ -635,13 +663,7 @@ def combination(
             for e in acc:
                 acc[e] *= k
             den = lcm
-        factor = sign * (den // d)
-        right = b._num.items()
-        for e1, n1 in a._num.items():
-            n1 *= factor
-            for e2, n2 in right:
-                exps = mul(e1, e2)
-                acc[exps] = get(exps, 0) + n1 * n2
+        add_products(acc, a._num.items(), b._num.items(), sign * (den // d))
     return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
 
 
@@ -707,20 +729,47 @@ class PowerTable(dict):
         return found
 
 
-def _tabled_sum(ring: PolyRing, items) -> Polynomial:
+def _tabled_numerators(items) -> tuple[dict[Exponents, int], int]:
     """The sum of ``factor * L(p)`` over the (factor, p, table, fill)
-    items, L linear into ``ring`` and ``factor`` an int or ``Fraction``:
-    ``table`` holds L(x^e) by exponents e, and ``fill(e)`` makes an entry
-    when e is first met."""
-    pieces = []
+    items, L linear and ``factor`` an int or ``Fraction``, as a numerator
+    table (zeros kept) over a denominator that grows to the lcm of the
+    terms' denominators: ``table`` holds L(x^e) by exponents e,
+    ``fill(e)`` makes an entry when e is first met, and each image is
+    added into the one table as it is read."""
+    den = 1
+    acc: dict[Exponents, int] = {}
+    get = acc.get
     for factor, p, table, fill in items:
-        k, den = factor.numerator, factor.denominator * p._den
+        k, pden = factor.numerator, factor.denominator * p._den
         for exps, n in p._num.items():
             image = table.get(exps)
             if image is None:
                 image = table[exps] = fill(exps)
-            pieces.append((image._num.items(), image._den * den, k * n))
-    return _sum_pieces(ring, pieces)
+            d = image._den * pden
+            if den % d:
+                lcm = math.lcm(den, d)
+                scale = lcm // den
+                for e in acc:
+                    acc[e] *= scale
+                den = lcm
+            n *= k * (den // d)
+            for e, m in image._num.items():
+                acc[e] = get(e, 0) + n * m
+    return acc, den
+
+
+def _tabled_sum(ring: PolyRing, items) -> Polynomial:
+    """The sum of :func:`_tabled_numerators`' items, a polynomial of
+    ``ring``, the image ring of every L."""
+    acc, den = _tabled_numerators(items)
+    return Polynomial._make(ring, {e: n for e, n in acc.items() if n}, den)
+
+
+def _tabled_vanish(groups) -> bool:
+    """Whether the sum of :func:`_tabled_numerators`' items is zero for
+    every group of items: an exact zero test that makes no polynomial and
+    stops at the first group whose sum is not zero."""
+    return not any(any(_tabled_numerators(items)[0].values()) for items in groups)
 
 
 # ---------------------------------------------------------------------------

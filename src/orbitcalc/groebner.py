@@ -63,6 +63,7 @@ from .algebra import (
     Polynomial,
     _sum_pieces,
     _tabled_sum,
+    _tabled_vanish,
     combination,
     make_primitive,
     mono_degree,
@@ -661,10 +662,17 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     table; a monomial met for the first time is divided once."""
     if not gb.generators:
         return p
-    if p.ring != gb.generators[0].ring:
+    return _tabled_sum(p.ring, _normal_form_items(p, gb))
+
+
+def _normal_form_items(p: Polynomial, gb: GroebnerBasis) -> list:
+    """NF(p) modulo a basis with generators as :func:`.algebra._tabled_sum`
+    items: p read through the basis's table, a new monomial divided once."""
+    ring = p.ring
+    if ring != gb.generators[0].ring:
         raise ValueError("incompatible rings")
-    fill = lambda exps: divide(p.ring.monomial(exps), gb.generators, gb.order, _leads=gb.leads, _quotients=False)[0]
-    return _tabled_sum(p.ring, [(1, p, gb._forms, fill)])
+    fill = lambda exps: divide(ring.monomial(exps), gb.generators, gb.order, _leads=gb.leads, _quotients=False)[0]
+    return [(1, p, gb._forms, fill)]
 
 
 def eliminate(
@@ -883,11 +891,22 @@ def module_solve(
 
 
 def _verify_combination(problem: SubmoduleProblem, coefficients, target, what: str):
-    """Check ``sum(c_i * columns_i) == target`` row by row modulo the ideal."""
-    for row, want in enumerate(target):
-        acc = combination(want.ring, [(1, c, col[row]) for c, col in zip(coefficients, problem.columns)])
-        if not normal_form(acc - want, problem.ideal).is_zero():
-            raise AssertionError(f"internal error: {what} failed verification")
+    """Check ``sum(c_i * columns_i) == target`` row by row modulo the ideal.
+    Each row's sum is one :func:`.algebra.combination`; modulo a nonzero
+    ideal the target is its last product, and the normal forms of the
+    residues are summed from the ideal's table by one zero test."""
+    ideal = problem.ideal
+    rows = [[(1, c, col[row]) for c, col in zip(coefficients, problem.columns)] for row in range(len(target))]
+    if ideal.generators:
+        one = ideal.generators[0].ring.one()
+        verified = _tabled_vanish(
+            _normal_form_items(combination(want.ring, products + [(-1, want, one)]), ideal)
+            for products, want in zip(rows, target)
+        )
+    else:
+        verified = all(combination(want.ring, products) == want for products, want in zip(rows, target))
+    if not verified:
+        raise AssertionError(f"internal error: {what} failed verification")
 
 
 def syzygies(

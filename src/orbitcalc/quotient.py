@@ -34,7 +34,12 @@ they sum NF(z_i * y^e), NF(dg/dy_j * y^e) and NF(Y_i(y^e)) from monomial
 tables kept per space
 (:meth:`OrbitSpace._tabled`), as q(sigma) sums sigma^e from the Hilbert
 map's :class:`.algebra.PowerTable`, the one table of powers that every
-substitution reads.  The syzygy check walks the stored values once.
+substitution reads.  The syzygy check walks the stored values once, and
+it and the tangency check test all their sums by one exact zero test
+(:func:`.algebra._tabled_vanish`) that makes no polynomial.  A pushed
+field's components, rewrites through the tagged basis that holds the
+relation basis, are relation normal forms already and are not reduced
+again; the tangency check still runs on every pushed field.
 
 The membership problems depend only on the space, so each is built once
 per :class:`OrbitSpace` and its module basis serves every later call: the
@@ -60,7 +65,9 @@ from functools import cached_property, partial
 from itertools import combinations
 from fractions import Fraction
 
-from .algebra import GREVLEX, PolyRing, Polynomial, _tabled_sum, combination, json_integer, parse_polynomial
+from .algebra import (
+    GREVLEX, PolyRing, Polynomial, _tabled_sum, _tabled_vanish, combination, json_integer, parse_polynomial
+)
 from .groebner import GroebnerBasis, SubmoduleProblem, _span_syzygies, _verify_combination, module_solve
 from .group_action import (
     LieAlgebraAction,
@@ -144,12 +151,15 @@ class OrbitSpace:
 
         Every generator is checked invariant first; then each pushforward,
         from the module's :meth:`.invariants.EquivariantModule._span` on
-        this map, passes the tangency check of :class:`OrbitVectorField`."""
+        this map and a relation normal form already, as in :func:`push_vf`,
+        passes the tangency check of :class:`OrbitVectorField`."""
         for X in self.module.generators:
             if not is_invariant(X, self.hilbert.group):
                 raise ValueError("field is not invariant")
         columns = self.module._span(self.hilbert).columns
-        return [tuple(c.rep for c in OrbitVectorField(self, column).components) for column in columns]
+        for column in columns:
+            OrbitVectorField(self, [OrbitFunction._normal(self, c) for c in column])
+        return list(columns)
 
     @property
     def pushed_generators(self) -> list["OrbitVectorField"]:
@@ -240,10 +250,20 @@ class OrbitSpace:
         Y_i(f) for ("derivative", i), and dg_k/dy_j * f for ("tangent", k, j),
         g_k the k-th relation generator: NF(L(y^e)) is read from a table per
         key, filled when e is first met."""
-        return _tabled_sum(self.orbit_ring, [
+        return _tabled_sum(self.orbit_ring, self._table_items(items))
+
+    def _vanish(self, groups) -> bool:
+        """Whether :meth:`_tabled` is zero on every group of items, by one
+        exact zero test that makes no polynomial."""
+        return _tabled_vanish(self._table_items(items) for items in groups)
+
+    def _table_items(self, items) -> list:
+        # the fills are made per call: kept on the space, each would hold
+        # the space and keep it alive until the cyclic collector runs
+        return [
             (sign, rep, self._tables.setdefault(key, {}), partial(self._entry, key))
             for sign, rep, key in items
-        ])
+        ]
 
     def _entry(self, key, exps) -> Polynomial:
         monomial = self.orbit_ring.monomial(exps)
@@ -353,6 +373,16 @@ def _free_columns(problem: SubmoduleProblem, ring: PolyRing) -> bool:
     return linalg.rank(values, problem.ambient_rank) == len(columns)
 
 
+def _function(value, space: OrbitSpace) -> OrbitFunction:
+    """``value`` as a class of ``space``: a polynomial is reduced, and a
+    class of another space is refused, as :func:`_rep` refuses it."""
+    if isinstance(value, OrbitFunction):
+        if value.space is not space:
+            raise ValueError("operands live on different orbit spaces")
+        return value
+    return OrbitFunction(space, value)
+
+
 def _rep(obj, space: OrbitSpace) -> Polynomial:
     """The representative of a class of ``space``, or a bare polynomial."""
     if isinstance(obj, OrbitFunction):
@@ -370,22 +400,21 @@ class OrbitVectorField:
     constructor checks it on every relation generator g, :meth:`_linear`
     does not.  The check NF(sum_j c_j * dg/dy_j) = 0 is linear in the
     components c_j, so it sums the space's table entries NF(dg/dy_j * y^e)
-    over their terms."""
+    over their terms, one group per g in one zero test.  Components of
+    another space are refused."""
 
     __slots__ = ("space", "components")
 
     def __init__(self, space: OrbitSpace, components):
         self.space = space
-        self.components = tuple(
-            c if isinstance(c, OrbitFunction) else OrbitFunction(space, c)
-            for c in components
-        )
+        self.components = tuple(_function(c, space) for c in components)
         if len(self.components) != space.orbit_ring.nvars:
             raise ValueError("component count must match the orbit alphabet")
-        for k in range(len(space.ideal.basis.generators)):
-            items = [(1, c.rep, ("tangent", k, j)) for j, c in enumerate(self.components)]
-            if not space._tabled(items).is_zero():
-                raise ValueError("orbit field does not preserve the relation ideal")
+        if not space._vanish(
+            [(1, c.rep, ("tangent", k, j)) for j, c in enumerate(self.components)]
+            for k in range(len(space.ideal.basis.generators))
+        ):
+            raise ValueError("orbit field does not preserve the relation ideal")
 
     @classmethod
     def _linear(cls, space: OrbitSpace, components) -> "OrbitVectorField":
@@ -463,17 +492,16 @@ class OrbitForm:
     with every generator syzygy is what makes the table a single
     well-defined functional rather than a list of numbers: the constructor
     checks it, :meth:`_linear` does not, by sums of the space's table
-    entries NF(z_i * y^e) over the values' terms.  Degree-0 orbit forms
-    are bare :class:`OrbitFunction` values.
+    entries NF(z_i * y^e) over the values' terms, all in one zero test.
+    Values of another space are refused.  Degree-0 orbit forms are bare
+    :class:`OrbitFunction` values.
     """
 
     __slots__ = ("space", "degree", "values")
 
     def __init__(self, space: OrbitSpace, degree: int, values):
         items = values.items() if isinstance(values, dict) else values
-        self._fill(space, degree, [
-            (ix, v if isinstance(v, OrbitFunction) else space.function(v)) for ix, v in items
-        ])
+        self._fill(space, degree, [(ix, _function(v, space)) for ix, v in items])
         # sum of z_i * value(i, rest) over each syzygy z must vanish modulo
         # the ideal for every (k-1)-tuple: linearity over the function ring.
         # One walk over the values: the value v at J, at position p, adds
@@ -485,9 +513,8 @@ class OrbitForm:
                 rest = J[:p] + J[p + 1 :]
                 for s in space._syzygy_index[i]:
                     sums.setdefault((s, rest), []).append(((-1) ** p, v.rep, ("syzygy", s, i)))
-        for items in sums.values():
-            if not space._tabled(items).is_zero():
-                raise ValueError("values are not compatible with the generator syzygies")
+        if not space._vanish(sums.values()):
+            raise ValueError("values are not compatible with the generator syzygies")
 
     def _fill(self, space: OrbitSpace, degree: int, items):
         self.space = space
@@ -592,12 +619,14 @@ def push_vf(X: PolyVectorField, space: OrbitSpace) -> OrbitVectorField:
     """Push an invariant field down: component j is the rewrite of the Lie
     derivative X(sigma_j) through the generators.
 
+    The rewrites are relation normal forms already: the tagged basis they
+    are reduced by holds the relation basis, so they are not reduced again.
     A tangency failure after subduction would mean the Hilbert map data is
     inconsistent, so the constructor check stays on.
     """
     if not is_invariant(X, space.hilbert.group):
         raise ValueError("field is not invariant")
-    return OrbitVectorField(space, _push_field(X, space.hilbert))
+    return OrbitVectorField(space, [OrbitFunction._normal(space, c) for c in _push_field(X, space.hilbert)])
 
 
 def _generator_coordinates(Y: OrbitVectorField, space: OrbitSpace) -> tuple[Polynomial, ...]:

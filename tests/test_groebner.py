@@ -532,6 +532,31 @@ def test_module_solve_golden_columns():
             assert normal_form(acc - column[j], gb).is_zero()
 
 
+@pytest.mark.parametrize("ideal", ["relations", "zero"])
+def test_the_witness_check_accepts_the_combinations_equal_to_the_target(ideal):
+    """Modulo the relations each row's residue is read through the basis's
+    normal-form table; modulo the zero ideal each row's sum must equal the
+    target.  A target in another ring is refused by the ring check."""
+    gb = relation_basis() if ideal == "relations" else buchberger([])
+    columns = golden_columns()
+    problem = SubmoduleProblem(3, columns, gb)
+    coefficients = [y("y1"), y("1/2"), y("0"), y("-y3")]
+    target = [sum((c * col[j] for c, col in zip(coefficients, columns)), ORBIT.zero()) for j in range(3)]
+    groebner._verify_combination(problem, coefficients, target, "witness")
+    shifted = [target[0] + RELATION * y("y2")] + target[1:]  # equal modulo the relations
+    wrong = [target[:2] + [target[2] + y("1/3")]]
+    if ideal == "relations":
+        groebner._verify_combination(problem, coefficients, shifted, "witness")
+    else:
+        wrong.append(shifted)
+    for rows in wrong:
+        with pytest.raises(AssertionError, match="witness failed verification"):
+            groebner._verify_combination(problem, coefficients, rows, "witness")
+    foreign = [parse_polynomial("y1", PolyRing.orbit(4))] + target[1:]
+    with pytest.raises(ValueError, match="incompatible rings"):
+        groebner._verify_combination(problem, coefficients, foreign, "witness")
+
+
 def test_module_basis_is_built_once_per_problem(count_module_basis_builds):
     builds = count_module_basis_builds()
     columns = golden_columns()

@@ -91,6 +91,32 @@ def test_units_and_one_compilation_per_arity():
     assert BlockOrder(7).key_for(3) is BlockOrder(3).key_for(3)
 
 
+def reference_products(acc, left, right, factor):
+    for a, n in left:
+        for b, m in right:
+            e = mono_mul(a, b)
+            acc[e] = acc.get(e, 0) + factor * n * m
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_the_compiled_product_loop_matches_a_reference(n):
+    """``products`` adds every term product into a table that may already
+    hold entries; the ring of no variables unpacks the empty tuple."""
+    rng = random.Random(4100 + n)
+
+    def terms(count):
+        return [(tuple(rng.randint(0, 3) for _ in range(n)), rng.randint(-9, 9)) for _ in range(count)]
+
+    for _ in range(25):
+        left, right = terms(rng.randint(0, 4)), terms(rng.randint(0, 4))
+        factor = rng.choice([1, -1, 6, -35])
+        got = dict(terms(2))
+        want = dict(got)
+        monomial_ops(n).products(got, left, right, factor)
+        reference_products(want, left, right, factor)
+        assert got == want
+
+
 def test_no_arity_is_too_deep_to_compile():
     """The degree sums are nested as balanced trees; a chain of 3000
     additions is too deep for the compiler."""
@@ -98,6 +124,9 @@ def test_no_arity_is_too_deep_to_compile():
     e = tuple(range(n))
     assert GREVLEX.key_for(n)(e) == grevlex_key(e)
     assert BlockOrder(1000).key_for(n)(e) == block_key(1000, e)
+    acc = {}
+    monomial_ops(n).products(acc, [(e, 2)], [(e[::-1], 3), (e, -1)], 5)
+    assert acc == {mono_mul(e, e[::-1]): 30, mono_mul(e, e): -10}
 
 
 class KeyOnlyGrevlex(MonomialOrder):

@@ -48,6 +48,7 @@ from orbitcalc.quotient import (
     push_vf,
 )
 from orbitcalc.verify import reflection_context, run_golden_checks
+from test_reflection_group_pins import GROUPS as REFLECTION_GROUPS
 
 AMBIENT = PolyRing.ambient(2)
 X1, X2 = AMBIENT.variables()
@@ -98,6 +99,46 @@ def test_push_vf_zero_and_rejection(golden_space):
     assert push_vf(PolyVectorField.zero(AMBIENT), golden_space).is_zero()
     with pytest.raises(ValueError, match="not invariant"):
         push_vf(ambient_field("1", "0"), golden_space)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER) + sorted(REFLECTION_GROUPS))
+def test_pushed_components_are_relation_normal_forms(name):
+    """push_vf and OrbitSpace._pushed take the rewrites as classes with no
+    second reduction: a normal form against the tagged basis is one modulo
+    the relation basis that the tagged basis holds."""
+    group = closure(LADDER[name] if name in LADDER else REFLECTION_GROUPS[name][0])
+    hmap = invariant_generators(group)
+    ideal = invariants.relations(hmap)
+    for X in equivariant_generators(group).generators:
+        for field in (X, X * hmap.sigma[0]):
+            components = invariants._push_field(field, hmap)
+            assert all(ideal.normal(c) == c for c in components)
+
+
+def test_a_corrupted_push_still_fails_the_tangency_check(golden_space, monkeypatch):
+    X = golden_space.module.generators[0]
+    pushed = quotient._push_field(X, golden_space.hilbert)
+    assert push_vf(X, golden_space) == golden_space.pushed_generators[0]
+    monkeypatch.setattr(quotient, "_push_field", lambda field, hmap: (pushed[0] + 1,) + pushed[1:])
+    with pytest.raises(ValueError, match="does not preserve the relation ideal"):
+        push_vf(X, golden_space)
+
+
+def test_constructors_refuse_classes_of_another_space(golden_space):
+    """The golden Z2/R^2 space and the Z4/R^2 space share the alphabet
+    y1..y3, so only the space tells their classes apart."""
+    other = OrbitSpace(invariant_generators(make_rotation4_group()))
+    assert other.orbit_ring == golden_space.orbit_ring
+    Y = golden_space.pushed_generators[0]
+    theta = orbit_d(golden_space.parse_function("y1*y2 + y3"))
+    with pytest.raises(ValueError, match="operands live on different orbit spaces"):
+        OrbitVectorField(golden_space, [other.function(c.rep) for c in Y.components])
+    with pytest.raises(ValueError, match="operands live on different orbit spaces"):
+        OrbitForm(golden_space, 1, {ix: other.function(v.rep) for ix, v in theta.values.items()})
+    assert OrbitVectorField(golden_space, Y.components) == Y
+    assert OrbitVectorField(golden_space, [c.rep for c in Y.components]) == Y
+    assert OrbitForm(golden_space, 1, theta.values) == theta
+    assert OrbitForm(golden_space, 1, {ix: v.rep for ix, v in theta.values.items()}) == theta
 
 
 def test_lift_round_trips(golden_space):

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import o_combine, o_mul, o_substitute, reference_divide
-from orbitcalc.algebra import GREVLEX, LEX, PolyRing, Polynomial, combination, parse_polynomial
-from orbitcalc.groebner import buchberger, divide
+from orbitcalc.algebra import (
+    GREVLEX, LEX, PolyRing, Polynomial, _tabled_sum, _tabled_vanish, combination, parse_polynomial
+)
+from orbitcalc.groebner import _normal_form_items, buchberger, divide
 from orbitcalc.invariants import RelationIdeal
 
 ORBIT = PolyRing.orbit(3)
@@ -171,6 +173,39 @@ def test_combination_cancels_across_denominators():
     assert combination(AMBIENT, []) == AMBIENT.zero()
     with pytest.raises(ValueError, match="incompatible rings"):
         combination(AMBIENT, [(1, half, ORBIT.one())])
+
+
+def relation_items(factor, p):
+    """factor * NF(p) modulo RELATIONS as tabled-sum items."""
+    return [(factor, q, table, fill) for _, q, table, fill in _normal_form_items(p, RELATIONS.basis)]
+
+
+def test_a_grouped_zero_test_is_as_strong_as_one_test_per_sum():
+    """Each group's sum must vanish on its own: two groups whose nonzero
+    sums are negatives of each other are not all zero."""
+    p = parse_polynomial("1/2*y1*y2 - 3*y3 + y1", ORBIT)
+    member = parse_polynomial("2*y3^2 - 2*y1*y2", ORBIT)
+    assert not RELATIONS.is_member(p) and RELATIONS.is_member(member)
+    assert not _tabled_vanish([relation_items(1, p), relation_items(-1, p)])
+    assert not _tabled_vanish([relation_items(Fraction(1, 3), p), relation_items(Fraction(-1, 3), p)])
+    assert _tabled_vanish([relation_items(1, p) + relation_items(-1, p), relation_items(2, member), []])
+    assert _tabled_vanish([])
+    rng = random.Random(1800)
+    pool = [Polynomial(ORBIT, random_terms(rng, ORBIT, 2, 3)) for _ in range(5)] + [member]
+    verdicts = []
+    for _ in range(80):
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            group = []
+            for _ in range(rng.randint(0, 3)):
+                factor, q = rng.choice([1, -2, Fraction(1, 3)]), rng.choice(pool)
+                group += relation_items(factor, q)
+                if rng.random() < 0.7:  # cancelled, so that many sums vanish
+                    group += relation_items(-factor, q)
+            groups.append(group)
+        verdicts.append(_tabled_vanish(groups))
+        assert verdicts[-1] == all(_tabled_sum(ORBIT, group).is_zero() for group in groups)
+    assert 10 <= verdicts.count(True) <= 70
 
 
 # ---------------------------------------------------------------------------
