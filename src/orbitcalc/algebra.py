@@ -514,7 +514,8 @@ class Polynomial:
             return self
         if not c:
             return self.ring.zero()
-        num = {e: n * c.numerator for e, n in self._num.items()}
+        k = c.numerator
+        num = self._num if k == 1 else {e: n * k for e, n in self._num.items()}
         return Polynomial._make(self.ring, num, self._den * c.denominator)
 
     def mul_monomial(self, exps: Exponents, coeff: Scalar = 1) -> "Polynomial":

@@ -30,14 +30,17 @@ Hilbert-driven run (Traverso, *Hilbert functions and the Buchberger
 algorithm*, 1996): pairs go by weighted degree, and once the leading
 monomials found so far leave as many standard monomials of a degree as the
 known series counts, the remaining pairs of that degree reduce to zero and
-are dropped unreduced.  The run ends by checking that the series of the
-leading monomials equals the known one, which certifies the basis.  The
-Hilbert functions it compares are read from expansions that are kept and
-extended as the degrees rise.
+are dropped unreduced.  The series of the leading monomials is compared
+with the known one wherever a degree's count of missing leads reaches
+zero, and the run stops once they are equal: equal series certify the
+basis, and the pairs left could add nothing.  The Hilbert functions it
+compares are read from expansions that are kept and extended as the
+degrees rise.
 
 The bookkeeping is kept below the cost of the reductions it saves: pairs
-are formed, and the product criterion tested, on the support bitmasks of
-the leading monomials; weighted degrees and sugars come from a kernel
+are formed on the support bitmasks of the leading monomials, and two
+scalars with coprime leads form none (product criterion), so such a pair
+is never queued; weighted degrees and sugars come from a kernel
 compiled once per weight tuple (:func:`.algebra.weighted_degree`); the
 cancellation hook is polled once per pair only when one was given; and a
 division builds quotients only for the divisors that reduced a term and
@@ -50,7 +53,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -115,12 +118,14 @@ def divide(
 
     No remainder term is divisible by any divisor's leading monomial; a
     term is reduced by the first divisor in list order whose leading
-    monomial divides it.  ``_leads`` and ``_quotients`` are internal: the
-    divisors' leading terms, which every caller in the package keeps with
-    its divisors, and the number of leading divisors whose quotients the
-    caller reads (all by default; False or 0 for none, and an empty list
-    comes back).  Only the quotients of divisors that reduced a term are
-    built; the others are one shared zero.
+    monomial divides it.  The remainder's terms are settled, and kept, in
+    descending order, so its first term is its leading one.  ``_leads`` and
+    ``_quotients`` are internal: the divisors' leading terms, which every
+    caller in the package keeps with its divisors, and the number of
+    leading divisors whose quotients the caller reads (all by default;
+    False or 0 for none, and an empty list comes back).  Only the quotients
+    of divisors that reduced a term are built; the others are one shared
+    zero.
 
     The arithmetic is on the integer numerators of the polynomials.  Each
     divisor D is numerators N over a denominator, with leading numerator
@@ -394,9 +399,13 @@ class _HilbertDrive:
                 )
         return self.missing == 0
 
+    def certified(self) -> bool:
+        """Whether the leading monomials so far have the known series."""
+        return same_series((self.numerator, self.denominator), self.known)
+
     def certify(self):
         """G lies in I, so equal series give in(G) = in(I): G is a basis."""
-        if not same_series((self.numerator, self.denominator), self.known):
+        if not self.certified():
             raise AssertionError("internal error: basis series differs from the known series")
 
 
@@ -425,7 +434,16 @@ def _buchberger_tracked(
     ideal I has R/I of Hilbert series ``series`` (denominator with constant
     term 1): the run is Hilbert-driven (:class:`_HilbertDrive`), with sugar
     the weighted degree, and raises ``AssertionError`` unless the basis it
-    ends with has that series.
+    ends with has that series.  The run stops as soon as its leads have
+    that series, which can first happen where a degree's count of missing
+    leads reaches zero; only there is it compared.
+
+    Two scalars with coprime leads form no pair (product criterion): such a
+    pair is never queued, so for the chain criterion it is done from the
+    start, which is sound because its S-polynomial has a standard
+    representation (Gebauer & Moeller 1988).  Vectors pair by
+    :func:`_forms_pair`.  A remainder's lead is read off its division,
+    which settles the leading term first.
 
     ``reduced`` is internal: the first ``reduced`` vectors of ``gens``,
     with the ideal's generators, are already a reduced Groebner basis, so
@@ -463,15 +481,20 @@ def _buchberger_tracked(
     marks = [0] * len(basis)
     seeded = len(basis) + reduced
 
-    def append(vec: Vector, rep: list[Polynomial], sugar: int, mark: int):
+    def append(vec: Vector, rep: list[Polynomial], sugar: int, mark: int, lead=None):
         pos = next(i for i, c in enumerate(vec) if c._num)
-        t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order))
+        t = _Tracked(vec, rep, sugar, pos, vec[pos].leading(order) if lead is None else lead)
         j = len(basis)
         lj = t.lead[0]
         sj, mj = sugar - weigh(lj), support(lj)
+        # between scalars a pair of coprime leads reduces to zero (product
+        # criterion), so none is queued; vectors pair by :func:`_forms_pair`
+        scalar = len(vec) == 1
         for i, u in enumerate(basis if j >= seeded else ()):
-            # :func:`_forms_pair`, on the support bitmasks
-            if u.pos != pos and (u.pos >= 0 or not masks[i] & mj):
+            if u.pos < 0 or scalar:
+                if not masks[i] & mj:
+                    continue
+            elif u.pos != pos:
                 continue
             lcm = lcm_of(u.lead[0], lj)
             si = slack[i]
@@ -504,10 +527,6 @@ def _buchberger_tracked(
         if drive is not None and drive.complete(s_sugar):
             continue
         fi, fj = (basis[j], basis[i]) if basis[i].pos < 0 else (basis[i], basis[j])
-        # product criterion: coprime leading monomials of two scalars
-        # reduce to zero
-        if len(fi.vec) == 1 and not masks[i] & masks[j]:
-            continue
         (li, ci), (lj, cj) = fi.lead, fj.lead
         lcm = lcm_of(li, lj)
         # chain criterion: some k acting at the position divides the lcm
@@ -537,8 +556,15 @@ def _buchberger_tracked(
             ]
             rep = _subtract_reps(rep, quotients, basis)
         sugar = max(s_sugar, max(weigh(e) for c in remainder for e in c._num))
-        # a remainder was divided by every element before it
-        append(remainder, rep, sugar, len(basis) + 1)
+        # a remainder was divided by every element before it; its leading
+        # component's first term is the first one the division settled
+        lead = next(c for c in remainder if c._num)
+        lm = next(iter(lead._num))
+        append(remainder, rep, sugar, len(basis) + 1, (lm, Fraction(lead._num[lm], lead._den)))
+        # the series can reach the known one only where a degree's count of
+        # missing leads reaches zero
+        if drive is not None and drive.missing == 0 and drive.certified():
+            break
 
     if drive is not None:
         drive.certify()
@@ -816,11 +842,27 @@ _MET = object()
 
 def _scaled_sum(ring: PolyRing, scaled) -> list[Polynomial]:
     """The sum of ``n * v / den`` over the (v, den, n) items, v vectors of
-    one length."""
-    return [
-        _sum_pieces(ring, [(v[j]._num.items(), v[j]._den * den, n) for v, den, n in scaled])
-        for j in range(len(scaled[0][0]))
-    ]
+    one length: each nonzero component is added straight into its
+    position's numerator table, over a denominator that grows to the lcm
+    of the position's terms."""
+    size = len(scaled[0][0])
+    tables: list[dict[Exponents, int]] = [{} for _ in range(size)]
+    dens = [1] * size
+    for v, vden, n in scaled:
+        for j, p in enumerate(v):
+            if not p._num:
+                continue
+            acc, den, d = tables[j], dens[j], p._den * vden
+            if den % d:
+                lcm_den = lcm(den, d)
+                k = lcm_den // den
+                for e in acc:
+                    acc[e] *= k
+                dens[j] = den = lcm_den
+            factor, get = n * (den // d), acc.get
+            for e, m in p._num.items():
+                acc[e] = get(e, 0) + factor * m
+    return [Polynomial._make(ring, {e: m for e, m in acc.items() if m}, den) for acc, den in zip(tables, dens)]
 
 
 def _module_remainder(

@@ -286,10 +286,17 @@ class OrbitFunction:
 
     __slots__ = ("space", "rep")
 
-    def __init__(self, space: OrbitSpace, rep: Polynomial):
+    def __init__(self, space: OrbitSpace, rep: "Polynomial | OrbitFunction"):
+        """The class of ``rep``: a polynomial of the orbit ring, reduced, or
+        a class of ``space``, whose representative is taken as it is."""
+        self.space = space
+        if isinstance(rep, OrbitFunction):
+            self.rep = _rep(rep, space)
+            return
+        if not isinstance(rep, Polynomial):
+            raise TypeError(f"representative must be a polynomial, not {type(rep).__name__}")
         if rep.ring != space.orbit_ring:
             raise ValueError("representative must live in the orbit ring")
-        self.space = space
         self.rep = space.ideal.normal(rep)
 
     @classmethod
@@ -374,11 +381,9 @@ def _free_columns(problem: SubmoduleProblem, ring: PolyRing) -> bool:
 
 
 def _function(value, space: OrbitSpace) -> OrbitFunction:
-    """``value`` as a class of ``space``: a polynomial is reduced, and a
-    class of another space is refused, as :func:`_rep` refuses it."""
-    if isinstance(value, OrbitFunction):
-        if value.space is not space:
-            raise ValueError("operands live on different orbit spaces")
+    """``value`` as a class of ``space``: ``value`` itself when it is
+    one, and otherwise :class:`OrbitFunction`'s class of it."""
+    if isinstance(value, OrbitFunction) and value.space is space:
         return value
     return OrbitFunction(space, value)
 

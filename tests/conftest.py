@@ -6,10 +6,12 @@ suites live here as plain functions; the acceptance gate runs them at full
 trial counts and the module tests reuse the builders.
 """
 
+import heapq
 import inspect
 from fractions import Fraction
 from itertools import product
 from operator import add, le, sub
+from types import SimpleNamespace
 
 import pytest
 
@@ -358,6 +360,110 @@ def hilbert_certificates(monkeypatch):
 
     monkeypatch.setattr(groebner._HilbertDrive, "certify", counting)
     return certified
+
+
+def leads_share_a_variable(t, u) -> bool:
+    """Whether the leading monomials of two tracked elements are not
+    coprime."""
+    return any(x and y for x, y in zip(t.lead[0], u.lead[0]))
+
+
+class PairTraffic:
+    """The pair traffic of one Buchberger run: its inputs and output, the
+    pairs it queues and pops as (i, j) basis indices, how many popped pairs
+    its Hilbert drive drops and how many it reduces, how many it pops after
+    the drive's series equals the known one, and the basis it interreduces.
+    ``seeded`` is the first basis index after the ideal's generators and
+    the already reduced inputs."""
+
+    def __init__(self, gens, order, seeded: int, driven: bool):
+        self.gens, self.order, self.seeded, self.driven = gens, order, seeded, driven
+        self.queued: list[tuple[int, int]] = []
+        self.popped: list[tuple[int, int]] = []
+        self.dropped = self.reduced = self.late = 0
+        self.drive = self.basis = self.result = None
+
+    def pairs_to_queue(self) -> list[tuple[int, int]]:
+        """The pairs the run should have queued, from its final basis: each
+        element after the seeds with every earlier element leading at its
+        position, or ideal generator sharing a variable with its lead, but
+        no two scalars whose leads are coprime (product criterion)."""
+        basis, shares = self.basis, leads_share_a_variable
+        return [
+            (i, j)
+            for j in range(self.seeded, len(basis))
+            for i in range(j)
+            if (basis[i].pos == basis[j].pos and (len(basis[j].vec) > 1 or shares(basis[i], basis[j])))
+            or (basis[i].pos < 0 and shares(basis[i], basis[j]))
+        ]
+
+
+@pytest.fixture
+def pair_traffic(monkeypatch):
+    """One :class:`PairTraffic` per Buchberger run during the test, in
+    order.  The runs' pair queues are told from the division heaps by their
+    entries, which are tuples."""
+    runs: list[PairTraffic] = []
+    open_runs: list[PairTraffic] = []
+    run = groebner._buchberger_tracked
+    signature = inspect.signature(run)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        a = bound.arguments
+        ideal = a["ideal"].generators if a["ideal"] is not None else ()
+        traffic = PairTraffic(a["gens"], a["order"], len(ideal) + a["reduced"], a["hilbert"] is not None)
+        runs.append(traffic)
+        open_runs.append(traffic)
+        try:
+            traffic.result = run(*args, **kwargs)
+        finally:
+            open_runs.pop()
+        return traffic.result
+
+    def push(heap, item):
+        if type(item) is tuple and open_runs:
+            open_runs[-1].queued.append(item[-2:])
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        item = heapq.heappop(heap)
+        if type(item) is tuple and open_runs:
+            traffic = open_runs[-1]
+            traffic.popped.append(item[-2:])
+            traffic.late += traffic.drive is not None and traffic.drive.certified()
+        return item
+
+    class Drive(groebner._HilbertDrive):
+        def __init__(self, *args):
+            super().__init__(*args)
+            open_runs[-1].drive = self
+
+        def complete(self, degree):
+            done = super().complete(degree)
+            open_runs[-1].dropped += done
+            return done
+
+    s_vector, reduce = groebner._s_vector, groebner._reduce_tracked
+
+    def reducing(*args):
+        if open_runs:
+            open_runs[-1].reduced += 1
+        return s_vector(*args)
+
+    def interreducing(basis, *args):
+        if open_runs:
+            open_runs[-1].basis = list(basis)
+        return reduce(basis, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger_tracked", recording)
+    monkeypatch.setattr(invariants, "_buchberger_tracked", recording)
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=push, heappop=pop, heapify=heapq.heapify))
+    monkeypatch.setattr(groebner, "_HilbertDrive", Drive)
+    monkeypatch.setattr(groebner, "_s_vector", reducing)
+    monkeypatch.setattr(groebner, "_reduce_tracked", interreducing)
+    return runs
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     LADDER,
     coefficient_vector,
+    leads_share_a_variable,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -404,6 +405,41 @@ def test_hilbert_driven_basis_equals_the_plain_loop(order, hilbert_certificates)
         assert tuple(t.vec[0] for t in driven) == plain
         runs += 1
     assert len(hilbert_certificates) == runs
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1), BlockOrder(2)])
+def test_scalar_runs_queue_no_coprime_pair_and_module_runs_keep_theirs(order, pair_traffic):
+    """Scalar runs, tracked or not and modulo an ideal or not, queue every
+    pair of leads that share a variable and no other; vector runs queue
+    every pair leading at one position, coprime or not, and every ideal
+    pair sharing a variable."""
+    ring = PolyRing.ambient(3)
+    rng = random.Random(59)
+    for _ in range(10):
+        gens = random_ideal(rng, ring)
+        buchberger(gens, order)
+        groebner._buchberger_tracked([(g,) for g in gens], order, len(gens))
+    ideal = buchberger(TWO_RELATIONS, order)
+    for rank in (1, 2, 3):
+        columns = tuple(homogeneous_vector(rng, ORBIT, rank, d) for d in (1, 2, 2))
+        _module_basis(SubmoduleProblem(rank, columns, ideal), None)
+    # ten random ideals run twice, the relations' basis, three module bases
+    assert len(pair_traffic) == 24
+    skipped = kept = 0
+    for traffic in pair_traffic:
+        queued = sorted(traffic.queued)
+        assert queued == sorted(traffic.pairs_to_queue()) and len(set(queued)) == len(queued)
+        basis = traffic.basis
+        for j in range(traffic.seeded, len(basis)):
+            for i in range(j):
+                if basis[i].pos == basis[j].pos and not leads_share_a_variable(basis[i], basis[j]):
+                    if len(basis[j].vec) == 1:
+                        skipped += 1
+                        assert (i, j) not in queued
+                    else:
+                        kept += 1
+                        assert (i, j) in queued
+    assert skipped and kept
 
 
 def tagged_z2_generators():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     coefficient_vector,
+    leads_share_a_variable,
     make_reflection_group,
     make_rotation4_group,
     make_swap_group,
@@ -456,20 +457,13 @@ def test_hilbert_driven_tagged_basis_of_random_homogeneous_maps(hilbert_certific
     assert len(hilbert_certificates) == 12
 
 
-def test_hilbert_driven_tagged_basis_skips_the_pairs_that_reduce_to_zero(monkeypatch):
+def test_hilbert_driven_tagged_basis_skips_the_pairs_that_reduce_to_zero(pair_traffic):
     # Z2/R^3: six quadrics; the plain loop reduces 104 S-vectors, 83 to zero
     hmap = invariant_generators(closure(SEARCH_GROUPS["z2_r3"]))
-    reduced = []
-    s_vector = groebner._s_vector
-
-    def counting(*args):
-        reduced.append(args)
-        return s_vector(*args)
-
-    monkeypatch.setattr(groebner, "_s_vector", counting)
+    pair_traffic.clear()
     again = invariants._assemble(hmap.group, hmap.sigma, hmap.ring)
     assert again.tag_basis.generators == hmap.tag_basis.generators
-    assert 0 < len(reduced) < 52
+    assert len(pair_traffic) == 1 and 0 < pair_traffic[0].reduced < 52
 
 
 def test_non_homogeneous_map_keeps_the_plain_loop(hilbert_certificates):
@@ -1112,6 +1106,55 @@ def test_each_search_degree_extends_the_last_tag_basis_to_the_one_built_from_not
         order = extended.tag_basis.order
         expected_leads = tuple(g.leading(order) for g in scratch.tag_basis.generators)
         assert extended.tag_basis.leads == scratch.tag_basis.leads == expected_leads
+
+
+# ---------------------------------------------------------------------------
+# the pairs a driven tagged build queues and pops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rung", sorted(EXTENDED_RUNGS))
+def test_every_driven_tag_basis_equals_the_plain_loop_on_its_inputs(rung, pair_traffic):
+    """Each tagged build of the search, from nothing or seeded with the
+    last degree's basis, against an undriven run on the same inputs."""
+    hmap = invariant_generators(closure(EXTENDED_RUNGS[rung]))
+    n = hmap.ring.nvars
+    driven = [traffic for traffic in pair_traffic if traffic.driven]
+    assert len(driven) == len({s.degree() for s in hmap.sigma})
+    assert [traffic.seeded > 0 for traffic in driven] == [False] + [True] * (len(driven) - 1)
+    for traffic in driven:
+        assert isinstance(traffic.order, BlockOrder) and traffic.order.block == n
+        plain = buchberger([g[0] for g in traffic.gens], traffic.order)
+        assert tuple(t.vec[0] for t in traffic.result) == plain.generators
+        assert tuple(t.lead for t in traffic.result) == plain.leads
+    assert tuple(t.vec[0] for t in driven[-1].result) == hmap.tag_basis.generators
+
+
+@pytest.mark.parametrize("rung", sorted(EXTENDED_RUNGS))
+def test_a_driven_build_queues_no_coprime_pair_and_pops_none_past_its_series(rung, pair_traffic):
+    invariant_generators(closure(EXTENDED_RUNGS[rung]))
+    assert pair_traffic and all(traffic.driven for traffic in pair_traffic)
+    for traffic in pair_traffic:
+        basis = traffic.basis
+        assert all(leads_share_a_variable(basis[i], basis[j]) for i, j in traffic.queued)
+        assert sorted(traffic.queued) == sorted(traffic.pairs_to_queue())
+        assert traffic.late == 0 and traffic.drive.certified()
+
+
+def test_the_driven_elimination_ladder_queues_189_pairs_and_pops_118(pair_traffic):
+    """Z2/R^3, Z3/R^3 and Z6/R^2, unconjugated: queueing the coprime pairs
+    and popping every pair would pop 361."""
+    popped = {}
+    for rung in ("z2_r3", "z3_r3", "z6_r2"):
+        relations(invariant_generators(closure(SEARCH_RUNGS[rung])))
+        popped[rung] = sum(len(traffic.popped) for traffic in pair_traffic) - sum(popped.values())
+    assert all(traffic.driven for traffic in pair_traffic)
+    assert sum(len(traffic.queued) for traffic in pair_traffic) == 189
+    assert popped == {"z2_r3": 31, "z3_r3": 30, "z6_r2": 57}
+    # the drive drops 66 of them, 48 are reduced, and the chain criterion
+    # skips the other 4
+    dropped = sum(traffic.dropped for traffic in pair_traffic)
+    reduced = sum(traffic.reduced for traffic in pair_traffic)
+    assert (dropped, reduced) == (66, 48)
 
 
 def test_invariant_combination_reads_a_module_span_once(count_module_basis_builds):

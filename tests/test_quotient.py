@@ -141,6 +141,30 @@ def test_constructors_refuse_classes_of_another_space(golden_space):
     assert OrbitForm(golden_space, 1, {ix: v.rep for ix, v in theta.values.items()}) == theta
 
 
+def test_orbit_function_of_a_class_takes_its_representative(golden_space):
+    f = golden_space.parse_function("y1*y2 + y3")
+    same = OrbitFunction(golden_space, f)
+    assert same == f and same.rep is f.rep
+    assert golden_space.function(f) == f
+
+
+def test_orbit_function_refuses_a_class_of_another_space(golden_space):
+    other = OrbitSpace(invariant_generators(make_rotation4_group()))
+    f = other.parse_function("y1")
+    with pytest.raises(ValueError, match="operands live on different orbit spaces"):
+        OrbitFunction(golden_space, f)
+    with pytest.raises(ValueError, match="operands live on different orbit spaces"):
+        golden_space.function(f)
+
+
+@pytest.mark.parametrize("rep", [3, Fraction(1, 2), "y1", None])
+def test_orbit_function_refuses_what_is_not_a_polynomial(golden_space, rep):
+    with pytest.raises(TypeError, match="representative must be a polynomial"):
+        OrbitFunction(golden_space, rep)
+    with pytest.raises(TypeError, match="representative must be a polynomial"):
+        OrbitVectorField(golden_space, [rep] * golden_space.orbit_ring.nvars)
+
+
 def test_lift_round_trips(golden_space):
     for Y in golden_space.pushed_generators:
         check_lift_roundtrip(golden_space, Y)

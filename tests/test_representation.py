@@ -12,7 +12,7 @@ from conftest import o_combine, o_mul, o_substitute, reference_divide
 from orbitcalc.algebra import (
     GREVLEX, LEX, PolyRing, Polynomial, _tabled_sum, _tabled_vanish, combination, parse_polynomial
 )
-from orbitcalc.groebner import _normal_form_items, buchberger, divide
+from orbitcalc.groebner import _normal_form_items, _scaled_sum, buchberger, divide
 from orbitcalc.invariants import RelationIdeal
 
 ORBIT = PolyRing.orbit(3)
@@ -270,3 +270,30 @@ def test_scale_equals_a_product_with_the_unit_monomial():
         assert all(zero.scale(c) is zero for c in scalars)
     with pytest.raises(TypeError):
         ORBIT.one().scale(0.5)
+
+
+def test_scaled_sum_equals_the_fraction_sum_position_by_position():
+    """``_scaled_sum`` adds each nonzero component into its position's
+    table; vectors with zero components and denominators that share some
+    factors and not others give the oracle's sum at every position."""
+    rng = random.Random("scaled sum")
+    for _ in range(60):
+        size = rng.randint(1, 4)
+        scaled, oracle = [], [{} for _ in range(size)]
+        for _ in range(rng.randint(1, 5)):
+            terms = [random_terms(rng, ORBIT) if rng.random() < 0.6 else {} for _ in range(size)]
+            den, n = rng.choice([1, 2, 3, 6, 35, 12]), rng.choice([-4, -1, 1, 3, 10])
+            scaled.append((tuple(Polynomial(ORBIT, t) for t in terms), den, n))
+            for j, t in enumerate(terms):
+                oracle[j] = o_combine(oracle[j], {e: c * Fraction(n, den) for e, c in t.items()}, 1)
+        total = _scaled_sum(ORBIT, scaled)
+        assert len(total) == size
+        for p, want in zip(total, oracle):
+            assert_canonical(p, want)
+    # every position zero, and a sum that cancels to zero over a denominator
+    zero = ORBIT.zero()
+    half = parse_polynomial("1/2*y1", ORBIT)
+    assert _scaled_sum(ORBIT, [((zero, zero), 3, 2)]) == [zero, zero]
+    cancelled = _scaled_sum(ORBIT, [((half, zero), 3, 2), ((half, half), 3, -2)])
+    assert cancelled == [zero, parse_polynomial("-1/3*y1", ORBIT)] and cancelled[0]._den == 1
+
